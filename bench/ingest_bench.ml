@@ -1,16 +1,16 @@
-(* Ingest-path benchmark: JSONL vs binary event log, sequential vs
-   domain-sharded, on the paper's timing setting (~6K users, ~12K
-   edges) — the PR 7 acceptance measurement.
+(* Ingest-path benchmark: the JSONL and the binary event log through the
+   one evidence applier (Online), on the paper's timing setting (~6K
+   users, ~12K edges).
 
-   The same simulated attributed-cascade stream is ingested four ways:
-   - jsonl: Online.apply_line per line (the BENCH_PR3 baseline path);
-   - bin @ 1/2/4 shards: Binlog.Reader batches through
-     Sharded.apply_batch (decode and accumulate both parallelized,
-     posteriors bit-identical to the jsonl path — asserted here);
-   - end to end: the binary path through Runner.run_binlog with its
-     publish cadence.
+   The same simulated attributed-cascade stream is ingested three ways:
+   - jsonl: Online.apply_line per line;
+   - bin: Binlog.Reader.next per record through Online.apply_record
+     (posterior bit-identical to the jsonl path — asserted here);
+   - end to end: the binary path through Runner.run_binlog at publish
+     batch 500.
 
-   Results go to BENCH_PR7.json (committed). --quick (or
+   The final digest and the host's core count are recorded with the
+   rates. Results go to BENCH_PR7.json (committed). --quick (or
    IFLOW_BENCH_QUICK=1) shortens the run for CI. *)
 
 module Rng = Iflow_stats.Rng
@@ -24,7 +24,6 @@ module Online = Iflow_stream.Online
 module Snapshot = Iflow_stream.Snapshot
 module Runner = Iflow_stream.Runner
 module Binlog = Iflow_stream.Binlog
-module Sharded = Iflow_stream.Sharded
 module Clock = Iflow_obs.Clock
 
 let quick =
@@ -32,7 +31,7 @@ let quick =
   || Sys.getenv_opt "IFLOW_BENCH_QUICK" <> None
 
 let n_events = if quick then 5_000 else 200_000
-let read_batch_frames = 4096
+let runner_batch = 500
 
 let timed f =
   let t0 = Clock.now_ns () in
@@ -43,8 +42,10 @@ let () =
   let rng = Rng.create 20120402 in
   let g = Gen.preferential_attachment rng ~nodes:6000 ~mean_out_degree:2 in
   let truth = Generator.retweet_ground_truth rng g in
-  Printf.printf "ingest bench: %d nodes, %d edges, %d events (quick=%b)\n%!"
-    (Digraph.n_nodes g) (Digraph.n_edges g) n_events quick;
+  let cores = Domain.recommended_domain_count () in
+  Printf.printf
+    "ingest bench: %d nodes, %d edges, %d events, %d cores (quick=%b)\n%!"
+    (Digraph.n_nodes g) (Digraph.n_edges g) n_events cores quick;
 
   let events =
     List.init n_events (fun _ ->
@@ -92,7 +93,7 @@ let () =
     (float_of_int bytes_jsonl /. float_of_int bytes_bin)
     convert_dt;
 
-  (* 1. the JSONL baseline *)
+  (* 1. JSONL through Online *)
   let jsonl_rate, jsonl_digest =
     let online = Online.create prior in
     let (), dt =
@@ -103,97 +104,72 @@ let () =
   in
   Printf.printf "  jsonl:           %10.0f events/s\n%!" jsonl_rate;
 
-  (* 2. binary at 1/2/4 shards — digest must equal the jsonl path's *)
-  let bin_rate shards =
-    let sharded = Sharded.create ~shards prior in
-    Fun.protect
-      ~finally:(fun () -> Sharded.close sharded)
-      (fun () ->
-        let reader = Binlog.Reader.open_ log in
-        let batch = Binlog.Batch.create () in
-        let (), dt =
-          timed (fun () ->
-              let line = ref 0 in
-              while Binlog.Reader.read_batch reader batch ~max:read_batch_frames
-              do
-                ignore
-                  (Sharded.apply_batch sharded batch ~first_line:(!line + 1));
-                line := !line + Binlog.Batch.length batch
-              done)
-        in
-        let digest = Beta_icm.digest (Sharded.model sharded) in
-        if digest <> jsonl_digest then begin
-          Printf.eprintf "FATAL: binary digest %s <> jsonl digest %s\n%!"
-            digest jsonl_digest;
-          exit 1
-        end;
-        float_of_int n_events /. dt)
+  let same_digest what digest =
+    if digest <> jsonl_digest then begin
+      Printf.eprintf "FATAL: %s digest %s <> jsonl digest %s\n%!" what digest
+        jsonl_digest;
+      exit 1
+    end
   in
-  let rates =
-    List.map
-      (fun shards ->
-        let r = bin_rate shards in
-        Printf.printf "  bin @ %d shard%s:  %10.0f events/s (%.1fx jsonl)\n%!"
-          shards
-          (if shards = 1 then " " else "s")
-          r (r /. jsonl_rate);
-        (shards, r))
-      [ 1; 2; 4 ]
+
+  (* 2. binary through Online — digest must equal the jsonl path's *)
+  let bin_rate =
+    let online = Online.create prior in
+    let reader = Binlog.Reader.open_ log in
+    let (), dt =
+      timed (fun () ->
+          let rec go () =
+            match Binlog.Reader.next reader with
+            | Some record ->
+              ignore (Online.apply_record online record);
+              go ()
+            | None -> ()
+          in
+          go ())
+    in
+    same_digest "binary" (Beta_icm.digest (Online.model online));
+    float_of_int n_events /. dt
   in
+  Printf.printf "  bin:             %10.0f events/s (%.1fx jsonl)\n%!" bin_rate
+    (bin_rate /. jsonl_rate);
 
   (* 3. end to end: publish cadence included *)
   let runner_rate =
-    let sharded = Sharded.create ~shards:4 prior in
-    Fun.protect
-      ~finally:(fun () -> Sharded.close sharded)
-      (fun () ->
-        let snapshot = Snapshot.create prior in
-        let report, dt =
-          timed (fun () ->
-              Runner.run_binlog
-                { Runner.batch = 500; checkpoint_every = None }
-                sharded snapshot
-                (Binlog.Reader.open_ log))
-        in
-        ignore report;
-        float_of_int n_events /. dt)
+    let snapshot = Snapshot.create prior in
+    let report, dt =
+      timed (fun () ->
+          Runner.run_binlog
+            { Runner.batch = runner_batch; checkpoint_every = None }
+            (Online.create prior) snapshot (Binlog.Reader.open_ log))
+    in
+    same_digest "runner" report.Runner.final.Snapshot.digest;
+    float_of_int n_events /. dt
   in
-  Printf.printf "  runner @ 4:      %10.0f events/s\n%!" runner_rate;
-
-  let rate_of shards = List.assoc shards rates in
-  let best = List.fold_left (fun a (_, r) -> Float.max a r) 0.0 rates in
-  (* the committed BENCH_PR3 full-run baseline this PR is measured
-     against (ingest_events_per_sec on the same substrate and seed) *)
-  let pr3_baseline = 9997.0 in
-  Printf.printf "  speedup:         %10.1fx vs jsonl here, %.1fx vs BENCH_PR3\n%!"
-    (best /. jsonl_rate) (best /. pr3_baseline);
+  Printf.printf "  runner @ %d:    %10.0f events/s\n%!" runner_batch
+    runner_rate;
+  Printf.printf "  final digest:    %s\n%!" jsonl_digest;
 
   let json =
     Printf.sprintf
       "{\n\
       \  \"bench\": \"binary_ingest\",\n\
-      \  \"pr\": 7,\n\
       \  \"graph\": {\"nodes\": %d, \"edges\": %d, \"generator\": \
        \"preferential_attachment\", \"seed\": 20120402},\n\
+      \  \"host\": {\"cores\": %d},\n\
       \  \"quick\": %b,\n\
       \  \"events\": %d,\n\
       \  \"bytes_jsonl\": %d,\n\
       \  \"bytes_binary\": %d,\n\
-      \  \"baseline_pr3_events_per_sec\": %.0f,\n\
       \  \"measured\": {\n\
       \    \"jsonl_events_per_sec\": %.0f,\n\
-      \    \"bin_1_shard_events_per_sec\": %.0f,\n\
-      \    \"bin_2_shards_events_per_sec\": %.0f,\n\
-      \    \"bin_4_shards_events_per_sec\": %.0f,\n\
-      \    \"runner_bin_4_shards_events_per_sec\": %.0f,\n\
-      \    \"speedup_vs_jsonl_here\": %.1f,\n\
-      \    \"speedup_vs_pr3_baseline\": %.1f,\n\
+      \    \"bin_events_per_sec\": %.0f,\n\
+      \    \"runner_bin_batch_%d_events_per_sec\": %.0f,\n\
+      \    \"final_digest\": \"%s\",\n\
       \    \"digests_bit_identical\": true\n\
       \  }\n\
        }\n"
-      (Digraph.n_nodes g) (Digraph.n_edges g) quick n_events bytes_jsonl
-      bytes_bin pr3_baseline jsonl_rate (rate_of 1) (rate_of 2) (rate_of 4)
-      runner_rate (best /. jsonl_rate) (best /. pr3_baseline)
+      (Digraph.n_nodes g) (Digraph.n_edges g) cores quick n_events bytes_jsonl
+      bytes_bin jsonl_rate bin_rate runner_batch runner_rate jsonl_digest
   in
   let oc = open_out "BENCH_PR7.json" in
   output_string oc json;

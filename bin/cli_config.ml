@@ -378,15 +378,6 @@ let format_term =
            (binary segments, see `infoflow convert`), or 'auto' (sniff the \
            magic bytes; stdin is always jsonl).")
 
-let shards_term =
-  Arg.(
-    value & opt int 1
-    & info [ "shards" ]
-        ~doc:
-          "Worker domains for binary ingest — decode and accumulate both \
-           parallelize, and posteriors are bit-identical at any shard \
-           count. Ignored on the JSONL path.")
-
 (* the sniff: stdin can't be seeked, so it is always jsonl *)
 let resolve_format fmt path =
   match fmt with

@@ -533,7 +533,7 @@ let explain_cmd =
 
 (* ----- stream ----- *)
 
-let stream seed learner events_path format shards drift_report
+let stream seed learner events_path format drift_report
     quarantine_report probes output metrics_every obs =
   C.obs_setup obs;
   let model, skip, version = C.load_initial ~component:"stream" learner in
@@ -599,31 +599,24 @@ let stream seed learner events_path format shards drift_report
       checkpoint_every = learner.C.checkpoint_every;
     }
   in
+  let online =
+    or_die (fun () ->
+        Iflow_stream.Online.create ~forget:learner.C.forget
+          ~drift:(C.drift_config learner) model)
+  in
+  let on_alert a =
+    if drift_report then
+      Obs_log.warn ~component:"drift" "%a" Iflow_stream.Drift.pp_alert a
+  in
   let report =
     match fmt with
     | `Bin ->
-      (* the sharded path has no drift detector (see Sharded) *)
-      if drift_report then
-        Obs_log.warn ~component:"stream"
-          "--drift-report has no effect on binary ingest";
-      let sharded =
-        or_die (fun () ->
-            Iflow_stream.Sharded.create ~shards ~forget:learner.C.forget model)
-      in
-      Fun.protect
-        ~finally:(fun () -> Iflow_stream.Sharded.close sharded)
-        (fun () ->
-          or_die (fun () ->
-              let reader = Iflow_stream.Binlog.Reader.open_ events_path in
-              Iflow_stream.Runner.run_binlog ?engine ~skip
-                ~on_error:learner.C.on_error ~on_degraded ~on_quarantine
-                ~on_publish config sharded snapshot reader))
+      or_die (fun () ->
+          let reader = Iflow_stream.Binlog.Reader.open_ events_path in
+          Iflow_stream.Runner.run_binlog ?engine ~skip
+            ~on_error:learner.C.on_error ~on_degraded ~on_alert ~on_quarantine
+            ~on_publish config online snapshot reader)
     | `Jsonl ->
-      let online =
-        or_die (fun () ->
-            Iflow_stream.Online.create ~forget:learner.C.forget
-              ~drift:(C.drift_config learner) model)
-      in
       let ic, close =
         if events_path = "-" then (stdin, fun () -> ())
         else
@@ -633,11 +626,7 @@ let stream seed learner events_path format shards drift_report
       Fun.protect ~finally:close (fun () ->
           or_die (fun () ->
               Iflow_stream.Runner.run ?engine ~skip
-                ~on_error:learner.C.on_error ~on_degraded
-                ~on_alert:(fun a ->
-                  if drift_report then
-                    Obs_log.warn ~component:"drift" "%a"
-                      Iflow_stream.Drift.pp_alert a)
+                ~on_error:learner.C.on_error ~on_degraded ~on_alert
                 ~on_quarantine ~on_publish config online snapshot
                 (Iflow_stream.Runner.lines_of_channel ic)))
   in
@@ -715,13 +704,13 @@ let stream_cmd =
          "Consume an append-only evidence log (JSONL or binary segments, \
           sniffed by default) and maintain a live betaICM: batched \
           conjugate updates, optional exponential forgetting, graph-change \
-          events, Hoeffding drift alerts (JSONL path), domain-sharded \
-          binary ingest with bit-identical posteriors, versioned \
-          checkpoints with replay-from-offset recovery, and hot-swap of \
-          each published version into the query engine.")
+          events, Hoeffding drift alerts, binary ingest with posteriors \
+          bit-identical to the JSONL path, versioned checkpoints with \
+          replay-from-offset recovery, and hot-swap of each published \
+          version into the query engine.")
     Term.(
       const stream $ C.seed_term $ C.learner_term $ events_term
-      $ C.format_term $ C.shards_term $ drift_report_term
+      $ C.format_term $ drift_report_term
       $ quarantine_report_term $ probes $ output $ metrics_every $ C.obs_term)
 
 (* ----- convert ----- *)

@@ -85,15 +85,13 @@ let in_neighbours g v = List.map (fun e -> g.srcs.(e)) (in_edges g v)
 let out_neighbours g v = List.map (fun e -> g.dsts.(e)) (out_edges g v)
 
 let find_edge g ~src ~dst =
-  let found = ref None in
-  (try
-     iter_out g src (fun e ->
-         if g.dsts.(e) = dst then begin
-           found := Some e;
-           raise Exit
-         end)
-   with Exit -> ());
-  !found
+  let rec scan i stop =
+    if i >= stop then None
+    else
+      let e = g.out_ids.(i) in
+      if g.dsts.(e) = dst then Some e else scan (i + 1) stop
+  in
+  scan g.out_offsets.(src) g.out_offsets.(src + 1)
 
 let mem_edge g ~src ~dst = Option.is_some (find_edge g ~src ~dst)
 

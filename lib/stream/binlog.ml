@@ -38,7 +38,6 @@ let tag_trace = 2
 let tag_add_nodes = 3
 let tag_add_edges = 4
 let tag_remove_edges = 5
-let is_graph_change_tag t = t >= tag_add_nodes && t <= tag_remove_edges
 
 let segment_path base k = if k = 0 then base else base ^ "." ^ string_of_int k
 
@@ -67,7 +66,6 @@ module Cursor = struct
     c.pos <- pos;
     c.limit <- limit
 
-  let pos c = c.pos
   let remaining c = c.limit - c.pos
   let at_end c = c.pos >= c.limit
 
@@ -131,7 +129,7 @@ let encode_payload b = function
     Buffer.add_char b (Char.chr tag_remove_edges);
     add_pairs b edges
 
-(* ----- payload decoding (allocating path) ----- *)
+(* ----- payload decoding ----- *)
 
 let read_list c ~min_bytes_per_item read_item =
   let k = Cursor.varint c in
@@ -362,12 +360,6 @@ module Batch = struct
     end
 end
 
-let frame_len (b : Batch.t) i = b.len.(i)
-let frame_tag (b : Batch.t) i = Char.code (Bytes.get b.src.(i) b.off.(i))
-let frame_bytes (b : Batch.t) i = b.src.(i)
-let frame_off (b : Batch.t) i = b.off.(i)
-let frame_segment (b : Batch.t) i = b.seg.(i)
-let frame_offset (b : Batch.t) i = b.foff.(i)
 let frame_error (b : Batch.t) i = List.assoc_opt i b.errors
 
 let check_crc (b : Batch.t) i =

@@ -110,41 +110,11 @@ module Batch : sig
   val length : t -> int
 end
 
-val frame_len : Batch.t -> int -> int
-(** Payload length, or [-1] for a framing-error slot. *)
-
-val frame_tag : Batch.t -> int -> int
-(** First payload byte. Only valid when [frame_len >= 1]. *)
-
-val frame_bytes : Batch.t -> int -> Bytes.t
-val frame_off : Batch.t -> int -> int
-val frame_segment : Batch.t -> int -> string
-val frame_offset : Batch.t -> int -> int
-(** Backing buffer, payload offset in it, and the segment path / byte
-    offset of the frame (for error reports). *)
-
-val frame_error : Batch.t -> int -> error option
-(** The framing error of an error slot ([frame_len] = -1). *)
-
-val check_crc : Batch.t -> int -> bool
-(** Recompute the payload CRC-32 and compare with the stored one. *)
-
-val crc_error : Batch.t -> int -> error
-(** The {!Bad_crc} error describing frame [i] (for reporting after
-    {!check_crc} fails). *)
-
 val decode_frame : Batch.t -> int -> (Event.t, error) result
-(** Full allocating decode of one frame: CRC check, tag dispatch, body
-    decode, trailing-byte check. This is the slow, convenient path
-    (`infoflow convert`, tests); the sharded ingest decodes in place. *)
-
-val tag_attributed : int
-val tag_trace : int
-val tag_add_nodes : int
-val tag_add_edges : int
-val tag_remove_edges : int
-
-val is_graph_change_tag : int -> bool
+(** Decode slot [i] of a batch: framing error, CRC check, tag dispatch,
+    body decode, trailing-byte check. Every ingest of a binary log goes
+    through here, one frame at a time ({!Reader.next} feeding
+    {!Online.apply_record}). *)
 
 module Reader : sig
   type t
@@ -164,8 +134,8 @@ module Reader : sig
       bad payload CRC consumes just that record. *)
 
   val next : t -> (Event.t, error) result option
-  (** One-event convenience wrapper ([read_batch] of 1 +
-      {!decode_frame}). *)
+  (** The next event slot, decoded ([read_batch] of 1 +
+      {!decode_frame}); [None] at end of log. *)
 
   val skip : t -> int -> int
   (** [skip r n] consumes up to [n] event slots (the resume path —
@@ -177,30 +147,6 @@ module Reader : sig
 
   val segment : t -> string
   (** Path of the segment currently being read. *)
-end
-
-(** {1 Zero-allocation decode primitives}
-
-    Used by the sharded ingest path to decode payloads in place. *)
-
-exception Malformed of reason * string
-(** Raised by {!Cursor} reads on damaged payloads; only ever raised on
-    corrupt input, so the happy path stays allocation-free. *)
-
-module Cursor : sig
-  type t
-
-  val create : unit -> t
-  val set : t -> Bytes.t -> pos:int -> limit:int -> unit
-  val pos : t -> int
-  val remaining : t -> int
-  val at_end : t -> bool
-
-  val varint : t -> int
-  (** Unsigned LEB128; raises {!Malformed} ([Truncated] past the
-      limit, [Bad_varint] on > 63 bits / negative). *)
-
-  val float64 : t -> float
 end
 
 module Varint : sig

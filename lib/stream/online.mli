@@ -21,9 +21,17 @@
       A graph change re-anchors the drift detector (edge ids shift).
 
     {b Quarantine.} An event is quarantined — counted, never applied,
-    never fatal — when it references unknown nodes or edges, fails
+    never fatal — when it references unknown nodes or edges (an edge
+    pair with an out-of-range endpoint is an unknown edge), fails
     {!Iflow_core.Evidence.attributed_object_is_consistent} /
-    [trace_is_consistent], or (via {!apply_line}) does not parse. *)
+    [trace_is_consistent], or (via {!apply_line} / {!apply_record})
+    does not decode. Checks run in that order — range, unknown edge,
+    consistency — and the first failure names the reason.
+
+    {b Cost.} The checks and the counting run on an epoch-stamped
+    workspace sized to the graph (reallocated only on graph changes),
+    so applying an evidence event costs O(event size plus the out-degrees
+    of its active nodes), never O(n + m). *)
 
 type stats = {
   applied : int;        (** events absorbed into the model *)
@@ -52,6 +60,14 @@ val apply_line : ?lineno:int -> t -> string -> [ `Applied | `Quarantined of stri
     bad event. Quarantine reasons carry the byte offset of malformed
     JSON, and the ["line N: "] prefix when [lineno] is given (the
     {!Runner} threads its running line count through here). *)
+
+val apply_record :
+  t -> (Event.t, Binlog.error) result -> [ `Applied | `Quarantined of string ]
+(** {!apply} for one decoded binary-log record ({!Binlog.Reader.next}).
+    A decode error counts as a [parse_errors] quarantine under its
+    [bad_crc] / [truncated] / [bad_varint] / [unknown_tag] label of
+    [iflow_stream_quarantined_total], with {!Binlog.error_message} as
+    the reason. *)
 
 val decay : t -> unit
 (** Apply one step of exponential forgetting,

@@ -105,16 +105,18 @@ let lines_of_list lines =
    after this many consecutive failures. *)
 let max_consecutive_read_errors = 100
 
-let run ?engine ?(skip = 0) ?(on_error = Fail_fast) ?on_degraded ?on_alert
-    ?on_publish ?on_quarantine config online snapshot next =
-  if config.batch < 1 then invalid_arg "Runner.run: batch must be >= 1";
+let check_config what config skip =
+  if config.batch < 1 then invalid_arg (what ^ ": batch must be >= 1");
   (match config.checkpoint_every with
-  | Some k when k < 1 -> invalid_arg "Runner.run: checkpoint_every must be >= 1"
+  | Some k when k < 1 -> invalid_arg (what ^ ": checkpoint_every must be >= 1")
   | _ -> ());
-  if skip < 0 then invalid_arg "Runner.run: negative skip";
-  for _ = 1 to skip do
-    ignore (next ())
-  done;
+  if skip < 0 then invalid_arg (what ^ ": negative skip")
+
+(* The one ingest loop behind both codecs: pull a record with [next],
+   absorb it with [apply] (1-based log offset), publish every
+   [config.batch] applied events. *)
+let ingest ?engine ~skip ~on_error ?on_degraded ?on_alert ?on_publish
+    ?on_quarantine config online snapshot ~apply next =
   let t_start = Clock.now_ns () in
   let t_last_publish = ref t_start in
   let lines = ref skip in
@@ -247,9 +249,9 @@ let run ?engine ?(skip = 0) ?(on_error = Fail_fast) ?on_degraded ?on_alert
   let rec loop () =
     match pull () with
     | None -> ()
-    | Some line ->
+    | Some record ->
       incr lines;
-      (match Online.apply_line ~lineno:!lines online line with
+      (match apply ~lineno:!lines record with
       | `Applied -> incr pending
       | `Quarantined reason -> (
         match on_quarantine with
@@ -284,152 +286,26 @@ let run ?engine ?(skip = 0) ?(on_error = Fail_fast) ?on_degraded ?on_alert
          float_of_int stats.Online.applied /. Clock.seconds_of_ns wall_ns);
   }
 
+let run ?engine ?(skip = 0) ?(on_error = Fail_fast) ?on_degraded ?on_alert
+    ?on_publish ?on_quarantine config online snapshot next =
+  check_config "Runner.run" config skip;
+  for _ = 1 to skip do
+    ignore (next ())
+  done;
+  ingest ?engine ~skip ~on_error ?on_degraded ?on_alert ?on_publish
+    ?on_quarantine config online snapshot
+    ~apply:(fun ~lineno line -> Online.apply_line ~lineno online line)
+    next
+
 let run_binlog ?engine ?(skip = 0) ?(on_error = Fail_fast) ?on_degraded
-    ?on_publish ?on_quarantine config sharded snapshot reader =
-  if config.batch < 1 then invalid_arg "Runner.run_binlog: batch must be >= 1";
-  (match config.checkpoint_every with
-  | Some k when k < 1 ->
-    invalid_arg "Runner.run_binlog: checkpoint_every must be >= 1"
-  | _ -> ());
-  if skip < 0 then invalid_arg "Runner.run_binlog: negative skip";
+    ?on_alert ?on_publish ?on_quarantine config online snapshot reader =
+  check_config "Runner.run_binlog" config skip;
   if Binlog.Reader.skip reader skip < skip then
     failwith "Runner.run_binlog: resume offset is past the end of the log";
-  let t_start = Clock.now_ns () in
-  let t_last_publish = ref t_start in
-  let lines = ref skip in
-  let pending = ref 0 in
-  let last_checkpoint = ref skip in
-  let evictions = ref 0 in
-  let published = ref 0 in
-  let checkpoints = ref 0 in
-  let read_errors = ref 0 in
-  let swap_failures = ref 0 in
-  let checkpoint_failures = ref 0 in
-  let degraded stage e =
-    match on_degraded with Some f -> f ~stage e | None -> ()
-  in
-  let batch = Binlog.Batch.create () in
-  let consecutive = ref 0 in
-  (* Publish cadence matches the JSONL loop exactly: never read more
-     frames than would fill the current batch of applied events, so the
-     set of events absorbed between any two publishes is the sequential
-     one — digests stay comparable even with forgetting on. *)
-  let rec pull () =
-    let attempt () =
-      Fail.point "runner.read";
-      Binlog.Reader.read_batch reader batch ~max:(config.batch - !pending)
-    in
-    match
-      (match on_error with
-      | Retry_reads policy -> Retry.with_policy policy attempt
-      | Fail_fast | Skip_line -> attempt ())
-    with
-    | more ->
-      consecutive := 0;
-      more
-    | exception e -> (
-      match on_error with
-      | Fail_fast -> raise e
-      | Retry_reads _ ->
-        incr read_errors;
-        Metrics.inc m_read_errors;
-        raise e
-      | Skip_line ->
-        incr read_errors;
-        Metrics.inc m_read_errors;
-        incr consecutive;
-        if !consecutive > max_consecutive_read_errors then raise e
-        else begin
-          degraded "read" e;
-          pull ()
-        end)
-  in
-  let swap () =
-    match engine with
-    | Some e -> (
-      let t0 = Clock.now_ns () in
-      match
-        Fail.point "runner.swap";
-        Snapshot.swap_into snapshot e
-      with
-      | evicted ->
-        evictions := !evictions + evicted;
-        Metrics.observe m_swap_seconds (Clock.now_ns () - t0)
-      | exception ex ->
-        incr swap_failures;
-        Metrics.inc m_swap_failures;
-        degraded "swap" ex)
-    | None -> ()
-  in
-  swap ();
-  let checkpoint_due () =
-    match config.checkpoint_every with
-    | Some k -> !lines - !last_checkpoint >= k
-    | None -> false
-  in
-  let write_checkpoint () =
-    match Snapshot.checkpoint snapshot with
-    | () ->
-      incr checkpoints;
-      Metrics.inc m_checkpoints;
-      last_checkpoint := !lines
-    | exception ex ->
-      incr checkpoint_failures;
-      Metrics.inc m_checkpoint_failures;
-      degraded "checkpoint" ex
-  in
-  let publish () =
-    Trace.with_span "stream.publish" ~args:[ ("offset", Trace.Int !lines) ]
-    @@ fun () ->
-    let t0 = Clock.now_ns () in
-    let v = Snapshot.publish snapshot (Sharded.model sharded) ~offset:!lines in
-    swap ();
-    Sharded.decay sharded;
-    incr published;
-    pending := 0;
-    Metrics.inc m_published;
-    Metrics.set m_offset (float_of_int !lines);
-    let t1 = Clock.now_ns () in
-    Metrics.observe m_publish_seconds (t1 - t0);
-    Metrics.observe m_batch_seconds (t1 - !t_last_publish);
-    t_last_publish := t1;
-    (match on_publish with Some f -> f v | None -> ());
-    if checkpoint_due () then write_checkpoint ()
-  in
-  let rec loop () =
-    if pull () then begin
-      let first_line = !lines + 1 in
-      let n = Binlog.Batch.length batch in
-      let applied = Sharded.apply_batch ?on_quarantine sharded batch ~first_line in
-      lines := !lines + n;
-      pending := !pending + applied;
-      if !pending >= config.batch then publish ();
-      loop ()
-    end
-  in
-  loop ();
-  if !pending > 0 then publish ();
-  if config.checkpoint_every <> None && !last_checkpoint <> !lines then
-    write_checkpoint ();
-  let wall_ns = Clock.now_ns () - t_start in
-  let stats = Sharded.stats sharded in
-  {
-    lines = !lines;
-    stats;
-    final = Snapshot.current snapshot;
-    versions_published = !published;
-    checkpoints_written = !checkpoints;
-    cache_evictions = !evictions;
-    drift_alerts = [];
-    read_errors = !read_errors;
-    swap_failures = !swap_failures;
-    checkpoint_failures = !checkpoint_failures;
-    wall_ns;
-    events_per_sec =
-      (if wall_ns <= 0 then 0.0
-       else
-         float_of_int stats.Online.applied /. Clock.seconds_of_ns wall_ns);
-  }
+  ingest ?engine ~skip ~on_error ?on_degraded ?on_alert ?on_publish
+    ?on_quarantine config online snapshot
+    ~apply:(fun ~lineno:_ record -> Online.apply_record online record)
+    (fun () -> Binlog.Reader.next reader)
 
 let pp_report ppf r =
   Format.fprintf ppf

@@ -87,20 +87,18 @@ val run_binlog :
   ?skip:int ->
   ?on_error:error_policy ->
   ?on_degraded:(stage:string -> exn -> unit) ->
+  ?on_alert:(Drift.alert -> unit) ->
   ?on_publish:(Snapshot.version -> unit) ->
   ?on_quarantine:(line:int -> reason:string -> unit) ->
-  config -> Sharded.t -> Snapshot.t -> Binlog.Reader.t -> report
-(** The binary-log twin of {!run}: drains a {!Binlog.Reader} through a
-    {!Sharded} accumulator in batches. Cadences, supervision, and the
+  config -> Online.t -> Snapshot.t -> Binlog.Reader.t -> report
+(** The binary-log twin of {!run}: the same loop, fed one record at a
+    time by {!Binlog.Reader.next} and absorbed by
+    {!Online.apply_record}. Cadences, supervision, drift alerts and the
     report are as in {!run}, with "line" meaning the event-slot offset
     in the binary log (so checkpoints resume with [skip] exactly as on
-    the JSONL path). The reader never pulls more frames than fill the
-    current batch of applied events, so the events absorbed between
-    publishes — and hence every published digest, forgetting included —
-    are identical to the sequential path's. Drift detection is not
-    available here (see {!Sharded}); [drift_alerts] is always [[]].
-    [Skip_line] treats a whole failed batch read as one absorbed fault.
-    Failpoints: [runner.read] per batch read, [runner.swap] per swap.
+    the JSONL path), and every published digest equals the JSONL
+    path's over the same events. Decode errors quarantine with
+    {!Binlog.error_message} as the reason (no ["line N: "] prefix).
     Raises [Failure] when [skip] runs past the end of the log. *)
 
 val lines_of_channel : in_channel -> unit -> string option

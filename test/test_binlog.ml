@@ -1,11 +1,11 @@
-(* Tests for the binary event log (lib/stream/binlog) and the
-   domain-sharded ingest path (lib/stream/sharded).
+(* Tests for the binary event log (lib/stream/binlog) and its ingest
+   path (Runner.run_binlog through Online.apply_record).
 
    The acceptance criteria pinned here:
    - cross-codec replay: the same event sequence via JSONL and via
      binary segments yields identical Beta_icm digests at every
-     published version — at 1, 2, and 4 shards, forgetting on, semantic
-     quarantines included;
+     published version — forgetting on, semantic quarantines included —
+     and raises the same drift alerts;
    - corruption never crashes a read: exhaustive per-byte truncation
      and per-byte bit flips of a segment either fail loudly at the
      header (Corrupt) or quarantine damaged records while every
@@ -24,7 +24,7 @@ module Online = Iflow_stream.Online
 module Snapshot = Iflow_stream.Snapshot
 module Runner = Iflow_stream.Runner
 module Binlog = Iflow_stream.Binlog
-module Sharded = Iflow_stream.Sharded
+module Drift = Iflow_stream.Drift
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -308,8 +308,8 @@ let substrate seed ~events =
   in
   (g, evidence, enriched)
 
-let run_jsonl ~batch ~forget model events =
-  let online = Online.create ~forget model in
+let run_jsonl ?drift ~batch ~forget model events =
+  let online = Online.create ?drift ~forget model in
   let snapshot = Snapshot.create model in
   let digests = ref [] in
   let quarantines = ref [] in
@@ -324,26 +324,27 @@ let run_jsonl ~batch ~forget model events =
   in
   (report, List.rev !digests, List.rev !quarantines)
 
-let run_bin ~batch ~forget ~shards model events =
+(* the binary twin of [run_jsonl], over a log already on disk *)
+let run_bin_log ?drift ?(skip = 0) ~batch ~forget model path =
+  let online = Online.create ?drift ~forget model in
+  let snapshot = Snapshot.create model in
+  let digests = ref [] in
+  let quarantines = ref [] in
+  let report =
+    Runner.run_binlog ~skip
+      ~on_publish:(fun v -> digests := v.Snapshot.digest :: !digests)
+      ~on_quarantine:(fun ~line ~reason ->
+        quarantines := (line, reason) :: !quarantines)
+      { Runner.batch; checkpoint_every = None }
+      online snapshot
+      (Binlog.Reader.open_ path)
+  in
+  (report, List.rev !digests, List.rev !quarantines)
+
+let run_bin ?drift ~batch ~forget model events =
   with_temp_log (fun path ->
       ignore (write_log path events);
-      let sharded = Sharded.create ~shards ~forget model in
-      Fun.protect
-        ~finally:(fun () -> Sharded.close sharded)
-        (fun () ->
-          let snapshot = Snapshot.create model in
-          let digests = ref [] in
-          let quarantines = ref [] in
-          let report =
-            Runner.run_binlog
-              ~on_publish:(fun v -> digests := v.Snapshot.digest :: !digests)
-              ~on_quarantine:(fun ~line ~reason ->
-                quarantines := (line, reason) :: !quarantines)
-              { Runner.batch; checkpoint_every = None }
-              sharded snapshot
-              (Binlog.Reader.open_ path)
-          in
-          (report, List.rev !digests, List.rev !quarantines)))
+      run_bin_log ?drift ~batch ~forget model path)
 
 let check_stats_equal (a : Online.stats) (b : Online.stats) =
   check_int "applied" a.Online.applied b.Online.applied;
@@ -360,24 +361,53 @@ let test_cross_codec_replay () =
   List.iter
     (fun (batch, forget) ->
       let rj, dj, qj = run_jsonl ~batch ~forget model events in
-      List.iter
-        (fun shards ->
-          let rb, db, qb = run_bin ~batch ~forget ~shards model events in
-          let label =
-            Printf.sprintf "batch %d forget %g shards %d" batch forget shards
-          in
-          check_bool (label ^ ": digests at every publish") true (dj = db);
-          check_bool (label ^ ": final digest") true
-            (rj.Runner.final.Snapshot.digest = rb.Runner.final.Snapshot.digest);
-          check_int (label ^ ": lines") rj.Runner.lines rb.Runner.lines;
-          check_bool
-            (label ^ ": quarantine lines and reasons")
-            true (qj = qb);
-          check_stats_equal rj.Runner.stats rb.Runner.stats)
-        [ 1; 2; 4 ])
+      let rb, db, qb = run_bin ~batch ~forget model events in
+      let label = Printf.sprintf "batch %d forget %g" batch forget in
+      check_bool (label ^ ": digests at every publish") true (dj = db);
+      check_bool (label ^ ": final digest") true
+        (rj.Runner.final.Snapshot.digest = rb.Runner.final.Snapshot.digest);
+      check_int (label ^ ": lines") rj.Runner.lines rb.Runner.lines;
+      check_bool (label ^ ": quarantine lines and reasons") true (qj = qb);
+      check_stats_equal rj.Runner.stats rb.Runner.stats)
     [ (32, 0.0); (17, 0.05) ]
 
-let test_sharded_matches_online_after_corruption () =
+let test_cross_codec_drift_alerts () =
+  (* a rate shift on one edge, graph changes around it (which re-anchor
+     the detector): both codecs raise the same alerts at the same trials *)
+  let g = Digraph.of_edges ~nodes:3 [ (0, 1); (1, 2) ] in
+  let model = Beta_icm.uninformed g in
+  let drift = { Drift.window = 40; delta = 1e-3; min_reference = 40.0 } in
+  let cascade ~fired =
+    Event.Attributed
+      {
+        sources = [ 0 ];
+        nodes = (if fired then [ 0; 1 ] else [ 0 ]);
+        edges = (if fired then [ (0, 1) ] else []);
+      }
+  in
+  let shift =
+    List.init 200 (fun i -> cascade ~fired:(i mod 2 = 0))
+    @ List.init 100 (fun _ -> cascade ~fired:true)
+  in
+  let events =
+    shift
+    @ [ Event.Add_nodes { count = 1 };
+        Event.Add_edges { edges = [ (2, 3) ]; prior = Beta.v 1.0 1.0 } ]
+    @ shift
+  in
+  let rj, dj, _ = run_jsonl ~drift ~batch:25 ~forget:0.0 model events in
+  let rb, db, _ = run_bin ~drift ~batch:25 ~forget:0.0 model events in
+  let before_change =
+    let r, _, _ = run_jsonl ~drift ~batch:25 ~forget:0.0 model shift in
+    List.length r.Runner.drift_alerts
+  in
+  check_bool "alerts fired before the graph change" true (before_change > 0);
+  check_bool "alerts fired after it" true
+    (List.length rj.Runner.drift_alerts > before_change);
+  check_bool "same alerts" true (rj.Runner.drift_alerts = rb.Runner.drift_alerts);
+  check_bool "same digests" true (dj = db)
+
+let test_binary_matches_jsonl_after_corruption () =
   (* binary-only damage: the record quarantines (counted as a parse
      error under the rate gate) and the rest of the stream still lands
      on the same posterior as the JSONL path minus that one event *)
@@ -390,39 +420,23 @@ let test_sharded_matches_online_after_corruption () =
       let b = Bytes.of_string full in
       Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x10));
       write_segment path (Bytes.to_string b);
-      let sharded = Sharded.create ~shards:2 model in
-      Fun.protect
-        ~finally:(fun () -> Sharded.close sharded)
-        (fun () ->
-          let reasons = ref [] in
-          let report =
-            Runner.run_binlog
-              ~on_quarantine:(fun ~line ~reason ->
-                reasons := (line, reason) :: !reasons)
-              { Runner.batch = 16; checkpoint_every = None }
-              sharded (Snapshot.create model)
-              (Binlog.Reader.open_ path)
-          in
-          check_int "one parse error" 1 report.Runner.stats.Online.parse_errors;
-          (match !reasons with
-          | [ (line, reason) ] ->
-            check_int "quarantine line is the damaged record" 1 line;
-            let prefix =
-              Printf.sprintf "%s@%d: bad_crc" path Binlog.header_size
-            in
-            check_bool "reason names segment, offset, bad_crc" true
-              (String.length reason >= String.length prefix
-              && String.sub reason 0 (String.length prefix) = prefix)
-          | other ->
-            Alcotest.failf "expected one quarantine, got %d"
-              (List.length other));
-          (* reference: the same stream without its first event *)
-          let rj, _, _ =
-            run_jsonl ~batch:16 ~forget:0.0 model (List.tl events)
-          in
-          check_string "posterior matches JSONL minus the damaged event"
-            rj.Runner.final.Snapshot.digest
-            report.Runner.final.Snapshot.digest))
+      let report, _, reasons =
+        run_bin_log ~batch:16 ~forget:0.0 model path
+      in
+      check_int "one parse error" 1 report.Runner.stats.Online.parse_errors;
+      (match reasons with
+      | [ (line, reason) ] ->
+        check_int "quarantine line is the damaged record" 1 line;
+        let prefix = Printf.sprintf "%s@%d: bad_crc" path Binlog.header_size in
+        check_bool "reason names segment, offset, bad_crc" true
+          (String.length reason >= String.length prefix
+          && String.sub reason 0 (String.length prefix) = prefix)
+      | other ->
+        Alcotest.failf "expected one quarantine, got %d" (List.length other));
+      (* reference: the same stream without its first event *)
+      let rj, _, _ = run_jsonl ~batch:16 ~forget:0.0 model (List.tl events) in
+      check_string "posterior matches JSONL minus the damaged event"
+        rj.Runner.final.Snapshot.digest report.Runner.final.Snapshot.digest)
 
 let test_checkpoint_resume_binary () =
   (* crash after a prefix, recover, resume from the binary log with
@@ -441,42 +455,28 @@ let test_checkpoint_resume_binary () =
         (fun () ->
           let total = List.length events in
           let prefix = 57 in
-          let sharded = Sharded.create ~shards:2 model in
+          let online = Online.create model in
           let reader = Binlog.Reader.open_ log in
-          (* phase 1: ingest a prefix by draining batches by hand, then
-             checkpoint — simulating a crash mid-log *)
+          (* phase 1: ingest a prefix record by record, then checkpoint
+             — simulating a crash mid-log *)
           let snapshot = Snapshot.create ~checkpoint_path:ckpt model in
-          let batch = Binlog.Batch.create () in
-          let seen = ref 0 in
-          while !seen < prefix do
-            let max = min 16 (prefix - !seen) in
-            ignore (Binlog.Reader.read_batch reader batch ~max);
-            ignore
-              (Sharded.apply_batch sharded batch ~first_line:(!seen + 1));
-            seen := !seen + Binlog.Batch.length batch
+          for _ = 1 to prefix do
+            match Binlog.Reader.next reader with
+            | Some record -> ignore (Online.apply_record online record)
+            | None -> Alcotest.fail "log ended inside the prefix"
           done;
-          check_int "prefix consumed" prefix !seen;
-          ignore
-            (Snapshot.publish snapshot (Sharded.model sharded) ~offset:!seen);
+          check_int "prefix consumed" prefix (Binlog.Reader.events_seen reader);
+          ignore (Snapshot.publish snapshot (Online.model online) ~offset:prefix);
           Snapshot.checkpoint snapshot;
-          Sharded.close sharded;
-          (* phase 2: recover and resume at 4 shards *)
+          (* phase 2: recover and resume *)
           let model2, offset, _version = Snapshot.recover ckpt in
           check_int "recovered offset" prefix offset;
-          let sharded2 = Sharded.create ~shards:4 model2 in
-          Fun.protect
-            ~finally:(fun () -> Sharded.close sharded2)
-            (fun () ->
-              let report =
-                Runner.run_binlog ~skip:offset
-                  { Runner.batch = 32; checkpoint_every = None }
-                  sharded2
-                  (Snapshot.create model2)
-                  (Binlog.Reader.open_ log)
-              in
-              check_int "rest consumed" total report.Runner.lines;
-              check_string "resumed digest matches uninterrupted replay"
-                expected report.Runner.final.Snapshot.digest)))
+          let report, _, _ =
+            run_bin_log ~skip:offset ~batch:32 ~forget:0.0 model2 log
+          in
+          check_int "rest consumed" total report.Runner.lines;
+          check_string "resumed digest matches uninterrupted replay" expected
+            report.Runner.final.Snapshot.digest))
 
 let test_unknown_tag_quarantines () =
   (* a record with an unrecognised tag byte but a valid CRC: future
@@ -531,9 +531,11 @@ let () =
         [
           Alcotest.test_case "replay digests identical" `Quick
             test_cross_codec_replay;
-          Alcotest.test_case "sharded matches online after corruption" `Quick
-            test_sharded_matches_online_after_corruption;
+          Alcotest.test_case "binary matches jsonl after corruption" `Quick
+            test_binary_matches_jsonl_after_corruption;
           Alcotest.test_case "checkpoint resume from binary" `Quick
             test_checkpoint_resume_binary;
+          Alcotest.test_case "drift alerts identical" `Quick
+            test_cross_codec_drift_alerts;
         ] );
     ]

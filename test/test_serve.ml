@@ -830,6 +830,43 @@ let test_serve_degraded_swap () =
         (Server.current_version server > good_version);
       check_bool "digest moved" true (Engine.digest engine <> good_digest))
 
+let test_serve_bad_evidence_keeps_learning () =
+  (* an evidence line naming an out-of-range edge endpoint must be
+     quarantined, not end the learner: later batches still publish *)
+  let _g, model, lines = beta_substrate 29 in
+  let engine =
+    Engine.create ~config:fast_config ~seed:7 (Beta_icm.expected_icm model)
+  in
+  let server = Server.create ~engine () in
+  Server.start server;
+  let learner = run_learner server engine model ~batch:4 in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.stop server;
+      Thread.join learner)
+    (fun () ->
+      let post body =
+        let fd = connect (Server.port server) in
+        Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+            Sockio.write_all fd
+              (Printf.sprintf
+                 "POST /evidence HTTP/1.1\r\nHost: t\r\nContent-Length: \
+                  %d\r\n\r\n%s"
+                 (String.length body) body);
+            match Sockio.read_line (Sockio.reader fd) with
+            | Sockio.Line status -> status
+            | _ -> Alcotest.fail "no status line")
+      in
+      let bad =
+        {|{"type":"attributed","sources":[0],"nodes":[0,1],"edges":[[99999,1]]}|}
+      in
+      check_string "bad line queued" "HTTP/1.1 202 Accepted" (post bad);
+      let before = Server.current_version server in
+      check_string "valid batch queued" "HTTP/1.1 202 Accepted"
+        (post (String.concat "\n" (lines 8)));
+      spin "version advanced past the bad line" (fun () ->
+          Server.current_version server >= before + 2))
+
 (* ---------- request ids and the flight recorder ---------- *)
 
 let member_str name json =
@@ -1605,6 +1642,8 @@ let () =
           Alcotest.test_case "hot-swap under load" `Slow
             test_serve_hot_swap_under_load;
           Alcotest.test_case "degraded swap" `Slow test_serve_degraded_swap;
+          Alcotest.test_case "bad evidence keeps learning" `Slow
+            test_serve_bad_evidence_keeps_learning;
         ] );
       ( "request-ids",
         [

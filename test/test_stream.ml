@@ -181,6 +181,19 @@ let test_quarantine () =
        {|{"type":"attributed","sources":[0],"nodes":[2],"edges":[[1,2]]}|});
   check_bool "inconsistent trace" true
     (quarantined {|{"type":"trace","sources":[],"times":[[2,5]]}|});
+  (* an edge naming an out-of-range source is an unknown edge, not an
+     exception out of the edge lookup *)
+  List.iter
+    (fun (line, reason) ->
+      match Online.apply_line online line with
+      | `Quarantined msg -> check_string "out-of-range edge reason" reason msg
+      | `Applied -> Alcotest.failf "applied %s" line)
+    [
+      ( {|{"type":"attributed","sources":[0],"nodes":[1],"edges":[[99999,1]]}|},
+        "attributed: unknown edge (99999, 1)" );
+      ( {|{"type":"attributed","sources":[0],"nodes":[1],"edges":[[-1,1]]}|},
+        "attributed: unknown edge (-1, 1)" );
+    ];
   (* removing an unknown pair is documented as an ignored no-op *)
   check_bool "unknown removal is a no-op, not an error" true
     (not (quarantined {|{"type":"remove_edges","edges":[[2,0]]}|}));
@@ -188,8 +201,8 @@ let test_quarantine () =
   check_int "only the no-op removal applied" 1 s.Online.applied;
   check_int "parse errors" 2 s.Online.parse_errors;
   check_int "inconsistent" 2 s.Online.inconsistent;
-  check_int "unknown refs" 2 s.Online.unknown_refs;
-  check_int "quarantined total" 6 (Online.quarantined s);
+  check_int "unknown refs" 4 s.Online.unknown_refs;
+  check_int "quarantined total" 8 (Online.quarantined s);
   check_string "model untouched" before (Beta_icm.digest (Online.model online))
 
 let test_trace_counting () =
@@ -482,6 +495,187 @@ let prop_interleaving_matches_functional_fold =
         events;
       Beta_icm.digest (Online.model online) = Beta_icm.digest reference)
 
+(* ---------- differential: Online vs the Evidence reference ---------- *)
+
+type verdict = V_applied | V_parse | V_inconsistent | V_unknown
+
+let verdict_name = function
+  | V_applied -> "applied"
+  | V_parse -> "parse"
+  | V_inconsistent -> "inconsistent"
+  | V_unknown -> "unknown_ref"
+
+(* The reference fold: the batch checks of Evidence and the functional
+   Beta_icm updates, one event at a time, with Online's check order
+   (node range, unknown edge, consistency). *)
+let reference_apply model line =
+  let g = Beta_icm.graph model in
+  let n = Digraph.n_nodes g and m = Digraph.n_edges g in
+  let in_range v = v >= 0 && v < n in
+  let graph_change f =
+    match f model with
+    | model' -> (V_applied, model')
+    | exception Invalid_argument _ -> (V_unknown, model)
+  in
+  match Event.of_line line with
+  | Error _ -> (V_parse, model)
+  | Ok (Event.Attributed { sources; nodes; edges }) ->
+    if not (List.for_all in_range sources && List.for_all in_range nodes) then
+      (V_unknown, model)
+    else begin
+      let active_nodes = Array.make n false in
+      List.iter (fun v -> active_nodes.(v) <- true) (sources @ nodes);
+      let active_edges = Array.make m false in
+      let known (s, d) =
+        in_range s && in_range d
+        &&
+        match Digraph.find_edge g ~src:s ~dst:d with
+        | Some e ->
+          active_edges.(e) <- true;
+          true
+        | None -> false
+      in
+      if not (List.for_all known edges) then (V_unknown, model)
+      else if
+        not
+          (Evidence.attributed_object_is_consistent g
+             { Evidence.sources; active_nodes; active_edges })
+      then (V_inconsistent, model)
+      else
+        let obs =
+          List.filter_map
+            (fun e ->
+              if active_nodes.(Digraph.edge_src g e) then
+                Some (e, active_edges.(e))
+              else None)
+            (List.init m Fun.id)
+        in
+        (V_applied, Beta_icm.observe_many model obs)
+    end
+  | Ok (Event.Trace { sources; times }) -> (
+    match Evidence.trace_of_active ~sources ~times ~n with
+    | exception Invalid_argument _ -> (V_unknown, model)
+    | tr ->
+      if not (Evidence.trace_is_consistent g tr) then (V_inconsistent, model)
+      else
+        let ts = tr.Evidence.times in
+        let obs =
+          List.filter_map
+            (fun e ->
+              let tu = ts.(Digraph.edge_src g e)
+              and tv = ts.(Digraph.edge_dst g e) in
+              if tu < 0 then None
+              else if tv = tu + 1 then Some (e, true)
+              else if tv < 0 || tv > tu + 1 then Some (e, false)
+              else None)
+            (List.init m Fun.id)
+        in
+        (V_applied, Beta_icm.observe_many model obs))
+  | Ok (Event.Add_nodes { count }) ->
+    graph_change (fun md -> Beta_icm.grow md ~new_nodes:count ~new_edges:[])
+  | Ok (Event.Add_edges { edges; prior }) ->
+    graph_change (fun md ->
+        Beta_icm.grow md ~new_nodes:0
+          ~new_edges:(List.map (fun (s, d) -> (s, d, prior)) edges))
+  | Ok (Event.Remove_edges { edges }) ->
+    graph_change (fun md -> Beta_icm.remove_edges md edges)
+
+(* A random event against the current graph: a valid cascade (as an
+   attributed object or as its trace), a graph change, or one of those
+   mutated into an out-of-range id, an unknown edge, an unexplained
+   active node, a non-causal or negative time, or unparseable text. *)
+let random_event_line rng g =
+  let n = Digraph.n_nodes g and m = Digraph.n_edges g in
+  let pick l = List.nth l (Rng.int rng (List.length l)) in
+  let any_node () =
+    if Rng.uniform rng < 0.85 && n > 0 then Rng.int rng n
+    else pick [ -1; n; n + 7; 99999 ]
+  in
+  let cascade () =
+    let icm = Icm.create g (Array.make m 0.5) in
+    Cascade.run rng icm ~sources:[ Rng.int rng n ]
+  in
+  let attributed () =
+    match Event.of_attributed g (cascade ()) with
+    | Event.Attributed { sources; nodes; edges } -> (
+      match Rng.int rng 6 with
+      | 0 -> Event.Attributed { sources; nodes = any_node () :: nodes; edges }
+      | 1 ->
+        Event.Attributed
+          { sources; nodes; edges = (any_node (), any_node ()) :: edges }
+      | 2 ->
+        Event.Attributed
+          { sources; nodes; edges = (match edges with [] -> [] | _ :: r -> r) }
+      | _ -> Event.Attributed { sources; nodes; edges })
+    | ev -> ev
+  in
+  let trace () =
+    match Event.of_trace (Evidence.forget_attribution g (cascade ())) with
+    | Event.Trace { sources; times } -> (
+      match Rng.int rng 6 with
+      | 0 -> Event.Trace { sources; times = (any_node (), Rng.int rng 4) :: times }
+      | 1 -> Event.Trace { sources; times = times @ [ (Rng.int rng n, 0) ] }
+      | 2 -> Event.Trace { sources; times = (Rng.int rng n, -1) :: times }
+      | 3 -> Event.Trace { sources = any_node () :: sources; times }
+      | _ -> Event.Trace { sources; times })
+    | ev -> ev
+  in
+  let line =
+    match Rng.int rng 10 with
+    | 0 -> Event.to_line (Event.Add_nodes { count = Rng.int rng 3 })
+    | 1 ->
+      Event.to_line
+        (Event.Add_edges
+           { edges = [ (any_node (), any_node ()) ]; prior = Beta.v 1.0 2.0 })
+    | 2 ->
+      Event.to_line
+        (Event.Remove_edges
+           {
+             edges =
+               (if m > 0 && Rng.uniform rng < 0.8 then
+                  let e = Rng.int rng m in
+                  [ (Digraph.edge_src g e, Digraph.edge_dst g e) ]
+                else [ (any_node (), any_node ()) ]);
+           })
+    | 3 | 4 | 5 -> Event.to_line (trace ())
+    | _ -> Event.to_line (attributed ())
+  in
+  if Rng.uniform rng < 0.05 then String.sub line 0 (String.length line / 2)
+  else line
+
+let prop_online_matches_reference =
+  QCheck.Test.make ~count:300
+    ~name:"Online verdicts and digest match the Evidence reference fold"
+    QCheck.small_nat
+    (fun seed ->
+      let rng = Rng.create (5000 + seed) in
+      let n0 = 2 + Rng.int rng 6 in
+      let g0 =
+        Gen.gnm rng ~nodes:n0 ~edges:(1 + Rng.int rng (min 8 (n0 * (n0 - 1))))
+      in
+      let online = Online.create (Beta_icm.uninformed g0) in
+      let reference = ref (Beta_icm.uninformed g0) in
+      for _ = 1 to 40 do
+        let line = random_event_line rng (Beta_icm.graph !reference) in
+        let expected, model' = reference_apply !reference line in
+        reference := model';
+        let s0 = Online.stats online in
+        let got =
+          match Online.apply_line online line with
+          | `Applied -> V_applied
+          | `Quarantined _ ->
+            let s1 = Online.stats online in
+            if s1.Online.parse_errors > s0.Online.parse_errors then V_parse
+            else if s1.Online.inconsistent > s0.Online.inconsistent then
+              V_inconsistent
+            else V_unknown
+        in
+        if got <> expected then
+          QCheck.Test.fail_reportf "%s: online %s, reference %s" line
+            (verdict_name got) (verdict_name expected)
+      done;
+      Beta_icm.digest (Online.model online) = Beta_icm.digest !reference)
+
 (* ---------- v2 model files ---------- *)
 
 let test_model_io_v2_roundtrip () =
@@ -694,7 +888,12 @@ let () =
           Alcotest.test_case "through the event pipeline" `Quick
             test_drift_through_online;
         ] );
-      ("interleaving", qcheck [ prop_interleaving_matches_functional_fold ]);
+      ( "interleaving",
+        qcheck
+          [
+            prop_interleaving_matches_functional_fold;
+            prop_online_matches_reference;
+          ] );
       ( "model-io",
         [
           Alcotest.test_case "v2 round-trip with metadata" `Quick
