@@ -865,7 +865,7 @@ let serve seed host port workers queue_capacity max_connections quota_rate
   let quota =
     Option.map (fun rate -> { Quota.rate; burst = quota_burst }) quota_rate
   in
-  (* --read-timeout-ms 0 switches the guard (and the reaper) off *)
+  (* --read-timeout-ms 0 switches the guard off *)
   let read_timeout_ms =
     match read_timeout_ms with Some 0 -> None | v -> v
   in
@@ -1045,10 +1045,11 @@ let serve_cmd =
           Server.default_config.Server.read_timeout_ms
       & info [ "read-timeout-ms" ]
           ~doc:
-            "Per-connection socket receive timeout (the slow-loris \
-             guard): a peer sending nothing inside one window gets a \
-             typed error and is disconnected; one never completing a \
-             request line is reaped after ~4 idle windows. 0 disables.")
+            "Read window of the slow-loris guard: a peer sending \
+             nothing inside one window, or one whose request (a JSONL \
+             line, or an HTTP request through its body) is still \
+             incomplete 4 windows after its first read, gets a typed \
+             bad_request and is disconnected. 0 disables.")
   in
   Cmd.v
     (Cmd.info "serve"

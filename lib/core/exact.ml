@@ -43,105 +43,6 @@ let flow_probability icm ~src ~dst =
   check_range "flow_probability" icm ~src ~dst;
   eq2 icm ~src ~dst
 
-type error = Too_large of { nodes : int; limit : int } | Unsound of { join : int }
-
-let pp_error ppf = function
-  | Too_large { nodes; limit } ->
-    Format.fprintf ppf "graph too large for bitmask recursion (%d > %d nodes)"
-      nodes limit
-  | Unsound { join } ->
-    Format.fprintf ppf "parent flows share ancestry at node %d" join
-
-(* Same recursion, but refusing (typed, not stringly) the two ways it
-   can go wrong: graphs past the bitmask limit, and joins whose parent
-   flows share ancestry inside the (src, dst) reachability cone — the
-   shapes where Eq. 2's independence assumption fails (DESIGN.md §1 /
-   §2h). [Iflow_plan] runs the same certificate with scalable bitsets;
-   here n <= 62 so plain int masks do. *)
-let flow_probability_checked icm ~src ~dst =
-  let g = Icm.graph icm in
-  let n = Digraph.n_nodes g in
-  check_range "flow_probability_checked" icm ~src ~dst;
-  if n > node_limit then Error (Too_large { nodes = n; limit = node_limit })
-  else begin
-    let pos e = Icm.prob icm e > 0.0 in
-    let down = Array.make n false in
-    let rec go_down v =
-      if not down.(v) then begin
-        down.(v) <- true;
-        Digraph.iter_out g v (fun e -> if pos e then go_down (Digraph.edge_dst g e))
-      end
-    in
-    go_down src;
-    let up = Array.make n false in
-    let rec go_up v =
-      if not up.(v) then begin
-        up.(v) <- true;
-        Digraph.iter_in g v (fun e -> if pos e then go_up (Digraph.edge_src g e))
-      end
-    in
-    go_up dst;
-    let in_cone v = down.(v) && up.(v) in
-    if src = dst then Ok 1.0
-    else if not down.(dst) then Ok 0.0
-    else begin
-      (* per-node ancestor masks within the cone, self included *)
-      let anc = Array.make n (-1) in
-      let ancestors v =
-        if anc.(v) >= 0 then anc.(v)
-        else begin
-          let mask = ref (1 lsl v) in
-          let stack = ref [ v ] in
-          while !stack <> [] do
-            match !stack with
-            | [] -> ()
-            | u :: rest ->
-              stack := rest;
-              Digraph.iter_in g u (fun e ->
-                  if pos e then begin
-                    let w = Digraph.edge_src g e in
-                    if in_cone w && !mask land (1 lsl w) = 0 then begin
-                      mask := !mask lor (1 lsl w);
-                      stack := w :: !stack
-                    end
-                  end)
-          done;
-          anc.(v) <- !mask;
-          !mask
-        end
-      in
-      let src_bit = 1 lsl src in
-      let unsound = ref (-1) in
-      for k = 0 to n - 1 do
-        if !unsound < 0 && in_cone k && k <> src then begin
-          let parents = ref [] in
-          Digraph.iter_in g k (fun e ->
-              if pos e then begin
-                let l = Digraph.edge_src g e in
-                if in_cone l then parents := l :: !parents
-              end);
-          let rec pairs = function
-            | [] -> ()
-            | p :: rest ->
-              List.iter
-                (fun q ->
-                  if !unsound < 0 then
-                    if p = q then begin
-                      if p <> src then unsound := k
-                    end
-                    else if ancestors p land ancestors q land lnot src_bit <> 0
-                    then unsound := k)
-                rest;
-              pairs rest
-          in
-          pairs !parents
-        end
-      done;
-      if !unsound >= 0 then Error (Unsound { join = !unsound })
-      else Ok (eq2 icm ~src ~dst)
-    end
-  end
-
 (* Shared brute-force loop: fold a function over every pseudo-state with
    its probability. *)
 let fold_pseudo_states icm ~init ~f =

@@ -24,31 +24,10 @@ val flow_probability : Icm.t -> src:int -> dst:int -> float
     this entry point is {e unchecked} and reproduces the paper's
     recursion verbatim, overestimate and all.
 
-    {b Deprecated} as an API (kept as a thin wrapper for the paper
-    reproduction and its pinned tests): new callers should use
-    {!flow_probability_checked}, which returns the failure modes as
-    typed data instead of raising on size and silently overestimating
-    on unsound shapes. *)
-
-type error =
-  | Too_large of { nodes : int; limit : int }
-      (** the graph exceeds the 62-node bitmask limit — use
-          [Iflow_plan] (cone extraction + scalable exclusion sets) *)
-  | Unsound of { join : int }
-      (** parent flows share ancestry at node [join], so Eq. 2 would
-          overestimate; only enumeration (or MH) answers exactly *)
-
-val pp_error : Format.formatter -> error -> unit
-
-val flow_probability_checked :
-  Icm.t -> src:int -> dst:int -> (float, error) result
-(** Like {!flow_probability}, but typed instead of trusting: sizes past
-    the bitmask limit come back as [Too_large], and the edge-disjoint
-    soundness certificate (DESIGN.md §2h) is verified over the
-    (src, dst) reachability cone first — shapes where the recursion is
-    a documented overestimate come back as [Unsound] so callers can
-    fall back instead of silently shipping the wrong number. [Ok p] is
-    bit-equal to {!flow_probability} on the same input. *)
+    Kept as the paper reproduction and its pinned tests. The typed,
+    certified evaluator is [Iflow_plan] (cone extraction, the
+    edge-disjointness certificate of DESIGN.md §2h, and scalable
+    exclusion sets), which [Engine.query] routes every query through. *)
 
 val brute_force_flow : Icm.t -> src:int -> dst:int -> float
 (** Same probability by full pseudo-state enumeration. Requires

@@ -53,102 +53,41 @@ let empty_cell () =
     ts_ns = 0;
   }
 
-(* 8 shards: enough that serve workers on distinct domains rarely
-   contend, small enough that tiny capacities still spread sanely *)
-let shard_bits = 3
-let nshards = 1 lsl shard_bits
-
-type shard = {
+type ring = {
   m : Mutex.t;
   mutable cells : record array; (* [||] while disabled *)
-  mutable cursor : int;
+  mutable cursor : int; (* the next cell to overwrite: the oldest *)
+  mutable next_seq : int;
 }
 
-let shards =
-  Array.init nshards (fun _ -> { m = Mutex.create (); cells = [||]; cursor = 0 })
+let ring = { m = Mutex.create (); cells = [||]; cursor = 0; next_seq = 0 }
 
-(* the one-load-one-branch gate on the hot path; flipped only under
-   every shard lock so [note] never sees a half-built ring *)
+(* the one-load-one-branch gate on the hot path; flipped only under the
+   ring lock so [submit] never sees a half-built ring *)
 let on = Atomic.make false
-let seq = Atomic.make 0
 
 let enabled () = Atomic.get on
 
-let with_all_shards f =
-  Array.iter (fun s -> Mutex.lock s.m) shards;
-  Fun.protect
-    ~finally:(fun () -> Array.iter (fun s -> Mutex.unlock s.m) shards)
-    f
-
 let configure ?(capacity = 1024) () =
-  let per = max 1 ((capacity + nshards - 1) / nshards) in
-  with_all_shards (fun () ->
-      Array.iter
-        (fun s ->
-          s.cells <- Array.init per (fun _ -> empty_cell ());
-          s.cursor <- 0)
-        shards;
-      Atomic.set seq 0;
+  Mutex.protect ring.m (fun () ->
+      ring.cells <- Array.init (max 1 capacity) (fun _ -> empty_cell ());
+      ring.cursor <- 0;
+      ring.next_seq <- 0;
       Atomic.set on true)
 
 let disable () =
-  with_all_shards (fun () ->
+  Mutex.protect ring.m (fun () ->
       Atomic.set on false;
-      Array.iter
-        (fun s ->
-          s.cells <- [||];
-          s.cursor <- 0)
-        shards)
+      ring.cells <- [||];
+      ring.cursor <- 0)
 
-let capacity () =
-  if not (Atomic.get on) then 0
-  else Array.fold_left (fun acc s -> acc + Array.length s.cells) 0 shards
+let capacity () = if Atomic.get on then Array.length ring.cells else 0
 
 let clear () =
-  with_all_shards (fun () ->
-      Array.iter
-        (fun s ->
-          Array.iter (fun c -> c.seq <- -1) s.cells;
-          s.cursor <- 0)
-        shards;
-      Atomic.set seq 0)
-
-let note ~id ~tenant ~kind ~path ?(fallback = "") ?(error = "") ?(version = -1)
-    ?(digest = "") ?(queue_wait_ns = 0) ?(plan_ns = 0) ?(sample_ns = 0)
-    ?(serialize_ns = 0) ?(rounds = 0) ?(samples = 0) ?(rhat = Float.nan)
-    ?(mcse = Float.nan) ?(deadline_ns = 0) ?(cancelled = false) () =
-  if Atomic.get on then begin
-    let sh = shards.((Domain.self () :> int) land (nshards - 1)) in
-    let n = Atomic.fetch_and_add seq 1 in
-    let ts = Clock.now_ns () in
-    Mutex.lock sh.m;
-    (* [disable] may have raced us past the gate; the ring may be gone *)
-    if Array.length sh.cells > 0 then begin
-      let c = sh.cells.(sh.cursor) in
-      sh.cursor <- (sh.cursor + 1) mod Array.length sh.cells;
-      c.seq <- n;
-      c.id <- id;
-      c.tenant <- tenant;
-      c.kind <- kind;
-      c.path <- path;
-      c.fallback <- fallback;
-      c.error <- error;
-      c.version <- version;
-      c.digest <- digest;
-      c.queue_wait_ns <- queue_wait_ns;
-      c.plan_ns <- plan_ns;
-      c.sample_ns <- sample_ns;
-      c.serialize_ns <- serialize_ns;
-      c.rounds <- rounds;
-      c.samples <- samples;
-      c.rhat <- rhat;
-      c.mcse <- mcse;
-      c.deadline_ns <- deadline_ns;
-      c.cancelled <- cancelled;
-      c.ts_ns <- ts
-    end;
-    Mutex.unlock sh.m
-  end
+  Mutex.protect ring.m (fun () ->
+      Array.iter (fun c -> c.seq <- -1) ring.cells;
+      ring.cursor <- 0;
+      ring.next_seq <- 0)
 
 (* ----- load hint -----
 
@@ -194,12 +133,14 @@ let submit r =
   r.ts_ns <- Clock.now_ns ();
   observe_load ~queue_wait_ns:r.queue_wait_ns ~serialize_ns:r.serialize_ns;
   if Atomic.get on then begin
-    r.seq <- Atomic.fetch_and_add seq 1;
-    let sh = shards.((Domain.self () :> int) land (nshards - 1)) in
-    Mutex.lock sh.m;
-    if Array.length sh.cells > 0 then begin
-      let c = sh.cells.(sh.cursor) in
-      sh.cursor <- (sh.cursor + 1) mod Array.length sh.cells;
+    Mutex.lock ring.m;
+    (* [disable] may have raced us past the gate; the ring may be gone *)
+    let n = Array.length ring.cells in
+    if n > 0 then begin
+      r.seq <- ring.next_seq;
+      ring.next_seq <- ring.next_seq + 1;
+      let c = ring.cells.(ring.cursor) in
+      ring.cursor <- (ring.cursor + 1) mod n;
       c.seq <- r.seq;
       c.id <- r.id;
       c.tenant <- r.tenant;
@@ -221,35 +162,24 @@ let submit r =
       c.cancelled <- r.cancelled;
       c.ts_ns <- r.ts_ns
     end;
-    Mutex.unlock sh.m
+    Mutex.unlock ring.m
   end
 
-let copy c = { c with id = c.id }
+(* copies of the filled cells, newest first: walking from the oldest
+   cell and consing leaves the one written last at the head *)
+let newest_first () =
+  Mutex.protect ring.m (fun () ->
+      let n = Array.length ring.cells in
+      let rec go k acc =
+        if k = n then acc
+        else
+          let c = ring.cells.((ring.cursor + k) mod n) in
+          go (k + 1) (if c.seq >= 0 then { c with id = c.id } :: acc else acc)
+      in
+      go 0 [])
 
-let all_filled () =
-  with_all_shards (fun () ->
-      Array.fold_left
-        (fun acc s ->
-          Array.fold_left
-            (fun acc c -> if c.seq >= 0 then copy c :: acc else acc)
-            acc s.cells)
-        [] shards)
-
-let recent n =
-  let all = all_filled () in
-  let sorted = List.sort (fun a b -> compare b.seq a.seq) all in
-  List.filteri (fun i _ -> i < n) sorted
-
-let find id =
-  let all = all_filled () in
-  List.fold_left
-    (fun best c ->
-      if c.id <> id then best
-      else
-        match best with
-        | Some b when b.seq >= c.seq -> best
-        | _ -> Some c)
-    None all
+let recent n = List.filteri (fun i _ -> i < n) (newest_first ())
+let find id = List.find_opt (fun c -> c.id = id) (newest_first ())
 
 let escape buf s =
   String.iter

@@ -1,21 +1,20 @@
-(** A domain-sharded ring-buffer flight recorder: one record per
-    answered (or refused) query, kept in a fixed-size ring so the last
-    N requests are always reconstructible after the fact — which path
-    answered (cache / exact planner / MH / typed error), on which model
-    version, and where the time went (queue wait, plan, sample,
-    serialize).
+(** A ring-buffer flight recorder: one record per answered (or
+    refused) query, kept in a fixed-size ring so the last N requests are
+    always reconstructible after the fact — which path answered (cache /
+    exact planner / MH / typed error), on which model version, and where
+    the time went (queue wait, plan, sample, serialize).
 
     The ring is allocation-free in steady state: every cell is
-    pre-allocated at {!configure} and {!note} fills the current cell's
-    mutable fields in place under a per-shard mutex (shards are indexed
-    by the calling domain, so recorders on different domains rarely
-    contend). With the recorder off, {!note} costs one atomic load and
-    a branch. Scrapes ({!recent}, {!find}) copy records out and may
+    pre-allocated at {!configure} and {!submit}, the only writer, copies
+    a record's fields into the oldest cell in place under the ring's one
+    mutex. A ring configured for N records holds the last N. With the
+    recorder off, {!submit} costs one atomic load and a branch past the
+    load hint. Scrapes ({!recent}, {!find}) copy records out and may
     allocate freely — they run on the debug path, not the hot one.
 
     Recording never feeds back into answers: records hold only ids,
     labels and clock readings, so enabling the recorder cannot perturb
-    the sampler (the PR 4 bit-for-bit invariant). *)
+    the sampler (the bit-for-bit invariant). *)
 
 type path = Cache | Exact | Mh | Err
 (** Which layer produced the answer. [Err] covers typed refusals
@@ -52,56 +51,32 @@ type record = {
 
 val configure : ?capacity:int -> unit -> unit
 (** Enable the recorder with room for [capacity] records (default
-    1024, clamped to at least one per shard). Pre-allocates every
-    cell; calling again resizes and clears. *)
+    1024, clamped to at least 1). Pre-allocates every cell; calling
+    again resizes and clears. *)
 
 val disable : unit -> unit
-(** Stop recording and drop the rings. *)
+(** Stop recording and drop the ring. *)
 
 val enabled : unit -> bool
 
 val capacity : unit -> int
-(** Total cells across all shards; 0 when disabled. *)
-
-val note :
-  id:string ->
-  tenant:string ->
-  kind:string ->
-  path:path ->
-  ?fallback:string ->
-  ?error:string ->
-  ?version:int ->
-  ?digest:string ->
-  ?queue_wait_ns:int ->
-  ?plan_ns:int ->
-  ?sample_ns:int ->
-  ?serialize_ns:int ->
-  ?rounds:int ->
-  ?samples:int ->
-  ?rhat:float ->
-  ?mcse:float ->
-  ?deadline_ns:int ->
-  ?cancelled:bool ->
-  unit ->
-  unit
-(** Record one completed request, overwriting the oldest cell in the
-    calling domain's shard. A no-op while disabled. *)
+(** Cells in the ring; 0 when disabled. *)
 
 val submit : record -> unit
 (** Record a caller-built record: stamps [ts_ns] on the argument
     (always — slow-query logging prints the same record even when the
     ring is off), assigns [seq] when enabled, and copies the fields
-    into the ring. The argument is not retained. *)
+    into the ring's oldest cell. The argument is not retained. *)
 
 val recent : int -> record list
-(** The most recent [n] records across all shards, newest first.
+(** The most recent [n] records, newest first.
     Copies — safe to hold across further recording. *)
 
 val find : string -> record option
 (** The most recent record whose [id] matches, if still in the ring. *)
 
 val clear : unit -> unit
-(** Empty the rings without disabling (tests). *)
+(** Empty the ring without disabling (tests). *)
 
 val to_json : record -> string
 (** One JSON object (no trailing newline) with every field; [rhat] and

@@ -51,7 +51,9 @@ let m_deadline_exceeded = deadline_outcome "deadline_exceeded"
 let m_deadline_unmeetable = deadline_outcome "deadline_unmeetable"
 
 let m_reaped =
-  Metrics.counter ~help:"Idle connections closed by the reaper"
+  Metrics.counter
+    ~help:"Connections closed for not completing a request within 4 read \
+           windows"
     "iflow_serve_reaped_connections_total"
 
 let m_bad =
@@ -196,6 +198,10 @@ type reply =
       retry_after_ms : int option;
     }
 
+(* A one-shot reply cell: the worker fills it once, the connection
+   thread waits on it. OCaml 5.1's stdlib has no such cell, and a
+   capacity-1 [Bqueue] would be the same mutex and condition plus a
+   second condition for a producer that never waits. *)
 type ivar = {
   im : Mutex.t;
   icv : Condition.t;
@@ -234,17 +240,6 @@ type work = {
   iv : ivar;
 }
 
-(* Per-connection state the reaper inspects. [c_inflight] is true
-   while a request from this connection is queued or running — the
-   reaper never touches a connection with a live request, however
-   long it runs. *)
-type conn = {
-  c_fd : Unix.file_descr;
-  mutable c_last_progress_ns : int; (* last completed request line *)
-  mutable c_inflight : bool;
-  mutable c_reaped : bool;
-}
-
 type state = Idle | Running | Stopped
 
 type t = {
@@ -267,10 +262,11 @@ type t = {
   mutable listen_fd : Unix.file_descr option;
   mutable bound_port : int;
   mutable accept_thread : Thread.t option;
-  mutable reaper_thread : Thread.t option;
   mutable workers : Thread.t list;
-  mutable conn_threads : Thread.t list;
-  conns : (int, conn) Hashtbl.t;
+  (* open connections; an fd is closed only after leaving the table, so
+     [stop] may shut down any fd it finds here *)
+  conns : (int, Unix.file_descr) Hashtbl.t;
+  conns_empty : Condition.t;
   mutable next_conn : int;
   t_start : int;
   (* stats *)
@@ -339,10 +335,9 @@ let create ?(config = default_config) ?gate ?(initial_version = 0) ~engine () =
     listen_fd = None;
     bound_port = 0;
     accept_thread = None;
-    reaper_thread = None;
     workers = [];
-    conn_threads = [];
     conns = Hashtbl.create 64;
+    conns_empty = Condition.create ();
     next_conn = 0;
     t_start = Clock.now_ns ();
     s_connections = Atomic.make 0;
@@ -441,30 +436,21 @@ let mint_rid t =
    into the load hint before it trusts the floor estimate *)
 let unmeetable_min_samples = 32
 
+let refuse ?retry_after_ms code msg = Refused { code; msg; retry_after_ms }
+
+(* A request cut short by its cancel token: "shutdown" is the drain's
+   reason, any other is the deadline's *)
+let cancelled_code reason =
+  if reason = "shutdown" then Wire.Shutting_down else Wire.Deadline_exceeded
+
 (* Returns the reply plus the work entry when the request actually ran
    (carrying its queue-wait and engine phase timings); [None] for
-   refusals at admission, which never waited anywhere. [conn], when
-   given, has its inflight token set for the duration of the wait so
-   the idle reaper leaves the connection alone. *)
-let process_query ?conn t ~tenant ~rid ~deadline_budget_ns q =
+   refusals at admission, which never waited anywhere. *)
+let process_query t ~tenant ~rid ~deadline_budget_ns q =
   Atomic.incr t.s_requests;
   Metrics.inc m_requests;
   let t0 = Clock.now_ns () in
   let has_deadline = deadline_budget_ns > 0 in
-  (* every deadline-carrying request settles into exactly one outcome *)
-  let count_outcome reply =
-    if has_deadline then
-      (match reply with
-      | Answer { result; _ } when result.Engine.partial ->
-        Metrics.inc m_deadline_partial
-      | Answer _ -> Metrics.inc m_deadline_ok
-      | Refused { code = Wire.Deadline_exceeded; _ } ->
-        Metrics.inc m_deadline_exceeded
-      | Refused { code = Wire.Deadline_unmeetable; _ } ->
-        Metrics.inc m_deadline_unmeetable
-      | Refused _ -> ());
-    reply
-  in
   let quota_verdict =
     match t.quota with
     | None -> Quota.Granted
@@ -474,13 +460,10 @@ let process_query ?conn t ~tenant ~rid ~deadline_budget_ns q =
   | Quota.Denied { retry_after_ns } ->
     Atomic.incr t.s_shed_quota;
     Metrics.inc m_shed_quota;
-    ( count_outcome
-        (Refused
-           {
-             code = Wire.Quota_exceeded;
-             msg = Printf.sprintf "tenant %S over quota" tenant;
-             retry_after_ms = Some (max 1 (ns_to_ms_ceil retry_after_ns));
-           }),
+    ( refuse
+        ~retry_after_ms:(max 1 (ns_to_ms_ceil retry_after_ns))
+        Wire.Quota_exceeded
+        (Printf.sprintf "tenant %S over quota" tenant),
       None )
   | Quota.Granted ->
     (* deadline-aware admission: when even the floor recent requests
@@ -496,17 +479,11 @@ let process_query ?conn t ~tenant ~rid ~deadline_budget_ns q =
     then begin
       Atomic.incr t.s_shed_deadline;
       Metrics.inc m_shed_deadline;
-      ( count_outcome
-          (Refused
-             {
-               code = Wire.Deadline_unmeetable;
-               msg =
-                 Printf.sprintf
-                   "deadline of %d ms is below the current overhead floor \
-                    of ~%d ms (recent queue wait + serialization)"
-                   (ns_to_ms_ceil deadline_budget_ns) (ns_to_ms_ceil floor_ns);
-               retry_after_ms = None;
-             }),
+      ( refuse Wire.Deadline_unmeetable
+          (Printf.sprintf
+             "deadline of %d ms is below the current overhead floor of ~%d \
+              ms (recent queue wait + serialization)"
+             (ns_to_ms_ceil deadline_budget_ns) (ns_to_ms_ceil floor_ns)),
         None )
     end
     else begin
@@ -532,31 +509,18 @@ let process_query ?conn t ~tenant ~rid ~deadline_budget_ns q =
         Trace.flow_start "request" ~id:(Trace.flow_id rid)
           ~args:[ ("rid", Trace.Str rid) ];
       if Bqueue.try_push t.queue w then begin
-        (match conn with Some c -> c.c_inflight <- true | None -> ());
         let reply = ivar_wait w.iv in
-        (match conn with Some c -> c.c_inflight <- false | None -> ());
         Metrics.observe m_request_seconds (Clock.now_ns () - t0);
-        (count_outcome reply, Some w)
+        (reply, Some w)
       end
       else if Bqueue.is_closed t.queue then
-        ( Refused
-            {
-              code = Wire.Shutting_down;
-              msg = "server is shutting down";
-              retry_after_ms = None;
-            },
-          None )
+        (refuse Wire.Shutting_down "server is shutting down", None)
       else begin
         Atomic.incr t.s_shed_capacity;
         Metrics.inc m_shed_capacity;
-        ( Refused
-            {
-              code = Wire.Over_capacity;
-              msg =
-                Printf.sprintf "request queue full (%d waiting)"
-                  (Bqueue.length t.queue);
-              retry_after_ms = None;
-            },
+        ( refuse Wire.Over_capacity
+            (Printf.sprintf "request queue full (%d waiting)"
+               (Bqueue.length t.queue)),
           None )
       end
     end
@@ -576,39 +540,24 @@ let worker_loop t =
       w.queue_wait_ns <- t_deq - w.enqueue_ns;
       Metrics.observe m_queue_wait_seconds w.queue_wait_ns;
       Metrics.set m_queue_depth (float_of_int (Bqueue.length t.queue));
+      let status =
+        (* popped during the shutdown drain: [stop] closed the queue
+           before this entry could run, so answer typed without
+           sampling — deadline-free entries share [Cancel.none] and
+           cannot be fired individually *)
+        if draining then Cancel.Fired "shutdown" else Cancel.status w.cancel
+      in
       let reply =
-        if draining then
-          (* popped during the shutdown drain: [stop] closed the queue
-             before this entry could run, so answer typed without
-             sampling — deadline-free entries share [Cancel.none] and
-             cannot be fired individually *)
-          Refused
-            {
-              code = Wire.Shutting_down;
-              msg = "request cancelled: shutdown";
-              retry_after_ms = None;
-            }
-        else
-        match Cancel.status w.cancel with
+        match status with
         | Cancel.Expired ->
           (* the deadline passed while the entry queued: shed it here,
              before burn-in, so expired requests cost no sampler CPU *)
-          Refused
-            {
-              code = Wire.Deadline_exceeded;
-              msg =
-                Printf.sprintf "deadline of %d ms expired after %d ms in queue"
-                  (ns_to_ms_ceil w.deadline_budget_ns)
-                  (ns_to_ms_ceil w.queue_wait_ns);
-              retry_after_ms = None;
-            }
+          refuse Wire.Deadline_exceeded
+            (Printf.sprintf "deadline of %d ms expired after %d ms in queue"
+               (ns_to_ms_ceil w.deadline_budget_ns)
+               (ns_to_ms_ceil w.queue_wait_ns))
         | Cancel.Fired reason ->
-          let code =
-            if reason = "shutdown" then Wire.Shutting_down
-            else Wire.Deadline_exceeded
-          in
-          Refused
-            { code; msg = "request cancelled: " ^ reason; retry_after_ms = None }
+          refuse (cancelled_code reason) ("request cancelled: " ^ reason)
         | Cancel.Live -> (
           match
             Engine.query ~rid:w.rid ~phases:w.ph ~cancel:w.cancel
@@ -627,35 +576,20 @@ let worker_loop t =
             Answer
               { result = r; version = version_of t r.Engine.model_digest; degraded }
           | exception Engine.Deadline_exceeded { reason; rounds; _ } ->
-            let code =
-              if reason = "shutdown" then Wire.Shutting_down
-              else Wire.Deadline_exceeded
-            in
-            Refused
-              {
-                code;
-                msg =
-                  Printf.sprintf "query %s: %s after %d round%s" (Query.key w.wq)
-                    reason rounds
-                    (if rounds = 1 then "" else "s");
-                retry_after_ms = None;
-              }
+            refuse (cancelled_code reason)
+              (Printf.sprintf "query %s: %s after %d round%s" (Query.key w.wq)
+                 reason rounds
+                 (if rounds = 1 then "" else "s"))
           | exception Engine.Chains_failed _ ->
             Atomic.incr t.s_engine_errors;
             Metrics.inc m_engine_errors;
-            Refused
-              {
-                code = Wire.Chains_failed;
-                msg =
-                  Printf.sprintf "query %s: too many chains failed"
-                    (Query.key w.wq);
-                retry_after_ms = None;
-              }
+            refuse Wire.Chains_failed
+              (Printf.sprintf "query %s: too many chains failed"
+                 (Query.key w.wq))
           | exception (Invalid_argument msg | Failure msg) ->
             Atomic.incr t.s_bad;
             Metrics.inc m_bad;
-            Refused
-              { code = Wire.Bad_query; msg; retry_after_ms = None })
+            refuse Wire.Bad_query msg)
       in
       if Metrics.recording () then begin
         let h = phase_handles w.tenant in
@@ -674,6 +608,19 @@ let reply_line ?id ~rid = function
   | Refused { code; msg; retry_after_ms } ->
     Wire.error_line ?id ~request_id:rid ?retry_after_ms code msg
 
+(* How a reply settles a deadline-carrying request: the outcome it
+   counts under, and whether the deadline cut it short (a partial
+   answer or a typed deadline_exceeded) *)
+let deadline_settlement = function
+  | Answer { result; _ } when result.Engine.partial ->
+    (Some m_deadline_partial, true)
+  | Answer _ -> (Some m_deadline_ok, false)
+  | Refused { code = Wire.Deadline_exceeded; _ } ->
+    (Some m_deadline_exceeded, true)
+  | Refused { code = Wire.Deadline_unmeetable; _ } ->
+    (Some m_deadline_unmeetable, false)
+  | Refused _ -> (None, false)
+
 (* One flight record per answered-or-refused line. The record is built
    on the connection thread after serialisation (the last phase it
    measures), submitted to the ring, and reused verbatim for the
@@ -685,6 +632,9 @@ let finish_request t ~rid ~tenant ~kind ~reply ~work ~deadline_budget_ns
     Metrics.observe (phase_handles tenant).ph_serialize serialize_ns;
   if Trace.enabled () then
     Trace.flow_finish "request" ~id:(Trace.flow_id rid);
+  let outcome, cut_short = deadline_settlement reply in
+  (* every deadline-carrying request settles into exactly one outcome *)
+  if deadline_budget_ns > 0 then Option.iter Metrics.inc outcome;
   let slow =
     match t.config.slow_query_ms with
     | Some ms -> total_ns >= ms * 1_000_000
@@ -698,75 +648,47 @@ let finish_request t ~rid ~tenant ~kind ~reply ~work ~deadline_budget_ns
          w.ph.Engine.rounds)
       | None -> (0, 0, 0, 0)
     in
-    (* the deadline cut this request short: a partial answer or a
-       typed deadline_exceeded refusal *)
-    let dl_cancelled =
-      match reply with
-      | Answer { result; _ } -> result.Engine.partial
-      | Refused { code = Wire.Deadline_exceeded; _ } -> true
-      | Refused _ -> false
-    in
     let r =
-      match reply with
-      | Answer { result = res; version; degraded = _ } ->
-        let path =
-          if res.Engine.cached then Flight.Cache
-          else
-            match res.Engine.plan with
-            | Engine.Plan_exact _ -> Flight.Exact
-            | Engine.Plan_mh _ -> Flight.Mh
-        in
-        let fallback =
-          match res.Engine.plan with
-          | Engine.Plan_mh { fallback = Some f } -> f
-          | _ -> ""
-        in
-        {
-          Flight.seq = -1;
-          id = rid;
-          tenant;
-          kind;
-          path;
-          fallback;
-          error = "";
-          version = Option.value version ~default:(-1);
-          digest = res.Engine.model_digest;
-          queue_wait_ns;
-          plan_ns;
-          sample_ns;
-          serialize_ns;
-          rounds;
-          samples = res.Engine.total_samples;
-          rhat = res.Engine.rhat;
-          mcse = res.Engine.mcse;
-          deadline_ns = deadline_budget_ns;
-          cancelled = dl_cancelled;
-          ts_ns = 0;
-        }
-      | Refused { code; _ } ->
-        {
-          Flight.seq = -1;
-          id = rid;
-          tenant;
-          kind;
-          path = Flight.Err;
-          fallback = "";
-          error = Wire.code_string code;
-          version = -1;
-          digest = "";
-          queue_wait_ns;
-          plan_ns;
-          sample_ns;
-          serialize_ns;
-          rounds;
-          samples = 0;
-          rhat = Float.nan;
-          mcse = Float.nan;
-          deadline_ns = deadline_budget_ns;
-          cancelled = dl_cancelled;
-          ts_ns = 0;
-        }
+      {
+        Flight.seq = -1;
+        id = rid;
+        tenant;
+        kind;
+        path = Flight.Err;
+        fallback = "";
+        error = "";
+        version = -1;
+        digest = "";
+        queue_wait_ns;
+        plan_ns;
+        sample_ns;
+        serialize_ns;
+        rounds;
+        samples = 0;
+        rhat = Float.nan;
+        mcse = Float.nan;
+        deadline_ns = deadline_budget_ns;
+        cancelled = cut_short;
+        ts_ns = 0;
+      }
     in
+    (match reply with
+    | Answer { result = res; version; degraded = _ } ->
+      r.path <-
+        (if res.Engine.cached then Flight.Cache
+         else
+           match res.Engine.plan with
+           | Engine.Plan_exact _ -> Flight.Exact
+           | Engine.Plan_mh _ -> Flight.Mh);
+      (match res.Engine.plan with
+      | Engine.Plan_mh { fallback = Some f } -> r.fallback <- f
+      | _ -> ());
+      r.version <- Option.value version ~default:(-1);
+      r.digest <- res.Engine.model_digest;
+      r.samples <- res.Engine.total_samples;
+      r.rhat <- res.Engine.rhat;
+      r.mcse <- res.Engine.mcse
+    | Refused { code; _ } -> r.error <- Wire.code_string code);
     Flight.submit r;
     if slow then begin
       Metrics.inc m_slow;
@@ -777,112 +699,87 @@ let finish_request t ~rid ~tenant ~kind ~reply ~work ~deadline_budget_ns
     end
   end
 
+let ( let* ) = Result.bind
+
 (* Decode one request line: the query object itself, plus the serving
    extensions ("id" echoed back, "tenant" for quota accounting,
    "request_id" client-supplied or minted here — [?rid] carries the
    HTTP dialect's X-Request-Id assignment, [?deadline_default] its
    X-Deadline-Ms header, which a per-line "deadline_ms" member
    overrides). *)
-let handle_query_line t ~tenant_default ?rid ?deadline_default ?conn ~lineno
-    line =
+let handle_query_line t ~tenant_default ?rid ?deadline_default ~lineno line =
   if String.trim line = "" then None
   else begin
     let t_admit = Clock.now_ns () in
     let parsed = Jsonl.parse line in
-    let member_rid json =
-      match Jsonl.member "request_id" json with
-      | Some (Jsonl.Str s) when s <> "" -> Some s
-      | _ -> None
+    let member name =
+      Result.fold parsed ~ok:(Jsonl.member name) ~error:(fun _ -> None)
     in
     let rid =
-      match (Result.to_option parsed, rid) with
-      | Some json, _ when member_rid json <> None -> Option.get (member_rid json)
+      match (member "request_id", rid) with
+      | Some (Jsonl.Str s), _ when s <> "" -> s
       | _, Some r -> r
       | _, None -> mint_rid t
     in
-    let finish ~tenant ~kind ~reply ~work ?(deadline_budget_ns = 0) build =
-      let t_ser = Clock.now_ns () in
-      let resp = build () in
-      let t_done = Clock.now_ns () in
-      finish_request t ~rid ~tenant ~kind ~reply ~work ~deadline_budget_ns
-        ~serialize_ns:(t_done - t_ser) ~total_ns:(t_done - t_admit);
-      resp
+    let id =
+      match member "id" with
+      | Some (Jsonl.Str s) -> Some s
+      | Some (Jsonl.Num f) when Float.is_integer f ->
+        Some (string_of_int (int_of_float f))
+      | _ -> None
     in
-    let bad msg =
-      Atomic.incr t.s_bad;
-      Metrics.inc m_bad;
-      msg
+    let tenant =
+      match member "tenant" with Some (Jsonl.Str s) -> s | _ -> tenant_default
     in
-    Some
-      (match parsed with
+    let request =
+      let* json = parsed in
+      let* dl_member =
+        match Jsonl.member "deadline_ms" json with
+        | Some (Jsonl.Num f) when Float.is_integer f && f >= 1.0 && f <= 4e15
+          ->
+          Ok (Some (int_of_float f))
+        | Some _ ->
+          Error "deadline_ms must be a positive integer of milliseconds"
+        | None -> Ok None
+      in
+      let* q = Query.of_json json in
+      Ok (q, dl_member)
+    in
+    let kind, reply, work, deadline_budget_ns =
+      match request with
       | Error msg ->
-        let msg = bad (Printf.sprintf "line %d: %s" lineno msg) in
-        let reply =
-          Refused { code = Wire.Bad_request; msg; retry_after_ms = None }
+        Atomic.incr t.s_bad;
+        Metrics.inc m_bad;
+        ("", refuse Wire.Bad_request (Printf.sprintf "line %d: %s" lineno msg),
+         None, 0)
+      | Ok (q, dl_member) ->
+        (* line member > connection header > server default; the
+           server-wide cap clamps whatever won *)
+        let budget_ms =
+          match (dl_member, deadline_default) with
+          | Some v, _ -> Some v
+          | None, Some v -> Some v
+          | None, None -> t.config.default_deadline_ms
         in
-        finish ~tenant:tenant_default ~kind:"" ~reply ~work:None (fun () ->
-            Wire.error_line ~request_id:rid Wire.Bad_request msg)
-      | Ok json -> (
-        let id =
-          match Jsonl.member "id" json with
-          | Some (Jsonl.Str s) -> Some s
-          | Some (Jsonl.Num f) when Float.is_integer f ->
-            Some (string_of_int (int_of_float f))
-          | _ -> None
+        let budget_ms =
+          match (budget_ms, t.config.max_deadline_ms) with
+          | Some v, Some mx -> Some (min v mx)
+          | v, _ -> v
         in
-        let tenant =
-          match Jsonl.member "tenant" json with
-          | Some (Jsonl.Str s) -> s
-          | _ -> tenant_default
+        let deadline_budget_ns =
+          match budget_ms with Some ms -> ms * 1_000_000 | None -> 0
         in
-        let deadline_ms =
-          match Jsonl.member "deadline_ms" json with
-          | Some (Jsonl.Num f)
-            when Float.is_integer f && f >= 1.0 && f <= 4e15 ->
-            Ok (Some (int_of_float f))
-          | Some _ ->
-            Error "deadline_ms must be a positive integer of milliseconds"
-          | None -> Ok None
+        let reply, work =
+          process_query t ~tenant ~rid ~deadline_budget_ns q
         in
-        match deadline_ms with
-        | Error dmsg ->
-          let msg = bad (Printf.sprintf "line %d: %s" lineno dmsg) in
-          let reply =
-            Refused { code = Wire.Bad_request; msg; retry_after_ms = None }
-          in
-          finish ~tenant ~kind:"" ~reply ~work:None (fun () ->
-              Wire.error_line ?id ~request_id:rid Wire.Bad_request msg)
-        | Ok dl_member -> (
-          match Query.of_json json with
-          | Error msg ->
-            let msg = bad (Printf.sprintf "line %d: %s" lineno msg) in
-            let reply =
-              Refused { code = Wire.Bad_request; msg; retry_after_ms = None }
-            in
-            finish ~tenant ~kind:"" ~reply ~work:None (fun () ->
-                Wire.error_line ?id ~request_id:rid Wire.Bad_request msg)
-          | Ok q ->
-            (* line member > connection header > server default; the
-               server-wide cap clamps whatever won *)
-            let budget_ms =
-              match (dl_member, deadline_default) with
-              | Some v, _ -> Some v
-              | None, Some v -> Some v
-              | None, None -> t.config.default_deadline_ms
-            in
-            let budget_ms =
-              match (budget_ms, t.config.max_deadline_ms) with
-              | Some v, Some mx -> Some (min v mx)
-              | v, _ -> v
-            in
-            let deadline_budget_ns =
-              match budget_ms with Some ms -> ms * 1_000_000 | None -> 0
-            in
-            let reply, work =
-              process_query ?conn t ~tenant ~rid ~deadline_budget_ns q
-            in
-            finish ~tenant ~kind:(Query.key q) ~reply ~work
-              ~deadline_budget_ns (fun () -> reply_line ?id ~rid reply))))
+        (Query.key q, reply, work, deadline_budget_ns)
+    in
+    let t_ser = Clock.now_ns () in
+    let resp = reply_line ?id ~rid reply in
+    let t_done = Clock.now_ns () in
+    finish_request t ~rid ~tenant ~kind ~reply ~work ~deadline_budget_ns
+      ~serialize_ns:(t_done - t_ser) ~total_ns:(t_done - t_admit);
+    Some resp
   end
 
 (* ----- health ----- *)
@@ -935,12 +832,25 @@ let health_json t =
 
 (* ----- connection handling ----- *)
 
-let handle_jsonl t conn fd r first_line =
+(* the typed reply to a read the guard cut short: [silent] for a window
+   of silence, or the dribbler's missed request deadline *)
+let timeout_reply t r ~silent =
+  let msg =
+    if Sockio.expired r then
+      Printf.sprintf "request not completed within %d ms"
+        (Sockio.request_windows
+        * Option.value t.config.read_timeout_ms ~default:0)
+    else silent
+  in
+  Wire.error_line Wire.Bad_request msg ^ "\n"
+
+(* each line is one request: [end_request] before answering it, so the
+   guard's request deadline never runs while an answer is computed *)
+let handle_jsonl t fd r first_line =
   let buf = Buffer.create 256 in
   let respond line lineno =
-    match
-      handle_query_line t ~tenant_default:"anonymous" ~conn ~lineno line
-    with
+    Sockio.end_request r;
+    match handle_query_line t ~tenant_default:"anonymous" ~lineno line with
     | None -> ()
     | Some resp ->
       Buffer.clear buf;
@@ -954,10 +864,10 @@ let handle_jsonl t conn fd r first_line =
     | Sockio.Eof -> ()
     | Sockio.Timeout ->
       Sockio.write_all fd
-        (Wire.error_line Wire.Bad_request
-           (Printf.sprintf "read timed out after %d ms with no complete line"
-              (Option.value t.config.read_timeout_ms ~default:0))
-        ^ "\n")
+        (timeout_reply t r
+           ~silent:
+             (Printf.sprintf "read timed out after %d ms with no complete line"
+                (Option.value t.config.read_timeout_ms ~default:0)))
     | Sockio.Too_long ->
       Sockio.write_all fd
         (Wire.error_line Wire.Bad_request
@@ -965,13 +875,14 @@ let handle_jsonl t conn fd r first_line =
               t.config.max_line_bytes)
         ^ "\n")
     | Sockio.Line line ->
-      conn.c_last_progress_ns <- Clock.now_ns ();
       respond line lineno;
       go (lineno + 1)
   in
   go 2
 
-let handle_http t conn fd r first_line =
+(* one request per connection ([Connection: close]): the guard's
+   deadline spans the request line, the headers and the body *)
+let handle_http t fd r first_line =
   let send ?headers ?content_type ~status body =
     Sockio.write_all fd (Http.response ?headers ?content_type ~status body)
   in
@@ -1055,7 +966,7 @@ let handle_http t conn fd r first_line =
           List.filter_map
             (fun (i, line) ->
               handle_query_line t ~tenant_default ?rid:(rid_for i)
-                ?deadline_default ~conn ~lineno:(i + 1) line)
+                ?deadline_default ~lineno:(i + 1) line)
             (List.mapi (fun i line -> (i, line)) lines)
         in
         let headers =
@@ -1089,33 +1000,34 @@ let handle_http t conn fd r first_line =
            (Printf.sprintf "no route %s %s" meth path)
         ^ "\n"))
 
-let handle_conn t conn_id conn =
-  let fd = conn.c_fd in
+let handle_conn t conn_id fd =
+  let r = Sockio.reader ~max_line_bytes:t.config.max_line_bytes fd in
+  Option.iter (fun ms -> Sockio.guard r ~window_ms:ms) t.config.read_timeout_ms;
   Fun.protect
     ~finally:(fun () ->
-      (* out of the table first, under the lock, so the reaper never
-         sees (and pokes) a connection whose fd is being closed *)
-      Mutex.protect t.lock (fun () -> Hashtbl.remove t.conns conn_id);
-      (try Unix.close fd with Unix.Unix_error _ -> ());
+      if Sockio.expired r then Metrics.inc m_reaped;
       Atomic.decr t.s_active;
-      Metrics.set m_active (float_of_int (Atomic.get t.s_active)))
+      Metrics.set m_active (float_of_int (Atomic.get t.s_active));
+      (* out of the table before the close, under the lock, so [stop]
+         never shuts down an fd number already reused *)
+      Mutex.protect t.lock (fun () ->
+          Hashtbl.remove t.conns conn_id;
+          (try Unix.close fd with Unix.Unix_error _ -> ());
+          if Hashtbl.length t.conns = 0 then Condition.broadcast t.conns_empty))
     (fun () ->
       try
-        let r = Sockio.reader ~max_line_bytes:t.config.max_line_bytes fd in
         match Sockio.read_line r with
         | Sockio.Eof -> ()
         | Sockio.Timeout ->
           Sockio.write_all fd
-            (Wire.error_line Wire.Bad_request
-               "read timed out before a complete first line"
-            ^ "\n")
+            (timeout_reply t r
+               ~silent:"read timed out before a complete first line")
         | Sockio.Too_long ->
           Sockio.write_all fd
             (Wire.error_line Wire.Bad_request "first line too long" ^ "\n")
         | Sockio.Line first ->
-          conn.c_last_progress_ns <- Clock.now_ns ();
-          if Http.is_http_verb first then handle_http t conn fd r first
-          else handle_jsonl t conn fd r first
+          if Http.is_http_verb first then handle_http t fd r first
+          else handle_jsonl t fd r first
       with
       | Unix.Unix_error _ -> (* peer went away; nothing to salvage *) ()
       | Sys_error _ -> ())
@@ -1139,35 +1051,14 @@ let accept_loop t listen_fd =
       else begin
         Atomic.incr t.s_active;
         Metrics.set m_active (float_of_int (Atomic.get t.s_active));
-        (* the slow-loris guard: a peer that sends nothing inside one
-           receive window surfaces as [Sockio.Timeout] instead of
-           holding the connection thread forever *)
-        (match t.config.read_timeout_ms with
-        | Some ms ->
-          let s = float_of_int ms /. 1000.0 in
-          (try
-             Unix.setsockopt_float fd Unix.SO_RCVTIMEO s;
-             Unix.setsockopt_float fd Unix.SO_SNDTIMEO s
-           with Unix.Unix_error _ | Invalid_argument _ -> ())
-        | None -> ());
-        let conn =
-          {
-            c_fd = fd;
-            c_last_progress_ns = Clock.now_ns ();
-            c_inflight = false;
-            c_reaped = false;
-          }
-        in
         let conn_id =
           Mutex.protect t.lock (fun () ->
               let id = t.next_conn in
               t.next_conn <- id + 1;
-              Hashtbl.replace t.conns id conn;
+              Hashtbl.replace t.conns id fd;
               id)
         in
-        let th = Thread.create (fun () -> handle_conn t conn_id conn) () in
-        Mutex.protect t.lock (fun () ->
-            t.conn_threads <- th :: t.conn_threads)
+        ignore (Thread.create (fun () -> handle_conn t conn_id fd) ())
       end;
       go ()
     | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
@@ -1177,42 +1068,6 @@ let accept_loop t listen_fd =
       Log.err ~component:"serve" "accept: %s" (Unix.error_message e)
   in
   go ()
-
-(* The receive timeout catches a peer that sends nothing inside one
-   read window; the reaper catches the byte-dribbler that keeps each
-   read alive without ever completing a request line. A connection is
-   reaped when it has no request in flight and has not completed a
-   line for ~4 receive windows — a connection waiting on a long
-   engine answer has a live inflight token and is never touched. *)
-let reaper_loop t ~timeout_ns =
-  let idle_ns = 4 * timeout_ns in
-  let tick = Float.min 0.25 (float_of_int timeout_ns *. 1e-9 /. 4.0) in
-  let running () = Mutex.protect t.lock (fun () -> t.state = Running) in
-  while running () do
-    Thread.delay tick;
-    let now = Clock.now_ns () in
-    let reaped =
-      Mutex.protect t.lock (fun () ->
-          Hashtbl.fold
-            (fun _ c acc ->
-              if
-                (not c.c_reaped)
-                && (not c.c_inflight)
-                && now - c.c_last_progress_ns > idle_ns
-              then begin
-                c.c_reaped <- true;
-                (* in the table + under the lock = fd still open *)
-                (try Unix.shutdown c.c_fd Unix.SHUTDOWN_ALL
-                 with Unix.Unix_error _ -> ());
-                acc + 1
-              end
-              else acc)
-            t.conns 0)
-    in
-    for _ = 1 to reaped do
-      Metrics.inc m_reaped
-    done
-  done
 
 (* ----- lifecycle ----- *)
 
@@ -1250,17 +1105,9 @@ let start t =
     List.init t.config.workers (fun _ -> Thread.create worker_loop t)
   in
   let acceptor = Thread.create (fun () -> accept_loop t listen_fd) () in
-  let reaper =
-    Option.map
-      (fun ms ->
-        let timeout_ns = ms * 1_000_000 in
-        Thread.create (fun () -> reaper_loop t ~timeout_ns) ())
-      t.config.read_timeout_ms
-  in
   Mutex.protect t.lock (fun () ->
       t.workers <- workers;
-      t.accept_thread <- Some acceptor;
-      t.reaper_thread <- reaper);
+      t.accept_thread <- Some acceptor);
   Log.info ~component:"serve" "listening on %s:%d (%d workers, queue %d)"
     t.config.host (port t) t.config.workers t.config.queue_capacity
 
@@ -1293,18 +1140,19 @@ let stop t =
        running finishes normally. *)
     Bqueue.close t.queue;
     List.iter Thread.join t.workers;
-    (match t.reaper_thread with Some th -> Thread.join th | None -> ());
-    (* 3. unblock connection threads parked in read_line *)
-    let fds =
-      Mutex.protect t.lock (fun () ->
-          Hashtbl.fold (fun _ c acc -> c.c_fd :: acc) t.conns [])
-    in
-    List.iter
-      (fun fd ->
-        try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-      fds;
-    let conns = Mutex.protect t.lock (fun () -> t.conn_threads) in
-    List.iter Thread.join conns;
+    (* 3. end every connection's input: threads parked in read_line
+       see end of stream, while one still holding a drained answer
+       writes it first. Then wait for every one to close its fd; the
+       acceptor is gone, so the table only shrinks. *)
+    Mutex.protect t.lock (fun () ->
+        Hashtbl.iter
+          (fun _ fd ->
+            try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
+            with Unix.Unix_error _ -> ())
+          t.conns;
+        while Hashtbl.length t.conns > 0 do
+          Condition.wait t.conns_empty t.lock
+        done);
     (* 4. end the evidence stream so a Runner on [ingest_source] exits *)
     Bqueue.close t.ingest;
     Mutex.protect t.lock (fun () -> Condition.broadcast t.stopped_cv)

@@ -107,11 +107,13 @@ type config = {
       (** client-supplied deadlines are clamped down to this cap;
           [None] = unclamped *)
   read_timeout_ms : int option;
-      (** per-connection [SO_RCVTIMEO]: a peer that sends {e nothing}
-          inside one window gets a typed error and the connection is
-          closed; a byte-dribbler that never completes a request line
-          is reaped after ~4 windows of no progress. [None] disables
-          both guards (and the reaper thread). *)
+      (** the read window of the slow-loris guard ({!Sockio.guard}):
+          a peer that sends {e nothing} inside one window, or whose
+          request (a JSONL line, or an HTTP request through its body)
+          is still incomplete 4 windows after its first read, gets a
+          typed [bad_request] and the connection is closed. Time spent
+          answering a request never counts. [None] disables the
+          guard. *)
 }
 
 val default_config : config
@@ -147,10 +149,13 @@ val wait : t -> unit
     here). *)
 
 val stop : t -> unit
-(** Graceful shutdown: stop accepting, close live connections, refuse
-    new work with [shutting_down], drain already-admitted requests,
-    join every thread, and close the ingest queue (ending a
-    {!ingest_source} consumer). Idempotent. *)
+(** Graceful shutdown: stop accepting, refuse new work with
+    [shutting_down], drain already-admitted requests, join the workers,
+    end every connection's input and wait until each has written its
+    drained answer and closed, then close the ingest queue (ending a
+    {!ingest_source} consumer). A peer that stops reading holds the
+    wait for at most one [read_timeout_ms] window (the send timeout);
+    with the guard off, until it reads or goes away. Idempotent. *)
 
 (** {1 Ingest bridge} — evidence arriving over the network.
 

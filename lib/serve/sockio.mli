@@ -11,15 +11,40 @@
 type reader
 
 val reader : ?max_line_bytes:int -> Unix.file_descr -> reader
-(** Default cap 1 MiB per line. *)
+(** Default cap 1 MiB per line. Reading a line costs one copy of it,
+    however many reads it took to arrive. *)
+
+(** {1 The slow-loris guard} *)
+
+val request_windows : int
+(** 4: how many read windows one request may take. *)
+
+val guard : reader -> window_ms:int -> unit
+(** Bound how long a peer may hold the reader. A read that waits one
+    whole window for a byte ([SO_RCVTIMEO], set on the fd together
+    with [SO_SNDTIMEO]) returns {!Timeout}; so does a read once the
+    current request has taken {!request_windows} windows since its
+    first read, however steadily its bytes dribble in. Without a guard
+    the reader waits as long as the fd does. *)
+
+val end_request : reader -> unit
+(** The current request is complete: the next read starts a fresh
+    request deadline. Call it once a request has been read, before
+    answering it, so the time spent answering is never charged to the
+    next request. *)
+
+val expired : reader -> bool
+(** Whether a {!Timeout} came from the request deadline (the peer was
+    dribbling) rather than a window of silence. *)
 
 type line =
   | Line of string     (** one line, terminator stripped (LF or CRLF) *)
   | Eof                (** clean end of stream *)
   | Too_long           (** line exceeded the cap; connection unusable *)
-  | Timeout            (** the fd's [SO_RCVTIMEO] expired with the line
-                           unfinished — the slow-loris guard; the
-                           connection should be closed *)
+  | Timeout            (** the {!guard} fired with the line unfinished:
+                           a window of silence ([SO_RCVTIMEO]) or the
+                           request deadline; the connection should be
+                           closed *)
 
 val read_line : reader -> line
 (** Raises [Unix.Unix_error] on hard socket errors ([EINTR] retried;

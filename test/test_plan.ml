@@ -228,34 +228,6 @@ let test_target_overlap_refused () =
   | Planner.Target_overlap -> ()
   | r -> Alcotest.failf "wrong reason %s" (Planner.reason_label r)
 
-(* ---------- Exact.flow_probability_checked ---------- *)
-
-let test_checked_exact () =
-  let icm = icm_of ~nodes:4 diamond [ 0.5; 0.5; 0.5; 0.5 ] in
-  (match Exact.flow_probability_checked icm ~src:0 ~dst:3 with
-  | Ok p ->
-    Alcotest.check Alcotest.bool "bit-equal to unchecked" true
-      (Int64.equal (Int64.bits_of_float p)
-         (Int64.bits_of_float (Exact.flow_probability icm ~src:0 ~dst:3)))
-  | Error e -> Alcotest.failf "diamond refused: %a" Exact.pp_error e);
-  let bn = icm_of ~nodes:5 bottleneck [ 0.5; 0.5; 0.5; 0.5; 0.5 ] in
-  (match Exact.flow_probability_checked bn ~src:0 ~dst:4 with
-  | Error (Exact.Unsound { join }) -> Alcotest.(check int) "join" 4 join
-  | Ok _ -> Alcotest.fail "bottleneck accepted"
-  | Error e -> Alcotest.failf "wrong error: %a" Exact.pp_error e);
-  (match Exact.flow_probability_checked icm ~src:3 ~dst:0 with
-  | Ok p -> check_close "unreachable" 0.0 p
-  | Error e -> Alcotest.failf "unreachable errored: %a" Exact.pp_error e);
-  (match Exact.flow_probability_checked icm ~src:2 ~dst:2 with
-  | Ok p -> check_close "self" 1.0 p
-  | Error e -> Alcotest.failf "self errored: %a" Exact.pp_error e);
-  let big = Gen.path 80 in
-  let bicm = Icm.create big (Array.make (Digraph.n_edges big) 0.5) in
-  match Exact.flow_probability_checked bicm ~src:0 ~dst:79 with
-  | Error (Exact.Too_large { nodes = 80; limit = 62 }) -> ()
-  | Ok _ -> Alcotest.fail "80 nodes accepted by the bitmask recursion"
-  | Error e -> Alcotest.failf "wrong error: %a" Exact.pp_error e
-
 (* ---------- properties ---------- *)
 
 let random_tree_icm rng ~nodes =
@@ -505,8 +477,6 @@ let () =
           Alcotest.test_case "target overlap" `Quick
             test_target_overlap_refused;
         ] );
-      ( "checked-exact",
-        [ Alcotest.test_case "typed results" `Quick test_checked_exact ] );
       ( "properties",
         props
           [

@@ -212,6 +212,63 @@ let test_sockio_too_long () =
   with_pipe_reader ~max_line_bytes:8 (String.make 64 'x') (fun r ->
       check_bool "refused" true (Sockio.read_line r = Sockio.Too_long))
 
+(* [payload] written from a second thread into one end of a socketpair
+   (far more than the socket buffers hold), read through a reader on
+   the other *)
+let with_socketpair_reader payload f =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close a with Unix.Unix_error _ -> ());
+      try Unix.close b with Unix.Unix_error _ -> ())
+    (fun () ->
+      let writer =
+        Thread.create
+          (fun () ->
+            Sockio.write_all b payload;
+            Unix.shutdown b Unix.SHUTDOWN_SEND)
+          ()
+      in
+      Fun.protect ~finally:(fun () -> Thread.join writer) (fun () ->
+          f (Sockio.reader a)))
+
+let test_sockio_long_line_linear () =
+  (* one copy of the line, not one per refill: a 1 MiB line (the
+     default cap) used to allocate ~72x its length *)
+  let len = 1 lsl 20 in
+  let line = String.init len (fun i -> Char.chr (97 + (i mod 26))) in
+  with_socketpair_reader (line ^ "\n") (fun r ->
+      let before = Gc.allocated_bytes () in
+      let got = Sockio.read_line r in
+      let allocated = Gc.allocated_bytes () -. before in
+      check_bool "line intact" true (got = Sockio.Line line);
+      check_bool
+        (Printf.sprintf "allocated %.0f bytes <= 4x the line" allocated)
+        true
+        (allocated <= 4.0 *. float_of_int len);
+      check_bool "then eof" true (Sockio.read_line r = Sockio.Eof))
+
+let test_sockio_lines_across_windows () =
+  (* lines spanning many 8 KiB reads, back to back in one stream, with
+     CRLF and LF ends wherever the reads happen to split them, an empty
+     line and an unterminated tail *)
+  let a = String.make 20_000 'a' in
+  let b = String.make 8191 'b' in
+  let c = String.make 70_001 'c' in
+  let lines = [ a; b; ""; c; "d" ] in
+  let payload = String.concat "" [ a; "\r\n"; b; "\n\n"; c; "\r\n"; "d" ] in
+  with_socketpair_reader payload (fun r ->
+      List.iteri
+        (fun i want ->
+          match Sockio.read_line r with
+          | Sockio.Line got ->
+            check_int (Printf.sprintf "line %d length" i) (String.length want)
+              (String.length got);
+            check_bool (Printf.sprintf "line %d bytes" i) true (got = want)
+          | _ -> Alcotest.failf "line %d missing" i)
+        lines;
+      check_bool "then eof" true (Sockio.read_line r = Sockio.Eof))
+
 let test_http_parse () =
   let body = {|{"type":"flow","src":0,"dst":1}|} in
   let raw =
@@ -1034,6 +1091,48 @@ let test_serve_flight_record_matches_answer () =
             check_string "error code recorded" "bad_request" rc.Flight.error
           | None -> Alcotest.fail "no flight record for the refusal"))
 
+let test_serve_flight_capacity_over_the_wire () =
+  (* --flight-capacity N keeps the last N requests, not N divided among
+     recorder shards *)
+  let config = { Server.default_config with Server.flight_capacity = 64 } in
+  with_server ~config (fun server _engine ->
+      let fd = connect (Server.port server) in
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+          let r = Sockio.reader fd in
+          for i = 1 to 100 do
+            ignore
+              (parse_ok
+                 (ask r fd
+                    (Printf.sprintf
+                       {|{"request_id":"cap-%d","type":"flow","src":0,"dst":1}|}
+                       i)))
+          done);
+      let fd = connect (Server.port server) in
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+          Sockio.write_all fd
+            "GET /debug/requests?n=1000 HTTP/1.1\r\nHost: t\r\n\r\n";
+          let r = Sockio.reader fd in
+          let rec lines acc =
+            match Sockio.read_line r with
+            | Sockio.Line l -> lines (l :: acc)
+            | _ -> List.rev acc
+          in
+          let rec body = function
+            | "" :: rest -> String.concat "\n" rest
+            | _ :: rest -> body rest
+            | [] -> Alcotest.fail "no header/body separator"
+          in
+          match Jsonl.parse (body (lines [])) with
+          | Error msg -> Alcotest.failf "/debug/requests not JSON: %s" msg
+          | Ok json ->
+            let ids =
+              List.filter_map (member_str "request_id")
+                (Option.get (Jsonl.to_list json))
+            in
+            check_int "records kept" 64 (List.length ids);
+            check_string "newest" "cap-100" (List.hd ids);
+            check_string "oldest" "cap-37" (List.nth ids 63)))
+
 let test_serve_observability_bit_identity () =
   (* the PR 4 invariant extended: answers over the wire with the flight
      recorder AND the trace sink on are bit-identical to a plain
@@ -1518,8 +1617,9 @@ let test_serve_reaper_closes_dribbler () =
         (fun () ->
           (* one byte every 25 ms defeats SO_RCVTIMEO — each byte
              restarts the receive window — but never completes a line;
-             only the reaper's no-progress clock catches it *)
+             only the reader's 4-window request deadline catches it *)
           let t0 = Unix.gettimeofday () in
+          let received = Buffer.create 256 in
           let closed = ref false in
           while (not !closed) && Unix.gettimeofday () -. t0 < 5.0 do
             (try ignore (Unix.write_substring fd "x" 0 1)
@@ -1530,13 +1630,96 @@ let test_serve_reaper_closes_dribbler () =
               | [ _ ], _, _ -> (
                 let buf = Bytes.create 256 in
                 try
-                  if Unix.read fd buf 0 256 = 0 then closed := true
+                  match Unix.read fd buf 0 256 with
+                  | 0 -> closed := true
+                  | n -> Buffer.add_subbytes received buf 0 n
                 with Unix.Unix_error (Unix.ECONNRESET, _, _) -> closed := true)
               | _ -> ()
           done;
-          check_bool "reaper closed the dribbling connection" true !closed;
+          check_bool "guard closed the dribbling connection" true !closed;
           check_bool "but not before the no-progress window (4 windows)" true
-            (Unix.gettimeofday () -. t0 >= 0.15)))
+            (Unix.gettimeofday () -. t0 >= 0.15);
+          match String.split_on_char '\n' (Buffer.contents received) with
+          | line :: _ when line <> "" ->
+            check_string "typed timeout before the close" "bad_request"
+              (error_code line)
+          | _ -> Alcotest.fail "closed without a typed timeout"))
+
+let test_serve_header_dribbler_answered () =
+  (* the same guard covers a whole HTTP request: one header line every
+     half window keeps every read alive, yet the request line through
+     the end of the headers may take only 4 windows *)
+  let window_s = 0.1 in
+  let config =
+    { Server.default_config with Server.read_timeout_ms = Some 100 }
+  in
+  with_server ~config (fun server _engine ->
+      let fd = connect (Server.port server) in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          let t0 = Unix.gettimeofday () in
+          let received = Buffer.create 256 in
+          let closed = ref false in
+          let send s =
+            try ignore (Unix.write_substring fd s 0 (String.length s))
+            with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+              closed := true
+          in
+          send "GET /healthz HTTP/1.1\r\n";
+          while (not !closed) && Unix.gettimeofday () -. t0 < 5.0 do
+            (match Unix.select [ fd ] [] [] (window_s /. 2.0) with
+            | [ _ ], _, _ -> (
+              let buf = Bytes.create 256 in
+              try
+                match Unix.read fd buf 0 256 with
+                | 0 -> closed := true
+                | n -> Buffer.add_subbytes received buf 0 n
+              with Unix.Unix_error (Unix.ECONNRESET, _, _) -> closed := true)
+            | _ -> send "X-Pad: a\r\n")
+          done;
+          let elapsed = Unix.gettimeofday () -. t0 in
+          check_bool "closed" true !closed;
+          check_bool "not before 4 windows" true (elapsed >= 4.0 *. window_s);
+          check_bool "within 8 windows" true (elapsed <= 8.0 *. window_s);
+          let lines =
+            List.filter (fun l -> l <> "")
+              (List.map String.trim
+                 (String.split_on_char '\n' (Buffer.contents received)))
+          in
+          match lines with
+          | status :: _ :: _ ->
+            check_string "typed 400" "HTTP/1.1 400 Bad Request" status;
+            check_string "typed body" "bad_request"
+              (error_code (List.nth lines (List.length lines - 1)))
+          | _ -> Alcotest.fail "closed without a reply"))
+
+let test_serve_long_answer_not_cut () =
+  (* the read guard only times reads: a request whose answer takes 6
+     read windows keeps its connection, which then serves the next *)
+  let release = Atomic.make false in
+  let gate () =
+    while not (Atomic.get release) do
+      Thread.delay 0.005
+    done
+  in
+  let config =
+    { Server.default_config with Server.read_timeout_ms = Some 50 }
+  in
+  with_server ~config ~gate (fun server _engine ->
+      let fd = connect (Server.port server) in
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+          let r = Sockio.reader fd in
+          let releaser =
+            Thread.create
+              (fun () ->
+                Thread.delay 0.3;
+                Atomic.set release true)
+              ()
+          in
+          ignore (parse_ok (ask r fd (query_json ~src:0 ~dst:1 ())));
+          Thread.join releaser;
+          ignore (parse_ok (ask r fd (query_json ~src:0 ~dst:2 ())))))
 
 let test_serve_shutdown_refuses_queued () =
   let gate_m = Mutex.create () in
@@ -1616,6 +1799,10 @@ let () =
         [
           Alcotest.test_case "line framing" `Quick test_sockio_lines;
           Alcotest.test_case "line cap" `Quick test_sockio_too_long;
+          Alcotest.test_case "1 MiB line, linear allocation" `Quick
+            test_sockio_long_line_linear;
+          Alcotest.test_case "lines across read windows" `Quick
+            test_sockio_lines_across_windows;
           Alcotest.test_case "request parse" `Quick test_http_parse;
           Alcotest.test_case "rejects" `Quick test_http_rejects;
         ] );
@@ -1655,6 +1842,8 @@ let () =
             test_serve_flight_record_matches_answer;
           Alcotest.test_case "bit-identical with flight + trace on" `Slow
             test_serve_observability_bit_identity;
+          Alcotest.test_case "flight capacity holds over the wire" `Slow
+            test_serve_flight_capacity_over_the_wire;
         ] );
       ( "deadlines",
         [
@@ -1677,6 +1866,10 @@ let () =
             test_serve_read_timeout_slow_loris;
           Alcotest.test_case "reaper closes the byte-dribbler" `Slow
             test_serve_reaper_closes_dribbler;
+          Alcotest.test_case "header dribbler answered 400" `Slow
+            test_serve_header_dribbler_answered;
+          Alcotest.test_case "long answer never cut" `Slow
+            test_serve_long_answer_not_cut;
           Alcotest.test_case "shutdown refuses queued work" `Slow
             test_serve_shutdown_refuses_queued;
         ] );
