@@ -160,21 +160,3 @@ let to_string = function Str s -> Some s | _ -> None
 
 let to_list = function List vs -> Some vs | _ -> None
 
-let rec pp ppf = function
-  | Null -> Format.pp_print_string ppf "null"
-  | Bool b -> Format.pp_print_bool ppf b
-  | Num f ->
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Format.fprintf ppf "%d" (int_of_float f)
-    else Format.fprintf ppf "%g" f
-  | Str s -> Format.fprintf ppf "%S" s
-  | List vs ->
-    Format.fprintf ppf "[%a]"
-      (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",") pp)
-      vs
-  | Obj fields ->
-    Format.fprintf ppf "{%a}"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf ",")
-         (fun ppf (k, v) -> Format.fprintf ppf "%S:%a" k pp v))
-      fields

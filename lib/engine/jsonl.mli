@@ -26,6 +26,3 @@ val to_int : value -> int option
 
 val to_string : value -> string option
 val to_list : value -> value list option
-
-val pp : Format.formatter -> value -> unit
-(** Re-serialise (compact, valid JSON for the subset we produce). *)

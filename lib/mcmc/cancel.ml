@@ -9,8 +9,7 @@
 
    [none] is the disarmed token every non-deadline caller shares: its
    check is one atomic load and one integer compare, which is what
-   keeps the machinery's cost on deadline-free traffic inside the
-   BENCH_PR10 < 1% budget. *)
+   keeps the machinery's cost on deadline-free traffic under 1%. *)
 
 type t = {
   deadline_ns : int; (* absolute Clock.now_ns; max_int = no deadline *)

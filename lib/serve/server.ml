@@ -1099,8 +1099,11 @@ let start t =
         t.state <- Running;
         fd)
   in
+  (* the ring is process-global: capacity 0 must also turn off a ring an
+     earlier server in this process configured *)
   if t.config.flight_capacity > 0 then
-    Flight.configure ~capacity:t.config.flight_capacity ();
+    Flight.configure ~capacity:t.config.flight_capacity ()
+  else Flight.disable ();
   let workers =
     List.init t.config.workers (fun _ -> Thread.create worker_loop t)
   in

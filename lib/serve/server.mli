@@ -93,8 +93,8 @@ type config = {
   flight_capacity : int;    (** flight-recorder ring size; {!start}
                                 (re)configures the process-global
                                 {!Iflow_obs.Flight} ring to this many
-                                records; 0 leaves the recorder alone
-                                (off unless someone else enabled it) *)
+                                records; 0 turns the ring off, also
+                                when an earlier server enabled it *)
   slow_query_ms : int option;
       (** log a structured slow-query line (level [warn], full flight
           record attached) for any request whose admission-to-serialized

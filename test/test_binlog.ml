@@ -359,17 +359,29 @@ let test_cross_codec_replay () =
   (* forgetting on: every publish decays, so digests only match when
      the two paths publish over exactly the same event prefixes *)
   List.iter
-    (fun (batch, forget) ->
+    (fun (batch, forget, segment_bytes) ->
+      let label =
+        Printf.sprintf "batch %d forget %g segment_bytes %s" batch forget
+          (Option.fold ~none:"default" ~some:string_of_int segment_bytes)
+      in
       let rj, dj, qj = run_jsonl ~batch ~forget model events in
-      let rb, db, qb = run_bin ~batch ~forget model events in
-      let label = Printf.sprintf "batch %d forget %g" batch forget in
+      let rb, db, qb =
+        with_temp_log (fun path ->
+            let w = write_log ?segment_bytes path events in
+            if segment_bytes <> None then
+              check_bool (label ^ ": log spans segments") true
+                (Binlog.Writer.segments w > 1);
+            run_bin_log ~batch ~forget model path)
+      in
       check_bool (label ^ ": digests at every publish") true (dj = db);
       check_bool (label ^ ": final digest") true
         (rj.Runner.final.Snapshot.digest = rb.Runner.final.Snapshot.digest);
       check_int (label ^ ": lines") rj.Runner.lines rb.Runner.lines;
       check_bool (label ^ ": quarantine lines and reasons") true (qj = qb);
       check_stats_equal rj.Runner.stats rb.Runner.stats)
-    [ (32, 0.0); (17, 0.05) ]
+    (* the last input rolls the binary log into small segments, so
+       Runner.run_binlog must cross segment boundaries mid-batch *)
+    [ (32, 0.0, None); (17, 0.05, None); (17, 0.05, Some 512) ]
 
 let test_cross_codec_drift_alerts () =
   (* a rate shift on one edge, graph changes around it (which re-anchor

@@ -426,6 +426,16 @@ let test_engine_large_tree () =
   (match exact.Engine.plan with
   | Engine.Plan_exact _ -> ()
   | Engine.Plan_mh _ -> Alcotest.fail "6000-node tree cone not planned exact");
+  (* every flow query on a tree is exact-eligible: sinks spread over the
+     whole tree must all plan exact *)
+  let engine = Engine.create ~config:fast_config ~seed:7 icm in
+  for k = 1 to 100 do
+    let dst = k * (nodes - 1) / 100 in
+    match (Engine.query engine (Query.flow ~src:0 ~dst ())).Engine.plan with
+    | Engine.Plan_exact _ -> ()
+    | Engine.Plan_mh _ ->
+      Alcotest.failf "tree query 0 ~> %d not planned exact" dst
+  done;
   (* the sampler needs thinning on the order of the edge count: a
      proposal touches one edge in 6000, so the two path coins decohere
      only every few thousand steps *)

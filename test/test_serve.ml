@@ -1091,6 +1091,27 @@ let test_serve_flight_record_matches_answer () =
             check_string "error code recorded" "bad_request" rc.Flight.error
           | None -> Alcotest.fail "no flight record for the refusal"))
 
+(* GET /debug/requests?n=1000 over HTTP, parsed into its record list *)
+let debug_requests server =
+  let fd = connect (Server.port server) in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+      Sockio.write_all fd
+        "GET /debug/requests?n=1000 HTTP/1.1\r\nHost: t\r\n\r\n";
+      let r = Sockio.reader fd in
+      let rec lines acc =
+        match Sockio.read_line r with
+        | Sockio.Line l -> lines (l :: acc)
+        | _ -> List.rev acc
+      in
+      let rec body = function
+        | "" :: rest -> String.concat "\n" rest
+        | _ :: rest -> body rest
+        | [] -> Alcotest.fail "no header/body separator"
+      in
+      match Jsonl.parse (body (lines [])) with
+      | Error msg -> Alcotest.failf "/debug/requests not JSON: %s" msg
+      | Ok json -> Option.get (Jsonl.to_list json))
+
 let test_serve_flight_capacity_over_the_wire () =
   (* --flight-capacity N keeps the last N requests, not N divided among
      recorder shards *)
@@ -1107,31 +1128,32 @@ let test_serve_flight_capacity_over_the_wire () =
                        {|{"request_id":"cap-%d","type":"flow","src":0,"dst":1}|}
                        i)))
           done);
-      let fd = connect (Server.port server) in
-      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
-          Sockio.write_all fd
-            "GET /debug/requests?n=1000 HTTP/1.1\r\nHost: t\r\n\r\n";
-          let r = Sockio.reader fd in
-          let rec lines acc =
-            match Sockio.read_line r with
-            | Sockio.Line l -> lines (l :: acc)
-            | _ -> List.rev acc
-          in
-          let rec body = function
-            | "" :: rest -> String.concat "\n" rest
-            | _ :: rest -> body rest
-            | [] -> Alcotest.fail "no header/body separator"
-          in
-          match Jsonl.parse (body (lines [])) with
-          | Error msg -> Alcotest.failf "/debug/requests not JSON: %s" msg
-          | Ok json ->
-            let ids =
-              List.filter_map (member_str "request_id")
-                (Option.get (Jsonl.to_list json))
-            in
-            check_int "records kept" 64 (List.length ids);
-            check_string "newest" "cap-100" (List.hd ids);
-            check_string "oldest" "cap-37" (List.nth ids 63)))
+      let ids =
+        List.filter_map (member_str "request_id") (debug_requests server)
+      in
+      check_int "records kept" 64 (List.length ids);
+      check_string "newest" "cap-100" (List.hd ids);
+      check_string "oldest" "cap-37" (List.nth ids 63))
+
+let test_serve_flight_capacity_zero_disables () =
+  (* the ring is process-global: a server started with capacity 0 after
+     one with the default capacity must stop recording, not keep
+     appending to the earlier server's ring *)
+  let one_query server id =
+    let fd = connect (Server.port server) in
+    Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+        ignore
+          (parse_ok
+             (ask (Sockio.reader fd) fd
+                (Printf.sprintf
+                   {|{"request_id":"%s","type":"flow","src":0,"dst":1}|} id))))
+  in
+  with_server (fun server _engine -> one_query server "on-1");
+  let config = { Server.default_config with Server.flight_capacity = 0 } in
+  with_server ~config (fun server _engine ->
+      one_query server "off-1";
+      check_bool "recorder off" false (Flight.enabled ());
+      check_int "no records served" 0 (List.length (debug_requests server)))
 
 let test_serve_observability_bit_identity () =
   (* the PR 4 invariant extended: answers over the wire with the flight
@@ -1844,6 +1866,8 @@ let () =
             test_serve_observability_bit_identity;
           Alcotest.test_case "flight capacity holds over the wire" `Slow
             test_serve_flight_capacity_over_the_wire;
+          Alcotest.test_case "flight capacity 0 turns the ring off" `Slow
+            test_serve_flight_capacity_zero_disables;
         ] );
       ( "deadlines",
         [
