@@ -60,8 +60,9 @@ let obs_term =
       & opt (some string) None
       & info [ "metrics-out" ]
           ~doc:
-            "Switch metrics recording on and write a Prometheus text \
-             exposition of everything recorded here on exit.")
+            "Write a Prometheus text exposition of the metrics registry \
+             here on exit. The registry always records; this only chooses \
+             where the exposition goes.")
   in
   let trace_out =
     Arg.(
@@ -77,9 +78,7 @@ let obs_term =
   in
   Term.(const make $ log_level $ metrics_out $ trace_out)
 
-(* Recording never perturbs estimates (no RNG involvement; pinned by a
-   regression test), so switching it on costs only the export on exit.
-   Teardown goes through [at_exit] so error paths still flush. *)
+(* Teardown goes through [at_exit] so error paths still flush. *)
 let obs_setup obs =
   (match Obs_log.level_of_string obs.log_level with
   | Ok l -> Obs_log.set_level l
@@ -87,7 +86,6 @@ let obs_setup obs =
     Obs_log.err "%s" msg;
     exit 1);
   (match obs.trace_out with Some path -> Obs_trace.to_file path | None -> ());
-  if obs.metrics_out <> None then Obs_metrics.set_recording true;
   at_exit (fun () ->
       (match obs.metrics_out with
       | Some path -> (

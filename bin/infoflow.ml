@@ -1262,7 +1262,6 @@ let calibrate_cmd =
 (* ----- metrics ----- *)
 
 let metrics seed model_path src dst engine_config json =
-  Obs_metrics.set_recording true;
   let model = Model_io.load_beta_icm model_path in
   let icm = Beta_icm.expected_icm model in
   let n = Beta_icm.n_nodes model in
@@ -1297,8 +1296,8 @@ let metrics_cmd =
   Cmd.v
     (Cmd.info "metrics"
        ~doc:
-         "Run one probe flow query with metrics recording on and print the \
-          resulting registry snapshot (Prometheus text exposition by \
+         "Run one probe flow query and print the resulting registry \
+          snapshot (Prometheus text exposition by \
           default) to stdout — a smoke test of the observability layer.")
     Term.(
       const metrics $ C.seed_term $ C.model_required $ src $ dst

@@ -182,24 +182,14 @@ type t = {
   pool : Pool.t;
   cache : (string, result) Lru.t;
   seed : int;
-  mutable lru_flushed : Lru.stats; (* already exported to the registry *)
   lock : Mutex.t;
-      (* guards [icm]/[digest]/[cache]/[lru_flushed]; never held while
-         sampling, so concurrent callers only serialise on the cache *)
+      (* guards [icm]/[digest]/[cache]; never held while sampling, so
+         concurrent callers only serialise on the cache *)
 }
 
-(* [Lru] keeps its own lifetime counters; re-export their growth since
-   the last sync so the registry's counters stay monotone per engine. *)
-let sync_cache_metrics t =
-  if Metrics.recording () then begin
-    let s = Lru.stats t.cache in
-    let fl = t.lru_flushed in
-    Metrics.add m_cache_hits (s.Lru.hits - fl.Lru.hits);
-    Metrics.add m_cache_misses (s.Lru.misses - fl.Lru.misses);
-    Metrics.add m_cache_evictions (s.Lru.evictions - fl.Lru.evictions);
-    Metrics.set m_cache_entries (float_of_int s.Lru.entries);
-    t.lru_flushed <- s
-  end
+(* called under the lock, after the entry count may have changed *)
+let set_cache_entries t =
+  Metrics.set m_cache_entries (float_of_int (Lru.length t.cache))
 
 let icm_digest = Icm.digest
 
@@ -217,9 +207,11 @@ let create ?(config = default_config) ~seed icm =
     digest = icm_digest icm;
     config;
     pool = Pool.create ?size:config.domains ();
-    cache = Lru.create config.cache_capacity;
+    cache =
+      Lru.create
+        ~on_evict:(fun () -> Metrics.inc m_cache_evictions)
+        config.cache_capacity;
     seed;
-    lru_flushed = { Lru.hits = 0; misses = 0; evictions = 0; entries = 0 };
     lock = Mutex.create ();
   }
 
@@ -268,8 +260,8 @@ let buffer_push b x =
 
 let buffer_contents b = Array.sub b.data 0 b.len
 
-let run_query ?rid ?phases ?(cancel = Cancel.none) ?(on_deadline = `Fail) t
-    ~icm ~digest q =
+let run_query ?rid ~ph ?(cancel = Cancel.none) ?(on_deadline = `Fail) t ~icm
+    ~digest q =
   let span_args =
     ("key", Trace.Str (Query.key q))
     ::
@@ -283,10 +275,7 @@ let run_query ?rid ?phases ?(cancel = Cancel.none) ?(on_deadline = `Fail) t
     | _ -> None
   in
   let flow_linked = Atomic.make false in
-  Trace.with_span "engine.query" ~args:span_args
-  @@ fun () ->
-  let t0 = if Metrics.recording () then Clock.now_ns () else 0 in
-  let ps0 = match phases with Some _ -> Clock.now_ns () | None -> 0 in
+  let t0 = Clock.now_ns () in
   if Query.max_node q >= Icm.n_nodes icm then
     invalid_arg
       (Printf.sprintf "Engine: query %s references node >= %d" (Query.key q)
@@ -410,22 +399,18 @@ let run_query ?rid ?phases ?(cancel = Cancel.none) ?(on_deadline = `Fail) t
         cancelled := true
     end
   done;
+  ph.sample_ns <-
+    ph.sample_ns
+    + Trace.phase ~hist:m_query_seconds ~args:span_args "engine.sample" ~t0;
+  ph.rounds <- ph.rounds + !rounds;
+  Metrics.add m_rounds !rounds;
   let finish ~partial =
     let s = Option.get !last_summary in
     let chains_used = survivors () in
     if chains_used < c.chains then Metrics.inc m_degraded_queries;
-    if Metrics.recording () then begin
-      Metrics.add m_rounds !rounds;
-      Metrics.add m_samples s.Diagnostics.n_total;
-      Metrics.set m_last_rhat s.Diagnostics.rhat;
-      Metrics.set m_last_mcse s.Diagnostics.mcse;
-      Metrics.observe m_query_seconds (Clock.now_ns () - t0)
-    end;
-    (match phases with
-    | Some p ->
-      p.sample_ns <- p.sample_ns + (Clock.now_ns () - ps0);
-      p.rounds <- p.rounds + !rounds
-    | None -> ());
+    Metrics.add m_samples s.Diagnostics.n_total;
+    Metrics.set m_last_rhat s.Diagnostics.rhat;
+    Metrics.set m_last_mcse s.Diagnostics.mcse;
     {
       estimate = s.Diagnostics.mean;
       rhat = s.Diagnostics.rhat;
@@ -448,12 +433,6 @@ let run_query ?rid ?phases ?(cancel = Cancel.none) ?(on_deadline = `Fail) t
          its real (possibly unconverged) diagnostics, flagged partial *)
       finish ~partial:true
     | _ ->
-      if Metrics.recording () then Metrics.add m_rounds !rounds;
-      (match phases with
-      | Some p ->
-        p.sample_ns <- p.sample_ns + (Clock.now_ns () - ps0);
-        p.rounds <- p.rounds + !rounds
-      | None -> ());
       raise
         (Deadline_exceeded
            {
@@ -484,7 +463,7 @@ let cacheable t r =
    query, the MH sampler (tagged with the fallback reason) otherwise.
    Planning is RNG-free and run_query is untouched, so answers on the
    MH path stay bit-for-bit what they were without a planner. *)
-let compute ?rid ?phases ?cancel ?on_deadline t ~icm ~digest q =
+let compute ?rid ~ph ?cancel ?on_deadline t ~icm ~digest q =
   if Query.max_node q >= Icm.n_nodes icm then
     invalid_arg
       (Printf.sprintf "Engine: query %s references node >= %d" (Query.key q)
@@ -492,24 +471,22 @@ let compute ?rid ?phases ?cancel ?on_deadline t ~icm ~digest q =
   if not t.config.planner then begin
     Planner.record_fallback Planner.Disabled;
     {
-      (run_query ?rid ?phases ?cancel ?on_deadline t ~icm ~digest q) with
+      (run_query ?rid ~ph ?cancel ?on_deadline t ~icm ~digest q) with
       plan = Plan_mh { fallback = Some (Planner.reason_label Planner.Disabled) };
     }
   end
   else begin
-    let tp0 = match phases with Some _ -> Clock.now_ns () | None -> 0 in
+    let t0 = Clock.now_ns () in
     let planned =
       Planner.plan ~budget:t.config.plan_budget icm
         ~targets:(targets_of_query q) ~conditions:(Query.conditions q)
     in
-    (match phases with
-    | Some p -> p.plan_ns <- p.plan_ns + (Clock.now_ns () - tp0)
-    | None -> ());
+    ph.plan_ns <- ph.plan_ns + Trace.phase "engine.plan" ~t0;
     match planned with
     | Error reason ->
       Planner.record_fallback reason;
       {
-        (run_query ?rid ?phases ?cancel ?on_deadline t ~icm ~digest q) with
+        (run_query ?rid ~ph ?cancel ?on_deadline t ~icm ~digest q) with
         plan = Plan_mh { fallback = Some (Planner.reason_label reason) };
       }
     | Ok e ->
@@ -536,7 +513,7 @@ let compute ?rid ?phases ?cancel ?on_deadline t ~icm ~digest q =
       if t.config.plan_validate then begin
         (* Exact_then_validate: also run the full MH path and cross
            check within its own error bar; the answer stays exact *)
-        match run_query ?rid ?phases ?cancel t ~icm ~digest q with
+        match run_query ?rid ~ph ?cancel t ~icm ~digest q with
         | mh ->
           let tol = (5.0 *. mh.mcse) +. 1e-9 in
           let agreed = Float.abs (mh.estimate -. r.estimate) <= tol in
@@ -570,23 +547,26 @@ let swap t icm =
       let evicted =
         if t.digest = retired then 0 else invalidate_locked t ~digest:retired
       in
-      sync_cache_metrics t;
+      set_cache_entries t;
       evicted)
 
-let query ?rid ?phases ?cancel ?on_deadline t q =
+let query ?rid ?phases:caller ?cancel ?on_deadline t q =
   Metrics.inc m_queries;
   let icm, digest = capture t in
   let key = cache_key t ~digest q in
-  let r =
-    match locked t (fun () -> Lru.find t.cache key) with
-    | Some r -> { r with cached = true }
-    | None ->
-      let r = compute ?rid ?phases ?cancel ?on_deadline t ~icm ~digest q in
-      if cacheable t r then locked t (fun () -> Lru.add t.cache key r);
-      r
-  in
-  locked t (fun () -> sync_cache_metrics t);
-  r
+  match locked t (fun () -> Lru.find t.cache key) with
+  | Some r ->
+    Metrics.inc m_cache_hits;
+    { r with cached = true }
+  | None ->
+    Metrics.inc m_cache_misses;
+    let ph = match caller with Some p -> p | None -> phases () in
+    let r = compute ?rid ~ph ?cancel ?on_deadline t ~icm ~digest q in
+    if cacheable t r then
+      locked t (fun () ->
+          Lru.add t.cache key r;
+          set_cache_entries t);
+    r
 
 let query_all ?rids t qs =
   let rid i =
@@ -610,7 +590,7 @@ let query_all ?rids t qs =
         match Hashtbl.find_opt results key with
         | Some r -> { r with cached = true }
         | None ->
-          let r = compute ?rid:(rid i) t ~icm ~digest q in
+          let r = compute ?rid:(rid i) ~ph:(phases ()) t ~icm ~digest q in
           if cacheable t r then Hashtbl.replace results key r;
           r)
       qs

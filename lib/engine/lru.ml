@@ -13,11 +13,12 @@ type ('k, 'v) t = {
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
+  on_evict : unit -> unit;
 }
 
 type stats = { hits : int; misses : int; evictions : int; entries : int }
 
-let create capacity =
+let create ?(on_evict = ignore) capacity =
   if capacity < 0 then invalid_arg "Lru.create: negative capacity";
   {
     capacity;
@@ -27,6 +28,7 @@ let create capacity =
     hits = 0;
     misses = 0;
     evictions = 0;
+    on_evict;
   }
 
 let capacity t = t.capacity
@@ -68,7 +70,8 @@ let evict_last t =
   | Some node ->
     unlink t node;
     Hashtbl.remove t.table node.key;
-    t.evictions <- t.evictions + 1
+    t.evictions <- t.evictions + 1;
+    t.on_evict ()
 
 let add t key value =
   if t.capacity > 0 then begin
@@ -94,7 +97,8 @@ let evict_where t pred =
     (fun node ->
       unlink t node;
       Hashtbl.remove t.table node.key;
-      t.evictions <- t.evictions + 1)
+      t.evictions <- t.evictions + 1;
+      t.on_evict ())
     doomed;
   List.length doomed
 

@@ -13,8 +13,11 @@ type ('k, 'v) t
 
 type stats = { hits : int; misses : int; evictions : int; entries : int }
 
-val create : int -> ('k, 'v) t
-(** [create capacity]. Raises [Invalid_argument] when negative. *)
+val create : ?on_evict:(unit -> unit) -> int -> ('k, 'v) t
+(** [create capacity]. Raises [Invalid_argument] when negative.
+    [on_evict] (default [ignore]) runs once per eviction, where the
+    eviction counter moves — the engine counts its registry metric
+    there. *)
 
 val capacity : ('k, 'v) t -> int
 val length : ('k, 'v) t -> int

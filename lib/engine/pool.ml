@@ -36,17 +36,12 @@ let run_results t f tasks =
   if n = 0 then [||]
   else begin
     let workers = min t.size n in
-    (* sampled once so every block of this run agrees on whether to read
-       the clock; busy time lands in the recording domain's own shard *)
-    let rec_on = Metrics.recording () in
-    if rec_on then begin
-      Metrics.set m_domains (float_of_int workers);
-      Metrics.set m_inflight (float_of_int n);
-      Metrics.add m_tasks n
-    end;
+    Metrics.set m_domains (float_of_int workers);
+    Metrics.set m_inflight (float_of_int n);
+    Metrics.add m_tasks n;
     let results = Array.make n None in
     if workers = 1 then begin
-      let t0 = if rec_on then Clock.now_ns () else 0 in
+      let t0 = Clock.now_ns () in
       Array.iteri
         (fun i task ->
           results.(i) <-
@@ -54,13 +49,14 @@ let run_results t f tasks =
             | v -> Some (Ok v)
             | exception e -> Some (Error e)))
         tasks;
-      if rec_on then Metrics.add m_busy_ns (Clock.now_ns () - t0)
+      Metrics.add m_busy_ns (Clock.now_ns () - t0)
     end
     else begin
       (* worker w owns indices with i mod workers = w: assignment is a
-         pure function of the index, never of timing *)
+         pure function of the index, never of timing; its busy time
+         lands in its own domain's shard *)
       let run_block w () =
-        let t0 = if rec_on then Clock.now_ns () else 0 in
+        let t0 = Clock.now_ns () in
         let i = ref w in
         while !i < n do
           (results.(!i) <-
@@ -69,7 +65,7 @@ let run_results t f tasks =
             | exception e -> Some (Error e)));
           i := !i + workers
         done;
-        if rec_on then Metrics.add m_busy_ns (Clock.now_ns () - t0)
+        Metrics.add m_busy_ns (Clock.now_ns () - t0)
       in
       let domains =
         Array.init (workers - 1) (fun w -> Domain.spawn (run_block (w + 1)))
@@ -77,7 +73,7 @@ let run_results t f tasks =
       run_block 0 ();
       Array.iter Domain.join domains
     end;
-    if rec_on then Metrics.set m_inflight 0.0;
+    Metrics.set m_inflight 0.0;
     Array.map (function Some r -> r | None -> assert false) results
   end
 

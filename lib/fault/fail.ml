@@ -17,9 +17,8 @@ type trigger = {
   mutable hits : int;
 }
 
-(* Fast path: one atomic load and a branch — the same discipline as
-   Metrics.recording, so points can be planted at per-line / per-round
-   frequency and cost nothing while disarmed. Everything behind the
+(* Fast path: one atomic load and a branch, so points can be planted at
+   per-line / per-round frequency and cost nothing while disarmed. Everything behind the
    flag is guarded by [lock]; points are evaluated from pool domains. *)
 let armed = Atomic.make false
 let lock = Mutex.create ()

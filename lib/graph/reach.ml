@@ -253,6 +253,12 @@ module Cache = struct
       undone = t.n_undone;
     }
 
+  let count t = function
+    | `Unchanged -> t.n_unchanged
+    | `Grew -> t.n_grew
+    | `Rebuilt -> t.n_rebuilt
+    | `Undone -> t.n_undone
+
   let source t = t.source
   let reaches t v = t.cur.stamp.(v) = t.cur.epoch
 

@@ -130,4 +130,8 @@ module Cache : sig
       creation. *)
 
   val stats : t -> stats
+
+  val count : t -> [ `Unchanged | `Grew | `Rebuilt | `Undone ] -> int
+  (** One field of {!stats}, read without allocating: the sampler's
+      metrics flush reads these once per advance. *)
 end

@@ -5,9 +5,8 @@ module Reach = Iflow_graph.Reach
 module Rng = Iflow_stats.Rng
 module Metrics = Iflow_obs.Metrics
 
-(* Registered once; recording into them is a no-op until the obs layer
-   is switched on. The hot loop never touches these — [advance] flushes
-   deltas from the chain's plain fields once per call. *)
+(* The hot loop never touches these — [advance] flushes deltas from the
+   chain's plain fields once per call. *)
 let m_steps = Metrics.counter ~help:"MH proposals attempted" "iflow_mcmc_steps_total"
 let m_accepts = Metrics.counter ~help:"MH proposals accepted" "iflow_mcmc_accepts_total"
 
@@ -49,7 +48,7 @@ type t = {
      registry, so [advance] adds exact deltas *)
   mutable fl_steps : int;
   mutable fl_accepted : int;
-  mutable fl_cache : Reach.Cache.stats;
+  fl_reach : int array; (* indexed like [reach_metrics] *)
 }
 
 (* Weight of proposing a flip of edge e: probability of the activity the
@@ -114,7 +113,7 @@ let create ?(conditions = Conditions.empty) ?init rng icm =
     undos = Array.make (Array.length caches) Reach.Cache.Unchanged;
     fl_steps = 0;
     fl_accepted = 0;
-    fl_cache = { Reach.Cache.unchanged = 0; grew = 0; rebuilt = 0; undone = 0 };
+    fl_reach = Array.make 4 0;
   }
 
 let icm t = t.icm
@@ -190,26 +189,33 @@ let cache_stats t =
     { Reach.Cache.unchanged = 0; grew = 0; rebuilt = 0; undone = 0 }
     t.caches
 
+let reach_metrics =
+  [|
+    (`Unchanged, m_reach_unchanged);
+    (`Grew, m_reach_grown);
+    (`Rebuilt, m_reach_rebuilt);
+    (`Undone, m_reach_undone);
+  |]
+
 (* Push everything accumulated since the last flush into the registry.
-   Runs once per [advance] call (i.e. per thinning interval), so the
-   per-step cost of observability is a handful of plain int updates
-   that happen with recording on or off — estimates cannot depend on
-   the recording switch. *)
+   Runs once per [advance] call (i.e. per thinning interval) and
+   allocates nothing, so the per-step cost of observability is a
+   handful of plain int updates. *)
 let flush_metrics t =
-  if Metrics.recording () then begin
-    Metrics.add m_steps (t.steps - t.fl_steps);
-    t.fl_steps <- t.steps;
-    Metrics.add m_accepts (t.accepted - t.fl_accepted);
-    t.fl_accepted <- t.accepted;
-    let s = cache_stats t in
-    let fl = t.fl_cache in
-    Metrics.add m_reach_unchanged (s.unchanged - fl.unchanged);
-    Metrics.add m_reach_grown (s.grew - fl.grew);
-    Metrics.add m_reach_rebuilt (s.rebuilt - fl.rebuilt);
-    Metrics.add m_reach_undone (s.undone - fl.undone);
-    t.fl_cache <- s;
-    Metrics.set m_accept_rate (acceptance_rate t)
-  end
+  Metrics.add m_steps (t.steps - t.fl_steps);
+  t.fl_steps <- t.steps;
+  Metrics.add m_accepts (t.accepted - t.fl_accepted);
+  t.fl_accepted <- t.accepted;
+  for k = 0 to Array.length reach_metrics - 1 do
+    let rule, m = reach_metrics.(k) in
+    let n = ref 0 in
+    for i = 0 to Array.length t.caches - 1 do
+      n := !n + Reach.Cache.count t.caches.(i) rule
+    done;
+    Metrics.add m (!n - t.fl_reach.(k));
+    t.fl_reach.(k) <- !n
+  done;
+  Metrics.set_ratio m_accept_rate t.accepted t.steps
 
 let advance rng t k =
   for _ = 1 to k do

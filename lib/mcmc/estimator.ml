@@ -37,16 +37,18 @@ let stream ?(cancel = Cancel.none) ?conditions rng icm ~burn_in ~thin =
   if burn_in < 0 || thin < 1 then invalid_arg "Estimator.stream: bad config";
   if Cancel.cancelled cancel then raise Cancelled;
   let chain = Chain.create ?conditions rng icm in
-  Iflow_obs.Trace.with_span "mcmc.burnin"
-    ~args:[ ("steps", Iflow_obs.Trace.Int burn_in) ]
-    (fun () ->
-      let remaining = ref burn_in in
-      while !remaining > 0 do
-        let k = min burnin_chunk !remaining in
-        Chain.advance rng chain k;
-        remaining := !remaining - k;
-        if !remaining > 0 && Cancel.cancelled cancel then raise Cancelled
-      done);
+  let t0 = Iflow_obs.Clock.now_ns () in
+  let remaining = ref burn_in in
+  while !remaining > 0 do
+    let k = min burnin_chunk !remaining in
+    Chain.advance rng chain k;
+    remaining := !remaining - k;
+    if !remaining > 0 && Cancel.cancelled cancel then raise Cancelled
+  done;
+  ignore
+    (Iflow_obs.Trace.phase "mcmc.burnin"
+       ~args:[ ("steps", Iflow_obs.Trace.Int burn_in) ]
+       ~t0);
   { chain; stream_rng = rng; stream_thin = thin; stream_cancel = cancel }
 
 let stream_next st ~f =

@@ -181,25 +181,11 @@ let newest_first () =
 let recent n = List.filteri (fun i _ -> i < n) (newest_first ())
 let find id = List.find_opt (fun c -> c.id = id) (newest_first ())
 
-let escape buf s =
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | ch when Char.code ch < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char buf ch)
-    s
-
 let add_str buf k v =
   Buffer.add_char buf '"';
   Buffer.add_string buf k;
   Buffer.add_string buf "\":\"";
-  escape buf v;
+  Json.escape buf v;
   Buffer.add_string buf "\","
 
 let add_int buf k v =

@@ -8,15 +8,14 @@ let shard_mask = n_shards - 1
    last bucket is open-ended. 48 buckets cover 1 ns .. ~3.2 days. *)
 let n_buckets = 48
 
-let recording_flag = Atomic.make false
-let set_recording b = Atomic.set recording_flag b
-let recording () = Atomic.get recording_flag
-
 let shard () = (Domain.self () :> int) land shard_mask
 
 type counter = int Atomic.t array
 
-type gauge = float Atomic.t
+(* An all-float record is stored flat, so [set] writes the double in
+   place without boxing it: a gauge set once per MH advance allocates
+   nothing. A racing reader sees one of the values written. *)
+type gauge = { mutable reading : float }
 
 type histogram = {
   h_buckets : int Atomic.t array array; (* shard -> per-bucket counts *)
@@ -120,8 +119,7 @@ let counter ?(registry = default) ?(labels = []) ?(help = "") name =
   | _ -> assert false
 
 let add c n =
-  if n > 0 && Atomic.get recording_flag then
-    ignore (Atomic.fetch_and_add c.(shard ()) n)
+  if n > 0 then ignore (Atomic.fetch_and_add c.(shard ()) n)
 
 let inc c = add c 1
 
@@ -132,14 +130,18 @@ let counter_value c = Array.fold_left (fun acc a -> acc + Atomic.get a) 0 c
 let gauge ?(registry = default) ?(labels = []) ?(help = "") name =
   match
     register registry ~name ~labels ~help
-      (fun () -> Gauge_data (Atomic.make 0.0))
+      (fun () -> Gauge_data { reading = 0.0 })
       "gauge"
   with
   | Gauge_data g -> g
   | _ -> assert false
 
-let set g v = if Atomic.get recording_flag then Atomic.set g v
-let gauge_value g = Atomic.get g
+let set g v = g.reading <- v
+
+let set_ratio g num den =
+  g.reading <- (if den = 0 then 0.0 else float_of_int num /. float_of_int den)
+
+let gauge_value g = g.reading
 
 (* ----- histograms ----- *)
 
@@ -178,12 +180,10 @@ let bucket_upper i =
   if i >= n_buckets - 1 then infinity else Float.of_int (1 lsl (i + 1))
 
 let observe h v =
-  if Atomic.get recording_flag then begin
-    let v = max 0 v in
-    let s = shard () in
-    ignore (Atomic.fetch_and_add h.h_buckets.(s).(bucket_index v) 1);
-    ignore (Atomic.fetch_and_add h.h_sums.(s) v)
-  end
+  let v = max 0 v in
+  let s = shard () in
+  ignore (Atomic.fetch_and_add h.h_buckets.(s).(bucket_index v) 1);
+  ignore (Atomic.fetch_and_add h.h_sums.(s) v)
 
 let merged_buckets h =
   let out = Array.make n_buckets 0 in
@@ -277,20 +277,6 @@ let snapshot registry =
 
 (* ----- JSON snapshot ----- *)
 
-let json_escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
 let json_float f =
   if Float.is_nan f then "null"
   else if f = infinity then "1e999"
@@ -303,11 +289,10 @@ let to_json_string registry =
   let buf = Buffer.create 4096 in
   let str s =
     Buffer.add_char buf '"';
-    json_escape buf s;
+    Json.escape buf s;
     Buffer.add_char buf '"'
   in
-  Buffer.add_string buf
-    (Printf.sprintf "{\n  \"recording\": %b,\n  \"metrics\": [" (recording ()));
+  Buffer.add_string buf "{\n  \"metrics\": [";
   List.iteri
     (fun i s ->
       Buffer.add_string buf (if i = 0 then "\n    {" else ",\n    {");

@@ -9,14 +9,15 @@
     wins single cells — they carry instantaneous readings (R-hat at
     stop, flagged-edge count), not accumulations.
 
-    {b Recording switch.} The registry is a no-op until
-    {!set_recording}[ true]: every record operation first reads one
-    atomic flag and returns. Metric handles can therefore be created
-    unconditionally at module-initialisation time and sprinkled through
-    hot paths; the disabled cost is a load and a branch. Instrumented
-    code must never branch on the flag to change {e what} it computes —
-    estimates stay bit-for-bit identical with recording on or off
-    (regression-tested in [test_obs]).
+    {b Always on.} Every record operation records: there is no switch,
+    so [/metrics], [/healthz] and [--metrics-out] all read the same
+    counters whatever flags the process started with. Metric handles
+    are created at module-initialisation time and sprinkled through hot
+    paths; a counter bump is one atomic add on the caller's shard, a
+    gauge write one unboxed store. Instrumented code never changes
+    {e what} it computes — estimates are bit-for-bit identical with a
+    trace sink and the flight recorder on or off (regression-tested in
+    [test_obs]).
 
     {b Histograms} take non-negative integer observations (by
     convention nanoseconds for timings) into fixed power-of-two buckets
@@ -34,11 +35,6 @@ val default : registry
 val create_registry : unit -> registry
 (** A private registry (tests, embedding). *)
 
-val set_recording : bool -> unit
-(** Globally enable or disable recording (default: disabled). *)
-
-val recording : unit -> bool
-
 (** {1 Counters} — monotonically increasing integers. *)
 
 type counter
@@ -53,7 +49,7 @@ val counter :
 
 val inc : counter -> unit
 val add : counter -> int -> unit
-(** No-ops while recording is off; [add] ignores negative amounts. *)
+(** [add] ignores negative amounts. *)
 
 val counter_value : counter -> int
 (** Sum over shards. *)
@@ -67,7 +63,11 @@ val gauge :
   string -> gauge
 
 val set : gauge -> float -> unit
-(** No-op while recording is off. *)
+
+val set_ratio : gauge -> int -> int -> unit
+(** [set_ratio g num den] sets [g] to [num / den] (0 when [den = 0]).
+    Its arguments are ints, so the call allocates nothing: the MH
+    chain sets its acceptance rate this way once per advance. *)
 
 val gauge_value : gauge -> float
 
@@ -83,8 +83,7 @@ val histogram :
     Prometheus exposition speaks seconds. *)
 
 val observe : histogram -> int -> unit
-(** Record one observation (clamped to 0 from below). No-op while
-    recording is off. *)
+(** Record one observation (clamped to 0 from below). *)
 
 val histogram_count : histogram -> int
 val histogram_sum : histogram -> int
@@ -122,6 +121,6 @@ val snapshot : registry -> sample list
 
 val to_json_string : registry -> string
 (** The snapshot as a JSON document:
-    [{"recording": bool, "metrics": [{name, labels, type, ...}]}], with
+    [{"metrics": [{name, labels, type, ...}]}], with
     histogram buckets as per-bucket (non-cumulative) counts over raw
     upper edges. *)

@@ -37,23 +37,9 @@ let to_file path =
 
 let enabled () = !sink <> None
 
-let escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
 let add_arg buf (k, v) =
   Buffer.add_char buf '"';
-  escape buf k;
+  Json.escape buf k;
   Buffer.add_string buf "\": ";
   match v with
   | Int i -> Buffer.add_string buf (string_of_int i)
@@ -62,7 +48,7 @@ let add_arg buf (k, v) =
     else Buffer.add_string buf "null"
   | Str s ->
     Buffer.add_char buf '"';
-    escape buf s;
+    Json.escape buf s;
     Buffer.add_char buf '"'
 
 (* ts/dur in microseconds with nanosecond decimals, the unit the trace
@@ -73,7 +59,7 @@ let emit ~name ~ph ?flow ?(args = []) ~ts_ns ?dur_ns () =
   let tid = (Domain.self () :> int) in
   let buf = Buffer.create 160 in
   Buffer.add_string buf "{\"name\": \"";
-  escape buf name;
+  Json.escape buf name;
   Buffer.add_string buf (Printf.sprintf "\", \"ph\": \"%s\"" ph);
   Buffer.add_string buf (Printf.sprintf ", \"ts\": %s" (us ts_ns));
   (match dur_ns with
@@ -107,21 +93,14 @@ let emit ~name ~ph ?flow ?(args = []) ~ts_ns ?dur_ns () =
         s.first <- false;
         output_string s.oc (Buffer.contents buf))
 
-let complete ?args name ~ts_ns ~dur_ns =
-  if enabled () then emit ~name ~ph:"X" ?args ~ts_ns ~dur_ns ()
-
 let instant name ?args () =
   if enabled () then emit ~name ~ph:"i" ?args ~ts_ns:(Clock.now_ns ()) ()
 
-let with_span name ?args f =
-  if not (enabled ()) then f ()
-  else begin
-    let t0 = Clock.now_ns () in
-    Fun.protect
-      ~finally:(fun () ->
-        emit ~name ~ph:"X" ?args ~ts_ns:t0 ~dur_ns:(Clock.now_ns () - t0) ())
-      f
-  end
+let phase ?hist ?args name ~t0 =
+  let dur_ns = Clock.now_ns () - t0 in
+  (match hist with Some h -> Metrics.observe h dur_ns | None -> ());
+  if enabled () then emit ~name ~ph:"X" ?args ~ts_ns:t0 ~dur_ns ();
+  dur_ns
 
 (* flow ids hash the request id into the numeric id field trace viewers
    key arrows on; collisions only cross two arrows in the UI *)

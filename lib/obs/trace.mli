@@ -8,10 +8,9 @@
     [{name, ph, ts, dur, pid, tid, args}] with [ts]/[dur] in
     microseconds from {!Clock}, [tid] the recording domain's id.
 
-    Tracing is independent of {!Metrics} recording: a span with no sink
-    installed costs one load and a branch, and never touches the
-    clock. Writers from multiple domains serialise on one mutex — spans
-    are per-query / per-publish constructs, not per-MH-step ones. *)
+    With no sink installed, the trace side of an event costs one load
+    and a branch. Writers from multiple domains serialise on one mutex — spans are per-query /
+    per-publish constructs, not per-MH-step ones. *)
 
 type arg = Int of int | Float of float | Str of string
 
@@ -28,17 +27,20 @@ val close : unit -> unit
 
 val enabled : unit -> bool
 
-val with_span : string -> ?args:(string * arg) list -> (unit -> 'a) -> 'a
-(** [with_span name f] runs [f] and emits one complete ("ph":"X") event
-    covering it, exceptional exits included. When no sink is installed
-    this is just [f ()]. *)
+val phase :
+  ?hist:Metrics.histogram -> ?args:(string * arg) list -> string -> t0:int ->
+  int
+(** [phase name ~t0] closes a phase that opened at the clock reading
+    [t0] (a {!Clock.now_ns}). It reads the clock once more and feeds
+    that one pair to every sink: it observes the duration into [hist],
+    emits a complete ("ph":"X") event [name] covering the phase when a
+    sink is installed, and returns the duration in nanoseconds for the
+    caller's own record (an [Engine.phases] cell, a flight-record
+    field). This is the only way the repo times a phase, so the
+    histogram, the record and the trace never disagree. *)
 
 val instant : string -> ?args:(string * arg) list -> unit -> unit
 (** Emit an instant ("ph":"i") event, e.g. a drift alert. *)
-
-val complete : ?args:(string * arg) list -> string -> ts_ns:int ->
-  dur_ns:int -> unit
-(** Emit a complete event from an externally measured interval. *)
 
 val flow_id : string -> int
 (** Hash a request id into the numeric flow id viewers key arrows on. *)

@@ -269,17 +269,7 @@ type t = {
   conns_empty : Condition.t;
   mutable next_conn : int;
   t_start : int;
-  (* stats *)
-  s_connections : int Atomic.t;
-  s_active : int Atomic.t;
-  s_requests : int Atomic.t;
-  s_answered : int Atomic.t;
-  s_shed_capacity : int Atomic.t;
-  s_shed_quota : int Atomic.t;
-  s_shed_deadline : int Atomic.t;
-  s_bad : int Atomic.t;
-  s_engine_errors : int Atomic.t;
-  s_evidence : int Atomic.t;
+  s_active : int Atomic.t; (* open connections, read by admission control *)
   next_rid : int Atomic.t;
 }
 
@@ -340,16 +330,7 @@ let create ?(config = default_config) ?gate ?(initial_version = 0) ~engine () =
     conns_empty = Condition.create ();
     next_conn = 0;
     t_start = Clock.now_ns ();
-    s_connections = Atomic.make 0;
     s_active = Atomic.make 0;
-    s_requests = Atomic.make 0;
-    s_answered = Atomic.make 0;
-    s_shed_capacity = Atomic.make 0;
-    s_shed_quota = Atomic.make 0;
-    s_shed_deadline = Atomic.make 0;
-    s_bad = Atomic.make 0;
-    s_engine_errors = Atomic.make 0;
-    s_evidence = Atomic.make 0;
     next_rid = Atomic.make 1;
   }
 
@@ -416,10 +397,7 @@ let ingest_line t line =
     | () -> true
     | exception Ingest_full -> false
   in
-  if ok then begin
-    Atomic.incr t.s_evidence;
-    Metrics.inc m_evidence
-  end;
+  if ok then Metrics.inc m_evidence;
   ok
 
 let ingest_source t () = Bqueue.pop t.ingest
@@ -447,7 +425,6 @@ let cancelled_code reason =
    (carrying its queue-wait and engine phase timings); [None] for
    refusals at admission, which never waited anywhere. *)
 let process_query t ~tenant ~rid ~deadline_budget_ns q =
-  Atomic.incr t.s_requests;
   Metrics.inc m_requests;
   let t0 = Clock.now_ns () in
   let has_deadline = deadline_budget_ns > 0 in
@@ -458,7 +435,6 @@ let process_query t ~tenant ~rid ~deadline_budget_ns q =
   in
   match quota_verdict with
   | Quota.Denied { retry_after_ns } ->
-    Atomic.incr t.s_shed_quota;
     Metrics.inc m_shed_quota;
     ( refuse
         ~retry_after_ms:(max 1 (ns_to_ms_ceil retry_after_ns))
@@ -477,7 +453,6 @@ let process_query t ~tenant ~rid ~deadline_budget_ns q =
       && hint.Flight.h_count >= unmeetable_min_samples
       && floor_ns > deadline_budget_ns
     then begin
-      Atomic.incr t.s_shed_deadline;
       Metrics.inc m_shed_deadline;
       ( refuse Wire.Deadline_unmeetable
           (Printf.sprintf
@@ -516,7 +491,6 @@ let process_query t ~tenant ~rid ~deadline_budget_ns q =
       else if Bqueue.is_closed t.queue then
         (refuse Wire.Shutting_down "server is shutting down", None)
       else begin
-        Atomic.incr t.s_shed_capacity;
         Metrics.inc m_shed_capacity;
         ( refuse Wire.Over_capacity
             (Printf.sprintf "request queue full (%d waiting)"
@@ -536,9 +510,9 @@ let worker_loop t =
          [stop] lands during its execution *)
       let draining = Bqueue.is_closed t.queue in
       (match t.gate with Some g -> g () | None -> ());
-      let t_deq = Clock.now_ns () in
-      w.queue_wait_ns <- t_deq - w.enqueue_ns;
-      Metrics.observe m_queue_wait_seconds w.queue_wait_ns;
+      w.queue_wait_ns <-
+        Trace.phase ~hist:m_queue_wait_seconds "serve.queue_wait"
+          ~t0:w.enqueue_ns;
       Metrics.set m_queue_depth (float_of_int (Bqueue.length t.queue));
       let status =
         (* popped during the shutdown drain: [stop] closed the queue
@@ -564,7 +538,6 @@ let worker_loop t =
               ~on_deadline:`Partial t.engine w.wq
           with
           | r ->
-            Atomic.incr t.s_answered;
             Metrics.inc m_answers;
             (* exact-planned answers have no chains to lose *)
             let degraded =
@@ -581,22 +554,14 @@ let worker_loop t =
                  reason rounds
                  (if rounds = 1 then "" else "s"))
           | exception Engine.Chains_failed _ ->
-            Atomic.incr t.s_engine_errors;
             Metrics.inc m_engine_errors;
             refuse Wire.Chains_failed
               (Printf.sprintf "query %s: too many chains failed"
                  (Query.key w.wq))
           | exception (Invalid_argument msg | Failure msg) ->
-            Atomic.incr t.s_bad;
             Metrics.inc m_bad;
             refuse Wire.Bad_query msg)
       in
-      if Metrics.recording () then begin
-        let h = phase_handles w.tenant in
-        Metrics.observe h.ph_queue_wait w.queue_wait_ns;
-        Metrics.observe h.ph_plan w.ph.Engine.plan_ns;
-        Metrics.observe h.ph_sample w.ph.Engine.sample_ns
-      end;
       ivar_fill w.iv reply;
       go ()
   in
@@ -625,11 +590,19 @@ let deadline_settlement = function
    on the connection thread after serialisation (the last phase it
    measures), submitted to the ring, and reused verbatim for the
    slow-query log line, so the log and /debug/requests can never
-   disagree about a request. *)
+   disagree about a request. The per-tenant phase histograms are
+   observed here too, from the same numbers. *)
 let finish_request t ~rid ~tenant ~kind ~reply ~work ~deadline_budget_ns
     ~serialize_ns ~total_ns =
-  if Metrics.recording () then
-    Metrics.observe (phase_handles tenant).ph_serialize serialize_ns;
+  let h = phase_handles tenant in
+  (* admission refusals never queued, planned or sampled *)
+  (match work with
+  | Some w ->
+    Metrics.observe h.ph_queue_wait w.queue_wait_ns;
+    Metrics.observe h.ph_plan w.ph.Engine.plan_ns;
+    Metrics.observe h.ph_sample w.ph.Engine.sample_ns
+  | None -> ());
+  Metrics.observe h.ph_serialize serialize_ns;
   if Trace.enabled () then
     Trace.flow_finish "request" ~id:(Trace.flow_id rid);
   let outcome, cut_short = deadline_settlement reply in
@@ -748,7 +721,6 @@ let handle_query_line t ~tenant_default ?rid ?deadline_default ~lineno line =
     let kind, reply, work, deadline_budget_ns =
       match request with
       | Error msg ->
-        Atomic.incr t.s_bad;
         Metrics.inc m_bad;
         ("", refuse Wire.Bad_request (Printf.sprintf "line %d: %s" lineno msg),
          None, 0)
@@ -776,9 +748,9 @@ let handle_query_line t ~tenant_default ?rid ?deadline_default ~lineno line =
     in
     let t_ser = Clock.now_ns () in
     let resp = reply_line ?id ~rid reply in
-    let t_done = Clock.now_ns () in
+    let serialize_ns = Trace.phase "serve.serialize" ~t0:t_ser in
     finish_request t ~rid ~tenant ~kind ~reply ~work ~deadline_budget_ns
-      ~serialize_ns:(t_done - t_ser) ~total_ns:(t_done - t_admit);
+      ~serialize_ns ~total_ns:(t_ser + serialize_ns - t_admit);
     Some resp
   end
 
@@ -798,17 +770,18 @@ type stats = {
 }
 
 let stats t =
+  let v = Metrics.counter_value in
   {
-    connections = Atomic.get t.s_connections;
+    connections = v m_connections;
     active = Atomic.get t.s_active;
-    requests = Atomic.get t.s_requests;
-    answered = Atomic.get t.s_answered;
-    shed_capacity = Atomic.get t.s_shed_capacity;
-    shed_quota = Atomic.get t.s_shed_quota;
-    shed_deadline = Atomic.get t.s_shed_deadline;
-    bad_requests = Atomic.get t.s_bad;
-    engine_errors = Atomic.get t.s_engine_errors;
-    evidence_lines = Atomic.get t.s_evidence;
+    requests = v m_requests;
+    answered = v m_answers;
+    shed_capacity = v m_shed_capacity;
+    shed_quota = v m_shed_quota;
+    shed_deadline = v m_shed_deadline;
+    bad_requests = v m_bad;
+    engine_errors = v m_engine_errors;
+    evidence_lines = v m_evidence;
   }
 
 and queue_depth t = Bqueue.length t.queue
@@ -938,7 +911,6 @@ let handle_http t fd r first_line =
       in
       match deadline_hdr with
       | Error s ->
-        Atomic.incr t.s_bad;
         Metrics.inc m_bad;
         send ~status:400
           (Wire.error_line Wire.Bad_request
@@ -955,7 +927,9 @@ let handle_http t fd r first_line =
           | Some r when r <> "" -> Some r
           | _ -> None
         in
-        let single = List.length lines = 1 in
+        let single =
+          List.length (List.filter (fun l -> String.trim l <> "") lines) = 1
+        in
         let rid_for i =
           Option.map
             (fun base ->
@@ -1037,7 +1011,6 @@ let accept_loop t listen_fd =
   let rec go () =
     match Unix.accept listen_fd with
     | fd, _addr ->
-      Atomic.incr t.s_connections;
       Metrics.inc m_connections;
       if Atomic.get t.s_active >= t.config.max_connections then begin
         Metrics.inc m_shed_connections;

@@ -195,7 +195,7 @@ val degraded : t -> bool
 (** {1 Introspection} *)
 
 type stats = {
-  connections : int;     (** accepted since start *)
+  connections : int;     (** accepted *)
   active : int;          (** open right now *)
   requests : int;        (** decoded query requests *)
   answered : int;        (** answered with an estimate *)
@@ -208,6 +208,11 @@ type stats = {
 }
 
 val stats : t -> stats
+(** Every count but [active] is read from the process-wide
+    {!Iflow_obs.Metrics.default} registry — the very counters
+    [GET /metrics] exposes — so it covers every server in the process
+    since it started (the CLI runs one). [active] is this server's. *)
+
 val queue_depth : t -> int
 val health_json : t -> string
 (** The [GET /healthz] body (also handy for tests). *)

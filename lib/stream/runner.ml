@@ -173,7 +173,7 @@ let ingest ?engine ~skip ~on_error ?on_degraded ?on_alert ?on_publish
       with
       | evicted ->
         evictions := !evictions + evicted;
-        Metrics.observe m_swap_seconds (Clock.now_ns () - t0)
+        ignore (Trace.phase ~hist:m_swap_seconds "stream.swap" ~t0)
       | exception ex ->
         (* the engine keeps answering from the last version it
            successfully swapped onto; the next publish retries *)
@@ -227,8 +227,6 @@ let ingest ?engine ~skip ~on_error ?on_degraded ?on_alert ?on_publish
       degraded "checkpoint" ex
   in
   let publish () =
-    Trace.with_span "stream.publish" ~args:[ ("offset", Trace.Int !lines) ]
-    @@ fun () ->
     let t0 = Clock.now_ns () in
     let v = Snapshot.publish snapshot (Online.model online) ~offset:!lines in
     swap ();
@@ -239,8 +237,12 @@ let ingest ?engine ~skip ~on_error ?on_degraded ?on_alert ?on_publish
     pending := 0;
     Metrics.inc m_published;
     Metrics.set m_offset (float_of_int !lines);
-    let t1 = Clock.now_ns () in
-    Metrics.observe m_publish_seconds (t1 - t0);
+    let t1 =
+      t0
+      + Trace.phase ~hist:m_publish_seconds
+          ~args:[ ("offset", Trace.Int !lines) ]
+          "stream.publish" ~t0
+    in
     Metrics.observe m_batch_seconds (t1 - !t_last_publish);
     t_last_publish := t1;
     (match on_publish with Some f -> f v | None -> ());

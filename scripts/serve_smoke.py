@@ -358,7 +358,8 @@ def main():
     if "iflow_serve_phase_seconds" not in exposition:
         fail("iflow_serve_phase_seconds missing from /metrics")
     # the exact-planned answer above must have moved the planner counter
-    # (the CI job runs the server with metrics recording on)
+    # (the registry always records; the CI job starts the server with no
+    # metrics flag)
     hits = [
         line.split()[-1]
         for line in exposition.splitlines()

@@ -5,11 +5,11 @@
      array under the documented power-of-two bucket rule;
    - domain-local counter shards merge to exact totals under real
      [Domain.spawn] parallelism;
-   - turning metrics recording on does not perturb the sampler or the
-     engine: estimates are bit-for-bit identical on and off;
+   - installing a trace sink does not perturb the sampler or the
+     engine: estimates are bit-for-bit identical with and without it;
    - the Prometheus exposition passes its own format checker (and the
      checker rejects the malformed documents it exists to catch);
-   - trace spans round-trip through the JSONL sink as well-formed
+   - trace phases round-trip through the JSONL sink as well-formed
      Chrome trace_event records. *)
 
 module Rng = Iflow_stats.Rng
@@ -42,12 +42,19 @@ let contains haystack needle =
   in
   nn = 0 || go 0
 
-(* Recording is a process-global switch; every test that flips it must
-   restore it, or it would leak into the bit-for-bit tests. *)
-let with_recording on f =
-  let prev = Metrics.recording () in
-  Metrics.set_recording on;
-  Fun.protect ~finally:(fun () -> Metrics.set_recording prev) f
+(* [f ()] with a trace sink installed in a scratch file ([on]) or with
+   none; the sink is process-global, so it is always closed again. *)
+let with_trace on f =
+  if not on then f ()
+  else begin
+    let path = Filename.temp_file "iflow_obs_trace" ".json" in
+    Trace.to_file path;
+    Fun.protect
+      ~finally:(fun () ->
+        Trace.close ();
+        Sys.remove path)
+      f
+  end
 
 (* ---------- histogram vs brute force ---------- *)
 
@@ -84,7 +91,7 @@ let histogram_quantile_matches_brute_force =
       let q = float_of_int qpct /. 100.0 in
       let reg = Metrics.create_registry () in
       let h = Metrics.histogram ~registry:reg "test_hist_ns" in
-      with_recording true (fun () -> Array.iter (Metrics.observe h) values);
+      Array.iter (Metrics.observe h) values;
       Metrics.quantile h q = expected_quantile values q
       && Metrics.histogram_count h = Array.length values
       && Metrics.histogram_sum h = Array.fold_left ( + ) 0 values)
@@ -93,19 +100,16 @@ let test_histogram_edges () =
   let reg = Metrics.create_registry () in
   let h = Metrics.histogram ~registry:reg "edge_hist" in
   check_bool "empty quantile is nan" true (Float.is_nan (Metrics.quantile h 0.5));
-  with_recording true (fun () ->
-      Metrics.observe h 0;
-      Metrics.observe h 1;
-      Metrics.observe h (-5) (* clamped to 0 *));
+  Metrics.observe h 0;
+  Metrics.observe h 1;
+  Metrics.observe h (-5) (* clamped to 0 *);
   check_int "count" 3 (Metrics.histogram_count h);
   check_int "sum" 1 (Metrics.histogram_sum h);
   (* all three land in bucket 0, upper edge 2 *)
   check_float "q=1 upper edge" 2.0 (Metrics.quantile h 1.0);
   Alcotest.check_raises "q=0 rejected"
     (Invalid_argument "Obs.Metrics.quantile: q outside (0, 1]") (fun () ->
-      ignore (Metrics.quantile h 0.0));
-  with_recording false (fun () -> Metrics.observe h 100);
-  check_int "observe is a no-op while off" 3 (Metrics.histogram_count h)
+      ignore (Metrics.quantile h 0.0))
 
 (* ---------- sharded counters under Domain.spawn ---------- *)
 
@@ -114,16 +118,15 @@ let test_sharded_merge () =
   let c = Metrics.counter ~registry:reg "spawned_total" in
   let h = Metrics.histogram ~registry:reg "spawned_hist" in
   let domains = 4 and per_domain = 25_000 in
-  with_recording true (fun () ->
-      let workers =
-        List.init domains (fun d ->
-            Domain.spawn (fun () ->
-                for i = 1 to per_domain do
-                  Metrics.inc c;
-                  Metrics.observe h ((d * per_domain) + i)
-                done))
-      in
-      List.iter Domain.join workers);
+  let workers =
+    List.init domains (fun d ->
+        Domain.spawn (fun () ->
+            for i = 1 to per_domain do
+              Metrics.inc c;
+              Metrics.observe h ((d * per_domain) + i)
+            done))
+  in
+  List.iter Domain.join workers;
   check_int "counter merges exactly" (domains * per_domain)
     (Metrics.counter_value c);
   check_int "histogram count merges exactly" (domains * per_domain)
@@ -135,20 +138,19 @@ let test_sharded_merge () =
 let test_counter_semantics () =
   let reg = Metrics.create_registry () in
   let c = Metrics.counter ~registry:reg "sem_total" in
-  with_recording true (fun () ->
-      Metrics.inc c;
-      Metrics.add c 41;
-      Metrics.add c (-7) (* counters are monotone: negative adds ignored *));
+  Metrics.inc c;
+  Metrics.add c 41;
+  Metrics.add c (-7) (* counters are monotone: negative adds ignored *);
   check_int "inc/add/negative-add" 42 (Metrics.counter_value c);
   let c' = Metrics.counter ~registry:reg "sem_total" in
-  with_recording true (fun () -> Metrics.inc c');
+  Metrics.inc c';
   check_int "re-registration is the same counter" 43 (Metrics.counter_value c);
   check_bool "kind clash rejected" true
     (match Metrics.gauge ~registry:reg "sem_total" with
     | _ -> false
     | exception Invalid_argument _ -> true)
 
-(* ---------- metrics on/off never perturbs estimates ---------- *)
+(* ---------- a trace sink never perturbs estimates ---------- *)
 
 let test_bit_for_bit_estimator () =
   let rng = Rng.create 7 in
@@ -160,9 +162,9 @@ let test_bit_for_bit_estimator () =
   let run () =
     Estimator.flow_probability (Rng.create 99) icm config ~src:0 ~dst:7
   in
-  let off = with_recording false run in
-  let on = with_recording true run in
-  check_float "estimator estimate identical with metrics on" off on
+  let off = with_trace false run in
+  let on = with_trace true run in
+  check_float "estimator estimate identical with a trace sink" off on
 
 let test_bit_for_bit_engine () =
   let rng = Rng.create 11 in
@@ -184,9 +186,9 @@ let test_bit_for_bit_engine () =
     let r = Engine.query e (Query.flow ~src:0 ~dst:9 ()) in
     r.Engine.estimate
   in
-  let off = with_recording false run in
-  let on = with_recording true run in
-  check_float "engine estimate identical with metrics on" off on
+  let off = with_trace false run in
+  let on = with_trace true run in
+  check_float "engine estimate identical with a trace sink" off on
 
 let test_bit_for_bit_flight_and_rid () =
   (* the full per-request observability stack — flight recorder on,
@@ -227,8 +229,8 @@ let test_bit_for_bit_flight_and_rid () =
         check_bool "rounds counted" true (ph.Engine.rounds > 0);
         r.Engine.estimate)
   in
-  let off = with_recording false bare in
-  let on = with_recording true observed in
+  let off = bare () in
+  let on = observed () in
   check_float "estimate identical with flight + trace + rid on" off on
 
 (* ---------- Prometheus exposition ---------- *)
@@ -246,11 +248,10 @@ let test_prometheus_well_formed () =
     Metrics.histogram ~registry:reg ~scale:1e-9 ~help:"a histogram"
       "iflow_test_seconds"
   in
-  with_recording true (fun () ->
-      Metrics.add c 3;
-      Metrics.inc cl;
-      Metrics.set gauge nan;
-      Metrics.observe h 1_500_000);
+  Metrics.add c 3;
+  Metrics.inc cl;
+  Metrics.set gauge nan;
+  Metrics.observe h 1_500_000;
   let text = Prometheus.to_string reg in
   (match Prometheus.check text with
   | Ok () -> ()
@@ -324,16 +325,17 @@ let test_trace_round_trip () =
   with_temp_file @@ fun path ->
   Trace.to_file path;
   check_bool "enabled once a sink is installed" true (Trace.enabled ());
-  let result =
-    Trace.with_span "outer" ~args:[ ("k", Trace.Int 3) ] (fun () ->
-        Trace.instant "mark" ~args:[ ("x", Trace.Float 0.5) ] ();
-        17)
-  in
-  (try Trace.with_span "raises" (fun () -> failwith "boom") with
-  | Failure _ -> ());
+  let reg = Metrics.create_registry () in
+  let h = Metrics.histogram ~registry:reg "trace_phase_ns" in
+  let t0 = Iflow_obs.Clock.now_ns () in
+  Trace.instant "mark" ~args:[ ("x", Trace.Float 0.5) ] ();
+  let outer = Trace.phase ~hist:h "outer" ~args:[ ("k", Trace.Int 3) ] ~t0 in
+  let bare = Trace.phase "bare" ~t0:(Iflow_obs.Clock.now_ns ()) in
   Trace.close ();
   Trace.close () (* idempotent *);
-  check_int "with_span returns the body's value" 17 result;
+  check_bool "phase returns its duration" true (outer >= 0 && bare >= 0);
+  check_int "phase observes its histogram once" 1 (Metrics.histogram_count h);
+  check_int "with the returned duration" outer (Metrics.histogram_sum h);
   check_bool "disabled after close" false (Trace.enabled ());
   let doc = read_file path in
   let events =
@@ -348,9 +350,9 @@ let test_trace_round_trip () =
   let ph e = Option.get (Jsonl.to_string (field "ph" e)) in
   let name e = Option.get (Jsonl.to_string (field "name" e)) in
   (* the sink serialises in emission order: the instant fires inside
-     the outer span, so it lands first; spans close in LIFO order *)
+     the outer phase, so it lands first; a phase is emitted as it closes *)
   check_string "phases" "i,X,X" (String.concat "," (List.map ph events));
-  check_string "names" "mark,outer,raises"
+  check_string "names" "mark,outer,bare"
     (String.concat "," (List.map name events));
   let is_num = function Jsonl.Num _ -> true | _ -> false in
   List.iter

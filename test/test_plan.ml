@@ -363,28 +363,21 @@ let test_engine_mh_bit_identical () =
   | _ -> Alcotest.fail "planner-off engine not tagged disabled"
 
 let test_engine_counters () =
-  Metrics.set_recording true;
-  Fun.protect
-    ~finally:(fun () -> Metrics.set_recording false)
-    (fun () ->
-      let hits = Metrics.counter "iflow_plan_exact_hits_total" in
-      let falls =
-        Metrics.counter
-          ~labels:[ ("reason", "unsound_join") ]
-          "iflow_plan_fallbacks_total"
-      in
-      let h0 = Metrics.counter_value hits
-      and f0 = Metrics.counter_value falls in
-      let path = icm_of ~nodes:3 [ (0, 1); (1, 2) ] [ 0.5; 0.5 ] in
-      let engine = Engine.create ~config:fast_config ~seed:7 path in
-      ignore (Engine.query engine (Query.flow ~src:0 ~dst:2 ()));
-      let bn = icm_of ~nodes:5 bottleneck [ 0.5; 0.5; 0.5; 0.5; 0.5 ] in
-      let engine = Engine.create ~config:fast_config ~seed:7 bn in
-      ignore (Engine.query engine (Query.flow ~src:0 ~dst:4 ()));
-      Alcotest.(check int) "exact hit counted" (h0 + 1)
-        (Metrics.counter_value hits);
-      Alcotest.(check int) "fallback counted" (f0 + 1)
-        (Metrics.counter_value falls))
+  let hits = Metrics.counter "iflow_plan_exact_hits_total" in
+  let falls =
+    Metrics.counter
+      ~labels:[ ("reason", "unsound_join") ]
+      "iflow_plan_fallbacks_total"
+  in
+  let h0 = Metrics.counter_value hits and f0 = Metrics.counter_value falls in
+  let path = icm_of ~nodes:3 [ (0, 1); (1, 2) ] [ 0.5; 0.5 ] in
+  let engine = Engine.create ~config:fast_config ~seed:7 path in
+  ignore (Engine.query engine (Query.flow ~src:0 ~dst:2 ()));
+  let bn = icm_of ~nodes:5 bottleneck [ 0.5; 0.5; 0.5; 0.5; 0.5 ] in
+  let engine = Engine.create ~config:fast_config ~seed:7 bn in
+  ignore (Engine.query engine (Query.flow ~src:0 ~dst:4 ()));
+  Alcotest.(check int) "exact hit counted" (h0 + 1) (Metrics.counter_value hits);
+  Alcotest.(check int) "fallback counted" (f0 + 1) (Metrics.counter_value falls)
 
 let test_engine_validate_mode () =
   let icm = icm_of ~nodes:3 [ (0, 1); (1, 2) ] [ 0.5; 0.5 ] in

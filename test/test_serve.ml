@@ -607,6 +607,80 @@ let test_serve_healthz_and_metrics () =
           | Ok () -> ()
           | Error msg -> Alcotest.failf "/metrics failed prom-check: %s" msg))
 
+(* One HTTP exchange (the server closes after each response): the
+   status line, the headers with lower-cased names, and the body. *)
+let http port request =
+  let fd = connect port in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+      Sockio.write_all fd request;
+      let r = Sockio.reader fd in
+      let rec lines acc =
+        match Sockio.read_line r with
+        | Sockio.Line l -> lines (l :: acc)
+        | _ -> List.rev acc
+      in
+      let rec split headers = function
+        | "" :: body -> (List.rev headers, String.concat "\n" body)
+        | h :: rest -> (
+          match String.index_opt h ':' with
+          | Some i ->
+            let name = String.lowercase_ascii (String.sub h 0 i) in
+            let value = String.sub h (i + 1) (String.length h - i - 1) in
+            split ((name, String.trim value) :: headers) rest
+          | None -> split headers rest)
+        | [] -> Alcotest.fail "no header/body separator"
+      in
+      match lines [] with
+      | status :: rest ->
+        let headers, body = split [] rest in
+        (status, headers, body)
+      | [] -> Alcotest.fail "no status line")
+
+let test_serve_metrics_match_healthz () =
+  (* nothing in this process turns any recording on: /healthz and
+     /metrics must still read the same counters *)
+  with_server (fun server _engine ->
+      let port = Server.port server in
+      let scrape () =
+        let _, _, health = http port "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n" in
+        let _, _, prom = http port "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n" in
+        let healthz name =
+          match Result.map (Jsonl.member name) (Jsonl.parse health) with
+          | Ok (Some (Jsonl.Num f)) -> int_of_float f
+          | _ -> Alcotest.failf "/healthz has no %s" name
+        in
+        let metric name =
+          let prefix = name ^ " " in
+          let n = String.length prefix in
+          match
+            List.find_opt
+              (fun l -> String.length l > n && String.sub l 0 n = prefix)
+              (String.split_on_char '\n' prom)
+          with
+          | Some l -> int_of_string (String.sub l n (String.length l - n))
+          | None -> Alcotest.failf "/metrics has no %s" name
+        in
+        ( healthz "requests",
+          healthz "answered",
+          metric "iflow_serve_requests_total",
+          metric "iflow_serve_answers_total" )
+      in
+      let hr0, ha0, mr0, ma0 = scrape () in
+      let n = 5 in
+      let fd = connect port in
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+          let r = Sockio.reader fd in
+          for i = 1 to n do
+            ignore (parse_ok (ask r fd (query_json ~src:0 ~dst:(1 + (i mod 4)) ())))
+          done);
+      let hr1, ha1, mr1, ma1 = scrape () in
+      check_int "/healthz requests moved by N" n (hr1 - hr0);
+      check_int "/healthz answered moved by N" n (ha1 - ha0);
+      check_int "/metrics requests moved as /healthz" (hr1 - hr0) (mr1 - mr0);
+      check_int "/metrics answers moved as /healthz" (ha1 - ha0) (ma1 - ma0);
+      check_int "one requests counter" hr1 mr1;
+      check_int "one answers counter" ha1 ma1)
+
 (* ---------- admission control ---------- *)
 
 let test_serve_sheds_over_capacity () =
@@ -625,6 +699,8 @@ let test_serve_sheds_over_capacity () =
     { Server.default_config with Server.queue_capacity = 2; workers = 1 }
   in
   with_server ~config ~gate (fun server _engine ->
+      (* the counters are process-wide: check this test's delta *)
+      let shed0 = (Server.stats server).Server.shed_capacity in
       let open_sessions = ref [] in
       let submit src dst =
         let fd = connect (Server.port server) in
@@ -660,7 +736,8 @@ let test_serve_sheds_over_capacity () =
               | Some (Jsonl.Str s) -> s
               | _ -> "<missing>")
           | Error msg -> Alcotest.failf "unparseable shed response: %s" msg);
-          check_int "shed counted" 1 (Server.stats server).Server.shed_capacity;
+          check_int "shed counted" 1
+            ((Server.stats server).Server.shed_capacity - shed0);
           (* release the executors: everything admitted still completes *)
           Mutex.protect gate_m (fun () ->
               gate_open := true;
@@ -682,6 +759,7 @@ let test_serve_quota_shed () =
     }
   in
   with_server ~config (fun server _engine ->
+      let shed0 = (Server.stats server).Server.shed_quota in
       let fd = connect (Server.port server) in
       Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
           let r = Sockio.reader fd in
@@ -705,7 +783,8 @@ let test_serve_quota_shed () =
           | Error msg -> Alcotest.failf "unparseable: %s" msg);
           (* a different tenant is unaffected *)
           ignore (parse_ok (tenant "b" 0 1));
-          check_int "shed counted" 1 (Server.stats server).Server.shed_quota))
+          check_int "shed counted" 1
+            ((Server.stats server).Server.shed_quota - shed0)))
 
 (* ---------- hot-swap under live traffic ---------- *)
 
@@ -1010,6 +1089,30 @@ let test_serve_request_id_echo () =
           in
           check_string "batched line 1" "req-9-1" (line_id ());
           check_string "batched line 2" "req-9-2" (line_id ())))
+
+let test_serve_request_id_trailing_newline () =
+  (* a one-query body ending in a newline is still one line: the
+     X-Request-Id names it verbatim in the answer, the flight record
+     and the echoed header alike *)
+  with_server (fun server _engine ->
+      let body = query_json ~src:0 ~dst:1 () ^ "\n" in
+      let status, headers, answer =
+        http (Server.port server)
+          (Printf.sprintf
+             "POST /query HTTP/1.1\r\nHost: t\r\nX-Request-Id: abc\r\n\
+              Content-Length: %d\r\n\r\n%s"
+             (String.length body) body)
+      in
+      check_string "status" "HTTP/1.1 200 OK" status;
+      check_string "header echo" "abc"
+        (Option.value ~default:"<missing>" (List.assoc_opt "x-request-id" headers));
+      (match Jsonl.parse answer with
+      | Ok json ->
+        check_string "answer id" "abc"
+          (Option.value ~default:"<missing>" (member_str "request_id" json))
+      | Error msg -> Alcotest.failf "unparseable: %s" msg);
+      check_bool "flight record under the same id" true
+        (Flight.find "abc" <> None))
 
 let test_serve_minted_ids_unique () =
   (* 64 concurrent sessions, no client ids: every answer must carry a
@@ -1497,6 +1600,7 @@ let test_serve_deadline_unmeetable () =
           for _ = 1 to 40 do
             Flight.submit rc
           done;
+          let shed0 = (Server.stats server).Server.shed_deadline in
           let fd = connect (Server.port server) in
           Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
               let r = Sockio.reader fd in
@@ -1506,7 +1610,7 @@ let test_serve_deadline_unmeetable () =
               check_string "typed refusal" "deadline_unmeetable"
                 (error_code line);
               check_int "counted in shed_deadline" 1
-                (Server.stats server).Server.shed_deadline;
+                ((Server.stats server).Server.shed_deadline - shed0);
               (* an ample budget clears the same floor *)
               ignore
                 (parse_ok
@@ -1853,6 +1957,8 @@ let () =
           Alcotest.test_case "degraded swap" `Slow test_serve_degraded_swap;
           Alcotest.test_case "bad evidence keeps learning" `Slow
             test_serve_bad_evidence_keeps_learning;
+          Alcotest.test_case "/metrics counts what /healthz counts" `Quick
+            test_serve_metrics_match_healthz;
         ] );
       ( "request-ids",
         [
@@ -1868,6 +1974,8 @@ let () =
             test_serve_flight_capacity_over_the_wire;
           Alcotest.test_case "flight capacity 0 turns the ring off" `Slow
             test_serve_flight_capacity_zero_disables;
+          Alcotest.test_case "X-Request-Id on a newline-terminated body" `Slow
+            test_serve_request_id_trailing_newline;
         ] );
       ( "deadlines",
         [
