@@ -152,14 +152,6 @@ let engine_term =
              Metropolis-Hastings path, even when a closed-form answer is \
              available.")
   in
-  let plan_budget =
-    Arg.(
-      value & opt int Engine.default_config.Engine.plan_budget
-      & info [ "plan-budget" ]
-          ~doc:
-            "Planner work budget per query (certification + evaluation \
-             units); queries that exceed it fall back to sampling.")
-  in
   let plan_validate =
     Arg.(
       value & flag
@@ -169,8 +161,8 @@ let engine_term =
              (within 5 MCSE); disagreements are logged and counted. The \
              exact answer is still returned.")
   in
-  let make chains domains rhat_target mcse_target no_planner plan_budget
-      plan_validate (config : Estimator.config) =
+  let make chains domains rhat_target mcse_target no_planner plan_validate
+      (config : Estimator.config) =
     {
       Engine.default_config with
       Engine.chains;
@@ -182,13 +174,12 @@ let engine_term =
       round_samples = min 250 config.Estimator.samples;
       max_samples = config.Estimator.samples * chains;
       planner = not no_planner;
-      plan_budget;
       plan_validate;
     }
   in
   Term.(
-    const make $ chains $ domains $ rhat $ mcse $ no_planner $ plan_budget
-    $ plan_validate $ mcmc_term)
+    const make $ chains $ domains $ rhat $ mcse $ no_planner $ plan_validate
+    $ mcmc_term)
 
 (* ----- argument converters ----- *)
 

@@ -430,7 +430,7 @@ let batch_cmd =
 
 (* The planner's own view of a query, without answering it: what the
    engine would decide, and why. Runs no sampling at all. *)
-let explain_query icm ~planner ~budget q =
+let explain_query icm ~planner q =
   let targets =
     match Query.kind q with
     | Query.Flow { src; dst } -> [ (src, dst) ]
@@ -441,9 +441,7 @@ let explain_query icm ~planner ~budget q =
   if not planner then
     Printf.printf "  plan: mh — %s\n" (Planner.describe Planner.Disabled)
   else
-    match
-      Planner.plan ~budget icm ~targets ~conditions:(Query.conditions q)
-    with
+    match Planner.plan icm ~targets ~conditions:(Query.conditions q) with
     | exception (Failure msg | Invalid_argument msg) ->
       Printf.printf "  error: %s\n" msg
     | Error reason ->
@@ -452,7 +450,7 @@ let explain_query icm ~planner ~budget q =
         (Planner.describe reason)
     | Ok e ->
       Printf.printf "  plan: exact — Pr = %.6f (%d cone nodes, %d edges, %d \
-                     work units%s)\n"
+                     edge visits%s)\n"
         e.Planner.value e.Planner.cone_nodes e.Planner.cone_edges
         e.Planner.work
         (if e.Planner.dropped_conditions > 0 then
@@ -477,7 +475,6 @@ let explain seed model_path src dst conditions queries_path engine_config obs =
   let model = Model_io.load_beta_icm model_path in
   let icm = Beta_icm.expected_icm model in
   let planner = engine_config.Engine.planner in
-  let budget = engine_config.Engine.plan_budget in
   match (queries_path, src, dst) with
   | Some path, _, _ ->
     let ic = or_die (fun () -> open_in path) in
@@ -489,14 +486,14 @@ let explain seed model_path src dst conditions queries_path engine_config obs =
           | line ->
             (if String.trim line <> "" then
                match Query.of_line ~lineno line with
-               | Ok q -> explain_query icm ~planner ~budget q
+               | Ok q -> explain_query icm ~planner q
                | Error msg -> Obs_log.err ~component:"explain" "%s" msg);
             go (lineno + 1)
           | exception End_of_file -> ()
         in
         go 1)
   | None, Some src, Some dst ->
-    explain_query icm ~planner ~budget (Query.flow ~conditions ~src ~dst ())
+    explain_query icm ~planner (Query.flow ~conditions ~src ~dst ())
   | None, _, _ ->
     Obs_log.err ~component:"explain" "provide --src and --dst, or --queries";
     exit 1

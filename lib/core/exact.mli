@@ -24,10 +24,12 @@ val flow_probability : Icm.t -> src:int -> dst:int -> float
     this entry point is {e unchecked} and reproduces the paper's
     recursion verbatim, overestimate and all.
 
-    Kept as the paper reproduction and its pinned tests. The typed,
-    certified evaluator is [Iflow_plan] (cone extraction, the
-    edge-disjointness certificate of DESIGN.md §2h, and scalable
-    exclusion sets), which [Engine.query] routes every query through. *)
+    Kept as the paper reproduction and its pinned tests; it is the
+    only exclusion-set recursion in the code base. [Engine.query]
+    routes every query through [Iflow_plan] instead, which evaluates
+    Eq. 2 only on cones it has certified (DESIGN.md §2h). Those cones
+    are acyclic and their parent flows independent, so no exclusion
+    set is ever needed and one linear sweep gives the exact value. *)
 
 val brute_force_flow : Icm.t -> src:int -> dst:int -> float
 (** Same probability by full pseudo-state enumeration. Requires

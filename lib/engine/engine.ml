@@ -78,7 +78,6 @@ type config = {
   mcse_target : float;
   cache_capacity : int;
   planner : bool;
-  plan_budget : int;
   plan_validate : bool;
 }
 
@@ -94,7 +93,6 @@ let default_config =
     mcse_target = 0.01;
     cache_capacity = 256;
     planner = true;
-    plan_budget = Planner.default_budget;
     plan_validate = false;
   }
 
@@ -113,8 +111,6 @@ let validate_config c =
     bad "mcse_target must be > 0 (got %g)" c.mcse_target;
   if c.cache_capacity < 0 then
     bad "cache_capacity must be >= 0 (got %d)" c.cache_capacity;
-  if c.plan_budget < 1 then
-    bad "plan_budget must be >= 1 (got %d)" c.plan_budget;
   match c.domains with
   | Some d when d < 1 -> bad "domains must be >= 1 (got %d)" d
   | _ -> ()
@@ -194,10 +190,9 @@ let set_cache_entries t =
 let icm_digest = Icm.digest
 
 let config_key c =
-  Printf.sprintf "k%d b%d t%d r%d n%d rh%h mc%h p%d g%d v%d" c.chains c.burn_in
+  Printf.sprintf "k%d b%d t%d r%d n%d rh%h mc%h p%d v%d" c.chains c.burn_in
     c.thin c.round_samples c.max_samples c.rhat_target c.mcse_target
     (if c.planner then 1 else 0)
-    c.plan_budget
     (if c.plan_validate then 1 else 0)
 
 let create ?(config = default_config) ~seed icm =
@@ -478,8 +473,7 @@ let compute ?rid ~ph ?cancel ?on_deadline t ~icm ~digest q =
   else begin
     let t0 = Clock.now_ns () in
     let planned =
-      Planner.plan ~budget:t.config.plan_budget icm
-        ~targets:(targets_of_query q) ~conditions:(Query.conditions q)
+      Planner.plan icm ~targets:(targets_of_query q) ~conditions:(Query.conditions q)
     in
     ph.plan_ns <- ph.plan_ns + Trace.phase "engine.plan" ~t0;
     match planned with

@@ -38,8 +38,6 @@ type config = {
   planner : bool;
       (** route queries through the exact-oracle planner
           ({!Iflow_plan.Planner}) first; [false] forces the MH path *)
-  plan_budget : int;     (** planner work budget (certification +
-                             evaluation units) per query *)
   plan_validate : bool;
       (** exact-then-validate mode: exact answers are cross-checked
           against a full MH run (within [5 × MCSE]); disagreements are
@@ -49,8 +47,7 @@ type config = {
 val default_config : config
 (** chains 4, recommended domains, burn-in 1000, thin 20 (matching
     {!Iflow_mcmc.Estimator.default_config}), rounds of 250, cap 20000,
-    R̂ ≤ 1.05, MCSE ≤ 0.01, cache 256, planner on with
-    {!Iflow_plan.Planner.default_budget}, validation off. *)
+    R̂ ≤ 1.05, MCSE ≤ 0.01, cache 256, planner on, validation off. *)
 
 type plan =
   | Plan_exact of { cone_nodes : int; validated : bool }
@@ -191,14 +188,16 @@ val query :
     (the checks read the clock, never the RNG).
 
     {b Planning.} With [config.planner] on (the default) the query is
-    first offered to {!Iflow_plan.Planner}: queries whose reachability
-    cones certify as edge-disjoint (trees, in-stars, the paper's
-    triangle and cycle motifs) are answered exactly, in closed form,
-    with no sampling — [plan] records [Plan_exact] and the answer is
-    cached under the same key a sampled one would use. Everything else
-    falls back to MH with the refusal reason in [plan]. The planner is
-    deterministic and RNG-free, so MH-path answers are bit-for-bit
-    identical to a planner-less engine.
+    first offered to {!Iflow_plan.Planner}, which costs one linear pass
+    over each target's reachability cone. Queries whose cones certify
+    (no node but the source and the sink has two live cone out-edges:
+    paths, in-stars, the paper's triangle and cycle motifs) are
+    answered exactly, in closed form, with no sampling — [plan]
+    records [Plan_exact] and the answer is cached under the same key a
+    sampled one would use. Everything else falls back to MH with the
+    refusal reason in [plan]. The planner is deterministic and
+    RNG-free, so MH-path answers are bit-for-bit identical to a
+    planner-less engine.
 
     {b Fault tolerance.} A chain that raises mid-query (including the
     [engine.chain] failpoint) is dropped — its partial round is

@@ -85,28 +85,6 @@ let bfs_sources ws ~active g sources =
     sources;
   expand ws ~active g
 
-(* Reverse expansion: walk in-edges, marking everything that can reach
-   the enqueued seeds through active edges. *)
-let expand_rev ws ~active g =
-  while not (queue_empty ws) do
-    let v = pop ws in
-    Digraph.iter_in g v (fun e ->
-        if active e then begin
-          let w = Digraph.edge_src g e in
-          if ws.stamp.(w) <> ws.epoch then begin
-            ws.stamp.(w) <- ws.epoch;
-            push ws w
-          end
-        end)
-  done
-
-let bfs_rev ws ~active g ~dst =
-  check_node ws "bfs_rev" dst;
-  reset ws;
-  ws.stamp.(dst) <- ws.epoch;
-  push ws dst;
-  expand_rev ws ~active g
-
 let count_marked ws =
   let c = ref 0 in
   for v = 0 to ws.n - 1 do

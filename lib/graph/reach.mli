@@ -36,11 +36,6 @@ val bfs_sources :
   workspace -> active:(int -> bool) -> Digraph.t -> int list -> unit
 (** Multi-source variant of {!bfs}. *)
 
-val bfs_rev : workspace -> active:(int -> bool) -> Digraph.t -> dst:int -> unit
-(** [bfs_rev ws ~active g ~dst] marks every node that can reach [dst]
-    through active edges (the sink included) — the ancestor cone, walked
-    over in-edges. Zero allocation, same mark discipline as {!bfs}. *)
-
 val marked : workspace -> int -> bool
 (** Was this node reached by the latest [bfs]/[bfs_sources]? *)
 

@@ -1,33 +1,58 @@
-(** Reachability cones: the subgraph a flow event actually depends on.
+(** Trimmed reachability cones: the part of the model a flow event
+    depends on, traced and certified in one linear pass.
 
-    [extract icm ~src ~dst] is the induced subgraph on
-    {e descendants(src) ∩ ancestors(dst)} over positive-probability
-    edges — every node on at least one [src -> dst] path that can fire.
-    Restricting the flow event (and the paper's Eq. 2 recursion) to the
-    cone is exact: any realised [src -> dst] path lies inside it, and so
-    does any [src -> l] sub-path for a cone node [l]. The cone is what
-    the {!Exact_eval} certifier and evaluator operate on, keeping their
-    cost proportional to the query, not the model. *)
+    The cone of [(src, dst)] is every node on a walk [src ⇝ dst] over
+    positive-probability edges that neither re-enters [src] nor leaves
+    [dst]; its edges are the live edges between cone nodes, minus the
+    edges into [src] and out of [dst]. No simple [src -> dst] path uses
+    a dropped edge, so the flow event is a function of the cone's edge
+    coins alone and restricting to the cone is exact.
 
-type t = {
-  sub : Iflow_graph.Digraph.t;  (** induced subgraph on the cone *)
-  probs : float array;  (** per sub-edge activation probability *)
-  node_of_sub : int array;
-      (** sub node id -> model node id, ascending *)
-  edge_of_sub : int array;  (** sub edge id -> model edge id *)
-  src : int;  (** cone-local source *)
-  dst : int;  (** cone-local sink *)
-}
+    A cone is {e certified} when every node other than [src] and [dst]
+    has exactly one cone out-edge. The cone is then acyclic, an in-tree
+    toward [dst] plus [src]'s own fan-out, and the ancestor sets of a
+    join's parents meet only at [src]: the parent flows ride on
+    disjoint, independent edge coins, so the paper's Eq. 2 product form
+    is exact there (DESIGN.md §2h). *)
 
-val extract : Iflow_core.Icm.t -> src:int -> dst:int -> t option
-(** [None] when [dst] is unreachable from [src] through edges that can
-    fire (the flow probability is exactly 0). Raises [Invalid_argument]
-    on out-of-range nodes or [src = dst] (a trivial flow has no cone —
-    callers special-case it to probability 1). *)
+type t
+(** Scratch for tracing cones of one model: per-node stamps and two
+    BFS queues, reused across traces. Single-domain. *)
 
-val n_nodes : t -> int
-val n_edges : t -> int
+val create : Iflow_core.Icm.t -> t
 
-val local : t -> int -> int
-(** Cone-local id of a model node (binary search over [node_of_sub]).
-    Raises [Not_found] when the node is outside the cone. *)
+type verdict =
+  | Unreachable
+      (** [dst] is unreachable from [src] through edges that can fire:
+          the flow probability is exactly 0. *)
+  | Fork of { node : int }
+      (** With [~certify:true]: this model node, neither [src] nor
+          [dst], has two cone out-edges. Its flow reaches [dst] along
+          two routes that meet again, so Eq. 2 would overestimate. *)
+  | Traced of { nodes : int; edges : int }
+      (** The cone's node and live edge counts. With [~certify:true]
+          the cone is certified. *)
+
+val trace : t -> certify:bool -> src:int -> dst:int -> verdict
+(** One reverse BFS from [dst] (never expanding [src]'s in-edges), then
+    one forward BFS from [src] restricted to its marks (never expanding
+    [dst]'s out-edges). With [~certify:true] the forward pass stops at
+    the first fork. Raises [Invalid_argument] on out-of-range nodes or
+    [src = dst] (a trivial flow has no cone — callers special-case it
+    to probability 1). The traced cone stays readable through
+    {!iter_edges} and {!flow} until the next [trace]. *)
+
+val iter_edges : t -> (int -> unit) -> unit
+(** The model edge ids of the latest [Traced] cone. *)
+
+val flow : t -> float * int list option
+(** [Pr[src ⇝ dst]] on the latest cone, which must have been traced
+    [Traced] with [~certify:true]. A path cone gives the product of its
+    edge probabilities, dst first, and the path's model node ids, src
+    first. Any other certified cone gives Eq. 2's per-node
+    [1 − Π (1 − Pr[src ⇝ l]·p_e)] over live in-edges in
+    {!Iflow_graph.Digraph.iter_in} order, in one sweep. Deterministic:
+    equal cones give bit-equal probabilities. *)
+
+val work : t -> int
+(** Edge visits by every {!trace} and {!flow} on this scratch so far. *)

@@ -10,7 +10,7 @@ module Metrics = Iflow_obs.Metrics
    query, one per sink for a community, one per pair for a joint —
    conditioned on flow conditions (u, v, ±). It is answered exactly
    when
-   - every target cone individually certifies (Exact_eval), and
+   - every target cone individually certifies (Cone), and
    - all target cones are pairwise edge-disjoint (their events then
      depend on disjoint edge coins, so the conjunction is the product),
      and
@@ -24,8 +24,7 @@ module Metrics = Iflow_obs.Metrics
 
 type reason =
   | Disabled
-  | Unsound_join of { node : int } (* model node id *)
-  | Budget_exceeded
+  | Unsound_join of { node : int } (* model node id of the fork *)
   | Target_overlap
   | Condition_overlap
   | Condition_infeasible of { c_src : int; c_dst : int; want : bool }
@@ -33,7 +32,6 @@ type reason =
 let reason_label = function
   | Disabled -> "disabled"
   | Unsound_join _ -> "unsound_join"
-  | Budget_exceeded -> "budget_exceeded"
   | Target_overlap -> "target_overlap"
   | Condition_overlap -> "condition_overlap"
   | Condition_infeasible _ -> "condition_infeasible"
@@ -41,8 +39,10 @@ let reason_label = function
 let describe = function
   | Disabled -> "planner disabled"
   | Unsound_join { node } ->
-    Printf.sprintf "parent flows share ancestry at node %d" node
-  | Budget_exceeded -> "work budget exhausted"
+    Printf.sprintf
+      "routes to the sink fork at node %d and meet again: parent flows \
+       share ancestry"
+      node
   | Target_overlap -> "target cones share edges"
   | Condition_overlap -> "condition cone overlaps the query or another condition"
   | Condition_infeasible { c_src; c_dst; want } ->
@@ -66,8 +66,8 @@ let fallback_counters =
   List.map
     (fun label -> (label, fallback_counter label))
     [
-      "disabled"; "unsound_join"; "budget_exceeded"; "target_overlap";
-      "condition_overlap"; "condition_infeasible";
+      "disabled"; "unsound_join"; "target_overlap"; "condition_overlap";
+      "condition_infeasible";
     ]
 
 let m_validations =
@@ -94,7 +94,7 @@ type target_plan = {
   cone_nodes : int;
   cone_edges : int;
   probability : float;
-  path : int list option; (* model node ids, src first, for tree cones *)
+  path : int list option; (* model node ids, src first, for path cones *)
 }
 
 type exact = {
@@ -106,21 +106,16 @@ type exact = {
   dropped_conditions : int; (* vacuous negative conditions ignored *)
 }
 
-let default_budget = 200_000
-
 exception Stop of reason
 
 (* Edge-disjointness ledger across every cone the plan relies on. Only
-   live (positive-probability) edges carry dependence; a deterministic
-   0-probability edge shared between cones is harmless. *)
+   live cone edges carry dependence; a deterministic 0-probability edge
+   shared between cones is harmless. *)
 type claim = Claim_condition | Claim_target
 
-let claim ledger kind (c : Cone.t) =
-  let m = Digraph.n_edges c.Cone.sub in
-  for e = 0 to m - 1 do
-    if c.Cone.probs.(e) > 0.0 then begin
-      let orig = c.Cone.edge_of_sub.(e) in
-      (match ledger.(orig) with
+let claim ledger kind cone =
+  Cone.iter_edges cone (fun e ->
+      (match ledger.(e) with
       | None -> ()
       | Some Claim_condition -> raise (Stop Condition_overlap)
       | Some Claim_target ->
@@ -129,11 +124,9 @@ let claim ledger kind (c : Cone.t) =
              (match kind with
              | Claim_condition -> Condition_overlap
              | Claim_target -> Target_overlap)));
-      ledger.(orig) <- Some kind
-    end
-  done
+      ledger.(e) <- Some kind)
 
-let plan ?(budget = default_budget) icm ~targets ~conditions =
+let plan icm ~targets ~conditions =
   let g = Icm.graph icm in
   let n = Digraph.n_nodes g in
   let check what v =
@@ -152,7 +145,7 @@ let plan ?(budget = default_budget) icm ~targets ~conditions =
     conditions;
   if targets = [] then invalid_arg "Planner.plan: no targets";
   let ledger = Array.make (Digraph.n_edges g) None in
-  let work = ref 0 in
+  let cone = Cone.create icm in
   let ws = lazy (Reach.workspace n) in
   try
     (* conditions first: their joint feasibility must hold even when
@@ -166,14 +159,12 @@ let plan ?(budget = default_budget) icm ~targets ~conditions =
           else raise (Stop (Condition_infeasible { c_src = u; c_dst = v; want }))
         end
         else
-          match Cone.extract icm ~src:u ~dst:v with
-          | None ->
+          match Cone.trace cone ~certify:false ~src:u ~dst:v with
+          | Cone.Unreachable ->
             if want then
               raise (Stop (Condition_infeasible { c_src = u; c_dst = v; want }))
             else incr dropped (* the flow is impossible: certainly absent *)
-          | Some cone ->
-            work := !work + Cone.n_nodes cone + Cone.n_edges cone;
-            if !work > budget then raise (Stop Budget_exceeded);
+          | Cone.Fork _ | Cone.Traced _ ->
             if not want then begin
               (* certainly-present flow (an all-probability-1 path)
                  makes a negative condition infeasible *)
@@ -192,74 +183,36 @@ let plan ?(budget = default_budget) icm ~targets ~conditions =
     let total_nodes = ref 0 in
     let total_edges = ref 0 in
     let zero = ref false in
+    let report t_src t_dst cone_nodes cone_edges probability path =
+      reports :=
+        { t_src; t_dst; cone_nodes; cone_edges; probability; path }
+        :: !reports;
+      total_nodes := !total_nodes + cone_nodes;
+      total_edges := !total_edges + cone_edges
+    in
     List.iter
       (fun (s, d) ->
         if not !zero then
-          if s = d then begin
-            reports :=
-              {
-                t_src = s;
-                t_dst = d;
-                cone_nodes = 1;
-                cone_edges = 0;
-                probability = 1.0;
-                path = Some [ s ];
-              }
-              :: !reports;
-            total_nodes := !total_nodes + 1
-          end
+          if s = d then report s d 1 0 1.0 (Some [ s ])
           else
-            match Cone.extract icm ~src:s ~dst:d with
-            | None ->
+            match Cone.trace cone ~certify:true ~src:s ~dst:d with
+            | Cone.Unreachable ->
               zero := true;
               value := 0.0;
-              reports :=
-                {
-                  t_src = s;
-                  t_dst = d;
-                  cone_nodes = 0;
-                  cone_edges = 0;
-                  probability = 0.0;
-                  path = None;
-                }
-                :: !reports
-            | Some cone -> (
-              work := !work + Cone.n_nodes cone + Cone.n_edges cone;
-              let remaining = budget - !work in
-              if remaining <= 0 then raise (Stop Budget_exceeded);
-              match Exact_eval.eval ~budget:remaining cone with
-              | Exact_eval.Unsound { join } ->
-                raise
-                  (Stop (Unsound_join { node = cone.Cone.node_of_sub.(join) }))
-              | Exact_eval.Budget { work = w } ->
-                work := !work + w;
-                raise (Stop Budget_exceeded)
-              | Exact_eval.Value { p; work = w; path } ->
-                work := !work + w;
-                claim ledger Claim_target cone;
-                value := !value *. p;
-                total_nodes := !total_nodes + Cone.n_nodes cone;
-                total_edges := !total_edges + Cone.n_edges cone;
-                reports :=
-                  {
-                    t_src = s;
-                    t_dst = d;
-                    cone_nodes = Cone.n_nodes cone;
-                    cone_edges = Cone.n_edges cone;
-                    probability = p;
-                    path =
-                      Option.map
-                        (List.map (fun v -> cone.Cone.node_of_sub.(v)))
-                        path;
-                  }
-                  :: !reports))
+              report s d 0 0 0.0 None
+            | Cone.Fork { node } -> raise (Stop (Unsound_join { node }))
+            | Cone.Traced { nodes; edges } ->
+              let p, path = Cone.flow cone in
+              claim ledger Claim_target cone;
+              value := !value *. p;
+              report s d nodes edges p path)
       targets;
     Ok
       {
         value = !value;
         cone_nodes = !total_nodes;
         cone_edges = !total_edges;
-        work = !work;
+        work = Cone.work cone;
         targets = List.rev !reports;
         dropped_conditions = !dropped;
       }

@@ -2,9 +2,9 @@
 
     Decides whether a whole engine query — a conjunction of flow
     targets plus optional flow conditions — is answerable in closed
-    form, and answers it when it is. The decision procedure
-    ({!Cone} extraction + {!Exact_eval} certification) is conservative:
-    a query is answered exactly only when every target cone certifies
+    form, and answers it when it is. The decision procedure (one
+    {!Cone.trace} per target and condition) is conservative: a query is
+    answered exactly only when every target cone certifies
     individually, all cones involved are pairwise edge-disjoint (so the
     events ride on disjoint, independent edge coins and conjunctions
     multiply while conditions cancel), and every condition is feasible
@@ -21,9 +21,9 @@
 type reason =
   | Disabled  (** planning turned off by configuration *)
   | Unsound_join of { node : int }
-      (** parent flows share ancestry at this model node: Eq. 2 would
-          overestimate there *)
-  | Budget_exceeded  (** certification/evaluation work budget ran out *)
+      (** the target cone forks at this model node: two of its routes
+          to the sink meet again, so the parent flows at that join share
+          ancestry and Eq. 2 would overestimate there *)
   | Target_overlap  (** two target cones share a live edge *)
   | Condition_overlap
       (** a condition cone shares a live edge with the query or with
@@ -46,32 +46,31 @@ type target_plan = {
   cone_edges : int;
   probability : float;
   path : int list option;
-      (** model node ids of the unique src->dst path, for tree cones *)
+      (** model node ids of the unique src->dst path, for path cones *)
 }
 
 type exact = {
   value : float;  (** the query's exact probability *)
   cone_nodes : int;  (** summed over evaluated target cones *)
   cone_edges : int;
-  work : int;  (** budget units actually spent *)
+  work : int;  (** edge visits by every cone trace and evaluation *)
   targets : target_plan list;
   dropped_conditions : int;
       (** vacuous negative conditions (on impossible flows) ignored *)
 }
 
-val default_budget : int
-
 val plan :
-  ?budget:int ->
   Iflow_core.Icm.t ->
   targets:(int * int) list ->
   conditions:(int * int * bool) list ->
   (exact, reason) result
 (** [plan icm ~targets ~conditions] — targets are (src, dst) pairs: one
     for a flow query, (src, sink) per sink for a community, the pairs
-    themselves for a joint. Deterministic and RNG-free: planning can
-    never perturb the MH path. Raises [Invalid_argument] on
-    out-of-range nodes or an empty target list. *)
+    themselves for a joint. Linear in the cones it traces: each target
+    costs one {!Cone.trace} and, when certified, one {!Cone.flow}
+    sweep. Deterministic and RNG-free: planning can never perturb the
+    MH path. Raises [Invalid_argument] on out-of-range nodes or an
+    empty target list. *)
 
 val record_exact : unit -> unit
 val record_fallback : reason -> unit

@@ -1012,6 +1012,9 @@ let accept_loop t listen_fd =
     match Unix.accept listen_fd with
     | fd, _addr ->
       Metrics.inc m_connections;
+      (* an answer must not wait for the ACK of the previous one *)
+      (try Unix.setsockopt fd Unix.TCP_NODELAY true
+       with Unix.Unix_error _ -> ());
       if Atomic.get t.s_active >= t.config.max_connections then begin
         Metrics.inc m_shed_connections;
         (try

@@ -185,13 +185,29 @@ let test_diagnostics_drift_detected () =
 
 let test_engine_matches_exact () =
   let icm = five_node_icm 11 in
-  let engine = Engine.create ~config:test_engine_config ~seed:21 icm in
+  (* the sampler is the subject here: this cone's only cycles run
+     through dst, so the planner would certify it *)
+  let engine =
+    Engine.create
+      ~config:{ test_engine_config with Engine.planner = false }
+      ~seed:21 icm
+  in
   let truth = Exact.brute_force_flow icm ~src:0 ~dst:4 in
   let r = Engine.query engine (Query.flow ~src:0 ~dst:4 ()) in
   check_close ~eps:0.03 "flow matches brute force" truth r.Engine.estimate;
   Alcotest.(check bool) "rhat reported near 1" true (r.Engine.rhat < 1.05);
   Alcotest.(check bool) "ess positive" true (r.Engine.ess > 100.0);
-  Alcotest.(check bool) "not from cache" false r.Engine.cached
+  Alcotest.(check bool) "not from cache" false r.Engine.cached;
+  let planned =
+    Engine.query
+      (Engine.create ~config:test_engine_config ~seed:21 icm)
+      (Query.flow ~src:0 ~dst:4 ())
+  in
+  (match planned.Engine.plan with
+  | Engine.Plan_exact _ -> ()
+  | Engine.Plan_mh _ -> Alcotest.fail "certified cone sent to MH");
+  check_close ~eps:1e-12 "planner's answer is exact" truth
+    planned.Engine.estimate
 
 let test_engine_conditional_matches_exact () =
   let icm = five_node_icm 11 in

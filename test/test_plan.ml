@@ -1,6 +1,6 @@
-(* Tests for the exact-oracle query planner (lib/plan): cone
-   extraction, the soundness certificate, the generalised Eq. 2
-   evaluator, and the engine routing built on them. The contract under
+(* Tests for the exact-oracle query planner (lib/plan): the trimmed
+   cone, the out-degree certificate, the one-sweep Eq. 2 evaluation,
+   and the engine routing built on them. The contract under
    test: the planner answers exactly or refuses — it never
    approximates — and whatever it answers agrees with brute-force
    pseudo-state enumeration. *)
@@ -11,7 +11,6 @@ module Digraph = Iflow_graph.Digraph
 module Gen = Iflow_graph.Gen
 module Rng = Iflow_stats.Rng
 module Cone = Iflow_plan.Cone
-module Exact_eval = Iflow_plan.Exact_eval
 module Planner = Iflow_plan.Planner
 module Engine = Iflow_engine.Engine
 module Query = Iflow_engine.Query
@@ -23,8 +22,7 @@ let check_close ?(eps = 1e-12) msg expected actual =
 let icm_of ~nodes edges probs =
   Icm.create (Digraph.of_edges ~nodes edges) (Array.of_list probs)
 
-let plan ?budget icm ~targets ~conditions =
-  Planner.plan ?budget icm ~targets ~conditions
+let plan icm ~targets ~conditions = Planner.plan icm ~targets ~conditions
 
 let value_exn = function
   | Ok (e : Planner.exact) -> e
@@ -37,6 +35,11 @@ let reason_exn = function
 
 (* ---------- cone extraction ---------- *)
 
+let cone_edges c =
+  let es = ref [] in
+  Cone.iter_edges c (fun e -> es := e :: !es);
+  List.sort compare !es
+
 let test_cone_extraction () =
   (* 0 -> 1 -> 2 -> 3 plus a distractor component 4 -> 5 and a dead-end
      1 -> 4: the (0, 3) cone must be exactly the path *)
@@ -45,32 +48,53 @@ let test_cone_extraction () =
       [ (0, 1); (1, 2); (2, 3); (1, 4); (4, 5) ]
       [ 0.5; 0.5; 0.5; 0.9; 0.9 ]
   in
-  (match Cone.extract icm ~src:0 ~dst:3 with
-  | None -> Alcotest.fail "reachable pair produced no cone"
-  | Some c ->
-    Alcotest.(check int) "cone nodes" 4 (Cone.n_nodes c);
-    Alcotest.(check int) "cone edges" 3 (Cone.n_edges c);
-    Alcotest.(check (array int)) "node map" [| 0; 1; 2; 3 |] c.Cone.node_of_sub;
-    Alcotest.(check int) "local src" 0 (Cone.local c 0);
-    Alcotest.check Alcotest.bool "outside raises" true
-      (match Cone.local c 5 with
-      | exception Not_found -> true
-      | _ -> false));
+  let c = Cone.create icm in
+  (match Cone.trace c ~certify:true ~src:0 ~dst:3 with
+  | Cone.Traced { nodes; edges } ->
+    Alcotest.(check int) "cone nodes" 4 nodes;
+    Alcotest.(check int) "cone edges" 3 edges;
+    Alcotest.(check (list int)) "cone edge ids" [ 0; 1; 2 ] (cone_edges c)
+  | _ -> Alcotest.fail "reachable path not traced");
   (* unreachable: no cone *)
   Alcotest.check Alcotest.bool "unreachable" true
-    (Cone.extract icm ~src:3 ~dst:0 = None);
+    (Cone.trace c ~certify:true ~src:3 ~dst:0 = Cone.Unreachable);
   (* a zero-probability edge cannot carry flow: cone ignores it *)
   let icm0 =
     icm_of ~nodes:3 [ (0, 1); (1, 2) ] [ 0.5; 0.0 ]
   in
   Alcotest.check Alcotest.bool "zero-prob edge breaks the cone" true
-    (Cone.extract icm0 ~src:0 ~dst:2 = None);
+    (Cone.trace (Cone.create icm0) ~certify:true ~src:0 ~dst:2
+    = Cone.Unreachable);
   Alcotest.check Alcotest.bool "src = dst rejected" true
-    (match Cone.extract icm ~src:1 ~dst:1 with
+    (match Cone.trace c ~certify:true ~src:1 ~dst:1 with
     | exception Invalid_argument _ -> true
-    | _ -> false)
+    | _ -> false);
+  (* trimming: edges into src and out of dst are not in the cone, so a
+     cycle through either endpoint neither joins the cone nor forks it;
+     a cycle strictly inside still shows up uncertified *)
+  let icm =
+    icm_of ~nodes:5
+      [ (0, 1); (1, 2); (2, 0); (2, 3); (3, 4); (4, 1) ]
+      [ 0.5; 0.5; 0.5; 0.5; 0.5; 0.5 ]
+  in
+  let c = Cone.create icm in
+  (match Cone.trace c ~certify:true ~src:0 ~dst:2 with
+  | Cone.Traced { nodes = 3; edges = 2 } ->
+    Alcotest.(check (list int)) "trimmed to the path" [ 0; 1 ] (cone_edges c)
+  | _ -> Alcotest.fail "cycles through src and dst not trimmed");
+  let inner =
+    icm_of ~nodes:4 [ (0, 1); (1, 2); (2, 3); (2, 1) ] [ 0.5; 0.5; 0.5; 0.5 ]
+  in
+  let c = Cone.create inner in
+  (match Cone.trace c ~certify:false ~src:0 ~dst:3 with
+  | Cone.Traced { nodes = 4; edges = 4 } ->
+    Alcotest.(check (list int)) "inner cycle kept" [ 0; 1; 2; 3 ]
+      (cone_edges c)
+  | _ -> Alcotest.fail "uncertified cone with an inner cycle not traced");
+  Alcotest.check Alcotest.bool "inner cycle forks" true
+    (Cone.trace c ~certify:true ~src:0 ~dst:3 = Cone.Fork { node = 2 })
 
-(* ---------- tree tier: unique path, product form ---------- *)
+(* ---------- path cones: unique path, product form ---------- *)
 
 let test_path_product () =
   let icm =
@@ -99,18 +123,16 @@ let test_diamond_exact () =
     e.Planner.value
 
 let test_double_diamond_exact () =
-  (* two diamonds in series — the second join's parents both descend
-     from the first join, but only through src-side history that the
-     cone ancestor test correctly attributes: all sharing is at node 3,
-     which is NOT the source, so this must be refused ... unless the
-     parent flows are measured from node 3 onward. Eq. 2's factors are
-     flows from src, so sharing at node 3 is real: refused. *)
+  (* two diamonds in series: the second join's parents both descend
+     from node 3, which is NOT the source. Eq. 2's factors are flows
+     from src, so that sharing is real and the query is refused at the
+     fork, node 3 — unless it is asked from node 3 onward. *)
   let edges =
     [ (0, 1); (0, 2); (1, 3); (2, 3); (3, 4); (3, 5); (4, 6); (5, 6) ]
   in
   let icm = icm_of ~nodes:7 edges [ 0.5; 0.5; 0.5; 0.5; 0.5; 0.5; 0.5; 0.5 ] in
   (match reason_exn (plan icm ~targets:[ (0, 6) ] ~conditions:[]) with
-  | Planner.Unsound_join { node } -> Alcotest.(check int) "join" 6 node
+  | Planner.Unsound_join { node } -> Alcotest.(check int) "fork" 3 node
   | r -> Alcotest.failf "wrong reason %s" (Planner.reason_label r));
   (* asked from the bottleneck itself, the second diamond is sound *)
   let e = value_exn (plan icm ~targets:[ (3, 6) ] ~conditions:[]) in
@@ -130,7 +152,26 @@ let test_triangle_and_cycle_exact () =
   let e = value_exn (plan cyc ~targets:[ (0, 2) ] ~conditions:[]) in
   check_close "cycle vs brute force"
     (Exact.brute_force_flow cyc ~src:0 ~dst:2)
-    e.Planner.value
+    e.Planner.value;
+  (* a diamond whose sink feeds back into one branch: the back edge
+     leaves dst, so the trimmed cone is the diamond and certifies *)
+  let back =
+    icm_of ~nodes:4
+      [ (0, 1); (0, 2); (1, 3); (2, 3); (3, 1) ]
+      [ 0.6; 0.3; 0.7; 0.4; 0.9 ]
+  in
+  let e = value_exn (plan back ~targets:[ (0, 3) ] ~conditions:[]) in
+  check_close "diamond with a back edge from dst vs brute force"
+    (Exact.brute_force_flow back ~src:0 ~dst:3)
+    e.Planner.value;
+  (* a cycle strictly inside the cone: node 2 has live out-edges to
+     both dst and node 1, so it is refused at node 2 *)
+  let inner =
+    icm_of ~nodes:4 [ (0, 1); (1, 2); (2, 3); (2, 1) ] [ 0.5; 0.5; 0.5; 0.5 ]
+  in
+  match reason_exn (plan inner ~targets:[ (0, 3) ] ~conditions:[]) with
+  | Planner.Unsound_join { node } -> Alcotest.(check int) "fork" 2 node
+  | r -> Alcotest.failf "wrong reason %s" (Planner.reason_label r)
 
 (* ---------- the documented overestimate is refused ---------- *)
 
@@ -141,21 +182,13 @@ let bottleneck = [ (0, 1); (1, 2); (1, 3); (2, 4); (3, 4) ]
 let test_bottleneck_refused () =
   let icm = icm_of ~nodes:5 bottleneck [ 0.5; 0.5; 0.5; 0.5; 0.5 ] in
   (match reason_exn (plan icm ~targets:[ (0, 4) ] ~conditions:[]) with
-  | Planner.Unsound_join { node } -> Alcotest.(check int) "join node" 4 node
+  | Planner.Unsound_join { node } -> Alcotest.(check int) "fork node" 1 node
   | r -> Alcotest.failf "wrong reason %s" (Planner.reason_label r));
   (* and the value Eq. 2 would have produced really is wrong *)
   let eq2 = Exact.flow_probability icm ~src:0 ~dst:4 in
   let truth = Exact.brute_force_flow icm ~src:0 ~dst:4 in
   Alcotest.check Alcotest.bool "Eq. 2 overestimates here" true
     (eq2 > truth +. 1e-6)
-
-(* ---------- budget ---------- *)
-
-let test_budget_refusal () =
-  let icm = icm_of ~nodes:4 diamond [ 0.5; 0.5; 0.5; 0.5 ] in
-  match reason_exn (plan ~budget:1 icm ~targets:[ (0, 3) ] ~conditions:[]) with
-  | Planner.Budget_exceeded -> ()
-  | r -> Alcotest.failf "wrong reason %s" (Planner.reason_label r)
 
 (* ---------- trivial targets ---------- *)
 
@@ -271,6 +304,93 @@ let prop_certified_matches_brute_force =
       | Ok e ->
         Float.abs (e.Planner.value -. Exact.brute_force_flow icm ~src:0 ~dst)
         <= 1e-9)
+
+(* The definition-level certificate, written out independently of the
+   planner: in the cone (descendants of src that are ancestors of dst,
+   over live edges), at every join k <> src the ancestor sets of k's
+   parents, each including the parent itself, meet at most in {src}. *)
+let reference_certified icm ~src ~dst =
+  let g = Icm.graph icm in
+  let n = Digraph.n_nodes g in
+  let live e = Icm.prob icm e > 0.0 in
+  let closure ~step start keep =
+    let seen = Array.make n false in
+    let rec go v =
+      if (not seen.(v)) && keep v then begin
+        seen.(v) <- true;
+        List.iter go (step v)
+      end
+    in
+    go start;
+    seen
+  in
+  let succs v =
+    List.filter_map
+      (fun e -> if live e then Some (Digraph.edge_dst g e) else None)
+      (Digraph.out_edges g v)
+  in
+  let preds v =
+    List.filter_map
+      (fun e -> if live e then Some (Digraph.edge_src g e) else None)
+      (Digraph.in_edges g v)
+  in
+  let desc = closure ~step:succs src (fun _ -> true) in
+  let anc = closure ~step:preds dst (fun _ -> true) in
+  let in_cone v = desc.(v) && anc.(v) in
+  let cone_anc v = closure ~step:preds v in_cone in
+  List.for_all
+    (fun k ->
+      let parents = List.filter in_cone (preds k) in
+      k = src || (not (in_cone k))
+      || List.for_all
+           (fun p ->
+             List.for_all
+               (fun q ->
+                 p >= q
+                 ||
+                 let ap = cone_anc p and aq = cone_anc q in
+                 List.for_all
+                   (fun w -> w = src || not (ap.(w) && aq.(w)))
+                   (List.init n Fun.id))
+               parents)
+           parents)
+    (List.init n Fun.id)
+
+let prop_dag_verdicts_match_reference =
+  (* gnm edges oriented low -> high id, some of them dead: on DAG cones
+     the out-degree certificate must give the definition's verdict *)
+  QCheck.Test.make ~count:500 ~name:"DAG verdicts equal the ancestor-set rule"
+    QCheck.(triple (int_range 3 10) (int_range 2 30) (int_range 0 100_000))
+    (fun (nodes, edges, seed) ->
+      let nodes = max 3 nodes and edges = max 1 edges in
+      let edges = min edges (nodes * (nodes - 1)) in
+      let rng = Rng.create seed in
+      let pairs =
+        List.sort_uniq compare
+          (List.map
+             (fun (u, v) -> (min u v, max u v))
+             (Digraph.edges (Gen.gnm rng ~nodes ~edges)))
+      in
+      let probs =
+        List.map
+          (fun _ ->
+            if Rng.int rng 6 = 0 then 0.0 else 0.05 +. (0.9 *. Rng.uniform rng))
+          pairs
+      in
+      let icm = icm_of ~nodes pairs probs in
+      let src = Rng.int rng (nodes - 1) in
+      let dst = src + 1 + Rng.int rng (nodes - 1 - src) in
+      let certified =
+        match plan icm ~targets:[ (src, dst) ] ~conditions:[] with
+        | Ok e ->
+          (* and on a certified cone Eq. 2 is exact *)
+          Float.abs (e.Planner.value -. Exact.flow_probability icm ~src ~dst)
+          <= 1e-12
+          || QCheck.Test.fail_reportf "value %h off Eq. 2" e.Planner.value
+        | Error (Planner.Unsound_join _) -> false
+        | Error r -> QCheck.Test.fail_reportf "reason %s" (Planner.reason_label r)
+      in
+      certified = reference_certified icm ~src ~dst)
 
 let prop_shared_bottleneck_refused =
   (* 0 -> 1 fans out to b branches that reconverge on the sink: every
@@ -470,7 +590,6 @@ let () =
             test_triangle_and_cycle_exact;
           Alcotest.test_case "bottleneck refused" `Quick
             test_bottleneck_refused;
-          Alcotest.test_case "budget" `Quick test_budget_refusal;
           Alcotest.test_case "trivial targets" `Quick test_trivial_targets;
         ] );
       ( "queries",
@@ -485,6 +604,7 @@ let () =
           [
             prop_trees_exact;
             prop_certified_matches_brute_force;
+            prop_dag_verdicts_match_reference;
             prop_shared_bottleneck_refused;
           ] );
       ( "engine",

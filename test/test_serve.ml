@@ -517,6 +517,44 @@ let test_serve_bit_identical () =
             { got with Engine.cached = (List.hd expected).Engine.cached };
           check_int "initial version" 0 (Option.get version)))
 
+(* A paced client on one connection must not wait on TCP's delayed
+   ACK. With Nagle's algorithm on, an answer written while the previous
+   answer is still unacknowledged is held until the client sends its
+   next bytes (or its delayed-ACK timer fires, 40 ms on Linux). Every
+   2 ms this client pipelines two requests in one write, so the server
+   writes two answers back to back; the answers are cache hits, so the
+   round trip is pure transport. *)
+let test_serve_paced_client_round_trip () =
+  with_server (fun server _engine ->
+      let fd = connect (Server.port server) in
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+          let r = Sockio.reader fd in
+          let line = query_json ~src:0 ~dst:1 () in
+          ignore (parse_ok (ask r fd line));
+          let read () =
+            match Sockio.read_line r with
+            | Sockio.Line l -> ignore (parse_ok l)
+            | _ -> Alcotest.fail "session broke"
+          in
+          let n = 100 in
+          let rtts = Array.make n 0.0 in
+          let next = ref (Unix.gettimeofday ()) in
+          for i = 0 to n - 1 do
+            next := !next +. 0.002;
+            let wait = !next -. Unix.gettimeofday () in
+            if wait > 0.0 then Unix.sleepf wait;
+            let t0 = Unix.gettimeofday () in
+            Sockio.write_all fd (line ^ "\n" ^ line ^ "\n");
+            read ();
+            read ();
+            rtts.(i) <- Unix.gettimeofday () -. t0
+          done;
+          Array.sort compare rtts;
+          let median_ms = 1000.0 *. rtts.(n / 2) in
+          check_bool
+            (Printf.sprintf "median round trip %.3f ms < 1 ms" median_ms)
+            true (median_ms < 1.0)))
+
 let test_serve_http_dialect () =
   with_server (fun server engine ->
       let expected = Engine.query engine (Query.flow ~src:0 ~dst:1 ()) in
@@ -1959,6 +1997,8 @@ let () =
             test_serve_bad_evidence_keeps_learning;
           Alcotest.test_case "/metrics counts what /healthz counts" `Quick
             test_serve_metrics_match_healthz;
+          Alcotest.test_case "paced client round trip" `Slow
+            test_serve_paced_client_round_trip;
         ] );
       ( "request-ids",
         [
