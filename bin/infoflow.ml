@@ -882,9 +882,7 @@ let serve seed host port workers queue_capacity max_connections quota_rate
       read_timeout_ms;
     }
   in
-  let server =
-    or_die (fun () -> Server.create ~config ~initial_version:version ~engine ())
-  in
+  let server = or_die (fun () -> Server.create ~config ~engine ()) in
   let online =
     or_die (fun () ->
         Iflow_stream.Online.create ~forget:learner.C.forget
@@ -897,6 +895,9 @@ let serve seed host port workers queue_capacity max_connections quota_rate
         Iflow_stream.Snapshot.create ?checkpoint_path:learner.C.checkpoint
           ~keep:learner.C.keep_checkpoints ~id:version ~offset:0 model)
   in
+  (* tag the engine with the (possibly resumed) version before the
+     first answer can leave *)
+  ignore (Iflow_stream.Snapshot.swap_into snapshot engine);
   let learner_report = ref None in
   let learner_thread =
     Thread.create

@@ -108,7 +108,7 @@ let () =
   let batch_model = Beta_icm.train_attributed g batch_objects in
   let identical =
     Beta_icm.digest batch_model
-    = report.Runner.final.Snapshot.digest
+    = Beta_icm.digest report.Runner.final.Snapshot.model
   in
   Printf.printf "stream == batch train_attributed: %b\n" identical;
 
@@ -134,8 +134,8 @@ let () =
   Printf.printf
     "recovered at offset %d of %d, replayed the rest: digests agree: %b\n"
     offset (List.length lines)
-    (report'.Runner.final.Snapshot.digest
-    = report.Runner.final.Snapshot.digest);
+    (Beta_icm.digest report'.Runner.final.Snapshot.model
+    = Beta_icm.digest report.Runner.final.Snapshot.model);
   Sys.remove checkpoint_path;
 
   (* 3. drift alerts point at the shifted community *)

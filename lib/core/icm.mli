@@ -29,6 +29,6 @@ val n_edges : t -> int
 val digest : t -> string
 (** FNV-1a fingerprint of the topology and edge probabilities — the
     model identity used by the engine's cache keys and per-query seeds
-    ({!Iflow_engine.Engine.icm_digest} delegates here). *)
+    (hashed once per {!Iflow_engine.Engine.swap}). *)
 
 val pp : Format.formatter -> t -> unit

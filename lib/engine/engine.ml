@@ -119,13 +119,16 @@ type plan =
   | Plan_exact of { cone_nodes : int; validated : bool }
   | Plan_mh of { fallback : string option }
 
-(* Phase timings live OUTSIDE [result] on purpose: results are cached
-   in the LRU and must stay bit-identical whether or not anyone is
-   measuring, so callers that want the decomposition pass a side
-   channel the engine fills in place. *)
-type phases = { mutable plan_ns : int; mutable sample_ns : int; mutable rounds : int }
+(* Phase timings and the version tag live OUTSIDE [result] on purpose:
+   results are cached in the LRU and must stay bit-identical whether or
+   not anyone is measuring (and versions may share a digest), so callers
+   pass a side channel the engine fills in place. *)
+type phases = {
+  mutable plan_ns : int; mutable sample_ns : int; mutable rounds : int;
+  mutable version : int;
+}
 
-let phases () = { plan_ns = 0; sample_ns = 0; rounds = 0 }
+let phases () = { plan_ns = 0; sample_ns = 0; rounds = 0; version = -1 }
 
 type result = {
   estimate : float;
@@ -174,20 +177,19 @@ let () =
 type t = {
   mutable icm : Icm.t;
   mutable digest : string;
+  mutable version : int;
   config : config;
   pool : Pool.t;
   cache : (string, result) Lru.t;
   seed : int;
   lock : Mutex.t;
-      (* guards [icm]/[digest]/[cache]; never held while sampling, so
-         concurrent callers only serialise on the cache *)
+      (* guards [icm]/[digest]/[version]/[cache]; never held while
+         sampling, so concurrent callers only serialise on the cache *)
 }
 
 (* called under the lock, after the entry count may have changed *)
 let set_cache_entries t =
   Metrics.set m_cache_entries (float_of_int (Lru.length t.cache))
-
-let icm_digest = Icm.digest
 
 let config_key c =
   Printf.sprintf "k%d b%d t%d r%d n%d rh%h mc%h p%d v%d" c.chains c.burn_in
@@ -199,7 +201,8 @@ let create ?(config = default_config) ~seed icm =
   validate_config config;
   {
     icm;
-    digest = icm_digest icm;
+    digest = Icm.digest icm;
+    version = 0;
     config;
     pool = Pool.create ?size:config.domains ();
     cache =
@@ -214,15 +217,15 @@ let locked t f = Mutex.protect t.lock f
 
 let icm t = locked t (fun () -> t.icm)
 let digest t = locked t (fun () -> t.digest)
+let version t = locked t (fun () -> (t.version, t.digest))
 let config t = t.config
 let pool_size t = Pool.size t.pool
 let cache_stats t = locked t (fun () -> Lru.stats t.cache)
 
-(* a query pins the (model, digest) pair it sees at entry: everything
-   downstream — seed derivation, cache key, sampling — uses the
-   captured pair, so a [swap] landing mid-query can never mix two model
-   versions inside one answer *)
-let capture t = locked t (fun () -> (t.icm, t.digest))
+(* a query pins the (model, digest, version) triple it sees at entry:
+   everything downstream uses the captured triple, so a [swap] landing
+   mid-query can never mix two model versions inside one answer *)
+let capture t = locked t (fun () -> (t.icm, t.digest, t.version))
 
 let cache_key t ~digest q =
   (* (model digest, query, conditions, config, seed): conditions are
@@ -533,11 +536,13 @@ let invalidate_locked t ~digest =
 
 let invalidate t ~digest = locked t (fun () -> invalidate_locked t ~digest)
 
-let swap t icm =
+let swap t ~version icm =
+  let digest = Icm.digest icm in
   locked t (fun () ->
       let retired = t.digest in
       t.icm <- icm;
-      t.digest <- icm_digest icm;
+      t.digest <- digest;
+      t.version <- version;
       let evicted =
         if t.digest = retired then 0 else invalidate_locked t ~digest:retired
       in
@@ -546,7 +551,8 @@ let swap t icm =
 
 let query ?rid ?phases:caller ?cancel ?on_deadline t q =
   Metrics.inc m_queries;
-  let icm, digest = capture t in
+  let icm, digest, version = capture t in
+  Option.iter (fun (p : phases) -> p.version <- version) caller;
   let key = cache_key t ~digest q in
   match locked t (fun () -> Lru.find t.cache key) with
   | Some r ->
@@ -579,7 +585,7 @@ let query_all ?rids t qs =
     List.mapi
       (fun i q ->
         Metrics.inc m_queries;
-        let icm, digest = capture t in
+        let icm, digest, _ = capture t in
         let key = cache_key t ~digest q in
         match Hashtbl.find_opt results key with
         | Some r -> { r with cached = true }

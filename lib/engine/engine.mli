@@ -17,13 +17,13 @@
 
     {b Thread safety.} An engine value may be driven by concurrent
     callers (threads or domains): the cache and the current
-    (model, digest) pair sit behind one internal mutex, held only for
-    cache probes and swaps, never while sampling. Each query pins the
-    (model, digest) pair it sees at entry, so a {!swap} landing
-    mid-query never mixes model versions inside one answer — the
-    serving layer leans on exactly this to keep answering during
-    hot-swaps. Determinism is unaffected: per-query seeds depend only
-    on (engine seed, model digest, query), not on interleaving. *)
+    (model, digest, version) triple sit behind one internal mutex, held
+    only for cache probes and swaps, never while sampling. Each query
+    pins the triple it sees at entry, so a {!swap} landing mid-query
+    never mixes model versions inside one answer — the serving layer
+    leans on exactly this during hot-swaps. Determinism is unaffected:
+    per-query seeds depend only on (engine seed, model digest, query),
+    not on interleaving. *)
 
 type config = {
   chains : int;          (** independent MH chains per query *)
@@ -75,8 +75,8 @@ type result = {
           that completed and [rhat]/[mcse] are its real (possibly
           unconverged) diagnostics. Never cached. *)
   model_digest : string;
-      (** digest of the model version this answer was computed against
-          — the serving layer maps it back to a published version id *)
+      (** {!Iflow_core.Icm.digest} of the model this answer was
+          computed against *)
   plan : plan;
       (** how the answer was produced. Exact answers carry
           [rhat = 1.0], [ess = 0.0], [mcse = 0.0],
@@ -88,16 +88,19 @@ type phases = {
   mutable plan_ns : int;   (** time inside {!Iflow_plan.Planner.plan} *)
   mutable sample_ns : int; (** time inside the MH sampling loop *)
   mutable rounds : int;    (** adaptive rounds the sampler ran *)
+  mutable version : int;   (** version id the query captured, set on
+                               every path, cache hits included *)
 }
-(** Per-query phase decomposition, reported through a caller-provided
-    side channel (see {!phases} and the [?phases] argument of {!query})
-    rather than in {!result} — results are cached and must stay
-    bit-identical whether or not anyone measures them. Fields
-    accumulate, so validation reruns add into the same cells; a cache
-    hit leaves all three at their initial value. *)
+(** Per-query phase decomposition and version tag, reported through a
+    caller-provided side channel (see the [?phases] argument of
+    {!query}) rather than in {!result} — results are cached and must
+    stay bit-identical whether or not anyone measures them, and
+    versions with one digest share entries. Timings accumulate, so
+    validation reruns add into the same cells; a cache hit leaves them
+    at zero. *)
 
 val phases : unit -> phases
-(** A fresh all-zero record for one {!query} call. *)
+(** A fresh record: timings zero, [version] [-1]. *)
 
 exception
   Chains_failed of {
@@ -134,19 +137,24 @@ val create : ?config:config -> seed:int -> Iflow_core.Icm.t -> t
 val icm : t -> Iflow_core.Icm.t
 val config : t -> config
 val digest : t -> string
-(** The model fingerprint used in cache keys and per-query seeds. *)
+(** The model fingerprint used in cache keys and per-query seeds:
+    {!Iflow_core.Icm.digest} of the current model. *)
+
+val version : t -> int * string
+(** The current (version id, digest) pair, read under one lock, so
+    both come from one {!swap} (id 0 before the first). *)
 
 val pool_size : t -> int
 
-val swap : t -> Iflow_core.Icm.t -> int
-(** Hot-swap the engine onto a new model version: subsequent queries
-    run (and cache) against the new model and its digest, while a query
-    already running when the swap lands finishes on the version it
-    captured at entry. Cache entries of the retired digest are evicted
-    via {!invalidate}; returns that eviction count (0 when the digests
-    coincide). The engine seed is kept, so per-query seeds still depend
-    only on (seed, model, query) and swapping back reproduces earlier
-    answers bit-for-bit. *)
+val swap : t -> version:int -> Iflow_core.Icm.t -> int
+(** Hot-swap the engine onto model version [version]: the model, its
+    {!Iflow_core.Icm.digest} and the id change together under the one
+    lock. Subsequent queries run (and cache) against the new model,
+    tagged [version], while a query already running finishes on the
+    triple it captured at entry. Cache entries of the retired digest
+    are evicted via {!invalidate}; returns that eviction count (0 when
+    the digests coincide; the tag still moves). The engine seed is
+    kept, so swapping back reproduces earlier answers bit-for-bit. *)
 
 val invalidate : t -> digest:string -> int
 (** Evict every cached result computed against the given model digest,
@@ -165,10 +173,10 @@ val query :
     [engine.query] trace span and, when a trace sink is installed,
     hashed into a flow id so the first chain task on a pool domain
     emits the flow-step event linking the caller's spans to the
-    sampling work. [?phases] receives the plan/sample time split (see
-    {!phases}). Neither argument can reach the RNG, the cache key, or
-    the result — answers are bit-for-bit identical with or without
-    them.
+    sampling work. [?phases] receives the plan/sample time split and
+    the captured version id (see {!phases}). Neither argument can reach
+    the RNG, the cache key, or the result — answers are bit-for-bit
+    identical with or without them.
 
     {b Deadlines.} [?cancel] (default {!Iflow_mcmc.Cancel.none})
     threads a cooperative cancellation token into the sampler: every
@@ -217,8 +225,5 @@ val query_all : ?rids:string array -> t -> Query.t list -> result list
     [?rid]); a short or missing array leaves the rest unnamed. *)
 
 val cache_stats : t -> Lru.stats
-
-val icm_digest : Iflow_core.Icm.t -> string
-(** Fingerprint of a model's topology and edge probabilities. *)
 
 val pp_result : Format.formatter -> result -> unit

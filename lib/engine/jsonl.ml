@@ -152,8 +152,13 @@ let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
 
+(* 2^53: past it a float no longer names one integer, and past
+   [max_int] [int_of_float] returns garbage *)
+let max_exact_int = 9_007_199_254_740_992.0
+
 let to_int = function
-  | Num f when Float.is_integer f -> Some (int_of_float f)
+  | Num f when Float.is_integer f && Float.abs f <= max_exact_int ->
+    Some (int_of_float f)
   | _ -> None
 
 let to_string = function Str s -> Some s | _ -> None

@@ -22,7 +22,8 @@ val member : string -> value -> value option
 (** Field lookup on an [Obj]; [None] on missing field or non-object. *)
 
 val to_int : value -> int option
-(** [Num] with an integral value. *)
+(** [Num] with an integral value of magnitude at most 2{^53}, where a
+    float names one integer exactly; [None] beyond (e.g. [1e300]). *)
 
 val to_string : value -> string option
 val to_list : value -> value list option

@@ -191,7 +191,7 @@ let default_config =
   }
 
 type reply =
-  | Answer of { result : Engine.result; version : int option; degraded : bool }
+  | Answer of { result : Engine.result; version : int; degraded : bool }
   | Refused of {
       code : Wire.error_code;
       msg : string;
@@ -249,12 +249,7 @@ type t = {
   queue : work Bqueue.t;
   ingest : string Bqueue.t;
   quota : Quota.t option;
-  (* digest -> published version id, for the [version] response field *)
-  vlock : Mutex.t;
-  versions : (string, int) Hashtbl.t;
-  mutable current : int;
-  mutable swap_failed_pending : bool;
-  mutable is_degraded : bool;
+  published : int Atomic.t; (* the learner's last published version id *)
   (* lifecycle *)
   lock : Mutex.t;
   stopped_cv : Condition.t;
@@ -301,12 +296,8 @@ let validate_config c =
     bad "default_deadline_ms %d exceeds max_deadline_ms %d" d mx
   | _ -> ()
 
-let create ?(config = default_config) ?gate ?(initial_version = 0) ~engine () =
+let create ?(config = default_config) ?gate ~engine () =
   validate_config config;
-  if initial_version < 0 then
-    invalid_arg "Server: negative initial_version";
-  let versions = Hashtbl.create 16 in
-  Hashtbl.replace versions (Engine.digest engine) initial_version;
   {
     config;
     engine;
@@ -314,11 +305,7 @@ let create ?(config = default_config) ?gate ?(initial_version = 0) ~engine () =
     queue = Bqueue.create config.queue_capacity;
     ingest = Bqueue.create config.ingest_capacity;
     quota = Option.map Quota.create config.quota;
-    vlock = Mutex.create ();
-    versions;
-    current = initial_version;
-    swap_failed_pending = false;
-    is_degraded = false;
+    published = Atomic.make (fst (Engine.version engine));
     lock = Mutex.create ();
     stopped_cv = Condition.create ();
     state = Idle;
@@ -334,35 +321,19 @@ let create ?(config = default_config) ?gate ?(initial_version = 0) ~engine () =
     next_rid = Atomic.make 1;
   }
 
-(* ----- version registry / learner integration ----- *)
+(* ----- learner integration ----- *)
 
-let version_of t digest =
-  Mutex.protect t.vlock (fun () -> Hashtbl.find_opt t.versions digest)
-
-let current_version t = Mutex.protect t.vlock (fun () -> t.current)
-let degraded t = Mutex.protect t.vlock (fun () -> t.is_degraded)
+(* the engine carries its own version tag; the server only remembers
+   how far the learner got, and is degraded while the engine lags it *)
+let lags t version = version < Atomic.get t.published
+let current_version t = fst (Engine.version t.engine)
+let degraded t = lags t (current_version t)
 
 let on_publish t (v : Snapshot.version) =
-  Mutex.protect t.vlock (fun () ->
-      if t.swap_failed_pending then
-        (* the swap preceding this publish failed: the engine still
-           serves the previous version, so the mapping must not move *)
-        t.swap_failed_pending <- false
-      else begin
-        (* the runner swaps before publishing, so the engine digest
-           read here is exactly the digest of version [v] *)
-        Hashtbl.replace t.versions (Engine.digest t.engine) v.Snapshot.id;
-        t.current <- v.Snapshot.id;
-        t.is_degraded <- false;
-        Metrics.set m_degraded 0.0
-      end)
+  Atomic.set t.published v.Snapshot.id;
+  Metrics.set m_degraded (if degraded t then 1.0 else 0.0)
 
-let note_degraded t ~stage e =
-  if stage = "swap" then
-    Mutex.protect t.vlock (fun () ->
-        t.swap_failed_pending <- true;
-        t.is_degraded <- true;
-        Metrics.set m_degraded 1.0);
+let note_degraded _t ~stage e =
   Log.warn ~component:"serve" "degraded (%s): %s" stage (Printexc.to_string e)
 
 (* ----- ingest bridge ----- *)
@@ -546,8 +517,7 @@ let worker_loop t =
               | Engine.Plan_mh _ -> r.Engine.chains_used < chains
             in
             if degraded then Metrics.inc m_degraded_answers;
-            Answer
-              { result = r; version = version_of t r.Engine.model_digest; degraded }
+            Answer { result = r; version = w.ph.Engine.version; degraded }
           | exception Engine.Deadline_exceeded { reason; rounds; _ } ->
             refuse (cancelled_code reason)
               (Printf.sprintf "query %s: %s after %d round%s" (Query.key w.wq)
@@ -569,7 +539,7 @@ let worker_loop t =
 
 let reply_line ?id ~rid = function
   | Answer { result; version; degraded } ->
-    Wire.result_line ?id ~request_id:rid ?version ~degraded result
+    Wire.result_line ?id ~request_id:rid ~version ~degraded result
   | Refused { code; msg; retry_after_ms } ->
     Wire.error_line ?id ~request_id:rid ?retry_after_ms code msg
 
@@ -656,7 +626,7 @@ let finish_request t ~rid ~tenant ~kind ~reply ~work ~deadline_budget_ns
       (match res.Engine.plan with
       | Engine.Plan_mh { fallback = Some f } -> r.fallback <- f
       | _ -> ());
-      r.version <- Option.value version ~default:(-1);
+      r.version <- version;
       r.digest <- res.Engine.model_digest;
       r.samples <- res.Engine.total_samples;
       r.rhat <- res.Engine.rhat;
@@ -697,9 +667,8 @@ let handle_query_line t ~tenant_default ?rid ?deadline_default ~lineno line =
     let id =
       match member "id" with
       | Some (Jsonl.Str s) -> Some s
-      | Some (Jsonl.Num f) when Float.is_integer f ->
-        Some (string_of_int (int_of_float f))
-      | _ -> None
+      | Some v -> Option.map string_of_int (Jsonl.to_int v)
+      | None -> None
     in
     let tenant =
       match member "tenant" with Some (Jsonl.Str s) -> s | _ -> tenant_default
@@ -786,22 +755,27 @@ let stats t =
 
 and queue_depth t = Bqueue.length t.queue
 
-let health_json t =
+(* the /healthz body and whether it reports degraded, from one read of
+   the engine's (version, digest) pair *)
+let health t =
   let s = stats t in
-  let degraded = degraded t in
-  Printf.sprintf
-    "{\"status\":%s,\"version\":%d,\"digest\":%s,\"uptime_s\":%.3f,\
-     \"queue_depth\":%d,\"queue_capacity\":%d,\"active_connections\":%d,\
-     \"requests\":%d,\"answered\":%d,\"shed_capacity\":%d,\"shed_quota\":%d,\
-     \"shed_deadline\":%d,\"bad_requests\":%d,\"engine_errors\":%d,\
-     \"evidence_pending\":%d,\"workers\":%d}"
-    (Wire.escape (if degraded then "degraded" else "ok"))
-    (current_version t)
-    (Wire.escape (Engine.digest t.engine))
-    (Clock.seconds_of_ns (Clock.now_ns () - t.t_start))
-    (queue_depth t) t.config.queue_capacity s.active s.requests s.answered
-    s.shed_capacity s.shed_quota s.shed_deadline s.bad_requests
-    s.engine_errors (ingest_pending t) t.config.workers
+  let version, digest = Engine.version t.engine in
+  let degraded = lags t version in
+  ( degraded,
+    Printf.sprintf
+      "{\"status\":%s,\"version\":%d,\"digest\":%s,\"uptime_s\":%.3f,\
+       \"queue_depth\":%d,\"queue_capacity\":%d,\"active_connections\":%d,\
+       \"requests\":%d,\"answered\":%d,\"shed_capacity\":%d,\"shed_quota\":%d,\
+       \"shed_deadline\":%d,\"bad_requests\":%d,\"engine_errors\":%d,\
+       \"evidence_pending\":%d,\"workers\":%d}"
+      (Wire.escape (if degraded then "degraded" else "ok"))
+      version (Wire.escape digest)
+      (Clock.seconds_of_ns (Clock.now_ns () - t.t_start))
+      (queue_depth t) t.config.queue_capacity s.active s.requests s.answered
+      s.shed_capacity s.shed_quota s.shed_deadline s.bad_requests
+      s.engine_errors (ingest_pending t) t.config.workers )
+
+let health_json t = snd (health t)
 
 (* ----- connection handling ----- *)
 
@@ -871,8 +845,8 @@ let handle_http t fd r first_line =
     let path, query = Http.split_target req.Http.path in
     match (req.Http.meth, path) with
     | "GET", "/healthz" ->
-      let body = health_json t ^ "\n" in
-      send ~status:(if degraded t then 503 else 200) body
+      let degraded, body = health t in
+      send ~status:(if degraded then 503 else 200) (body ^ "\n")
     | "GET", "/metrics" ->
       send ~status:200
         ~content_type:"text/plain; version=0.0.4"

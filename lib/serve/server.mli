@@ -26,12 +26,13 @@
       (seed, model digest, query) alone, so neither concurrency nor
       arrival order can perturb an estimate.
 
-    {b Hot-swap consistency.} Each query runs against the (model,
-    digest) pair it captured at entry; the digest comes back in the
-    answer and is mapped to the published version id via
-    {!on_publish}. While a swap fails ({!note_degraded}), the engine
-    keeps serving the last-good version and [/healthz] reports
-    [degraded] — serving never stops because learning hiccuped.
+    {b Hot-swap consistency.} The engine holds model, digest and
+    version id as one triple ({!Iflow_engine.Engine.swap}); an answer
+    reports the digest and id its query captured, and [/healthz] the
+    engine's current pair, so no pair is ever torn. While a swap fails,
+    the engine keeps serving the last-good version and [/healthz]
+    reports [degraded] — serving never stops because learning
+    hiccuped.
 
     {b Observability.} Every stage records into {!Iflow_obs.Metrics}
     ([iflow_serve_*]: request/queue-wait SLO histograms, shed and
@@ -125,13 +126,12 @@ val default_config : config
 type t
 
 val create :
-  ?config:config -> ?gate:(unit -> unit) -> ?initial_version:int ->
+  ?config:config -> ?gate:(unit -> unit) ->
   engine:Iflow_engine.Engine.t -> unit -> t
-(** Wrap an engine. [initial_version] (default 0) is the version id of
-    the model the engine currently holds — a resumed checkpoint's id
-    when the CLI resumed one. [gate], when given, is called by every
-    executor after dequeuing and before running a request — a test
-    hook for deterministically stalling the executors (and thus
+(** Wrap an engine; answers carry its version tag, so swap a resumed
+    version in before {!start}. [gate], when given, is called by
+    every executor after dequeuing and before running a request — a
+    test hook for deterministically stalling the executors (and thus
     filling the queue). Raises [Invalid_argument] on a nonsensical
     config. *)
 
@@ -177,20 +177,17 @@ val ingest_pending : t -> int
 
 val on_publish : t -> Iflow_stream.Snapshot.version -> unit
 (** Hook for {!Iflow_stream.Runner.run}'s [on_publish]: records the
-    digest the engine now serves under the published version id (the
-    runner swaps before publishing, so reading the engine digest here
-    is exact), and clears the degraded flag a failed swap set. When the
-    preceding swap failed, the mapping is {e not} updated — answers
-    keep reporting the version actually served. *)
+    published id and sets the [iflow_serve_degraded] gauge. *)
 
 val note_degraded : t -> stage:string -> exn -> unit
-(** Hook for [on_degraded]: a ["swap"] failure marks the server
-    degraded (surfaced in [/healthz] and
-    [iflow_serve_degraded_total]) until a subsequent publish swaps
-    cleanly. *)
+(** Hook for [on_degraded]: logs the absorbed fault. *)
 
 val current_version : t -> int
+(** The version id the engine serves now. *)
+
 val degraded : t -> bool
+(** The engine serves an older version than {!on_publish} last saw: a
+    swap failed and none has succeeded since. *)
 
 (** {1 Introspection} *)
 

@@ -143,20 +143,15 @@ let parsed_result json =
       | Some (Jsonl.Str d) -> Ok d
       | _ -> Error "missing field \"digest\""
     in
-    let version =
-      match Jsonl.member "version" json with
-      | Some (Jsonl.Num v) when Float.is_integer v -> Some (int_of_float v)
-      | _ -> None
-    in
+    let version = Option.bind (Jsonl.member "version" json) Jsonl.to_int in
     (* lines from pre-planner peers carry no "plan" field: treat them
        as MH answers with no fallback tag *)
     let plan =
       match Jsonl.member "plan" json with
       | Some (Jsonl.Str "exact") ->
         let cone_nodes =
-          match Jsonl.member "plan_cone" json with
-          | Some (Jsonl.Num v) when Float.is_integer v -> int_of_float v
-          | _ -> 0
+          Option.bind (Jsonl.member "plan_cone" json) Jsonl.to_int
+          |> Option.value ~default:0
         in
         let validated =
           match Jsonl.member "plan_validated" json with

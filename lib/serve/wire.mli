@@ -46,8 +46,8 @@ val result_line :
     server-side request id (client-supplied via the ["request_id"]
     field / [X-Request-Id] header, or minted at admission), echoed as
     ["request_id"] so a wire line can be joined to its
-    {!Iflow_obs.Flight} record and trace flow. [version] is the
-    published model version the answer's digest maps to; [degraded]
+    {!Iflow_obs.Flight} record and trace flow. [version] is the id the
+    query's model was tagged with, beside that model's digest; [degraded]
     (default false) marks answers completed from surviving chains
     only — the server computes it from the engine's configured chain
     count (exact-planned answers are never degraded). The answer's

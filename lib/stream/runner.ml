@@ -315,7 +315,8 @@ let pp_report ppf r =
      final version %d (digest %s, offset %d); %d published, %d checkpoints, \
      %d cache evictions, %d drift alerts; %d read errors, %d degraded swaps, \
      %d checkpoint failures; %.3f s (%.0f events/s)@]"
-    r.lines Online.pp_stats r.stats r.final.Snapshot.id r.final.Snapshot.digest
+    r.lines Online.pp_stats r.stats r.final.Snapshot.id
+    (Iflow_core.Beta_icm.digest r.final.Snapshot.model)
     r.final.Snapshot.offset r.versions_published r.checkpoints_written
     r.cache_evictions
     (List.length r.drift_alerts)

@@ -72,9 +72,9 @@ val run :
     offset of a recovered checkpoint; skip reads are never retried or
     skipped — a failure there means the resume point is unreachable).
     When [engine] is given it is swapped onto the current version up
-    front and after every publish. [on_degraded ~stage e] fires once per
-    absorbed fault with [stage] one of ["read"], ["swap"],
-    ["checkpoint"]. [on_quarantine ~line ~reason] fires once per
+    front and after every publish, before [on_publish] sees it.
+    [on_degraded ~stage e] fires once per absorbed fault with [stage]
+    one of ["read"], ["swap"], ["checkpoint"]. [on_quarantine ~line ~reason] fires once per
     quarantined event with the 1-based line number of the event log —
     [reason] already carries the same line number (and, for malformed
     JSON, the byte offset of the damage) via {!Online.apply_line}.
@@ -96,7 +96,7 @@ val run_binlog :
     {!Online.apply_record}. Cadences, supervision, drift alerts and the
     report are as in {!run}, with "line" meaning the event-slot offset
     in the binary log (so checkpoints resume with [skip] exactly as on
-    the JSONL path), and every published digest equals the JSONL
+    the JSONL path), and every published model equals the JSONL
     path's over the same events. Decode errors quarantine with
     {!Binlog.error_message} as the reason (no ["line N: "] prefix).
     Raises [Failure] when [skip] runs past the end of the log. *)

@@ -13,7 +13,6 @@ let m_fallbacks =
 
 type version = {
   id : int;
-  digest : string;
   model : Beta_icm.t;
   offset : int;
 }
@@ -34,7 +33,7 @@ let create ?checkpoint_path ?(keep = 1) ?(retry = Retry.default) ?(id = 0)
     checkpoint_path;
     keep;
     retry;
-    current = { id; digest = Beta_icm.digest model; model; offset };
+    current = { id; model; offset };
     checkpoints = 0;
   }
 
@@ -43,19 +42,13 @@ let published t = t.current.id
 let checkpoints_written t = t.checkpoints
 
 let publish t model ~offset =
-  let v =
-    {
-      id = t.current.id + 1;
-      digest = Beta_icm.digest model;
-      model;
-      offset;
-    }
-  in
+  let v = { id = t.current.id + 1; model; offset } in
   t.current <- v;
   v
 
 let swap_into t engine =
-  Engine.swap engine (Beta_icm.expected_icm t.current.model)
+  Engine.swap engine ~version:t.current.id
+    (Beta_icm.expected_icm t.current.model)
 
 let checkpoint t =
   match t.checkpoint_path with

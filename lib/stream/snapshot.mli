@@ -1,15 +1,15 @@
 (** Model versioning for the streaming pipeline: immutable published
-    versions with monotonic ids and content digests, crash-safe rotated
-    [.bicm] checkpoints carrying a replay offset, and hot-swap into a
-    running {!Iflow_engine.Engine}.
+    versions with monotonic ids, crash-safe rotated [.bicm] checkpoints
+    carrying a replay offset, and hot-swap into a running
+    {!Iflow_engine.Engine}.
 
     The accumulator mutates continuously; what the rest of the system
-    sees are the {e versions} published here. Each version is an
-    immutable frozen model plus its {!Iflow_core.Beta_icm.digest} and
-    the log offset (lines consumed) it reflects. Swapping a version
-    into an engine evicts the retired version's cache entries by
-    digest; queries already running finish on the version they
-    captured.
+    sees are the {e versions} published here: an immutable frozen
+    model, its id and the log offset (lines consumed) it reflects.
+    Publishing hashes nothing; swapping a version into an engine tags
+    the engine with its id (the engine hashes the expected ICM once)
+    and evicts the retired version's cache entries; queries already
+    running finish on the version they captured.
 
     {b Durability.} Checkpoints are written atomically
     ({!Iflow_io.Model_io} v3: tmp + fsync + rename + CRC-32 footer) and
@@ -21,7 +21,6 @@
 
 type version = {
   id : int;          (** monotonic, starting at 0 for the seed model *)
-  digest : string;   (** {!Iflow_core.Beta_icm.digest} of [model] *)
   model : Iflow_core.Beta_icm.t;
   offset : int;      (** event-log lines consumed when published *)
 }
@@ -47,17 +46,18 @@ val published : t -> int
 val checkpoints_written : t -> int
 
 val publish : t -> Iflow_core.Beta_icm.t -> offset:int -> version
-(** Freeze a new current version with the next id. *)
+(** Make [model] the current version with the next id; O(1). *)
 
 val swap_into : t -> Iflow_engine.Engine.t -> int
-(** Hot-swap the engine onto the current version's expected ICM via
-    {!Iflow_engine.Engine.swap}; returns the evicted cache-entry
-    count. *)
+(** Hot-swap the engine onto the current version's expected ICM, tagged
+    with its id, via {!Iflow_engine.Engine.swap}; returns the evicted
+    cache-entry count. *)
 
 val checkpoint : t -> unit
 (** Rotate the checkpoint set down one generation, then atomically
     write the current version to [checkpoint_path] as a v3 [.bicm]
-    whose header records [digest], [offset] and [version] — everything
+    whose header records [offset], [version] and the model's
+    {!Iflow_core.Beta_icm.digest} (hashed here only) — everything
     {!recover} needs. Transient write failures are retried per the
     [retry] policy; the exception of the final failed attempt
     propagates (the rotation has already preserved the previous

@@ -7,9 +7,9 @@ only. Asserts:
 
   - every query from every concurrent session gets a well-formed answer
     (an "estimate" plus the "version"/"digest" pair it was computed on);
-  - the (version, digest) mapping is consistent across all answers — a
-    version id never shows up with two digests, i.e. no answer is torn
-    across a hot-swap;
+  - the (version, digest) mapping is consistent across all answers and
+    every /healthz poll — a version id never shows up with two digests,
+    i.e. no answer or health report is torn across a hot-swap;
   - POSTed evidence is accepted and the served model version advances
     while the query load is still running;
   - every answer carries a "plan" tag ("exact" or "mh"), a self-flow
@@ -96,15 +96,23 @@ class Recorder:
                 fail(f"answer without a plan tag: {reply}")
             if not reply.get("request_id"):
                 fail(f"answer without a request_id: {reply}")
-            v, d = reply.get("version"), reply.get("digest")
-            if v is None or d is None:
-                fail(f"answer without version/digest: {reply}")
-                return
-            if self.version_digest.setdefault(v, d) != d:
-                fail(
-                    f"torn hot-swap: version {v} seen with digests "
-                    f"{self.version_digest[v]} and {d}"
-                )
+            self._pair(reply, "answer")
+
+    def health(self, h):
+        """Check a /healthz body's pair against the answers' map."""
+        with self.lock:
+            self._pair(h, "/healthz")
+
+    def _pair(self, reply, what):
+        v, d = reply.get("version"), reply.get("digest")
+        if v is None or d is None:
+            fail(f"{what} without version/digest: {reply}")
+            return
+        if self.version_digest.setdefault(v, d) != d:
+            fail(
+                f"torn hot-swap: {what} says version {v} has digest {d}, "
+                f"but {self.version_digest[v]} was seen before"
+            )
 
 
 def jsonl_session(host, port, queries, rec):
@@ -219,6 +227,7 @@ def main():
     # concurrent load: each session asks its own (src, dst) pairs, so
     # the mix covers both cache misses and hits across sessions
     rec = Recorder()
+    rec.health(v0)
     threads = []
     for i in range(args.sessions):
         queries = [
@@ -257,6 +266,7 @@ def main():
     swapped = None
     while time.monotonic() < deadline:
         h = healthz(host, port)
+        rec.health(h)
         if h.get("version", 0) > base:
             swapped = h
             break
@@ -270,6 +280,7 @@ def main():
 
     for t in threads:
         t.join()
+    rec.health(healthz(host, port))
 
     expected = sum(1 for i in range(args.sessions)
                    for k in range(args.queries_per_session)

@@ -308,6 +308,8 @@ let substrate seed ~events =
   in
   (g, evidence, enriched)
 
+let final_digest r = Beta_icm.digest r.Runner.final.Snapshot.model
+
 let run_jsonl ?drift ~batch ~forget model events =
   let online = Online.create ?drift ~forget model in
   let snapshot = Snapshot.create model in
@@ -315,7 +317,8 @@ let run_jsonl ?drift ~batch ~forget model events =
   let quarantines = ref [] in
   let report =
     Runner.run
-      ~on_publish:(fun v -> digests := v.Snapshot.digest :: !digests)
+      ~on_publish:(fun v ->
+        digests := Beta_icm.digest v.Snapshot.model :: !digests)
       ~on_quarantine:(fun ~line ~reason ->
         quarantines := (line, reason) :: !quarantines)
       { Runner.batch; checkpoint_every = None }
@@ -332,7 +335,8 @@ let run_bin_log ?drift ?(skip = 0) ~batch ~forget model path =
   let quarantines = ref [] in
   let report =
     Runner.run_binlog ~skip
-      ~on_publish:(fun v -> digests := v.Snapshot.digest :: !digests)
+      ~on_publish:(fun v ->
+        digests := Beta_icm.digest v.Snapshot.model :: !digests)
       ~on_quarantine:(fun ~line ~reason ->
         quarantines := (line, reason) :: !quarantines)
       { Runner.batch; checkpoint_every = None }
@@ -375,7 +379,7 @@ let test_cross_codec_replay () =
       in
       check_bool (label ^ ": digests at every publish") true (dj = db);
       check_bool (label ^ ": final digest") true
-        (rj.Runner.final.Snapshot.digest = rb.Runner.final.Snapshot.digest);
+        (final_digest rj = final_digest rb);
       check_int (label ^ ": lines") rj.Runner.lines rb.Runner.lines;
       check_bool (label ^ ": quarantine lines and reasons") true (qj = qb);
       check_stats_equal rj.Runner.stats rb.Runner.stats)
@@ -448,7 +452,7 @@ let test_binary_matches_jsonl_after_corruption () =
       (* reference: the same stream without its first event *)
       let rj, _, _ = run_jsonl ~batch:16 ~forget:0.0 model (List.tl events) in
       check_string "posterior matches JSONL minus the damaged event"
-        rj.Runner.final.Snapshot.digest report.Runner.final.Snapshot.digest)
+        (final_digest rj) (final_digest report))
 
 let test_checkpoint_resume_binary () =
   (* crash after a prefix, recover, resume from the binary log with
@@ -457,7 +461,7 @@ let test_checkpoint_resume_binary () =
   let model = Beta_icm.uninformed g in
   let expected =
     let rj, _, _ = run_jsonl ~batch:32 ~forget:0.0 model events in
-    rj.Runner.final.Snapshot.digest
+    final_digest rj
   in
   with_temp_log (fun log ->
       ignore (write_log log events);
@@ -488,7 +492,7 @@ let test_checkpoint_resume_binary () =
           in
           check_int "rest consumed" total report.Runner.lines;
           check_string "resumed digest matches uninterrupted replay" expected
-            report.Runner.final.Snapshot.digest))
+            (final_digest report)))
 
 let test_unknown_tag_quarantines () =
   (* a record with an unrecognised tag byte but a valid CRC: future

@@ -63,9 +63,10 @@ let test_sigkill_recovery () =
   let prior = Beta_icm.uninformed g in
   let config = { Runner.batch = 16; checkpoint_every = Some 20 } in
   let reference =
-    (Runner.run config (Online.create prior) (Snapshot.create prior)
-       (Runner.lines_of_list lines))
-      .Runner.final.Snapshot.digest
+    Beta_icm.digest
+      (Runner.run config (Online.create prior) (Snapshot.create prior)
+         (Runner.lines_of_list lines))
+        .Runner.final.Snapshot.model
   in
   List.iteri
     (fun trial delay ->
@@ -114,7 +115,7 @@ let test_sigkill_recovery () =
                  "trial %d: killed after %.0f ms at offset %d, resume is \
                   bit-identical"
                  trial (delay *. 1000.0) offset)
-              reference resumed.Runner.final.Snapshot.digest))
+              reference (Beta_icm.digest resumed.Runner.final.Snapshot.model)))
     [ 0.0; 0.01; 0.04; 0.12 ]
 
 let () =

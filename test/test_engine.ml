@@ -50,13 +50,12 @@ let test_fingerprint_deterministic () =
 
 let test_model_digest () =
   let icm = five_node_icm 11 in
-  Alcotest.(check string) "stable" (Engine.icm_digest icm)
-    (Engine.icm_digest icm);
+  Alcotest.(check string) "stable" (Icm.digest icm) (Icm.digest icm);
   let probs = Icm.probs icm in
   probs.(0) <- probs.(0) +. 1e-9;
   let perturbed = Icm.create (Icm.graph icm) probs in
   Alcotest.(check bool) "sensitive to probabilities" true
-    (Engine.icm_digest icm <> Engine.icm_digest perturbed)
+    (Icm.digest icm <> Icm.digest perturbed)
 
 (* ---------- Jsonl ---------- *)
 

@@ -564,6 +564,7 @@ let test_runner_on_error_policies () =
       (Snapshot.create (Beta_icm.uninformed g))
       source
   in
+  let final_digest r = Beta_icm.digest r.Runner.final.Snapshot.model in
   let reference = run Runner.Fail_fast (Runner.lines_of_list lines) in
   check_bool "fail-fast raises" true
     (match run Runner.Fail_fast (flaky_source lines ~period:50) with
@@ -573,12 +574,12 @@ let test_runner_on_error_policies () =
   check_bool "skip absorbs the faults" true
     (skipped.Runner.read_errors > 0);
   check_string "and loses no lines (faults hit pulls, not data)"
-    reference.Runner.final.Snapshot.digest skipped.Runner.final.Snapshot.digest;
+    (final_digest reference) (final_digest skipped);
   let retried = run (Runner.Retry_reads Retry.no_delay)
       (flaky_source lines ~period:50)
   in
   check_string "retry reaches the same model"
-    reference.Runner.final.Snapshot.digest retried.Runner.final.Snapshot.digest;
+    (final_digest reference) (final_digest retried);
   (* a permanently dead source must not spin Skip_line forever *)
   let dead () = failwith "dead source" in
   check_bool "skip gives up on a dead source" true
@@ -607,8 +608,11 @@ let test_runner_degraded_swap () =
       check_bool "callback saw them" true
         (List.for_all (( = ) "swap") !stages && List.length !stages = 2);
       (* later swaps landed: the engine ended on the final version *)
-      check_string "engine caught up" report.Runner.final.Snapshot.digest
-        (Beta_icm.digest report.Runner.final.Snapshot.model))
+      check_string "engine caught up"
+        (Icm.digest (Beta_icm.expected_icm report.Runner.final.Snapshot.model))
+        (Engine.digest engine);
+      check_int "and is tagged with its id" report.Runner.final.Snapshot.id
+        (fst (Engine.version engine)))
 
 let test_runner_checkpoint_failure_keeps_going () =
   with_temp_file (fun path ->

@@ -414,6 +414,119 @@ let test_decode_errors_carry_line_numbers () =
       (String.length msg >= 7 && String.sub msg 0 7 = "line 7:")
   | Ok _ -> Alcotest.fail "decoded a nonsense event"
 
+(* ---------- decoder robustness ---------- *)
+
+(* an integer a float cannot hold exactly must not decode as some
+   other node id *)
+let test_out_of_range_ints_rejected () =
+  let check_error what = function
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "decoded %s" what
+  in
+  List.iter
+    (fun line -> check_error line (Query.of_line line))
+    [
+      {|{"type":"flow","src":1e300,"dst":2}|};
+      {|{"type":"flow","src":18446744073709551616,"dst":2}|};
+    ];
+  check_error "an attributed event naming node 2^64"
+    (Event.of_line
+       {|{"type":"attributed","sources":[18446744073709551616],"nodes":[0],"edges":[]}|});
+  let to_int f = Jsonl.to_int (Jsonl.Num f) in
+  check_bool "2^53 is exact" true (to_int 9007199254740992.0 = Some (1 lsl 53));
+  check_bool "-2^53 is exact" true
+    (to_int (-9007199254740992.0) = Some (-(1 lsl 53)));
+  check_bool "past 2^53 is not" true (to_int 9007199254740994.0 = None);
+  check_bool "fractions are not" true (to_int 0.5 = None)
+
+let valid_lines =
+  [|
+    {|{"type":"flow","src":0,"dst":5}|};
+    {|{"id":7,"type":"community","src":0,"sinks":[3,4],"deadline_ms":50}|};
+    {|{"type":"joint","flows":[[0,3],[1,4]],"conditions":[[0,1,true]]}|};
+    {|{"type":"attributed","sources":[0],"nodes":[0,3,5],"edges":[[0,3],[3,5]]}|};
+    {|{"type":"trace","sources":[0],"times":[[3,1],[5,2]]}|};
+    {|{"type":"add_edges","edges":[[1,7],[2,7]],"alpha":1,"beta":2.5}|};
+    {|{"estimate":0.25,"rhat":1.0,"ess":0.0,"mcse":0.0,"samples":0,"chains":0,"cached":false,"plan":"exact","plan_cone":3,"plan_validated":false,"version":2,"digest":"ab\u00e9"}|};
+  |]
+
+let test_fuzz_seeds_decode () =
+  Array.iter
+    (fun line ->
+      let ok = Result.is_ok in
+      check_bool line true
+        (ok (Query.of_line line)
+        || ok (Event.of_line line)
+        || ok (Result.bind (Jsonl.parse line) Wire.parsed_result)))
+    valid_lines
+
+(* a line with 1–4 byte edits: overwrite, delete, insert, truncate *)
+let mutated_line =
+  let open QCheck.Gen in
+  let edit s (op, pos, c) =
+    let n = String.length s in
+    let i = if n = 0 then 0 else pos mod n in
+    match op with
+    | 0 when n > 0 -> String.mapi (fun j x -> if j = i then c else x) s
+    | 1 when n > 0 -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+    | 2 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+    | _ -> String.sub s 0 i
+  in
+  map2 (List.fold_left edit) (oneofa valid_lines)
+    (list_size (int_range 1 4) (triple (int_bound 3) nat char))
+
+(* every decoder answers Ok or Error; an exception fails the property *)
+let decoders_total line =
+  let guard what f =
+    match f () with
+    | Ok _ | Error _ -> ()
+    | exception e ->
+      QCheck.Test.fail_reportf "%s raised %s on %S" what (Printexc.to_string e)
+        line
+  in
+  guard "Jsonl.parse" (fun () -> Jsonl.parse line);
+  guard "Query.of_line" (fun () -> Query.of_line line);
+  guard "Event.of_line" (fun () -> Event.of_line ~lineno:1 line);
+  guard "Wire.parsed_result" (fun () ->
+      Result.bind (Jsonl.parse line) Wire.parsed_result);
+  true
+
+let prop_decoders_never_raise =
+  QCheck.Test.make ~count:2000 ~name:"decoders return Ok/Error on any bytes"
+    QCheck.(
+      make ~print:Print.string
+        Gen.(frequency [ (1, string_size (int_bound 64)); (3, mutated_line) ]))
+    decoders_total
+
+(* an integer literal past 2^53, in plain or exponent form *)
+let out_of_range_literal =
+  let open QCheck.Gen in
+  let digits = string_size ~gen:(char_range '0' '9') (int_range 16 24) in
+  let plain = map2 (Printf.sprintf "%d%s") (int_range 1 9) digits in
+  let exp = map2 (Printf.sprintf "%de%d") (int_range 1 9) (int_range 16 308) in
+  map2 (fun neg lit -> if neg then "-" ^ lit else lit) bool (oneof [ plain; exp ])
+
+let prop_out_of_range_rejected =
+  QCheck.Test.make ~count:500 ~name:"integers past 2^53 are always Error"
+    QCheck.(make ~print:Print.string out_of_range_literal)
+    (fun lit ->
+      let queries =
+        [
+          Printf.sprintf {|{"type":"flow","src":%s,"dst":2}|} lit;
+          Printf.sprintf {|{"type":"flow","src":1,"dst":%s}|} lit;
+          Printf.sprintf {|{"type":"community","src":0,"sinks":[1,%s]}|} lit;
+          Printf.sprintf {|{"type":"flow","src":0,"dst":1,"conditions":[[%s,1,true]]}|} lit;
+        ]
+      and events =
+        [
+          Printf.sprintf {|{"type":"attributed","sources":[%s],"nodes":[0],"edges":[]}|} lit;
+          Printf.sprintf {|{"type":"add_nodes","count":%s}|} lit;
+          Printf.sprintf {|{"type":"remove_edges","edges":[[0,%s]]}|} lit;
+        ]
+      in
+      List.for_all (fun l -> Result.is_error (Query.of_line l)) queries
+      && List.for_all (fun l -> Result.is_error (Event.of_line l)) events)
+
 (* ---------- loopback clients ---------- *)
 
 let connect port =
@@ -857,6 +970,16 @@ let run_learner server engine model ~batch =
            (Server.ingest_source server)))
     ()
 
+(* the (version, digest) pair a /healthz body reports *)
+let health_pair body =
+  match Jsonl.parse body with
+  | Ok json -> (
+    match (Jsonl.member "version" json, Jsonl.member "digest" json) with
+    | Some v, Some (Jsonl.Str d) when Jsonl.to_int v <> None ->
+      (Option.get (Jsonl.to_int v), d)
+    | _ -> Alcotest.failf "healthz without version/digest: %s" body)
+  | Error msg -> Alcotest.failf "healthz: %s" msg
+
 let test_serve_hot_swap_under_load () =
   let _g, model, lines = beta_substrate 17 in
   let engine =
@@ -864,10 +987,11 @@ let test_serve_hot_swap_under_load () =
   in
   let server = Server.create ~engine () in
   Server.start server;
-  (* record exactly what the learner publishes: digest -> version id *)
+  (* what the learner publishes: version id -> the digest the engine
+     holds right after the runner swapped that version in. Written only
+     by the learner thread and read only after it is joined. *)
   let published = Hashtbl.create 8 in
-  let pub_m = Mutex.create () in
-  Hashtbl.replace published (Engine.digest engine) 0;
+  Hashtbl.replace published 0 (Engine.digest engine);
   let online = Online.create model in
   let snapshot = Snapshot.create ~id:0 ~offset:0 model in
   let learner =
@@ -879,21 +1003,23 @@ let test_serve_hot_swap_under_load () =
                Server.note_degraded server ~stage e)
              ~on_publish:(fun v ->
                Server.on_publish server v;
-               Mutex.protect pub_m (fun () ->
-                   Hashtbl.replace published (Engine.digest engine)
-                     v.Snapshot.id))
+               Hashtbl.replace published v.Snapshot.id (Engine.digest engine))
              { Runner.batch = 16; checkpoint_every = None }
              online snapshot
              (Server.ingest_source server)))
       ()
   in
-  Fun.protect
-    ~finally:(fun () ->
-      Server.stop server;
-      Thread.join learner)
-    (fun () ->
-      let torn = Bqueue.create 256 in
+  let learner_joined = ref false in
+  let join_learner () =
+    Server.stop server;
+    if not !learner_joined then begin
+      Thread.join learner;
+      learner_joined := true
+    end
+  in
+  Fun.protect ~finally:join_learner (fun () ->
       let stop_clients = ref false in
+      let answers = Array.make 3 [] in
       let client i =
         let fd = connect (Server.port server) in
         Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
@@ -902,38 +1028,25 @@ let test_serve_hot_swap_under_load () =
             while not !stop_clients do
               incr n;
               let src = (i + !n) mod 12 and dst = (i + (2 * !n) + 1) mod 12 in
-              if src <> dst then begin
-                let line = ask r fd (query_json ~src ~dst ()) in
-                let got, version = parse_ok line in
-                let expect =
-                  Mutex.protect pub_m (fun () ->
-                      Hashtbl.find_opt published got.Engine.model_digest)
-                in
-                match (expect, version) with
-                | Some v, Some v' when v = v' -> ()
-                | _ ->
-                  ignore (Bqueue.try_push torn (line, expect, version))
-              end
+              if src <> dst then
+                answers.(i) <- ask r fd (query_json ~src ~dst ()) :: answers.(i)
             done)
       in
       let clients = List.init 3 (fun i -> Thread.create client i) in
+      (* /healthz polled while versions move under the load *)
+      let health = ref [] in
+      let poll () = health := health_pair (Server.health_json server) :: !health in
       (* stream evidence under the running query load: 5 batches *)
       List.iter
         (fun line ->
+          poll ();
           spin "ingest accepted" (fun () -> Server.ingest_line server line))
         (lines 80);
       spin "several versions published" (fun () ->
+          poll ();
           Server.current_version server >= 4);
       stop_clients := true;
       List.iter Thread.join clients;
-      (match Bqueue.pop_opt torn with
-      | Some (line, expect, got) ->
-        Alcotest.failf
-          "torn answer %s: digest maps to version %s but response said %s"
-          line
-          (match expect with Some v -> string_of_int v | None -> "<none>")
-          (match got with Some v -> string_of_int v | None -> "<none>")
-      | None -> ());
       check_bool "versions advanced" true (Server.current_version server >= 4);
       check_bool "never degraded" false (Server.degraded server);
       (* the live engine now answers bit-identically to a fresh engine
@@ -944,7 +1057,67 @@ let test_serve_hot_swap_under_load () =
       in
       let q = Query.flow ~src:0 ~dst:5 () in
       same_result "post-swap vs fresh engine" (Engine.query fresh q)
-        (Engine.query engine q))
+        (Engine.query engine q);
+      (* with the learner joined, every published pair is known: each
+         answer and each /healthz read must name one of them *)
+      join_learner ();
+      check_bool "learner published" true (Hashtbl.length published >= 5);
+      let torn what version digest =
+        if Hashtbl.find_opt published version <> Some digest then
+          Alcotest.failf
+            "torn %s: version %d with digest %s, but version %d published %s"
+            what version digest version
+            (Option.value (Hashtbl.find_opt published version)
+               ~default:"<never published>")
+      in
+      let n = ref 0 in
+      Array.iter
+        (List.iter (fun line ->
+             incr n;
+             match parse_ok line with
+             | got, Some v -> torn ("answer " ^ line) v got.Engine.model_digest
+             | _, None -> Alcotest.failf "answer without a version: %s" line))
+        answers;
+      check_bool "answers collected" true (!n > 0);
+      List.iter (fun (v, d) -> torn "/healthz" v d) !health)
+
+(* a numeric "id" is echoed only when it names one integer exactly *)
+let test_serve_numeric_id_echo () =
+  with_server (fun server _engine ->
+      let fd = connect (Server.port server) in
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+          let r = Sockio.reader fd in
+          let id_of line =
+            match Jsonl.parse line with
+            | Ok json -> Jsonl.member "id" json
+            | Error msg -> Alcotest.failf "bad response %S: %s" line msg
+          in
+          let echo id =
+            id_of
+              (ask r fd
+                 (Printf.sprintf {|{"id":%s,"type":"flow","src":0,"dst":1}|} id))
+          in
+          check_bool "42 echoed" true (echo "42" = Some (Jsonl.Str "42"));
+          check_bool "1e300 not echoed" true (echo "1e300" = None);
+          check_bool "2^64 not echoed" true
+            (echo "18446744073709551616" = None)))
+
+(* a swap the learner never published: /healthz and the next answer
+   both name the engine's new pair at once, with no publish hook *)
+let test_serve_version_follows_swap () =
+  with_server (fun server engine ->
+      let icm_b = five_node_icm 4 in
+      let digest_b = Icm.digest icm_b in
+      check_bool "a different model" true (digest_b <> Engine.digest engine);
+      ignore (Engine.swap engine ~version:1 icm_b);
+      check_bool "/healthz names the new pair" true
+        (health_pair (Server.health_json server) = (1, digest_b));
+      let fd = connect (Server.port server) in
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+          let r = Sockio.reader fd in
+          let got, version = parse_ok (ask r fd (query_json ~src:0 ~dst:2 ())) in
+          check_string "answer digest" digest_b got.Engine.model_digest;
+          check_bool "answer version" true (version = Some 1)))
 
 let test_serve_degraded_swap () =
   let _g, model, lines = beta_substrate 23 in
@@ -1362,21 +1535,26 @@ let test_engine_concurrent_queries_and_swaps () =
     List.map (fun q -> (Query.key q, Engine.query e q)) queries
   in
   let ref_a = reference icm_a and ref_b = reference icm_b in
-  let digest_a = Engine.icm_digest icm_a and digest_b = Engine.icm_digest icm_b in
+  let digest_a = Icm.digest icm_a and digest_b = Icm.digest icm_b in
   let mismatches = Bqueue.create 1024 in
   let stop = ref false in
   let worker _i =
     while not !stop do
       List.iter
         (fun q ->
-          let r = Engine.query engine q in
+          let ph = Engine.phases () in
+          let r = Engine.query ~phases:ph engine q in
           let table =
             if String.equal r.Engine.model_digest digest_a then Some ref_a
             else if String.equal r.Engine.model_digest digest_b then Some ref_b
             else None
           in
+          (* even versions install a, odd ones b *)
+          let tagged_a = ph.Engine.version mod 2 = 0 in
           match table with
           | None -> ignore (Bqueue.try_push mismatches (Query.key q, "digest"))
+          | Some table when (table == ref_a) <> tagged_a ->
+            ignore (Bqueue.try_push mismatches (Query.key q, "version tag"))
           | Some table ->
             let want = List.assoc (Query.key q) table in
             if
@@ -1393,7 +1571,8 @@ let test_engine_concurrent_queries_and_swaps () =
   (* swap back and forth under the running queries: each swap
      invalidates the cache, so hits and misses race with the swaps *)
   for i = 1 to 20 do
-    ignore (Engine.swap engine (if i mod 2 = 0 then icm_a else icm_b));
+    ignore
+      (Engine.swap engine ~version:i (if i mod 2 = 0 then icm_a else icm_b));
     Thread.yield ()
   done;
   stop := true;
@@ -1979,7 +2158,13 @@ let () =
           Alcotest.test_case "error line" `Quick test_wire_error_line;
           Alcotest.test_case "decode errors carry line numbers" `Quick
             test_decode_errors_carry_line_numbers;
-        ] );
+          Alcotest.test_case "out-of-range integers rejected" `Quick
+            test_out_of_range_ints_rejected;
+          Alcotest.test_case "fuzz seeds decode" `Quick test_fuzz_seeds_decode;
+        ]
+        @ List.map
+            (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0 |]))
+            [ prop_decoders_never_raise; prop_out_of_range_rejected ] );
       ( "server",
         [
           Alcotest.test_case "serve = batch, bit for bit" `Slow
@@ -1993,6 +2178,10 @@ let () =
           Alcotest.test_case "hot-swap under load" `Slow
             test_serve_hot_swap_under_load;
           Alcotest.test_case "degraded swap" `Slow test_serve_degraded_swap;
+          Alcotest.test_case "version follows swap" `Quick
+            test_serve_version_follows_swap;
+          Alcotest.test_case "numeric id echo in range" `Quick
+            test_serve_numeric_id_echo;
           Alcotest.test_case "bad evidence keeps learning" `Slow
             test_serve_bad_evidence_keeps_learning;
           Alcotest.test_case "/metrics counts what /healthz counts" `Quick

@@ -243,7 +243,7 @@ let test_replay_determinism () =
         report.Runner.stats.Online.applied;
       check_string
         (Printf.sprintf "batch %d: digest matches train_attributed" batch)
-        expected report.Runner.final.Snapshot.digest)
+        expected (Beta_icm.digest report.Runner.final.Snapshot.model))
     [ 1; 7; 64; 1000 ]
 
 let test_checkpoint_restore_determinism () =
@@ -271,7 +271,7 @@ let test_checkpoint_restore_determinism () =
       in
       check_int "resumed to the end" 300 report.Runner.lines;
       check_string "restored replay matches train_attributed" expected
-        report.Runner.final.Snapshot.digest;
+        (Beta_icm.digest report.Runner.final.Snapshot.model);
       check_bool "version numbering continues" true
         (report.Runner.final.Snapshot.id > version))
 
@@ -319,7 +319,7 @@ let test_forgetting_changes_posterior_not_replay () =
         (Snapshot.create (Beta_icm.uninformed g))
         (Runner.lines_of_list lines)
     in
-    report.Runner.final.Snapshot.digest
+    Beta_icm.digest report.Runner.final.Snapshot.model
   in
   check_string "forget = 0 is exact replay" (run ~forget:0.0) (run ~forget:0.0);
   check_bool "forgetting discounts history" true
@@ -792,21 +792,29 @@ let test_engine_swap_and_invalidate () =
   let r1 = Engine.query engine q1 in
   let r2 = Engine.query engine q2 in
   check_bool "cached on repeat" true (Engine.query engine q1).Engine.cached;
-  let evicted = Engine.swap engine b in
+  let evicted = Engine.swap engine ~version:1 b in
   check_int "both entries evicted" 2 evicted;
-  check_string "digest tracks the new model" (Engine.icm_digest b)
+  check_string "digest tracks the new model" (Icm.digest b)
     (Engine.digest engine);
+  check_bool "version tag moves with it" true
+    (Engine.version engine = (1, Icm.digest b));
   check_bool "cache cold after swap" true
     (not (Engine.query engine q1).Engine.cached);
   check_bool "evictions counted" true
     ((Engine.cache_stats engine).Lru.evictions >= 2);
   (* swap back: same seed + same model digest = the original answers *)
-  ignore (Engine.swap engine a);
+  ignore (Engine.swap engine ~version:2 a);
   check_float "q1 reproduced bit for bit" r1.Engine.estimate
     (Engine.query engine q1).Engine.estimate;
   check_float "q2 reproduced bit for bit" r2.Engine.estimate
     (Engine.query engine q2).Engine.estimate;
-  check_int "swap onto the same digest evicts nothing" 0 (Engine.swap engine a);
+  check_int "swap onto the same digest evicts nothing" 0
+    (Engine.swap engine ~version:3 a);
+  (* the shared cache entry now answers under the newer id *)
+  let ph = Engine.phases () in
+  let hit = Engine.query ~phases:ph engine q1 in
+  check_bool "same-digest swap keeps the entry" true hit.Engine.cached;
+  check_int "cache hit tagged with the new id" 3 ph.Engine.version;
   (* invalidate by digest only touches matching entries *)
   ignore (Engine.query engine q1);
   check_int "foreign digest evicts nothing" 0
@@ -836,8 +844,6 @@ let test_snapshot_versioning () =
   let v1 = Snapshot.publish snap m1 ~offset:10 in
   check_int "monotonic id" 1 v1.Snapshot.id;
   check_int "offset recorded" 10 v1.Snapshot.offset;
-  check_string "digest of the published model" (Beta_icm.digest m1)
-    v1.Snapshot.digest;
   let resumed = Snapshot.create ~id:7 ~offset:99 model in
   check_int "resume keeps numbering" 7 (Snapshot.current resumed).Snapshot.id;
   check_int "resume keeps offset" 99 (Snapshot.current resumed).Snapshot.offset;
