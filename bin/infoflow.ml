@@ -173,6 +173,12 @@ let explain_flag =
            evaluated cone size when the query planner certified a \
            closed-form answer, 'mh' with the fallback reason otherwise.")
 
+(* --deadline-ms in nanoseconds, refused where the deadline would wrap *)
+let deadline_budget_ns ms =
+  if ms > Cancel.max_budget_ms then
+    invalid_arg (Printf.sprintf "--deadline-ms exceeds %d" Cancel.max_budget_ms);
+  ms * 1_000_000
+
 let estimate seed model_path src dst conditions engine_config config nested
     deadline deadline_ms delay_mean explain obs =
   C.obs_setup obs;
@@ -186,7 +192,8 @@ let estimate seed model_path src dst conditions engine_config config nested
   let ph = Engine.phases () in
   let cancel =
     match deadline_ms with
-    | Some ms -> Cancel.with_budget ~budget_ns:(ms * 1_000_000) ()
+    | Some ms ->
+      or_die (fun () -> Cancel.with_budget ~budget_ns:(deadline_budget_ns ms) ())
     | None -> Cancel.none
   in
   let r =
@@ -340,28 +347,25 @@ let batch seed model_path queries_path engine_config deadline_ms explain obs =
         Printf.sprintf "cli-%d-%d" pid (i + 1))
   in
   let t0 = Obs_clock.now_ns () in
-  (* without --deadline-ms, the plain query_all path — answers stay
-     bit-for-bit identical to every release before deadlines existed *)
+  (* each query gets its own fresh budget; an exhausted one answers
+     typed instead of poisoning the rest of the file. Without
+     --deadline-ms the token is never armed, so answers are bit-for-bit
+     those of a deadline-free engine. *)
   let results =
-    match deadline_ms with
-    | None ->
-      or_die (fun () ->
-          List.map Result.ok (Engine.query_all ~rids engine queries))
-    | Some ms ->
-      (* each query gets its own fresh budget; an exhausted one answers
-         typed instead of poisoning the rest of the file *)
-      or_die (fun () ->
-          List.mapi
-            (fun i q ->
-              let cancel = Cancel.with_budget ~budget_ns:(ms * 1_000_000) () in
-              match
-                Engine.query ~rid:rids.(i) ~cancel ~on_deadline:`Partial engine
-                  q
-              with
-              | r -> Ok r
-              | exception Engine.Deadline_exceeded { rounds; _ } ->
-                Error rounds)
-            queries)
+    or_die (fun () ->
+        List.mapi
+          (fun i q ->
+            let cancel =
+              match deadline_ms with
+              | Some ms -> Cancel.with_budget ~budget_ns:(deadline_budget_ns ms) ()
+              | None -> Cancel.none
+            in
+            match
+              Engine.query ~rid:rids.(i) ~cancel ~on_deadline:`Partial engine q
+            with
+            | r -> Ok r
+            | exception Engine.Deadline_exceeded { rounds; _ } -> Error rounds)
+          queries)
   in
   let elapsed = Obs_clock.seconds_of_ns (Obs_clock.now_ns () - t0) in
   Printf.printf "query\testimate\trhat\tess\tmcse\tsamples\tcached%s\n"
@@ -431,17 +435,14 @@ let batch_cmd =
 (* The planner's own view of a query, without answering it: what the
    engine would decide, and why. Runs no sampling at all. *)
 let explain_query icm ~planner q =
-  let targets =
-    match Query.kind q with
-    | Query.Flow { src; dst } -> [ (src, dst) ]
-    | Query.Community { src; sinks } -> List.map (fun s -> (src, s)) sinks
-    | Query.Joint { flows } -> flows
-  in
   Printf.printf "%s\n" (Query.key q);
   if not planner then
     Printf.printf "  plan: mh — %s\n" (Planner.describe Planner.Disabled)
   else
-    match Planner.plan icm ~targets ~conditions:(Query.conditions q) with
+    match
+      Planner.plan icm ~targets:(Query.targets q)
+        ~conditions:(Query.conditions q)
+    with
     | exception (Failure msg | Invalid_argument msg) ->
       Printf.printf "  error: %s\n" msg
     | Error reason ->
@@ -966,15 +967,18 @@ let serve_cmd =
     Arg.(
       value & opt int Server.default_config.Server.workers
       & info [ "workers" ]
-          ~doc:"Executor threads draining the request queue.")
+          ~doc:
+            "Requests executing at once: each connection thread runs its \
+             own query once it holds one of these execution slots.")
   in
   let queue_capacity =
     Arg.(
       value & opt int Server.default_config.Server.queue_capacity
       & info [ "queue-capacity" ]
           ~doc:
-            "Bounded request-queue size; requests beyond it are shed \
-             immediately with an over_capacity response.")
+            "Requests that may wait for an execution slot, first come \
+             first served; requests beyond it are shed immediately with \
+             an over_capacity response.")
   in
   let max_connections =
     Arg.(
@@ -1055,8 +1059,8 @@ let serve_cmd =
          "Serve flow queries over TCP (raw JSONL sessions or HTTP POST \
           /query) while JSONL evidence posted to /evidence streams through \
           the online learner and hot-swaps model versions under live \
-          traffic. Admission control: bounded request queue with typed \
-          over_capacity shedding, optional per-tenant token-bucket quotas \
+          traffic. Admission control: --workers execution slots and a \
+          bounded line of waiters with typed over_capacity shedding, optional per-tenant token-bucket quotas \
           (X-Tenant header / \"tenant\" field). Every request carries a \
           request id (client-supplied X-Request-Id / \"request_id\", or \
           server-minted), echoed on every answer; the last N requests are \

@@ -55,7 +55,7 @@ let () =
     @ conditional
   in
 
-  let results = Engine.query_all engine queries in
+  let results = List.map (Engine.query engine) queries in
   Printf.printf "%-28s %10s %8s %8s %9s %7s\n" "query" "estimate" "rhat"
     "ess" "samples" "cached";
   List.iter2

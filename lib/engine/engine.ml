@@ -274,10 +274,6 @@ let run_query ?rid ~ph ?(cancel = Cancel.none) ?(on_deadline = `Fail) t ~icm
   in
   let flow_linked = Atomic.make false in
   let t0 = Clock.now_ns () in
-  if Query.max_node q >= Icm.n_nodes icm then
-    invalid_arg
-      (Printf.sprintf "Engine: query %s references node >= %d" (Query.key q)
-         (Icm.n_nodes icm));
   let c = t.config in
   let conditions = Conditions.v (Query.conditions q) in
   let qrng = Rng.create (query_seed t ~digest q) in
@@ -441,12 +437,6 @@ let run_query ?rid ~ph ?(cancel = Cancel.none) ?(on_deadline = `Fail) t ~icm
            })
   end
 
-let targets_of_query q =
-  match Query.kind q with
-  | Query.Flow { src; dst } -> [ (src, dst) ]
-  | Query.Community { src; sinks } -> List.map (fun s -> (src, s)) sinks
-  | Query.Joint { flows } -> flows
-
 (* Degraded sampled answers reflect a transient fault, not the model,
    and must not outlive it in the cache; exact answers have no chains
    to lose and always cache. *)
@@ -476,7 +466,7 @@ let compute ?rid ~ph ?cancel ?on_deadline t ~icm ~digest q =
   else begin
     let t0 = Clock.now_ns () in
     let planned =
-      Planner.plan icm ~targets:(targets_of_query q) ~conditions:(Query.conditions q)
+      Planner.plan icm ~targets:(Query.targets q) ~conditions:(Query.conditions q)
     in
     ph.plan_ns <- ph.plan_ns + Trace.phase "engine.plan" ~t0;
     match planned with
@@ -567,34 +557,6 @@ let query ?rid ?phases:caller ?cancel ?on_deadline t q =
           Lru.add t.cache key r;
           set_cache_entries t);
     r
-
-let query_all ?rids t qs =
-  let rid i =
-    match rids with
-    | Some a when i < Array.length a -> Some a.(i)
-    | _ -> None
-  in
-  (* duplicate queries sample once; each unique query then fans its
-     chains out across the pool *)
-  if Lru.capacity t.cache > 0 then
-    (* the cache already dedups (per-query seeds make this sound), and
-       its hit counter then reflects the batch's duplicates *)
-    List.mapi (fun i q -> query ?rid:(rid i) t q) qs
-  else begin
-    let results = Hashtbl.create 16 in
-    List.mapi
-      (fun i q ->
-        Metrics.inc m_queries;
-        let icm, digest, _ = capture t in
-        let key = cache_key t ~digest q in
-        match Hashtbl.find_opt results key with
-        | Some r -> { r with cached = true }
-        | None ->
-          let r = compute ?rid:(rid i) ~ph:(phases ()) t ~icm ~digest q in
-          if cacheable t r then Hashtbl.replace results key r;
-          r)
-      qs
-  end
 
 let pp_result ppf r =
   match r.plan with

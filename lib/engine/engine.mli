@@ -217,13 +217,6 @@ val query :
     {!Chains_failed}. Degraded results are never cached, so the next
     ask re-samples at full strength. *)
 
-val query_all : ?rids:string array -> t -> Query.t list -> result list
-(** Batch entry point: deduplicates by cache key so repeated queries
-    are sampled once, then answers in input order ([cached] marks the
-    duplicates and cache hits). [?rids.(i)] is the request id for the
-    [i]-th query (same observability-only contract as {!query}'s
-    [?rid]); a short or missing array leaves the rest unnamed. *)
-
 val cache_stats : t -> Lru.stats
 
 val pp_result : Format.formatter -> result -> unit

@@ -41,15 +41,15 @@ let joint ?conditions ~flows () = v ?conditions (Joint { flows })
 let kind t = t.kind
 let conditions t = t.conditions
 
+let targets t =
+  match t.kind with
+  | Flow { src; dst } -> [ (src, dst) ]
+  | Community { src; sinks } -> List.map (fun s -> (src, s)) sinks
+  | Joint { flows } -> flows
+
 let max_node t =
-  let m = ref 0 in
-  let see v = if v > !m then m := v in
-  (match t.kind with
-  | Flow { src; dst } -> see src; see dst
-  | Community { src; sinks } -> see src; List.iter see sinks
-  | Joint { flows } -> List.iter (fun (u, d) -> see u; see d) flows);
-  List.iter (fun (u, d, _) -> see u; see d) t.conditions;
-  !m
+  let pairs = targets t @ List.map (fun (u, d, _) -> (u, d)) t.conditions in
+  List.fold_left (fun m (u, d) -> max m (max u d)) 0 pairs
 
 let indicator icm t state =
   match t.kind with

@@ -28,6 +28,10 @@ val joint :
 val kind : t -> kind
 val conditions : t -> (int * int * bool) list
 
+val targets : t -> (int * int) list
+(** The (source, sink) pairs whose flow the query asks about: one for
+    a flow, one per sink for a community, every pair of a joint. *)
+
 val max_node : t -> int
 (** Largest node id the query mentions (for model-bounds validation). *)
 

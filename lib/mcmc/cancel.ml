@@ -1,6 +1,6 @@
 (* A cooperative cancellation token: one absolute monotonic-clock
-   deadline fixed at creation, plus an explicit [fire] for
-   client-disconnect and shutdown drain. The sampler polls [cancelled]
+   deadline fixed at creation, plus an explicit [fire] for callers
+   that cancel for another reason. The sampler polls [cancelled]
    at its round and step boundaries; nothing is ever interrupted
    preemptively, so a chain observes cancellation only between whole
    MH steps and the RNG stream it abandoned is simply never read
@@ -15,6 +15,8 @@ type t = {
   deadline_ns : int; (* absolute Clock.now_ns; max_int = no deadline *)
   fired : string option Atomic.t; (* Some reason once explicitly fired *)
 }
+
+let max_budget_ms = (1 lsl 31) - 1
 
 let none = { deadline_ns = max_int; fired = Atomic.make None }
 

@@ -2,7 +2,7 @@
 
     A token carries an absolute monotonic deadline
     ({!Iflow_obs.Clock} base) fixed at creation, plus an explicit
-    {!fire} used for client-disconnect and shutdown drain. Consumers
+    {!fire} for callers that cancel for another reason. Consumers
     ({!Estimator}, the engine's adaptive round loop) poll {!cancelled}
     at step and round boundaries; nothing is preempted, so work that
     completes before the token trips is bit-for-bit identical to an
@@ -17,6 +17,12 @@ type t
 val none : t
 (** The shared disarmed token: never expires, must never be
     {!fire}d. [cancelled none] is [false] forever. *)
+
+val max_budget_ms : int
+(** 2{^31} − 1 ms (~24.8 days): the longest deadline budget accepted
+    anywhere a client or operator names one in milliseconds. Far below
+    the ~4.6e12 ms at which [ms * 1_000_000] plus a clock reading
+    overflows, so a budget within it never wraps. *)
 
 val create : ?deadline_ns:int -> unit -> t
 (** A fresh token expiring at the given absolute
@@ -38,9 +44,7 @@ val fire : ?reason:string -> t -> unit
 type status = Live | Expired | Fired of string
 
 val status : t -> status
-(** Distinguishes deadline expiry from an explicit fire — the serving
-    layer maps [Expired] to [deadline_exceeded] and
-    [Fired "shutdown"] to [shutting_down]. *)
+(** Distinguishes deadline expiry from an explicit fire. *)
 
 val reason : t -> string option
 (** Human-readable cause when cancelled, [None] while live. *)

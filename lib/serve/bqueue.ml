@@ -45,8 +45,6 @@ let pop t =
 
 let pop_opt t = Mutex.protect t.lock (fun () -> Queue.take_opt t.q)
 
-let iter t f = Mutex.protect t.lock (fun () -> Queue.iter f t.q)
-
 let close t =
   Mutex.protect t.lock (fun () ->
       t.closed <- true;

@@ -1,13 +1,14 @@
 (** A bounded multi-producer / multi-consumer queue — the server's
-    explicit admission boundary.
+    evidence hand-off to the learner.
 
-    Producers (connection threads) offer work with {!try_push}, which
-    {e refuses} instead of blocking when the queue is full: the caller
-    turns that refusal into a typed over-capacity response, so overload
-    sheds at the front door instead of growing an unbounded backlog.
-    Consumers (executor workers) block in {!pop} until work arrives or
-    the queue is closed {e and} drained — close is graceful: everything
-    admitted before the close is still handed out. *)
+    Producers (connection threads posting evidence) offer items with
+    {!try_push}, which {e refuses} instead of blocking when the queue
+    is full: the caller turns that refusal into a typed over-capacity
+    response, so overload sheds at the front door instead of growing
+    an unbounded backlog. Consumers block in {!pop} until an item
+    arrives or the queue is closed {e and} drained — close is
+    graceful: everything pushed before the close is still handed
+    out. *)
 
 type 'a t
 
@@ -29,12 +30,6 @@ val pop : 'a t -> 'a option
 
 val pop_opt : 'a t -> 'a option
 (** Non-blocking variant: [None] when currently empty (closed or not). *)
-
-val iter : 'a t -> ('a -> unit) -> unit
-(** Visit every queued item in order, under the queue lock — items are
-    {e not} removed. [f] must be quick and must not touch the queue
-    (deadlock). Shutdown uses this to fire the cancel tokens of work
-    still waiting when {!close} lands. *)
 
 val close : 'a t -> unit
 (** Refuse new pushes; wake every blocked consumer. Idempotent. *)

@@ -18,6 +18,21 @@ let is_http_verb line =
       && line.[n] = ' ')
     verbs
 
+(* RFC 9110's 1*DIGIT: no sign, no base prefix, no underscores, and
+   [None] rather than a wrapped value past [max_int] *)
+let decimal s =
+  let n = String.length s in
+  let rec go i acc =
+    if i = n then Some acc
+    else
+      match s.[i] with
+      | '0' .. '9' as c ->
+        let d = Char.code c - 48 in
+        if acc > (max_int - d) / 10 then None else go (i + 1) ((acc * 10) + d)
+      | _ -> None
+  in
+  if n = 0 then None else go 0 0
+
 let header req name =
   let name = String.lowercase_ascii name in
   List.assoc_opt name req.headers
@@ -87,9 +102,9 @@ let read_request ?(max_headers = 100) ?(max_body_bytes = 8 lsl 20) r
         match List.assoc_opt "content-length" headers with
         | None -> Ok 0
         | Some v -> (
-          match int_of_string_opt (String.trim v) with
-          | Some n when n >= 0 -> Ok n
-          | _ -> Error (Malformed (Printf.sprintf "bad Content-Length %S" v)))
+          match decimal v with
+          | Some n -> Ok n
+          | None -> Error (Malformed (Printf.sprintf "bad Content-Length %S" v)))
       in
       match content_length with
       | Error e -> e

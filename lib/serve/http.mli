@@ -26,6 +26,10 @@ val read_request :
     protocol sniffer, is [first_line]; reads headers and body from the
     reader. Defaults: 100 header lines, 8 MiB body. *)
 
+val decimal : string -> int option
+(** [1*DIGIT] up to [max_int], the only integer syntax on the HTTP
+    wire ([Content-Length], [X-Deadline-Ms], query parameters). *)
+
 val header : request -> string -> string option
 (** Case-insensitive header lookup. *)
 

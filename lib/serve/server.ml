@@ -72,11 +72,11 @@ let m_request_seconds =
 
 let m_queue_wait_seconds =
   Metrics.histogram ~scale:1e-9
-    ~help:"Time admitted requests waited in the bounded queue"
+    ~help:"Time admitted requests waited for an execution slot"
     "iflow_serve_queue_wait_seconds"
 
 let m_queue_depth =
-  Metrics.gauge ~help:"Admission queue depth at last dequeue"
+  Metrics.gauge ~help:"Requests waiting for an execution slot, when one was last taken"
     "iflow_serve_queue_depth"
 
 let m_degraded_answers =
@@ -198,55 +198,13 @@ type reply =
       retry_after_ms : int option;
     }
 
-(* A one-shot reply cell: the worker fills it once, the connection
-   thread waits on it. OCaml 5.1's stdlib has no such cell, and a
-   capacity-1 [Bqueue] would be the same mutex and condition plus a
-   second condition for a producer that never waits. *)
-type ivar = {
-  im : Mutex.t;
-  icv : Condition.t;
-  mutable value : reply option;
-}
-
-let ivar () = { im = Mutex.create (); icv = Condition.create (); value = None }
-
-let ivar_fill iv r =
-  Mutex.protect iv.im (fun () ->
-      iv.value <- Some r;
-      Condition.broadcast iv.icv)
-
-let ivar_wait iv =
-  Mutex.protect iv.im (fun () ->
-      let rec go () =
-        match iv.value with
-        | Some r -> r
-        | None ->
-          Condition.wait iv.icv iv.im;
-          go ()
-      in
-      go ())
-
-type work = {
-  wq : Query.t;
-  enqueue_ns : int;
-  rid : string;
-  tenant : string;
-  ph : Engine.phases; (* filled by the engine on the worker thread *)
-  mutable queue_wait_ns : int;
-  deadline_budget_ns : int; (* the client's budget; 0 = none *)
-  cancel : Cancel.t; (* armed per-request for deadline'd entries;
-                        deadline-free entries share [Cancel.none] so
-                        the common path allocates nothing *)
-  iv : ivar;
-}
-
 type state = Idle | Running | Stopped
 
 type t = {
   config : config;
   engine : Engine.t;
   gate : (unit -> unit) option;
-  queue : work Bqueue.t;
+  slots : Slots.t;
   ingest : string Bqueue.t;
   quota : Quota.t option;
   published : int Atomic.t; (* the learner's last published version id *)
@@ -257,7 +215,6 @@ type t = {
   mutable listen_fd : Unix.file_descr option;
   mutable bound_port : int;
   mutable accept_thread : Thread.t option;
-  mutable workers : Thread.t list;
   (* open connections; an fd is closed only after leaving the table, so
      [stop] may shut down any fd it finds here *)
   conns : (int, Unix.file_descr) Hashtbl.t;
@@ -282,15 +239,17 @@ let validate_config c =
   if c.backlog < 1 then bad "backlog must be >= 1 (got %d)" c.backlog;
   if c.flight_capacity < 0 then
     bad "flight_capacity must be >= 0 (got %d)" c.flight_capacity;
-  let positive name v =
+  (* every ms value becomes nanoseconds added to a clock reading *)
+  let millis name v =
     match v with
-    | Some ms when ms < 1 -> bad "%s must be >= 1 (got %d)" name ms
+    | Some ms when ms < 1 || ms > Cancel.max_budget_ms ->
+      bad "%s must be in [1, %d] (got %d)" name Cancel.max_budget_ms ms
     | _ -> ()
   in
-  positive "slow_query_ms" c.slow_query_ms;
-  positive "default_deadline_ms" c.default_deadline_ms;
-  positive "max_deadline_ms" c.max_deadline_ms;
-  positive "read_timeout_ms" c.read_timeout_ms;
+  millis "slow_query_ms" c.slow_query_ms;
+  millis "default_deadline_ms" c.default_deadline_ms;
+  millis "max_deadline_ms" c.max_deadline_ms;
+  millis "read_timeout_ms" c.read_timeout_ms;
   match (c.default_deadline_ms, c.max_deadline_ms) with
   | Some d, Some mx when d > mx ->
     bad "default_deadline_ms %d exceeds max_deadline_ms %d" d mx
@@ -302,7 +261,7 @@ let create ?(config = default_config) ?gate ~engine () =
     config;
     engine;
     gate;
-    queue = Bqueue.create config.queue_capacity;
+    slots = Slots.create ~slots:config.workers ~capacity:config.queue_capacity;
     ingest = Bqueue.create config.ingest_capacity;
     quota = Option.map Quota.create config.quota;
     published = Atomic.make (fst (Engine.version engine));
@@ -312,7 +271,6 @@ let create ?(config = default_config) ?gate ~engine () =
     listen_fd = None;
     bound_port = 0;
     accept_thread = None;
-    workers = [];
     conns = Hashtbl.create 64;
     conns_empty = Condition.create ();
     next_conn = 0;
@@ -387,15 +345,11 @@ let unmeetable_min_samples = 32
 
 let refuse ?retry_after_ms code msg = Refused { code; msg; retry_after_ms }
 
-(* A request cut short by its cancel token: "shutdown" is the drain's
-   reason, any other is the deadline's *)
-let cancelled_code reason =
-  if reason = "shutdown" then Wire.Shutting_down else Wire.Deadline_exceeded
-
-(* Returns the reply plus the work entry when the request actually ran
-   (carrying its queue-wait and engine phase timings); [None] for
-   refusals at admission, which never waited anywhere. *)
-let process_query t ~tenant ~rid ~deadline_budget_ns q =
+(* Run one decoded query on the calling connection thread. Returns the
+   reply plus, when the request took a slot, its queue wait and the
+   engine's phase record; [None] for refusals at admission, which never
+   waited anywhere. *)
+let execute t ~tenant ~rid ~deadline_budget_ns q =
   Metrics.inc m_requests;
   let t0 = Clock.now_ns () in
   let has_deadline = deadline_budget_ns > 0 in
@@ -404,6 +358,8 @@ let process_query t ~tenant ~rid ~deadline_budget_ns q =
     | None -> Quota.Granted
     | Some quota -> Quota.admit quota ~now_ns:t0 ~tenant
   in
+  let hint = Flight.load_hint () in
+  let floor_ns = hint.Flight.h_queue_wait_ns + hint.Flight.h_serialize_ns in
   match quota_verdict with
   | Quota.Denied { retry_after_ns } ->
     Metrics.inc m_shed_quota;
@@ -412,130 +368,88 @@ let process_query t ~tenant ~rid ~deadline_budget_ns q =
         Wire.Quota_exceeded
         (Printf.sprintf "tenant %S over quota" tenant),
       None )
-  | Quota.Granted ->
-    (* deadline-aware admission: when even the floor recent requests
-       paid (queue wait + serialization EWMA) exceeds the budget,
-       refusing now is cheaper for everyone than queueing work the
-       worker will throw away expired *)
-    let hint = Flight.load_hint () in
-    let floor_ns = hint.Flight.h_queue_wait_ns + hint.Flight.h_serialize_ns in
-    if
-      has_deadline
-      && hint.Flight.h_count >= unmeetable_min_samples
-      && floor_ns > deadline_budget_ns
-    then begin
-      Metrics.inc m_shed_deadline;
-      ( refuse Wire.Deadline_unmeetable
-          (Printf.sprintf
-             "deadline of %d ms is below the current overhead floor of ~%d \
-              ms (recent queue wait + serialization)"
-             (ns_to_ms_ceil deadline_budget_ns) (ns_to_ms_ceil floor_ns)),
+  (* deadline-aware admission: when even the floor recent requests paid
+     (queue wait + serialization EWMA) exceeds the budget, refusing now
+     is cheaper for everyone than waiting for a slot only to expire *)
+  | Quota.Granted
+    when has_deadline
+         && hint.Flight.h_count >= unmeetable_min_samples
+         && floor_ns > deadline_budget_ns ->
+    Metrics.inc m_shed_deadline;
+    ( refuse Wire.Deadline_unmeetable
+        (Printf.sprintf
+           "deadline of %d ms is below the current overhead floor of ~%d ms \
+            (recent queue wait + serialization)"
+           (ns_to_ms_ceil deadline_budget_ns) (ns_to_ms_ceil floor_ns)),
+      None )
+  | Quota.Granted -> (
+    let cancel =
+      if has_deadline then Cancel.create ~deadline_ns:(t0 + deadline_budget_ns) ()
+      else Cancel.none
+    in
+    if Trace.enabled () then
+      Trace.flow_start "request" ~id:(Trace.flow_id rid)
+        ~args:[ ("rid", Trace.Str rid) ];
+    match Slots.enter t.slots with
+    | Slots.Closed -> (refuse Wire.Shutting_down "server is shutting down", None)
+    | Slots.Full ->
+      Metrics.inc m_shed_capacity;
+      ( refuse Wire.Over_capacity
+          (Printf.sprintf "every slot busy, %d waiting"
+             t.config.queue_capacity),
         None )
-    end
-    else begin
-      let cancel =
-        if has_deadline then
-          Cancel.create ~deadline_ns:(t0 + deadline_budget_ns) ()
-        else Cancel.none
-      in
-      let w =
-        {
-          wq = q;
-          enqueue_ns = t0;
-          rid;
-          tenant;
-          ph = Engine.phases ();
-          queue_wait_ns = 0;
-          deadline_budget_ns;
-          cancel;
-          iv = ivar ();
-        }
-      in
-      if Trace.enabled () then
-        Trace.flow_start "request" ~id:(Trace.flow_id rid)
-          ~args:[ ("rid", Trace.Str rid) ];
-      if Bqueue.try_push t.queue w then begin
-        let reply = ivar_wait w.iv in
-        Metrics.observe m_request_seconds (Clock.now_ns () - t0);
-        (reply, Some w)
-      end
-      else if Bqueue.is_closed t.queue then
-        (refuse Wire.Shutting_down "server is shutting down", None)
-      else begin
-        Metrics.inc m_shed_capacity;
-        ( refuse Wire.Over_capacity
-            (Printf.sprintf "request queue full (%d waiting)"
-               (Bqueue.length t.queue)),
-          None )
-      end
-    end
-
-let worker_loop t =
-  let chains = (Engine.config t.engine).Engine.chains in
-  let rec go () =
-    match Bqueue.pop t.queue with
-    | None -> ()
-    | Some w ->
-      (* snapshot before the gate: an entry popped while the queue was
-         open is "already running" and must finish normally even if
-         [stop] lands during its execution *)
-      let draining = Bqueue.is_closed t.queue in
-      (match t.gate with Some g -> g () | None -> ());
-      w.queue_wait_ns <-
-        Trace.phase ~hist:m_queue_wait_seconds "serve.queue_wait"
-          ~t0:w.enqueue_ns;
-      Metrics.set m_queue_depth (float_of_int (Bqueue.length t.queue));
-      let status =
-        (* popped during the shutdown drain: [stop] closed the queue
-           before this entry could run, so answer typed without
-           sampling — deadline-free entries share [Cancel.none] and
-           cannot be fired individually *)
-        if draining then Cancel.Fired "shutdown" else Cancel.status w.cancel
-      in
-      let reply =
-        match status with
-        | Cancel.Expired ->
-          (* the deadline passed while the entry queued: shed it here,
-             before burn-in, so expired requests cost no sampler CPU *)
-          refuse Wire.Deadline_exceeded
-            (Printf.sprintf "deadline of %d ms expired after %d ms in queue"
-               (ns_to_ms_ceil w.deadline_budget_ns)
-               (ns_to_ms_ceil w.queue_wait_ns))
-        | Cancel.Fired reason ->
-          refuse (cancelled_code reason) ("request cancelled: " ^ reason)
-        | Cancel.Live -> (
-          match
-            Engine.query ~rid:w.rid ~phases:w.ph ~cancel:w.cancel
-              ~on_deadline:`Partial t.engine w.wq
-          with
-          | r ->
-            Metrics.inc m_answers;
-            (* exact-planned answers have no chains to lose *)
-            let degraded =
-              match r.Engine.plan with
-              | Engine.Plan_exact _ -> false
-              | Engine.Plan_mh _ -> r.Engine.chains_used < chains
-            in
-            if degraded then Metrics.inc m_degraded_answers;
-            Answer { result = r; version = w.ph.Engine.version; degraded }
-          | exception Engine.Deadline_exceeded { reason; rounds; _ } ->
-            refuse (cancelled_code reason)
-              (Printf.sprintf "query %s: %s after %d round%s" (Query.key w.wq)
-                 reason rounds
-                 (if rounds = 1 then "" else "s"))
-          | exception Engine.Chains_failed _ ->
-            Metrics.inc m_engine_errors;
-            refuse Wire.Chains_failed
-              (Printf.sprintf "query %s: too many chains failed"
-                 (Query.key w.wq))
-          | exception (Invalid_argument msg | Failure msg) ->
-            Metrics.inc m_bad;
-            refuse Wire.Bad_query msg)
-      in
-      ivar_fill w.iv reply;
-      go ()
-  in
-  go ()
+    | Slots.Run ->
+      (* a request holding its slot when [stop] lands finishes normally *)
+      Fun.protect
+        ~finally:(fun () -> Slots.leave t.slots)
+        (fun () ->
+          Option.iter (fun g -> g ()) t.gate;
+          let queue_wait_ns =
+            Trace.phase ~hist:m_queue_wait_seconds "serve.queue_wait" ~t0
+          in
+          Metrics.set m_queue_depth (float_of_int (Slots.waiting t.slots));
+          let ph = Engine.phases () in
+          let reply =
+            if Cancel.cancelled cancel then
+              (* the deadline passed while the request waited: shed it
+                 here, before burn-in, so expired requests cost no
+                 sampler CPU *)
+              refuse Wire.Deadline_exceeded
+                (Printf.sprintf "deadline of %d ms expired after %d ms in queue"
+                   (ns_to_ms_ceil deadline_budget_ns)
+                   (ns_to_ms_ceil queue_wait_ns))
+            else
+              match
+                Engine.query ~rid ~phases:ph ~cancel ~on_deadline:`Partial
+                  t.engine q
+              with
+              | r ->
+                Metrics.inc m_answers;
+                (* exact-planned answers have no chains to lose *)
+                let degraded =
+                  match r.Engine.plan with
+                  | Engine.Plan_exact _ -> false
+                  | Engine.Plan_mh _ ->
+                    r.Engine.chains_used < (Engine.config t.engine).Engine.chains
+                in
+                if degraded then Metrics.inc m_degraded_answers;
+                Answer { result = r; version = ph.Engine.version; degraded }
+              | exception Engine.Deadline_exceeded { reason; rounds; _ } ->
+                refuse Wire.Deadline_exceeded
+                  (Printf.sprintf "query %s: %s after %d round%s" (Query.key q)
+                     reason rounds
+                     (if rounds = 1 then "" else "s"))
+              | exception Engine.Chains_failed _ ->
+                Metrics.inc m_engine_errors;
+                refuse Wire.Chains_failed
+                  (Printf.sprintf "query %s: too many chains failed"
+                     (Query.key q))
+              | exception (Invalid_argument msg | Failure msg) ->
+                Metrics.inc m_bad;
+                refuse Wire.Bad_query msg
+          in
+          Metrics.observe m_request_seconds (Clock.now_ns () - t0);
+          (reply, Some (queue_wait_ns, ph))))
 
 let reply_line ?id ~rid = function
   | Answer { result; version; degraded } ->
@@ -562,15 +476,15 @@ let deadline_settlement = function
    slow-query log line, so the log and /debug/requests can never
    disagree about a request. The per-tenant phase histograms are
    observed here too, from the same numbers. *)
-let finish_request t ~rid ~tenant ~kind ~reply ~work ~deadline_budget_ns
+let finish_request t ~rid ~tenant ~kind ~reply ~ran ~deadline_budget_ns
     ~serialize_ns ~total_ns =
   let h = phase_handles tenant in
   (* admission refusals never queued, planned or sampled *)
-  (match work with
-  | Some w ->
-    Metrics.observe h.ph_queue_wait w.queue_wait_ns;
-    Metrics.observe h.ph_plan w.ph.Engine.plan_ns;
-    Metrics.observe h.ph_sample w.ph.Engine.sample_ns
+  (match ran with
+  | Some (queue_wait_ns, ph) ->
+    Metrics.observe h.ph_queue_wait queue_wait_ns;
+    Metrics.observe h.ph_plan ph.Engine.plan_ns;
+    Metrics.observe h.ph_sample ph.Engine.sample_ns
   | None -> ());
   Metrics.observe h.ph_serialize serialize_ns;
   if Trace.enabled () then
@@ -585,10 +499,10 @@ let finish_request t ~rid ~tenant ~kind ~reply ~work ~deadline_budget_ns
   in
   if Flight.enabled () || slow then begin
     let queue_wait_ns, plan_ns, sample_ns, rounds =
-      match work with
-      | Some w ->
-        (w.queue_wait_ns, w.ph.Engine.plan_ns, w.ph.Engine.sample_ns,
-         w.ph.Engine.rounds)
+      match ran with
+      | Some (queue_wait_ns, ph) ->
+        (queue_wait_ns, ph.Engine.plan_ns, ph.Engine.sample_ns,
+         ph.Engine.rounds)
       | None -> (0, 0, 0, 0)
     in
     let r =
@@ -677,17 +591,21 @@ let handle_query_line t ~tenant_default ?rid ?deadline_default ~lineno line =
       let* json = parsed in
       let* dl_member =
         match Jsonl.member "deadline_ms" json with
-        | Some (Jsonl.Num f) when Float.is_integer f && f >= 1.0 && f <= 4e15
-          ->
+        | Some (Jsonl.Num f)
+          when Float.is_integer f && f >= 1.0
+               && f <= float_of_int Cancel.max_budget_ms ->
           Ok (Some (int_of_float f))
         | Some _ ->
-          Error "deadline_ms must be a positive integer of milliseconds"
+          Error
+            (Printf.sprintf
+               "deadline_ms must be an integer from 1 to %d milliseconds"
+               Cancel.max_budget_ms)
         | None -> Ok None
       in
       let* q = Query.of_json json in
       Ok (q, dl_member)
     in
-    let kind, reply, work, deadline_budget_ns =
+    let kind, reply, ran, deadline_budget_ns =
       match request with
       | Error msg ->
         Metrics.inc m_bad;
@@ -710,15 +628,13 @@ let handle_query_line t ~tenant_default ?rid ?deadline_default ~lineno line =
         let deadline_budget_ns =
           match budget_ms with Some ms -> ms * 1_000_000 | None -> 0
         in
-        let reply, work =
-          process_query t ~tenant ~rid ~deadline_budget_ns q
-        in
-        (Query.key q, reply, work, deadline_budget_ns)
+        let reply, ran = execute t ~tenant ~rid ~deadline_budget_ns q in
+        (Query.key q, reply, ran, deadline_budget_ns)
     in
     let t_ser = Clock.now_ns () in
     let resp = reply_line ?id ~rid reply in
     let serialize_ns = Trace.phase "serve.serialize" ~t0:t_ser in
-    finish_request t ~rid ~tenant ~kind ~reply ~work ~deadline_budget_ns
+    finish_request t ~rid ~tenant ~kind ~reply ~ran ~deadline_budget_ns
       ~serialize_ns ~total_ns:(t_ser + serialize_ns - t_admit);
     Some resp
   end
@@ -753,7 +669,7 @@ let stats t =
     evidence_lines = v m_evidence;
   }
 
-and queue_depth t = Bqueue.length t.queue
+and queue_depth t = Slots.waiting t.slots
 
 (* the /healthz body and whether it reports degraded, from one read of
    the engine's (version, digest) pair *)
@@ -855,7 +771,7 @@ let handle_http t fd r first_line =
       let n =
         match Http.query_param query "n" with
         | Some s -> (
-          match int_of_string_opt s with
+          match Http.decimal s with
           | Some n when n > 0 -> n
           | _ -> 64)
         | None -> 64
@@ -878,8 +794,8 @@ let handle_http t fd r first_line =
       let deadline_hdr =
         match Http.header req "x-deadline-ms" with
         | Some s -> (
-          match int_of_string_opt (String.trim s) with
-          | Some v when v >= 1 -> Ok (Some v)
+          match Http.decimal (String.trim s) with
+          | Some v when v >= 1 && v <= Cancel.max_budget_ms -> Ok (Some v)
           | _ -> Error s)
         | None -> Ok None
       in
@@ -889,7 +805,8 @@ let handle_http t fd r first_line =
         send ~status:400
           (Wire.error_line Wire.Bad_request
              (Printf.sprintf
-                "X-Deadline-Ms must be a positive integer, got %S" s)
+                "X-Deadline-Ms must be an integer from 1 to %d, got %S"
+                Cancel.max_budget_ms s)
           ^ "\n")
       | Ok deadline_default ->
         let lines = String.split_on_char '\n' req.Http.body in
@@ -1054,13 +971,8 @@ let start t =
   if t.config.flight_capacity > 0 then
     Flight.configure ~capacity:t.config.flight_capacity ()
   else Flight.disable ();
-  let workers =
-    List.init t.config.workers (fun _ -> Thread.create worker_loop t)
-  in
   let acceptor = Thread.create (fun () -> accept_loop t listen_fd) () in
-  Mutex.protect t.lock (fun () ->
-      t.workers <- workers;
-      t.accept_thread <- Some acceptor);
+  Mutex.protect t.lock (fun () -> t.accept_thread <- Some acceptor);
   Log.info ~component:"serve" "listening on %s:%d (%d workers, queue %d)"
     t.config.host (port t) t.config.workers t.config.queue_capacity
 
@@ -1087,16 +999,15 @@ let stop t =
       (try Unix.close fd with Unix.Unix_error _ -> ())
     | None -> ());
     (match t.accept_thread with Some th -> Thread.join th | None -> ());
-    (* 2. refuse new work: closing the queue bounds the drain —
-       workers answer [shutting_down] for anything they pop after the
-       close, without sampling. The request a worker is already
-       running finishes normally. *)
-    Bqueue.close t.queue;
-    List.iter Thread.join t.workers;
+    (* 2. refuse new work: closing the gate bounds the drain — every
+       waiter and every later arrival answers [shutting_down] without
+       sampling. A request already holding its slot finishes
+       normally. *)
+    Slots.close t.slots;
     (* 3. end every connection's input: threads parked in read_line
-       see end of stream, while one still holding a drained answer
-       writes it first. Then wait for every one to close its fd; the
-       acceptor is gone, so the table only shrinks. *)
+       see end of stream, while one still running or writing an
+       answer finishes it first. Then wait for every one to close its
+       fd; the acceptor is gone, so the table only shrinks. *)
     Mutex.protect t.lock (fun () ->
         Hashtbl.iter
           (fun _ fd ->

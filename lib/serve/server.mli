@@ -10,21 +10,23 @@
     fields), each answer one {!Wire} line, connection held open
     (netcat-friendly). Both dialects share the same admission path.
 
-    {b Admission pipeline.} Request lifecycle is
-    decode → quota → queue → execute → respond:
+    {b Admission pipeline.} Each connection has one thread, and that
+    thread carries every request it decodes through
+    decode → quota → slot → execute → respond:
     - a per-tenant token bucket ({!Quota}, keyed by the ["tenant"]
       field or [X-Tenant] header) sheds sustained abusers with a typed
       [quota_exceeded] response and a retry hint;
-    - a bounded queue ({!Bqueue}) is the {e only} place requests wait;
-      when it is full the request is refused {e immediately} with
-      [over_capacity] — latency under overload stays bounded because
-      backlog cannot grow;
-    - a small pool of executor threads drains the queue through
-      {!Iflow_engine.Engine.query} (whose chains fan out over the
-      domain pool). Answers are bit-identical to [infoflow batch] on
-      the same model and seed: the engine derives per-query seeds from
-      (seed, model digest, query) alone, so neither concurrency nor
-      arrival order can perturb an estimate.
+    - the admission gate ({!Slots}) lets [workers] requests execute at
+      once and is the {e only} place requests wait, first come first
+      served; when [queue_capacity] are already waiting the request is
+      refused {e immediately} with [over_capacity] — latency under
+      overload stays bounded because backlog cannot grow;
+    - holding a slot, the connection thread runs
+      {!Iflow_engine.Engine.query} itself (whose chains fan out over
+      the domain pool). Answers are bit-identical to [infoflow batch]
+      on the same model and seed: the engine derives per-query seeds
+      from (seed, model digest, query) alone, so neither concurrency
+      nor arrival order can perturb an estimate.
 
     {b Hot-swap consistency.} The engine holds model, digest and
     version id as one triple ({!Iflow_engine.Engine.swap}); an answer
@@ -47,10 +49,9 @@
     [-<lineno>] per line), server-minted otherwise — echoed on every
     answer and error line as ["request_id"] (and back in the
     [X-Request-Id] response header when the client supplied one). The
-    id is threaded through the queue entry into
-    {!Iflow_engine.Engine.query}, which tags the [engine.query] trace
-    span and links the connection thread, worker thread, and pool
-    domains with Chrome-trace flow events. One {!Iflow_obs.Flight}
+    id is passed to {!Iflow_engine.Engine.query}, which tags the
+    [engine.query] trace span and links the connection thread and the
+    pool domains with Chrome-trace flow events. One {!Iflow_obs.Flight}
     record per line — answer path, version/digest, the full phase
     decomposition in nanoseconds, convergence diagnostics or typed
     error — lands in the ring served by [GET /debug/requests?n=], and
@@ -63,11 +64,13 @@
     a ["deadline_ms"] JSON member (JSONL or HTTP body line), an
     [X-Deadline-Ms] header covering an HTTP body, or the server-wide
     [default_deadline_ms] — clamped to [max_deadline_ms]. The budget
-    becomes an {!Iflow_mcmc.Cancel} token riding the queue entry:
-    admission refuses [deadline_unmeetable] when the recent overhead
+    becomes an {!Iflow_mcmc.Cancel} token; a budget over
+    {!Iflow_mcmc.Cancel.max_budget_ms} is a [bad_request].
+    Admission refuses [deadline_unmeetable] when the recent overhead
     floor (queue-wait + serialize EWMA from the flight recorder)
-    already exceeds the budget; workers drop entries that expired
-    while queued with [deadline_exceeded] {e before} any sampling; the
+    already exceeds the budget; a request whose deadline passed while
+    it waited for a slot answers [deadline_exceeded] {e before} any
+    sampling; the
     engine polls the token at round boundaries and mid-burn-in, and
     answers with whatever converged rounds it has (flagged
     ["partial":true], never cached) or a typed [deadline_exceeded].
@@ -82,9 +85,11 @@ type config = {
   host : string;            (** bind address, default 127.0.0.1 *)
   port : int;               (** 0 picks an ephemeral port *)
   backlog : int;            (** listen(2) backlog *)
-  queue_capacity : int;     (** bounded request queue — the knob that
-                                trades queueing delay for shed rate *)
-  workers : int;            (** executor threads draining the queue *)
+  queue_capacity : int;     (** requests that may wait for a slot — the
+                                knob that trades queueing delay for
+                                shed rate *)
+  workers : int;            (** requests executing at once (the
+                                admission gate's slots) *)
   max_connections : int;    (** concurrent connections before shedding
                                 at accept time *)
   quota : Quota.config option;  (** per-tenant buckets; [None] = off *)
@@ -129,15 +134,17 @@ val create :
   ?config:config -> ?gate:(unit -> unit) ->
   engine:Iflow_engine.Engine.t -> unit -> t
 (** Wrap an engine; answers carry its version tag, so swap a resumed
-    version in before {!start}. [gate], when given, is called by
-    every executor after dequeuing and before running a request — a
-    test hook for deterministically stalling the executors (and thus
-    filling the queue). Raises [Invalid_argument] on a nonsensical
-    config. *)
+    version in before {!start}. [gate], when given, is called on the
+    connection thread once a request holds its slot, before its queue
+    wait is read and its deadline checked — a test hook for
+    deterministically holding the slots (and thus filling the line of
+    waiters). Raises [Invalid_argument] on a nonsensical config,
+    including a millisecond field above
+    {!Iflow_mcmc.Cancel.max_budget_ms}. *)
 
 val start : t -> unit
-(** Bind, listen, and spawn the accept loop and executor threads;
-    returns immediately. Raises [Unix.Unix_error] when the port cannot
+(** Bind, listen, and spawn the accept thread, which spawns one thread
+    per connection; returns immediately. Raises [Unix.Unix_error] when the port cannot
     be bound, [Invalid_argument] when already started. *)
 
 val port : t -> int
@@ -149,10 +156,11 @@ val wait : t -> unit
     here). *)
 
 val stop : t -> unit
-(** Graceful shutdown: stop accepting, refuse new work with
-    [shutting_down], drain already-admitted requests, join the workers,
-    end every connection's input and wait until each has written its
-    drained answer and closed, then close the ingest queue (ending a
+(** Graceful shutdown: stop accepting, close the admission gate (every
+    waiting and later request answers [shutting_down] without
+    sampling, while requests holding a slot finish normally), end
+    every connection's input and wait until each has written its last
+    answer and closed, then close the ingest queue (ending a
     {!ingest_source} consumer). A peer that stops reading holds the
     wait for at most one [read_timeout_ms] window (the send timeout);
     with the guard off, until it reads or goes away. Idempotent. *)
@@ -196,7 +204,7 @@ type stats = {
   active : int;          (** open right now *)
   requests : int;        (** decoded query requests *)
   answered : int;        (** answered with an estimate *)
-  shed_capacity : int;   (** refused: queue full *)
+  shed_capacity : int;   (** refused: every slot busy, line full *)
   shed_quota : int;      (** refused: tenant bucket dry *)
   shed_deadline : int;   (** refused: [deadline_unmeetable] *)
   bad_requests : int;    (** undecodable or unanswerable *)
@@ -211,5 +219,7 @@ val stats : t -> stats
     since it started (the CLI runs one). [active] is this server's. *)
 
 val queue_depth : t -> int
+(** Requests waiting for a slot right now. *)
+
 val health_json : t -> string
 (** The [GET /healthz] body (also handy for tests). *)

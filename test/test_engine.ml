@@ -258,7 +258,7 @@ let test_engine_order_invariant () =
   let q2 = Query.flow ~src:1 ~dst:3 () in
   let run qs =
     let engine = Engine.create ~config:test_engine_config ~seed:33 icm in
-    List.map (fun r -> r.Engine.estimate) (Engine.query_all engine qs)
+    List.map (fun q -> (Engine.query engine q).Engine.estimate) qs
   in
   match (run [ q1; q2 ], run [ q2; q1 ]) with
   | [ a1; a2 ], [ b2; b1 ] ->
@@ -283,12 +283,12 @@ let test_engine_cache_hit () =
   Alcotest.(check int) "one hit" 1 s.Lru.hits;
   Alcotest.(check int) "one miss" 1 s.Lru.misses
 
-let test_engine_query_all_dedups () =
+let test_engine_batch_dedups () =
   let icm = five_node_icm 13 in
   let engine = Engine.create ~config:test_engine_config ~seed:42 icm in
   let q = Query.flow ~src:0 ~dst:4 () in
   let q' = Query.flow ~src:1 ~dst:3 () in
-  let results = Engine.query_all engine [ q; q'; q ] in
+  let results = List.map (Engine.query engine) [ q; q'; q ] in
   (match results with
   | [ a; b; c ] ->
     Alcotest.(check bool) "dup flagged cached" true c.Engine.cached;
@@ -301,18 +301,12 @@ let test_engine_query_all_dedups () =
   Alcotest.(check int) "two misses" 2 s.Lru.misses;
   Alcotest.(check int) "one dedup hit" 1 s.Lru.hits
 
-let test_engine_cache_disabled_still_dedups () =
+let test_engine_cache_disabled_retains_nothing () =
   let icm = five_node_icm 13 in
   let config = { test_engine_config with Engine.cache_capacity = 0 } in
   let engine = Engine.create ~config ~seed:43 icm in
   let q = Query.flow ~src:0 ~dst:4 () in
-  (match Engine.query_all engine [ q; q ] with
-  | [ a; b ] ->
-    Alcotest.(check bool) "dup flagged cached" true b.Engine.cached;
-    Alcotest.(check bool) "identical" true
-      (a.Engine.estimate = b.Engine.estimate)
-  | _ -> Alcotest.fail "wrong result arity");
-  (* but separate query calls recompute: nothing is retained *)
+  ignore (Engine.query engine q);
   let r = Engine.query engine q in
   Alcotest.(check bool) "no retention without capacity" false r.Engine.cached
 
@@ -509,10 +503,10 @@ let () =
             test_engine_pool_size_invariant;
           Alcotest.test_case "order invariant" `Slow test_engine_order_invariant;
           Alcotest.test_case "cache hit" `Slow test_engine_cache_hit;
-          Alcotest.test_case "query_all dedups" `Slow
-            test_engine_query_all_dedups;
+          Alcotest.test_case "batch dedups through the cache" `Slow
+            test_engine_batch_dedups;
           Alcotest.test_case "cache disabled" `Slow
-            test_engine_cache_disabled_still_dedups;
+            test_engine_cache_disabled_retains_nothing;
           Alcotest.test_case "validation" `Quick test_engine_validation;
         ] );
       ( "deadlines",

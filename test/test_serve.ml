@@ -5,7 +5,7 @@
    - serve ≡ batch: answers delivered over a socket parse back
      bit-identical to Engine.query on the same model, seed, and config,
      regardless of client concurrency;
-   - bounded backlog: with the executors stalled, exactly
+   - bounded backlog: with the execution slots held, exactly
      queue_capacity requests wait and the next one is refused
      immediately with a typed over_capacity response;
    - quotas: a tenant's token bucket grants its burst and then denies
@@ -35,6 +35,7 @@ module Snapshot = Iflow_stream.Snapshot
 module Runner = Iflow_stream.Runner
 module Fail = Iflow_fault.Fail
 module Bqueue = Iflow_serve.Bqueue
+module Slots = Iflow_serve.Slots
 module Quota = Iflow_serve.Quota
 module Sockio = Iflow_serve.Sockio
 module Http = Iflow_serve.Http
@@ -181,6 +182,117 @@ let test_quota_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "burst < 1 accepted"
 
+(* ---------- Slots ---------- *)
+
+let admission_string = function
+  | Slots.Run -> "run"
+  | Slots.Full -> "full"
+  | Slots.Closed -> "closed"
+
+let test_slots_fifo () =
+  let t = Slots.create ~slots:1 ~capacity:8 in
+  check_string "first takes the slot" "run" (admission_string (Slots.enter t));
+  let order = ref [] in
+  let m = Mutex.create () in
+  (* each waiter queues only after the previous one is in line, so
+     arrival order is known *)
+  let waiters =
+    List.map
+      (fun i ->
+        let th =
+          Thread.create
+            (fun () ->
+              match Slots.enter t with
+              | Slots.Run ->
+                Mutex.protect m (fun () -> order := i :: !order);
+                Slots.leave t
+              | v -> Alcotest.failf "waiter %d: %s" i (admission_string v))
+            ()
+        in
+        spin "waiter in line" (fun () -> Slots.waiting t = i);
+        th)
+      [ 1; 2; 3; 4; 5 ]
+  in
+  Slots.leave t;
+  List.iter Thread.join waiters;
+  Alcotest.(check (list int)) "arrival order" [ 1; 2; 3; 4; 5 ] (List.rev !order);
+  check_int "line empty" 0 (Slots.waiting t);
+  check_string "slot free again" "run" (admission_string (Slots.enter t))
+
+let test_slots_full () =
+  let t = Slots.create ~slots:2 ~capacity:2 in
+  check_string "slot 1" "run" (admission_string (Slots.enter t));
+  check_string "slot 2" "run" (admission_string (Slots.enter t));
+  let ran = Atomic.make 0 in
+  let waiters =
+    List.init 2 (fun _ ->
+        Thread.create
+          (fun () ->
+            match Slots.enter t with
+            | Slots.Run ->
+              Atomic.incr ran;
+              Slots.leave t
+            | v -> Alcotest.failf "waiter: %s" (admission_string v))
+          ())
+  in
+  spin "line full" (fun () -> Slots.waiting t = 2);
+  check_string "refused at capacity" "full" (admission_string (Slots.enter t));
+  check_int "refusal never queued" 2 (Slots.waiting t);
+  Slots.leave t;
+  Slots.leave t;
+  List.iter Thread.join waiters;
+  check_int "both waiters ran" 2 (Atomic.get ran)
+
+let test_slots_close () =
+  let t = Slots.create ~slots:1 ~capacity:4 in
+  let release = Atomic.make false in
+  let holding = Atomic.make false in
+  let holder_done = Atomic.make false in
+  let holder =
+    Thread.create
+      (fun () ->
+        match Slots.enter t with
+        | Slots.Run ->
+          Atomic.set holding true;
+          while not (Atomic.get release) do
+            Thread.yield ()
+          done;
+          Atomic.set holder_done true;
+          Slots.leave t
+        | v -> Alcotest.failf "holder: %s" (admission_string v))
+      ()
+  in
+  spin "holder running" (fun () -> Atomic.get holding);
+  let verdicts = Array.make 3 Slots.Run in
+  let waiters =
+    List.init 3 (fun i ->
+        let th = Thread.create (fun () -> verdicts.(i) <- Slots.enter t) () in
+        spin "waiter in line" (fun () -> Slots.waiting t = i + 1);
+        th)
+  in
+  Slots.close t;
+  List.iter Thread.join waiters;
+  Array.iteri
+    (fun i v ->
+      check_string (Printf.sprintf "waiter %d released" i) "closed"
+        (admission_string v))
+    verdicts;
+  check_int "line emptied" 0 (Slots.waiting t);
+  check_string "arrival after close" "closed" (admission_string (Slots.enter t));
+  check_bool "holder still running" false (Atomic.get holder_done);
+  Atomic.set release true;
+  Thread.join holder;
+  check_bool "holder finished" true (Atomic.get holder_done);
+  check_string "still closed" "closed" (admission_string (Slots.enter t))
+
+let test_slots_validation () =
+  (match Slots.create ~slots:0 ~capacity:1 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "0 slots accepted");
+  match Slots.create ~slots:1 ~capacity:0 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "capacity 0 accepted"
+
 (* ---------- Sockio / Http over a pipe ---------- *)
 
 let with_pipe_reader ?max_line_bytes bytes f =
@@ -308,7 +420,23 @@ let test_http_rejects () =
         match Http.read_request ~max_body_bytes:10 r ~first_line:first with
         | Http.Overflow _ -> ()
         | _ -> Alcotest.fail "accepted oversized body")
-      | _ -> Alcotest.fail "no request line")
+      | _ -> Alcotest.fail "no request line");
+  (* RFC 9110 frames by 1*DIGIT only: a peer reading "0x5" as 5 would
+     split this stream differently *)
+  with_pipe_reader "POST /x HTTP/1.1\r\nContent-Length: 0x5\r\n\r\nhello"
+    (fun r ->
+      match Sockio.read_line r with
+      | Sockio.Line first -> (
+        match Http.read_request r ~first_line:first with
+        | Http.Malformed _ -> ()
+        | _ -> Alcotest.fail "framed a body by a hex Content-Length")
+      | _ -> Alcotest.fail "no request line");
+  List.iter
+    (fun s -> check_bool s true (Http.decimal s = None))
+    [ ""; "0x10"; "1_000"; "+5"; "-5"; "0b11"; " 5"; "5 "; "1e3";
+      "99999999999999999999" ];
+  check_bool "leading zeros" true (Http.decimal "007" = Some 7);
+  check_bool "max_int" true (Http.decimal (string_of_int max_int) = Some max_int)
 
 (* ---------- Wire ---------- *)
 
@@ -460,8 +588,9 @@ let test_fuzz_seeds_decode () =
         || ok (Result.bind (Jsonl.parse line) Wire.parsed_result)))
     valid_lines
 
-(* a line with 1–4 byte edits: overwrite, delete, insert, truncate *)
-let mutated_line =
+(* one of [seeds] with 1–4 byte edits: overwrite, delete, insert,
+   truncate *)
+let mutated seeds =
   let open QCheck.Gen in
   let edit s (op, pos, c) =
     let n = String.length s in
@@ -472,8 +601,10 @@ let mutated_line =
     | 2 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
     | _ -> String.sub s 0 i
   in
-  map2 (List.fold_left edit) (oneofa valid_lines)
+  map2 (List.fold_left edit) (oneofa seeds)
     (list_size (int_range 1 4) (triple (int_bound 3) nat char))
+
+let mutated_line = mutated valid_lines
 
 (* every decoder answers Ok or Error; an exception fails the property *)
 let decoders_total line =
@@ -526,6 +657,107 @@ let prop_out_of_range_rejected =
       in
       List.for_all (fun l -> Result.is_error (Query.of_line l)) queries
       && List.for_all (fun l -> Result.is_error (Event.of_line l)) events)
+
+(* ---------- Http.read_request over a socket pair ---------- *)
+
+let valid_requests =
+  [|
+    "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n";
+    "GET /debug/requests?n=5 HTTP/1.1\r\nHost: t\r\n\r\n";
+    "POST /query HTTP/1.1\r\nHost: t\r\nX-Deadline-Ms: 50\r\n\
+     Content-Length: 31\r\n\r\n{\"type\":\"flow\",\"src\":0,\"dst\":5}";
+    "POST /evidence HTTP/1.1\r\ncontent-length: 0\r\n\r\n";
+  |]
+
+(* the guard the server would run with, shrunk so a stalled parse ends
+   in milliseconds; no parse may outlast [fuzz_bound_s] *)
+let fuzz_window_ms = 10
+let fuzz_bound_s = 0.5
+
+(* [bytes] arrive on one end of a socket pair, the other end reads them
+   through a guarded reader the way a connection thread does: sniff the
+   first line, then hand the rest to [Http.read_request]. With [eof]
+   the writer half-closes after the bytes; without it the peer simply
+   goes quiet. *)
+let over_socketpair ~eof bytes f =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close a with Unix.Unix_error _ -> ());
+      try Unix.close b with Unix.Unix_error _ -> ())
+    (fun () ->
+      Sockio.write_all b bytes;
+      if eof then Unix.shutdown b Unix.SHUTDOWN_SEND;
+      let r = Sockio.reader ~max_line_bytes:256 a in
+      Sockio.guard r ~window_ms:fuzz_window_ms;
+      f r)
+
+let read_framed r =
+  match Sockio.read_line r with
+  | Sockio.Line first ->
+    Some (Http.read_request ~max_body_bytes:512 r ~first_line:first)
+  | Sockio.Eof | Sockio.Timeout | Sockio.Too_long -> None
+
+let prop_http_read_request_total =
+  QCheck.Test.make ~count:300
+    ~name:"Http.read_request: typed and bounded on any bytes"
+    QCheck.(
+      make
+        ~print:Print.(pair bool string)
+        Gen.(
+          pair bool
+            (frequency
+               [ (1, string_size (int_bound 96)); (3, mutated valid_requests) ])))
+    (fun (eof, bytes) ->
+      over_socketpair ~eof bytes (fun r ->
+          let t0 = Unix.gettimeofday () in
+          (match read_framed r with
+          | None
+          | Some (Http.Request _ | Http.Malformed _ | Http.Overflow _) ->
+            ()
+          | exception e ->
+            QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e));
+          let took = Unix.gettimeofday () -. t0 in
+          if took > fuzz_bound_s then
+            QCheck.Test.fail_reportf "took %.3f s (bound %.1f s)" took
+              fuzz_bound_s;
+          true))
+
+(* a valid request, then bytes of the next frame: the body is exactly
+   Content-Length bytes and the reader still holds the rest *)
+let prop_http_no_read_past_frame =
+  let body_char =
+    QCheck.Gen.(frequency [ (8, char_range ' ' '~'); (1, return '\n') ])
+  in
+  let extra_char = QCheck.Gen.char_range 'a' 'z' in
+  QCheck.Test.make ~count:200 ~name:"Http.read_request never reads past a frame"
+    QCheck.(
+      make
+        ~print:Print.(triple bool string string)
+        Gen.(
+          triple bool
+            (string_size ~gen:body_char (int_bound 64))
+            (string_size ~gen:extra_char (int_range 1 32))))
+    (fun (post, body, extra) ->
+      let head, want =
+        if post then
+          ( Printf.sprintf "POST /query HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+              (String.length body) body,
+            body )
+        else ("GET /healthz HTTP/1.1\r\n\r\n", "")
+      in
+      over_socketpair ~eof:false (head ^ extra ^ "\n") (fun r ->
+          (match read_framed r with
+          | Some (Http.Request req) when req.Http.body = want -> ()
+          | Some (Http.Request req) ->
+            QCheck.Test.fail_reportf "body %S, want %S" req.Http.body want
+          | Some (Http.Malformed m | Http.Overflow m) ->
+            QCheck.Test.fail_reportf "refused a valid request: %s" m
+          | None -> QCheck.Test.fail_reportf "no request line");
+          match Sockio.read_line r with
+          | Sockio.Line l when l = extra -> true
+          | Sockio.Line l -> QCheck.Test.fail_reportf "next line %S" l
+          | _ -> QCheck.Test.fail_reportf "next frame lost"))
 
 (* ---------- loopback clients ---------- *)
 
@@ -867,9 +1099,9 @@ let test_serve_sheds_over_capacity () =
           List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
             !open_sessions)
         (fun () ->
-          (* occupy the lone executor… *)
+          (* occupy the lone slot… *)
           let busy = submit 0 1 in
-          spin "executor stalled in gate" (fun () ->
+          spin "slot held in gate" (fun () ->
               Mutex.protect gate_m (fun () -> !stalled = 1));
           (* …fill the whole queue… *)
           let q1 = submit 0 2 in
@@ -889,7 +1121,7 @@ let test_serve_sheds_over_capacity () =
           | Error msg -> Alcotest.failf "unparseable shed response: %s" msg);
           check_int "shed counted" 1
             ((Server.stats server).Server.shed_capacity - shed0);
-          (* release the executors: everything admitted still completes *)
+          (* release the slot: everything admitted still completes *)
           Mutex.protect gate_m (fun () ->
               gate_open := true;
               Condition.broadcast gate_cv);
@@ -1661,21 +1893,6 @@ let test_wire_partial_and_deadline_codes () =
     (Wire.code_string Wire.Deadline_unmeetable);
   check_int "unmeetable is 503" 503 (Wire.http_status Wire.Deadline_unmeetable)
 
-let test_bqueue_iter () =
-  let q = Bqueue.create 4 in
-  List.iter (fun i -> ignore (Bqueue.try_push q i)) [ 1; 2; 3 ];
-  let seen = ref [] in
-  Bqueue.iter q (fun i -> seen := i :: !seen);
-  Alcotest.(check (list int)) "visits in order, without removing" [ 1; 2; 3 ]
-    (List.rev !seen);
-  check_int "items still queued" 3 (Bqueue.length q);
-  (* close leaves admitted items visible to iter, so a draining
-     consumer can still account for queued work *)
-  Bqueue.close q;
-  let n = ref 0 in
-  Bqueue.iter q (fun _ -> incr n);
-  check_int "iter after close" 3 !n
-
 let test_quota_retry_after_honest () =
   (* the retry hint must be honest in both directions: still denied
      just before it, granted at exactly the hinted instant *)
@@ -1746,9 +1963,9 @@ let test_serve_deadline_expired_in_queue () =
             (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
             [ busy_fd; dl_fd ])
         (fun () ->
-          (* occupy the lone executor with a deadline-free request… *)
+          (* occupy the lone slot with a deadline-free request… *)
           Sockio.write_all busy_fd (query_json ~src:0 ~dst:1 () ^ "\n");
-          spin "executor stalled in gate" (fun () ->
+          spin "slot held in gate" (fun () ->
               Mutex.protect gate_m (fun () -> !stalled = 1));
           (* …queue a 25 ms deadline behind it and let it lapse *)
           Sockio.write_all dl_fd
@@ -1901,6 +2118,54 @@ let test_serve_deadline_validation_and_header () =
             same_result "deadline-armed vs bare" want
               { got with Engine.cached = want.Engine.cached }
           | _ -> Alcotest.fail "no body line"))
+
+(* a budget past Cancel.max_budget_ms would wrap once turned into an
+   absolute nanosecond deadline: refused typed, on every path *)
+let test_serve_deadline_overflow_refused () =
+  with_server (fun server engine ->
+      let fd = connect (Server.port server) in
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+          let r = Sockio.reader fd in
+          List.iter
+            (fun ms ->
+              check_string ms "bad_request"
+                (error_code
+                   (ask r fd
+                      (Printf.sprintf
+                         {|{"deadline_ms":%s,"type":"flow","src":0,"dst":1}|} ms))))
+            [ "4611686018427"; "4000000000000000"; "9000000000000" ];
+          ignore
+            (parse_ok
+               (ask r fd
+                  (Printf.sprintf
+                     {|{"deadline_ms":%d,"type":"flow","src":0,"dst":1}|}
+                     Iflow_mcmc.Cancel.max_budget_ms))));
+      let fd = connect (Server.port server) in
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+          let body = query_json ~src:0 ~dst:1 () in
+          Sockio.write_all fd
+            (Printf.sprintf
+               "POST /query HTTP/1.1\r\nHost: t\r\nX-Deadline-Ms: 4611686018427\r\n\
+                Content-Length: %d\r\n\r\n%s"
+               (String.length body) body);
+          let r = Sockio.reader fd in
+          match Sockio.read_line r with
+          | Sockio.Line status ->
+            check_string "400 on an overflowing header" "400"
+              (String.sub status 9 3)
+          | _ -> Alcotest.fail "no status line");
+      let over = Some (Iflow_mcmc.Cancel.max_budget_ms + 1) in
+      List.iter
+        (fun config ->
+          match Server.create ~config ~engine () with
+          | exception Invalid_argument _ -> ()
+          | _ -> Alcotest.fail "config past the clock's range accepted")
+        [
+          { Server.default_config with Server.default_deadline_ms = over };
+          { Server.default_config with Server.max_deadline_ms = over };
+          { Server.default_config with Server.slow_query_ms = over };
+          { Server.default_config with Server.read_timeout_ms = over };
+        ])
 
 let test_serve_partial_answer_over_the_wire () =
   Flight.reset_load_hint ();
@@ -2092,7 +2357,7 @@ let test_serve_shutdown_refuses_queued () =
             [ busy_fd; q_fd ])
         (fun () ->
           Sockio.write_all busy_fd (query_json ~src:0 ~dst:1 () ^ "\n");
-          spin "executor stalled in gate" (fun () ->
+          spin "slot held in gate" (fun () ->
               Mutex.protect gate_m (fun () -> !stalled = 1));
           (* a deadline-free request waits in the queue when stop lands:
              the drain must stay bounded — no sampling — and the client
@@ -2129,6 +2394,14 @@ let () =
           Alcotest.test_case "blocking pop" `Quick test_bqueue_blocking_pop;
           Alcotest.test_case "validation" `Quick test_bqueue_validation;
         ] );
+      ( "slots",
+        [
+          Alcotest.test_case "fifo" `Quick test_slots_fifo;
+          Alcotest.test_case "full at capacity" `Quick test_slots_full;
+          Alcotest.test_case "close releases waiters, holders finish" `Quick
+            test_slots_close;
+          Alcotest.test_case "validation" `Quick test_slots_validation;
+        ] );
       ( "quota",
         [
           Alcotest.test_case "burst then deny" `Quick test_quota_burst_then_deny;
@@ -2164,7 +2437,12 @@ let () =
         ]
         @ List.map
             (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0 |]))
-            [ prop_decoders_never_raise; prop_out_of_range_rejected ] );
+            [
+              prop_decoders_never_raise;
+              prop_out_of_range_rejected;
+              prop_http_read_request_total;
+              prop_http_no_read_past_frame;
+            ] );
       ( "server",
         [
           Alcotest.test_case "serve = batch, bit for bit" `Slow
@@ -2210,7 +2488,6 @@ let () =
         [
           Alcotest.test_case "partial flag and deadline codes" `Quick
             test_wire_partial_and_deadline_codes;
-          Alcotest.test_case "bqueue iter" `Quick test_bqueue_iter;
           Alcotest.test_case "quota retry hint honest" `Quick
             test_quota_retry_after_honest;
           Alcotest.test_case "sockio surfaces SO_RCVTIMEO" `Quick
@@ -2221,6 +2498,8 @@ let () =
             test_serve_deadline_unmeetable;
           Alcotest.test_case "validation + X-Deadline-Ms header" `Slow
             test_serve_deadline_validation_and_header;
+          Alcotest.test_case "deadlines past the clock's range refused" `Quick
+            test_serve_deadline_overflow_refused;
           Alcotest.test_case "partial answer over the wire" `Slow
             test_serve_partial_answer_over_the_wire;
           Alcotest.test_case "slow-loris read timeout" `Slow
