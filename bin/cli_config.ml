@@ -290,10 +290,12 @@ let learner_term =
       value & opt policy_conv Iflow_stream.Runner.Fail_fast
       & info [ "on-error" ]
           ~doc:
-            "What to do when reading the event source fails: 'fail' stops \
+            "What to do when reading the event log fails: 'fail' stops \
              the run, 'skip' drops the read and continues (up to 100 \
              consecutive failures), 'retry' retries the read with \
-             exponential backoff before failing.")
+             exponential backoff before failing. Governs `stream`'s reads \
+             only: `serve` reads evidence from POST /evidence bodies, \
+             which it applies as they arrive.")
   in
   let max_quarantine_rate =
     Arg.(

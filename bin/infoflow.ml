@@ -883,7 +883,6 @@ let serve seed host port workers queue_capacity max_connections quota_rate
       read_timeout_ms;
     }
   in
-  let server = or_die (fun () -> Server.create ~config ~engine ()) in
   let online =
     or_die (fun () ->
         Iflow_stream.Online.create ~forget:learner.C.forget
@@ -896,32 +895,25 @@ let serve seed host port workers queue_capacity max_connections quota_rate
         Iflow_stream.Snapshot.create ?checkpoint_path:learner.C.checkpoint
           ~keep:learner.C.keep_checkpoints ~id:version ~offset:0 model)
   in
-  (* tag the engine with the (possibly resumed) version before the
-     first answer can leave *)
-  ignore (Iflow_stream.Snapshot.swap_into snapshot engine);
-  let learner_report = ref None in
-  let learner_thread =
-    Thread.create
-      (fun () ->
-        match
-          Iflow_stream.Runner.run ~engine ~on_error:learner.C.on_error
-            ~on_degraded:(fun ~stage e -> Server.note_degraded server ~stage e)
-            ~on_publish:(Server.on_publish server)
-            ~on_quarantine:(fun ~line ~reason ->
-              Obs_log.warn ~component:"serve"
-                "evidence line %d quarantined: %s" line reason)
-            {
-              Iflow_stream.Runner.batch = learner.C.batch;
-              checkpoint_every = learner.C.checkpoint_every;
-            }
-            online snapshot
-            (Server.ingest_source server)
-        with
-        | report -> learner_report := Some report
-        | exception e ->
-          Obs_log.err ~component:"serve" "learner failed: %s"
-            (Printexc.to_string e))
-      ()
+  (* starting the runner tags the engine with the (possibly resumed)
+     version before the first answer can leave *)
+  let runner =
+    or_die (fun () ->
+        Iflow_stream.Runner.start ~engine
+          ~on_degraded:(fun ~stage e ->
+            Obs_log.warn ~component:"serve" "degraded (%s): %s" stage
+              (Printexc.to_string e))
+          ~on_quarantine:(fun ~line ~reason ->
+            Obs_log.warn ~component:"serve"
+              "evidence line %d quarantined: %s" line reason)
+          {
+            Iflow_stream.Runner.batch = learner.C.batch;
+            checkpoint_every = learner.C.checkpoint_every;
+          }
+          online snapshot)
+  in
+  let server =
+    or_die (fun () -> Server.create ~config ~learner:runner ~engine ())
   in
   or_die (fun () -> Server.start server);
   Printf.printf "infoflow serve: listening on %s:%d (model version %d)\n%!"
@@ -935,7 +927,8 @@ let serve seed host port workers queue_capacity max_connections quota_rate
       ()
   in
   Server.wait server;
-  Thread.join learner_thread;
+  (* every connection has closed: publish the partial last batch *)
+  let report = Iflow_stream.Runner.finish runner in
   let s = Server.stats server in
   Obs_log.info ~component:"serve"
     "served %d connections: %d requests, %d answered, %d shed (%d capacity, \
@@ -944,12 +937,9 @@ let serve seed host port workers queue_capacity max_connections quota_rate
     (s.Server.shed_capacity + s.Server.shed_quota + s.Server.shed_deadline)
     s.Server.shed_capacity s.Server.shed_quota s.Server.shed_deadline
     s.Server.bad_requests s.Server.engine_errors s.Server.evidence_lines;
-  match !learner_report with
-  | Some report ->
-    Obs_log.info ~component:"serve" "%a" Iflow_stream.Runner.pp_report report;
-    C.check_quarantine_rate ~component:"serve" learner
-      report.Iflow_stream.Runner.stats
-  | None -> ()
+  Obs_log.info ~component:"serve" "%a" Iflow_stream.Runner.pp_report report;
+  C.check_quarantine_rate ~component:"serve" learner
+    report.Iflow_stream.Runner.stats
 
 let serve_cmd =
   let host =
@@ -1057,10 +1047,10 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Serve flow queries over TCP (raw JSONL sessions or HTTP POST \
-          /query) while JSONL evidence posted to /evidence streams through \
-          the online learner and hot-swaps model versions under live \
-          traffic. Admission control: --workers execution slots and a \
-          bounded line of waiters with typed over_capacity shedding, optional per-tenant token-bucket quotas \
+          /query) while JSONL evidence posted to /evidence runs through \
+          the online learner before its 202 reply, hot-swapping model \
+          versions under live traffic. Admission control: --workers \
+          execution slots and a bounded line of waiters with typed over_capacity shedding, optional per-tenant token-bucket quotas \
           (X-Tenant header / \"tenant\" field). Every request carries a \
           request id (client-supplied X-Request-Id / \"request_id\", or \
           server-minted), echoed on every answer; the last N requests are \

@@ -28,7 +28,7 @@ val n_edges : t -> int
 
 val digest : t -> string
 (** FNV-1a fingerprint of the topology and edge probabilities — the
-    model identity used by the engine's cache keys and per-query seeds
+    model identity used by the engine's per-query seeds and cache
     (hashed once per {!Iflow_engine.Engine.swap}). *)
 
 val pp : Format.formatter -> t -> unit

@@ -191,12 +191,6 @@ type t = {
 let set_cache_entries t =
   Metrics.set m_cache_entries (float_of_int (Lru.length t.cache))
 
-let config_key c =
-  Printf.sprintf "k%d b%d t%d r%d n%d rh%h mc%h p%d v%d" c.chains c.burn_in
-    c.thin c.round_samples c.max_samples c.rhat_target c.mcse_target
-    (if c.planner then 1 else 0)
-    (if c.plan_validate then 1 else 0)
-
 let create ?(config = default_config) ~seed icm =
   validate_config config;
   {
@@ -221,16 +215,6 @@ let version t = locked t (fun () -> (t.version, t.digest))
 let config t = t.config
 let pool_size t = Pool.size t.pool
 let cache_stats t = locked t (fun () -> Lru.stats t.cache)
-
-(* a query pins the (model, digest, version) triple it sees at entry:
-   everything downstream uses the captured triple, so a [swap] landing
-   mid-query can never mix two model versions inside one answer *)
-let capture t = locked t (fun () -> (t.icm, t.digest, t.version))
-
-let cache_key t ~digest q =
-  (* (model digest, query, conditions, config, seed): conditions are
-     part of Query.key *)
-  Printf.sprintf "%s/%s/%d/%s" digest (config_key t.config) t.seed (Query.key q)
 
 (* Per-query seed derived from (engine seed, model, query), so results
    are independent of the order queries arrive in — a cached result and
@@ -518,33 +502,35 @@ let compute ?rid ~ph ?cancel ?on_deadline t ~icm ~digest q =
       r
   end
 
-let invalidate_locked t ~digest =
-  let prefix = digest ^ "/" in
-  let plen = String.length prefix in
-  Lru.evict_where t.cache (fun key ->
-      String.length key >= plen && String.sub key 0 plen = prefix)
-
-let invalidate t ~digest = locked t (fun () -> invalidate_locked t ~digest)
-
+(* The cache holds answers on the current model only: config and seed
+   never change, so [Query.key] (conditions included) is the whole key,
+   and a swap to a new digest clears it. *)
 let swap t ~version icm =
   let digest = Icm.digest icm in
   locked t (fun () ->
-      let retired = t.digest in
+      let evicted =
+        if String.equal digest t.digest then 0 else Lru.clear t.cache
+      in
       t.icm <- icm;
       t.digest <- digest;
       t.version <- version;
-      let evicted =
-        if t.digest = retired then 0 else invalidate_locked t ~digest:retired
-      in
       set_cache_entries t;
       evicted)
 
 let query ?rid ?phases:caller ?cancel ?on_deadline t q =
   Metrics.inc m_queries;
-  let icm, digest, version = capture t in
+  let key = Query.key q in
+  (* a query pins the (model, digest, version) triple it sees at entry,
+     probing the cache under the same lock: everything downstream uses
+     the captured triple, so a [swap] landing mid-query can never mix
+     two model versions inside one answer. Nothing here raises, so the
+     lock is taken without a closure. *)
+  Mutex.lock t.lock;
+  let icm = t.icm and digest = t.digest and version = t.version in
+  let hit = Lru.find t.cache key in
+  Mutex.unlock t.lock;
   Option.iter (fun (p : phases) -> p.version <- version) caller;
-  let key = cache_key t ~digest q in
-  match locked t (fun () -> Lru.find t.cache key) with
+  match hit with
   | Some r ->
     Metrics.inc m_cache_hits;
     { r with cached = true }
@@ -554,8 +540,11 @@ let query ?rid ?phases:caller ?cancel ?on_deadline t q =
     let r = compute ?rid ~ph ?cancel ?on_deadline t ~icm ~digest q in
     if cacheable t r then
       locked t (fun () ->
-          Lru.add t.cache key r;
-          set_cache_entries t);
+          (* an answer on a superseded model would only sit there *)
+          if String.equal digest t.digest then begin
+            Lru.add t.cache key r;
+            set_cache_entries t
+          end);
     r
 
 let pp_result ppf r =

@@ -5,8 +5,9 @@
     chains spread across a {!Pool} of OCaml 5 domains, draws samples in
     adaptive rounds until the cross-chain {!Diagnostics} pass
     (split-R̂ ≤ target and MCSE ≤ target) or a sample budget is
-    exhausted, and memoises results in an {!Lru} cache keyed by
-    (model digest, query, conditions, config, seed).
+    exhausted, and memoises results on the current model in an {!Lru}
+    cache keyed by the query (conditions included): config and seed
+    never change, and a {!swap} to a new model clears the cache.
 
     {b Reproducibility.} Every query derives its own seed by
     fingerprinting (engine seed, model digest, query key); chain [i]
@@ -137,7 +138,7 @@ val create : ?config:config -> seed:int -> Iflow_core.Icm.t -> t
 val icm : t -> Iflow_core.Icm.t
 val config : t -> config
 val digest : t -> string
-(** The model fingerprint used in cache keys and per-query seeds:
+(** The model fingerprint used in per-query seeds:
     {!Iflow_core.Icm.digest} of the current model. *)
 
 val version : t -> int * string
@@ -151,15 +152,11 @@ val swap : t -> version:int -> Iflow_core.Icm.t -> int
     {!Iflow_core.Icm.digest} and the id change together under the one
     lock. Subsequent queries run (and cache) against the new model,
     tagged [version], while a query already running finishes on the
-    triple it captured at entry. Cache entries of the retired digest
-    are evicted via {!invalidate}; returns that eviction count (0 when
-    the digests coincide; the tag still moves). The engine seed is
-    kept, so swapping back reproduces earlier answers bit-for-bit. *)
-
-val invalidate : t -> digest:string -> int
-(** Evict every cached result computed against the given model digest,
-    returning how many entries were dropped. The drops are counted in
-    {!cache_stats} evictions. *)
+    triple it captured at entry, and is not cached. A new digest clears
+    the cache ({!Lru.clear}, counted in {!cache_stats} evictions);
+    returns that eviction count (0 when the digests coincide; the tag
+    still moves). The engine seed is kept, so swapping back reproduces
+    earlier answers bit-for-bit. *)
 
 val query :
   ?rid:string -> ?phases:phases ->

@@ -87,25 +87,16 @@ let add t key value =
       push_front t node)
   end
 
-let evict_where t pred =
-  let doomed =
-    Hashtbl.fold
-      (fun key node acc -> if pred key then node :: acc else acc)
-      t.table []
-  in
-  List.iter
-    (fun node ->
-      unlink t node;
-      Hashtbl.remove t.table node.key;
-      t.evictions <- t.evictions + 1;
-      t.on_evict ())
-    doomed;
-  List.length doomed
-
 let clear t =
+  let n = Hashtbl.length t.table in
   Hashtbl.reset t.table;
   t.first <- None;
-  t.last <- None
+  t.last <- None;
+  t.evictions <- t.evictions + n;
+  for _ = 1 to n do
+    t.on_evict ()
+  done;
+  n
 
 let stats (t : (_, _) t) =
   {

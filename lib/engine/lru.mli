@@ -2,7 +2,7 @@
 
     Hashtbl for lookup plus an intrusive doubly-linked recency list, so
     [find], [add], and eviction are all O(1). Keys use polymorphic
-    hashing — the engine keys entries by digest strings. A capacity of
+    hashing — the engine keys entries by query strings. A capacity of
     0 disables caching ([add] is a no-op) while still counting misses,
     which keeps the instrumented code path uniform.
 
@@ -32,13 +32,10 @@ val add : ('k, 'v) t -> 'k -> 'v -> unit
 (** Insert or overwrite, making the entry most-recent; evicts the
     least-recently-used entry when full. *)
 
-val evict_where : ('k, 'v) t -> ('k -> bool) -> int
-(** Evict every entry whose key satisfies the predicate, returning how
-    many were dropped. Each drop counts as an eviction — this is how
-    the engine retires a model version's cache entries on hot-swap. *)
-
-val clear : ('k, 'v) t -> unit
-(** Drop all entries (counters are retained). *)
+val clear : ('k, 'v) t -> int
+(** Drop every entry, returning how many were dropped. Each drop counts
+    as an eviction (and runs [on_evict]) — this is how the engine
+    retires a model version's answers on hot-swap. *)
 
 val stats : ('k, 'v) t -> stats
 

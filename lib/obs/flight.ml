@@ -7,60 +7,49 @@ let string_of_path = function
   | Err -> "error"
 
 type record = {
-  mutable seq : int;
-  mutable id : string;
-  mutable tenant : string;
-  mutable kind : string;
-  mutable path : path;
-  mutable fallback : string;
-  mutable error : string;
-  mutable version : int;
-  mutable digest : string;
-  mutable queue_wait_ns : int;
-  mutable plan_ns : int;
-  mutable sample_ns : int;
-  mutable serialize_ns : int;
-  mutable rounds : int;
-  mutable samples : int;
-  mutable rhat : float;
-  mutable mcse : float;
-  mutable deadline_ns : int;
-  mutable cancelled : bool;
-  mutable ts_ns : int;
+  seq : int;
+  id : string;
+  tenant : string;
+  kind : string;
+  path : path;
+  fallback : string;
+  error : string;
+  version : int;
+  digest : string;
+  queue_wait_ns : int;
+  plan_ns : int;
+  sample_ns : int;
+  serialize_ns : int;
+  rounds : int;
+  samples : int;
+  rhat : float;
+  mcse : float;
+  deadline_ns : int;
+  cancelled : bool;
+  ts_ns : int;
 }
 
-let empty_cell () =
-  {
-    seq = -1;
-    id = "";
-    tenant = "";
-    kind = "";
-    path = Err;
-    fallback = "";
-    error = "";
-    version = -1;
-    digest = "";
-    queue_wait_ns = 0;
-    plan_ns = 0;
-    sample_ns = 0;
-    serialize_ns = 0;
-    rounds = 0;
-    samples = 0;
-    rhat = Float.nan;
-    mcse = Float.nan;
-    deadline_ns = 0;
-    cancelled = false;
-    ts_ns = 0;
-  }
-
+(* The ring keeps the records [submit] stores, so every record it holds
+   is immutable and scrapes share them. [cells] is made from the first
+   record stored, so the ring needs no placeholder record. *)
 type ring = {
   m : Mutex.t;
-  mutable cells : record array; (* [||] while disabled *)
+  mutable size : int; (* 0 while disabled *)
+  mutable cells : record array; (* [||] until the first record lands *)
+  mutable filled : int;
   mutable cursor : int; (* the next cell to overwrite: the oldest *)
   mutable next_seq : int;
 }
 
-let ring = { m = Mutex.create (); cells = [||]; cursor = 0; next_seq = 0 }
+let ring =
+  {
+    m = Mutex.create ();
+    size = 0;
+    cells = [||];
+    filled = 0;
+    cursor = 0;
+    next_seq = 0;
+  }
 
 (* the one-load-one-branch gate on the hot path; flipped only under the
    ring lock so [submit] never sees a half-built ring *)
@@ -70,7 +59,9 @@ let enabled () = Atomic.get on
 
 let configure ?(capacity = 1024) () =
   Mutex.protect ring.m (fun () ->
-      ring.cells <- Array.init (max 1 capacity) (fun _ -> empty_cell ());
+      ring.size <- max 1 capacity;
+      ring.cells <- [||];
+      ring.filled <- 0;
       ring.cursor <- 0;
       ring.next_seq <- 0;
       Atomic.set on true)
@@ -78,14 +69,17 @@ let configure ?(capacity = 1024) () =
 let disable () =
   Mutex.protect ring.m (fun () ->
       Atomic.set on false;
+      ring.size <- 0;
       ring.cells <- [||];
+      ring.filled <- 0;
       ring.cursor <- 0)
 
-let capacity () = if Atomic.get on then Array.length ring.cells else 0
+let capacity () = if Atomic.get on then ring.size else 0
 
 let clear () =
   Mutex.protect ring.m (fun () ->
-      Array.iter (fun c -> c.seq <- -1) ring.cells;
+      ring.cells <- [||];
+      ring.filled <- 0;
       ring.cursor <- 0;
       ring.next_seq <- 0)
 
@@ -130,51 +124,33 @@ let reset_load_hint () =
   Atomic.set hint_count 0
 
 let submit r =
-  r.ts_ns <- Clock.now_ns ();
   observe_load ~queue_wait_ns:r.queue_wait_ns ~serialize_ns:r.serialize_ns;
-  if Atomic.get on then begin
+  let ts_ns = Clock.now_ns () in
+  if not (Atomic.get on) then { r with ts_ns }
+  else begin
     Mutex.lock ring.m;
     (* [disable] may have raced us past the gate; the ring may be gone *)
-    let n = Array.length ring.cells in
+    let n = ring.size in
+    let r = { r with seq = (if n = 0 then r.seq else ring.next_seq); ts_ns } in
     if n > 0 then begin
-      r.seq <- ring.next_seq;
       ring.next_seq <- ring.next_seq + 1;
-      let c = ring.cells.(ring.cursor) in
+      if Array.length ring.cells = 0 then ring.cells <- Array.make n r;
+      ring.cells.(ring.cursor) <- r;
       ring.cursor <- (ring.cursor + 1) mod n;
-      c.seq <- r.seq;
-      c.id <- r.id;
-      c.tenant <- r.tenant;
-      c.kind <- r.kind;
-      c.path <- r.path;
-      c.fallback <- r.fallback;
-      c.error <- r.error;
-      c.version <- r.version;
-      c.digest <- r.digest;
-      c.queue_wait_ns <- r.queue_wait_ns;
-      c.plan_ns <- r.plan_ns;
-      c.sample_ns <- r.sample_ns;
-      c.serialize_ns <- r.serialize_ns;
-      c.rounds <- r.rounds;
-      c.samples <- r.samples;
-      c.rhat <- r.rhat;
-      c.mcse <- r.mcse;
-      c.deadline_ns <- r.deadline_ns;
-      c.cancelled <- r.cancelled;
-      c.ts_ns <- r.ts_ns
+      ring.filled <- min n (ring.filled + 1)
     end;
-    Mutex.unlock ring.m
+    Mutex.unlock ring.m;
+    r
   end
 
-(* copies of the filled cells, newest first: walking from the oldest
-   cell and consing leaves the one written last at the head *)
+(* the filled cells, newest first: walking from the oldest filled cell
+   and consing leaves the one written last at the head *)
 let newest_first () =
   Mutex.protect ring.m (fun () ->
-      let n = Array.length ring.cells in
+      let n = ring.size and oldest = ring.cursor - ring.filled in
       let rec go k acc =
-        if k = n then acc
-        else
-          let c = ring.cells.((ring.cursor + k) mod n) in
-          go (k + 1) (if c.seq >= 0 then { c with id = c.id } :: acc else acc)
+        if k = ring.filled then acc
+        else go (k + 1) (ring.cells.((oldest + k + n) mod n) :: acc)
       in
       go 0 [])
 

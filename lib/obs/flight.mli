@@ -4,13 +4,11 @@
     exact planner / MH / typed error), on which model version, and where
     the time went (queue wait, plan, sample, serialize).
 
-    The ring is allocation-free in steady state: every cell is
-    pre-allocated at {!configure} and {!submit}, the only writer, copies
-    a record's fields into the oldest cell in place under the ring's one
-    mutex. A ring configured for N records holds the last N. With the
-    recorder off, {!submit} costs one atomic load and a branch past the
-    load hint. Scrapes ({!recent}, {!find}) copy records out and may
-    allocate freely — they run on the debug path, not the hot one.
+    Records are immutable. {!submit}, the only writer, stores the
+    record it is given (stamped with its sequence number and time, the
+    one record it allocates) in the oldest cell under the ring's one
+    mutex. A ring configured for N records holds the last N. Scrapes
+    ({!recent}, {!find}) return the stored records themselves.
 
     Recording never feeds back into answers: records hold only ids,
     labels and clock readings, so enabling the recorder cannot perturb
@@ -24,35 +22,34 @@ val string_of_path : path -> string
 (** ["cache" | "exact" | "mh" | "error"]. *)
 
 type record = {
-  mutable seq : int;  (** global completion order; -1 = empty cell *)
-  mutable id : string;  (** request id as echoed on the wire *)
-  mutable tenant : string;
-  mutable kind : string;  (** query cache key, e.g. ["flow 0 5"] *)
-  mutable path : path;
-  mutable fallback : string;  (** planner fallback reason, [""] = none *)
-  mutable error : string;  (** typed error code, [""] = none *)
-  mutable version : int;  (** served model version, -1 = unknown *)
-  mutable digest : string;  (** model digest, [""] = unknown *)
-  mutable queue_wait_ns : int;
-  mutable plan_ns : int;
-  mutable sample_ns : int;
-  mutable serialize_ns : int;
-  mutable rounds : int;  (** adaptive MH rounds (0 for exact/cache) *)
-  mutable samples : int;  (** total MH samples *)
-  mutable rhat : float;  (** nan when not sampled *)
-  mutable mcse : float;  (** nan when not sampled *)
-  mutable deadline_ns : int;
+  seq : int;  (** global completion order; -1 = not stored in the ring *)
+  id : string;  (** request id as echoed on the wire *)
+  tenant : string;
+  kind : string;  (** query cache key, e.g. ["flow 0 5"] *)
+  path : path;
+  fallback : string;  (** planner fallback reason, [""] = none *)
+  error : string;  (** typed error code, [""] = none *)
+  version : int;  (** served model version, -1 = unknown *)
+  digest : string;  (** model digest, [""] = unknown *)
+  queue_wait_ns : int;
+  plan_ns : int;
+  sample_ns : int;
+  serialize_ns : int;
+  rounds : int;  (** adaptive MH rounds (0 for exact/cache) *)
+  samples : int;  (** total MH samples *)
+  rhat : float;  (** nan when not sampled *)
+  mcse : float;  (** nan when not sampled *)
+  deadline_ns : int;
       (** the request's deadline budget in ns, 0 = none carried *)
-  mutable cancelled : bool;
+  cancelled : bool;
       (** the deadline (or an explicit cancel) cut this request short —
           a partial answer or a typed [deadline_exceeded] *)
-  mutable ts_ns : int;  (** monotonic completion time, {!Clock} base *)
+  ts_ns : int;  (** monotonic completion time, {!Clock} base *)
 }
 
 val configure : ?capacity:int -> unit -> unit
 (** Enable the recorder with room for [capacity] records (default
-    1024, clamped to at least 1). Pre-allocates every cell; calling
-    again resizes and clears. *)
+    1024, clamped to at least 1); calling again resizes and clears. *)
 
 val disable : unit -> unit
 (** Stop recording and drop the ring. *)
@@ -62,15 +59,14 @@ val enabled : unit -> bool
 val capacity : unit -> int
 (** Cells in the ring; 0 when disabled. *)
 
-val submit : record -> unit
-(** Record a caller-built record: stamps [ts_ns] on the argument
-    (always — slow-query logging prints the same record even when the
-    ring is off), assigns [seq] when enabled, and copies the fields
-    into the ring's oldest cell. The argument is not retained. *)
+val submit : record -> record
+(** Record a caller-built record and return it as stored: a copy
+    stamped with [ts_ns] (always — slow-query logging prints the
+    returned record even when the ring is off) and, when enabled, the
+    next [seq], which lands in the ring's oldest cell. *)
 
 val recent : int -> record list
-(** The most recent [n] records, newest first.
-    Copies — safe to hold across further recording. *)
+(** The most recent [n] records, newest first. *)
 
 val find : string -> record option
 (** The most recent record whose [id] matches, if still in the ring. *)

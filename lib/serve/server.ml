@@ -7,9 +7,8 @@ module Log = Iflow_obs.Log
 module Clock = Iflow_obs.Clock
 module Trace = Iflow_obs.Trace
 module Flight = Iflow_obs.Flight
-module Snapshot = Iflow_stream.Snapshot
+module Runner = Iflow_stream.Runner
 module Cancel = Iflow_mcmc.Cancel
-module Retry = Iflow_fault.Retry
 
 let m_connections =
   Metrics.counter ~help:"Connections accepted" "iflow_serve_connections_total"
@@ -91,7 +90,7 @@ let m_degraded =
     "iflow_serve_degraded"
 
 let m_evidence =
-  Metrics.counter ~help:"Evidence lines accepted via POST /evidence"
+  Metrics.counter ~help:"Evidence lines applied via POST /evidence"
     "iflow_serve_evidence_lines_total"
 
 let m_slow =
@@ -161,7 +160,6 @@ type config = {
   workers : int;
   max_connections : int;
   quota : Quota.config option;
-  ingest_capacity : int;
   max_line_bytes : int;
   max_body_bytes : int;
   flight_capacity : int;
@@ -180,7 +178,6 @@ let default_config =
     workers = 2;
     max_connections = 1024;
     quota = None;
-    ingest_capacity = 65_536;
     max_line_bytes = 1 lsl 20;
     max_body_bytes = 8 lsl 20;
     flight_capacity = 1024;
@@ -198,14 +195,16 @@ type reply =
       retry_after_ms : int option;
     }
 
-type state = Idle | Running | Stopped
+(* [Stopping] from the start of [stop] until every connection closed *)
+type state = Idle | Running | Stopping | Stopped
 
 type t = {
   config : config;
   engine : Engine.t;
   gate : (unit -> unit) option;
   slots : Slots.t;
-  ingest : string Bqueue.t;
+  learner : Runner.t option;
+  learner_lock : Mutex.t; (* serialises [Runner.feed] across connections *)
   quota : Quota.t option;
   published : int Atomic.t; (* the learner's last published version id *)
   (* lifecycle *)
@@ -232,8 +231,6 @@ let validate_config c =
   if c.workers < 1 then bad "workers must be >= 1 (got %d)" c.workers;
   if c.max_connections < 1 then
     bad "max_connections must be >= 1 (got %d)" c.max_connections;
-  if c.ingest_capacity < 1 then
-    bad "ingest_capacity must be >= 1 (got %d)" c.ingest_capacity;
   if c.max_line_bytes < 64 then
     bad "max_line_bytes must be >= 64 (got %d)" c.max_line_bytes;
   if c.backlog < 1 then bad "backlog must be >= 1 (got %d)" c.backlog;
@@ -255,14 +252,15 @@ let validate_config c =
     bad "default_deadline_ms %d exceeds max_deadline_ms %d" d mx
   | _ -> ()
 
-let create ?(config = default_config) ?gate ~engine () =
+let create ?(config = default_config) ?gate ?learner ~engine () =
   validate_config config;
   {
     config;
     engine;
     gate;
     slots = Slots.create ~slots:config.workers ~capacity:config.queue_capacity;
-    ingest = Bqueue.create config.ingest_capacity;
+    learner;
+    learner_lock = Mutex.create ();
     quota = Option.map Quota.create config.quota;
     published = Atomic.make (fst (Engine.version engine));
     lock = Mutex.create ();
@@ -287,50 +285,22 @@ let lags t version = version < Atomic.get t.published
 let current_version t = fst (Engine.version t.engine)
 let degraded t = lags t (current_version t)
 
-let on_publish t (v : Snapshot.version) =
-  Atomic.set t.published v.Snapshot.id;
-  Metrics.set m_degraded (if degraded t then 1.0 else 0.0)
-
-let note_degraded _t ~stage e =
-  Log.warn ~component:"serve" "degraded (%s): %s" stage (Printexc.to_string e)
-
-(* ----- ingest bridge ----- *)
-
-(* A full ingest queue is usually transient — the learner runner
-   drains it in batches — so the enqueue rides it out with a few
-   quick re-attempts inside a ~5 ms budget. A persistently full (or
-   closed) queue still answers [over_capacity] instead of blocking
-   the connection thread without bound. *)
-let ingest_policy =
-  {
-    Retry.max_attempts = 4;
-    base_delay = 0.0005;
-    multiplier = 2.0;
-    jitter = 0.0;
-    max_delay = 0.002;
-    budget = Some 0.005;
-  }
-
-exception Ingest_full
-
-let ingest_line t line =
-  let push () = if not (Bqueue.try_push t.ingest line) then raise Ingest_full in
-  let ok =
-    match
-      Retry.with_policy ingest_policy
-        ~retryable:(function
-          | Ingest_full -> not (Bqueue.is_closed t.ingest)
-          | _ -> false)
-        push
-    with
-    | () -> true
-    | exception Ingest_full -> false
-  in
-  if ok then Metrics.inc m_evidence;
-  ok
-
-let ingest_source t () = Bqueue.pop t.ingest
-let ingest_pending t = Bqueue.length t.ingest
+(* Apply one POST /evidence body's lines through the learner, in
+   order, on the calling connection thread. A line that completes a
+   batch publishes and swaps before the next is fed, so the reply
+   leaves after the new version serves. *)
+let ingest t lines =
+  match t.learner with
+  | None -> None
+  | Some l ->
+    Mutex.protect t.learner_lock (fun () ->
+        List.iter (Runner.feed l) lines;
+        (* read after the swap, so [degraded] never sees a publish
+           whose swap is still running *)
+        Atomic.set t.published (Runner.published l));
+    Metrics.add m_evidence (List.length lines);
+    Metrics.set m_degraded (if degraded t then 1.0 else 0.0);
+    Some (List.length lines)
 
 (* ----- the admission pipeline ----- *)
 
@@ -505,48 +475,47 @@ let finish_request t ~rid ~tenant ~kind ~reply ~ran ~deadline_budget_ns
          ph.Engine.rounds)
       | None -> (0, 0, 0, 0)
     in
-    let r =
-      {
-        Flight.seq = -1;
-        id = rid;
-        tenant;
-        kind;
-        path = Flight.Err;
-        fallback = "";
-        error = "";
-        version = -1;
-        digest = "";
-        queue_wait_ns;
-        plan_ns;
-        sample_ns;
-        serialize_ns;
-        rounds;
-        samples = 0;
-        rhat = Float.nan;
-        mcse = Float.nan;
-        deadline_ns = deadline_budget_ns;
-        cancelled = cut_short;
-        ts_ns = 0;
-      }
+    let path, fallback, error, version, digest, samples, rhat, mcse =
+      match reply with
+      | Answer { result = res; version; degraded = _ } ->
+        ( (if res.Engine.cached then Flight.Cache
+           else
+             match res.Engine.plan with
+             | Engine.Plan_exact _ -> Flight.Exact
+             | Engine.Plan_mh _ -> Flight.Mh),
+          (match res.Engine.plan with
+          | Engine.Plan_mh { fallback = Some f } -> f
+          | _ -> ""),
+          "", version, res.Engine.model_digest, res.Engine.total_samples,
+          res.Engine.rhat, res.Engine.mcse )
+      | Refused { code; _ } ->
+        (Flight.Err, "", Wire.code_string code, -1, "", 0, Float.nan, Float.nan)
     in
-    (match reply with
-    | Answer { result = res; version; degraded = _ } ->
-      r.path <-
-        (if res.Engine.cached then Flight.Cache
-         else
-           match res.Engine.plan with
-           | Engine.Plan_exact _ -> Flight.Exact
-           | Engine.Plan_mh _ -> Flight.Mh);
-      (match res.Engine.plan with
-      | Engine.Plan_mh { fallback = Some f } -> r.fallback <- f
-      | _ -> ());
-      r.version <- version;
-      r.digest <- res.Engine.model_digest;
-      r.samples <- res.Engine.total_samples;
-      r.rhat <- res.Engine.rhat;
-      r.mcse <- res.Engine.mcse
-    | Refused { code; _ } -> r.error <- Wire.code_string code);
-    Flight.submit r;
+    let r =
+      Flight.submit
+        {
+          Flight.seq = -1;
+          id = rid;
+          tenant;
+          kind;
+          path;
+          fallback;
+          error;
+          version;
+          digest;
+          queue_wait_ns;
+          plan_ns;
+          sample_ns;
+          serialize_ns;
+          rounds;
+          samples;
+          rhat;
+          mcse;
+          deadline_ns = deadline_budget_ns;
+          cancelled = cut_short;
+          ts_ns = 0;
+        }
+    in
     if slow then begin
       Metrics.inc m_slow;
       Log.warn ~component:"serve" ~rid "slow query (%d ms >= %d ms): %s"
@@ -683,13 +652,13 @@ let health t =
        \"queue_depth\":%d,\"queue_capacity\":%d,\"active_connections\":%d,\
        \"requests\":%d,\"answered\":%d,\"shed_capacity\":%d,\"shed_quota\":%d,\
        \"shed_deadline\":%d,\"bad_requests\":%d,\"engine_errors\":%d,\
-       \"evidence_pending\":%d,\"workers\":%d}"
+       \"workers\":%d}"
       (Wire.escape (if degraded then "degraded" else "ok"))
       version (Wire.escape digest)
       (Clock.seconds_of_ns (Clock.now_ns () - t.t_start))
       (queue_depth t) t.config.queue_capacity s.active s.requests s.answered
       s.shed_capacity s.shed_quota s.shed_deadline s.bad_requests
-      s.engine_errors (ingest_pending t) t.config.workers )
+      s.engine_errors t.config.workers )
 
 let health_json t = snd (health t)
 
@@ -840,25 +809,19 @@ let handle_http t fd r first_line =
           | None -> []
         in
         send ~headers ~status:200 (String.concat "\n" replies ^ "\n"))
-    | "POST", "/evidence" ->
+    | "POST", "/evidence" -> (
       let lines =
         List.filter
           (fun l -> String.trim l <> "")
           (String.split_on_char '\n' req.Http.body)
       in
-      let accepted = List.fold_left
-          (fun n line -> if ingest_line t line then n + 1 else n)
-          0 lines
-      in
-      let total = List.length lines in
-      if accepted = total then
-        send ~status:202 (Printf.sprintf "{\"accepted\":%d}\n" accepted)
-      else
-        send ~status:429
-          (Printf.sprintf
-             "{\"accepted\":%d,\"error\":\"over_capacity\",\"message\":\
-              \"evidence queue full after %d of %d lines\"}\n"
-             accepted accepted total)
+      match ingest t lines with
+      | Some n -> send ~status:202 (Printf.sprintf "{\"accepted\":%d}\n" n)
+      | None ->
+        send ~status:404
+          (Wire.error_line Wire.Bad_request
+             "this server runs no learner: POST /evidence is not served"
+          ^ "\n"))
     | meth, path ->
       send ~status:404
         (Wire.error_line Wire.Bad_request
@@ -981,13 +944,13 @@ let stop t =
     Mutex.protect t.lock (fun () ->
         match t.state with
         | Running ->
-          t.state <- Stopped;
+          t.state <- Stopping;
           true
         | Idle ->
           t.state <- Stopped;
           Condition.broadcast t.stopped_cv;
           false
-        | Stopped -> false)
+        | Stopping | Stopped -> false)
   in
   if to_stop then begin
     (* 1. stop accepting — shutdown() before close(): closing a
@@ -1016,10 +979,10 @@ let stop t =
           t.conns;
         while Hashtbl.length t.conns > 0 do
           Condition.wait t.conns_empty t.lock
-        done);
-    (* 4. end the evidence stream so a Runner on [ingest_source] exits *)
-    Bqueue.close t.ingest;
-    Mutex.protect t.lock (fun () -> Condition.broadcast t.stopped_cv)
+        done;
+        (* every request has answered: [wait] may return *)
+        t.state <- Stopped;
+        Condition.broadcast t.stopped_cv)
   end
 
 let wait t =

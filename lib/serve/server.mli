@@ -1,6 +1,6 @@
 (** The network serving layer: a long-lived TCP front end over one
-    {!Iflow_engine.Engine}, answering flow queries while the streaming
-    learner hot-swaps model versions underneath it.
+    {!Iflow_engine.Engine}, answering flow queries while evidence posted
+    to it is learned and hot-swapped in underneath them.
 
     {b Dialects.} The server sniffs the first line of every connection:
     an HTTP request-line gets the HTTP surface ([POST /query],
@@ -35,6 +35,15 @@
     the engine keeps serving the last-good version and [/healthz]
     reports [degraded] — serving never stops because learning
     hiccuped.
+
+    {b Evidence.} A server created with a [learner] applies each
+    [POST /evidence] body on the connection thread that read it: its
+    non-blank lines go through {!Iflow_stream.Runner.feed} in order,
+    under one learner lock shared by all connections. Every batch they
+    complete is published and swapped into the engine before the
+    [202 {"accepted":N}] reply leaves, so the next answer and [/healthz]
+    already carry the new version. Without a learner, [/evidence]
+    answers a typed [bad_request] (404).
 
     {b Observability.} Every stage records into {!Iflow_obs.Metrics}
     ([iflow_serve_*]: request/queue-wait SLO histograms, shed and
@@ -93,7 +102,6 @@ type config = {
   max_connections : int;    (** concurrent connections before shedding
                                 at accept time *)
   quota : Quota.config option;  (** per-tenant buckets; [None] = off *)
-  ingest_capacity : int;    (** bounded evidence queue for [POST /evidence] *)
   max_line_bytes : int;     (** per-line cap, both dialects *)
   max_body_bytes : int;     (** HTTP body cap *)
   flight_capacity : int;    (** flight-recorder ring size; {!start}
@@ -124,17 +132,20 @@ type config = {
 
 val default_config : config
 (** 127.0.0.1:0, backlog 128, queue 64, 2 workers, 1024 connections,
-    no quota, ingest queue 65536, 1 MiB lines, 8 MiB bodies, flight
-    ring 1024, slow-query logging off, no deadlines, 30 s read
+    no quota, 1 MiB lines, 8 MiB bodies, flight ring 1024, slow-query logging off, no deadlines, 30 s read
     timeout. *)
 
 type t
 
 val create :
-  ?config:config -> ?gate:(unit -> unit) ->
+  ?config:config -> ?gate:(unit -> unit) -> ?learner:Iflow_stream.Runner.t ->
   engine:Iflow_engine.Engine.t -> unit -> t
 (** Wrap an engine; answers carry its version tag, so swap a resumed
-    version in before {!start}. [gate], when given, is called on the
+    version in before {!start} ({!Iflow_stream.Runner.start} does).
+    [learner], when given, must have been started on [engine]; the
+    server feeds it [POST /evidence] lines and never finishes it — call
+    {!Iflow_stream.Runner.finish} after {!wait} to publish the partial
+    last batch. [gate], when given, is called on the
     connection thread once a request holds its slot, before its queue
     wait is read and its deadline checked — a test hook for
     deterministically holding the slots (and thus filling the line of
@@ -160,42 +171,19 @@ val stop : t -> unit
     waiting and later request answers [shutting_down] without
     sampling, while requests holding a slot finish normally), end
     every connection's input and wait until each has written its last
-    answer and closed, then close the ingest queue (ending a
-    {!ingest_source} consumer). A peer that stops reading holds the
-    wait for at most one [read_timeout_ms] window (the send timeout);
-    with the guard off, until it reads or goes away. Idempotent. *)
+    answer (an evidence post in flight finishes applying its lines)
+    and closed. A peer that stops reading holds the wait for at most
+    one [read_timeout_ms] window (the send timeout); with the guard
+    off, until it reads or goes away. Idempotent. *)
 
-(** {1 Ingest bridge} — evidence arriving over the network.
-
-    [POST /evidence] body lines land in a bounded queue;
-    {!ingest_source} adapts it to the line source
-    {!Iflow_stream.Runner.run} pulls from, so the CLI runs learner and
-    server in one process and models hot-swap under live traffic. *)
-
-val ingest_line : t -> string -> bool
-(** Offer one evidence line; [false] when the queue is full or closed
-    (the HTTP handler turns that into [over_capacity]). *)
-
-val ingest_source : t -> unit -> string option
-(** Blocking puller over the evidence queue; [None] after {!stop}. *)
-
-val ingest_pending : t -> int
-
-(** {1 Learner integration} *)
-
-val on_publish : t -> Iflow_stream.Snapshot.version -> unit
-(** Hook for {!Iflow_stream.Runner.run}'s [on_publish]: records the
-    published id and sets the [iflow_serve_degraded] gauge. *)
-
-val note_degraded : t -> stage:string -> exn -> unit
-(** Hook for [on_degraded]: logs the absorbed fault. *)
+(** {1 Learner state} *)
 
 val current_version : t -> int
 (** The version id the engine serves now. *)
 
 val degraded : t -> bool
-(** The engine serves an older version than {!on_publish} last saw: a
-    swap failed and none has succeeded since. *)
+(** The engine serves an older version than the learner last
+    published: a swap failed and none has succeeded since. *)
 
 (** {1 Introspection} *)
 
@@ -209,7 +197,7 @@ type stats = {
   shed_deadline : int;   (** refused: [deadline_unmeetable] *)
   bad_requests : int;    (** undecodable or unanswerable *)
   engine_errors : int;   (** [Chains_failed] surfaced as 500s *)
-  evidence_lines : int;  (** accepted via [POST /evidence] *)
+  evidence_lines : int;  (** applied via [POST /evidence] *)
 }
 
 val stats : t -> stats

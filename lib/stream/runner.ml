@@ -112,26 +112,192 @@ let check_config what config skip =
   | _ -> ());
   if skip < 0 then invalid_arg (what ^ ": negative skip")
 
-(* The one ingest loop behind both codecs: pull a record with [next],
-   absorb it with [apply] (1-based log offset), publish every
-   [config.batch] applied events. *)
-let ingest ?engine ~skip ~on_error ?on_degraded ?on_alert ?on_publish
-    ?on_quarantine config online snapshot ~apply next =
-  let t_start = Clock.now_ns () in
-  let t_last_publish = ref t_start in
-  let lines = ref skip in
-  let pending = ref 0 in
-  let last_checkpoint = ref skip in
-  let evictions = ref 0 in
-  let published = ref 0 in
-  let checkpoints = ref 0 in
-  let seen_alerts = ref 0 in
-  let read_errors = ref 0 in
-  let swap_failures = ref 0 in
-  let checkpoint_failures = ref 0 in
-  let degraded stage e =
-    match on_degraded with Some f -> f ~stage e | None -> ()
+(* The push-style core behind both pull loops and the server: [start]
+   builds the state and swaps the engine onto the current version,
+   [feed] absorbs one record and publishes every [config.batch] applied
+   events, [finish] publishes the pending tail. *)
+type t = {
+  config : config;
+  online : Online.t;
+  snapshot : Snapshot.t;
+  engine : Engine.t option;
+  on_degraded : stage:string -> exn -> unit;
+  on_alert : Drift.alert -> unit;
+  on_publish : Snapshot.version -> unit;
+  on_quarantine : line:int -> reason:string -> unit;
+  t_start : int;
+  mutable t_last_publish : int;
+  mutable lines : int;
+  mutable pending : int;
+  mutable last_checkpoint : int;
+  mutable evictions : int;
+  mutable published : int;
+  mutable checkpoints : int;
+  mutable seen_alerts : int;
+  mutable swap_failures : int;
+  mutable checkpoint_failures : int;
+}
+
+let swap st =
+  match st.engine with
+  | Some e -> (
+    let t0 = Clock.now_ns () in
+    match
+      Fail.point "runner.swap";
+      Snapshot.swap_into st.snapshot e
+    with
+    | evicted ->
+      st.evictions <- st.evictions + evicted;
+      ignore (Trace.phase ~hist:m_swap_seconds "stream.swap" ~t0)
+    | exception ex ->
+      (* the engine keeps answering from the last version it
+         successfully swapped onto; the next publish retries *)
+      st.swap_failures <- st.swap_failures + 1;
+      Metrics.inc m_swap_failures;
+      st.on_degraded ~stage:"swap" ex)
+  | None -> ()
+
+let drain_alerts st =
+  match Online.drift st.online with
+  | None -> ()
+  | Some d ->
+    let count = Drift.alert_count d in
+    if count > st.seen_alerts then begin
+      List.iteri
+        (fun i a ->
+          if i >= st.seen_alerts then begin
+            if Trace.enabled () then
+              Trace.instant "stream.drift_alert"
+                ~args:
+                  [
+                    ("edge", Trace.Int a.Drift.edge);
+                    ("reference_rate", Trace.Float a.Drift.reference_rate);
+                    ("window_rate", Trace.Float a.Drift.window_rate);
+                  ]
+                ();
+            st.on_alert a
+          end)
+        (Drift.alerts d);
+      st.seen_alerts <- count
+    end
+
+let write_checkpoint st =
+  match Snapshot.checkpoint st.snapshot with
+  | () ->
+    st.checkpoints <- st.checkpoints + 1;
+    Metrics.inc m_checkpoints;
+    st.last_checkpoint <- st.lines
+  | exception ex ->
+    (* retries inside Snapshot.checkpoint are exhausted; keep
+       ingesting — [last_checkpoint] stays put, so the next publish
+       tries again, and recovery still has the previous generation *)
+    st.checkpoint_failures <- st.checkpoint_failures + 1;
+    Metrics.inc m_checkpoint_failures;
+    st.on_degraded ~stage:"checkpoint" ex
+
+let publish st =
+  let t0 = Clock.now_ns () in
+  let v =
+    Snapshot.publish st.snapshot (Online.model st.online) ~offset:st.lines
   in
+  swap st;
+  (* forgetting is per published batch: evidence already absorbed
+     loses weight (1 - lambda) before the next batch accumulates *)
+  Online.decay st.online;
+  st.published <- st.published + 1;
+  st.pending <- 0;
+  Metrics.inc m_published;
+  Metrics.set m_offset (float_of_int st.lines);
+  let t1 =
+    t0
+    + Trace.phase ~hist:m_publish_seconds
+        ~args:[ ("offset", Trace.Int st.lines) ]
+        "stream.publish" ~t0
+  in
+  Metrics.observe m_batch_seconds (t1 - st.t_last_publish);
+  st.t_last_publish <- t1;
+  st.on_publish v;
+  match st.config.checkpoint_every with
+  | Some k when st.lines - st.last_checkpoint >= k -> write_checkpoint st
+  | _ -> ()
+
+let start ?engine ?(skip = 0) ?(on_degraded = fun ~stage:_ _ -> ())
+    ?(on_alert = ignore) ?(on_publish = ignore)
+    ?(on_quarantine = fun ~line:_ ~reason:_ -> ()) config online snapshot =
+  check_config "Runner.start" config skip;
+  let t_start = Clock.now_ns () in
+  let st =
+    {
+      config;
+      online;
+      snapshot;
+      engine;
+      on_degraded;
+      on_alert;
+      on_publish;
+      on_quarantine;
+      t_start;
+      t_last_publish = t_start;
+      lines = skip;
+      pending = 0;
+      last_checkpoint = skip;
+      evictions = 0;
+      published = 0;
+      checkpoints = 0;
+      seen_alerts = 0;
+      swap_failures = 0;
+      checkpoint_failures = 0;
+    }
+  in
+  swap st;
+  st
+
+(* count one consumed log line whose record [apply] already absorbed *)
+let settle st outcome =
+  st.lines <- st.lines + 1;
+  (match outcome with
+  | `Applied -> st.pending <- st.pending + 1
+  | `Quarantined reason -> st.on_quarantine ~line:st.lines ~reason);
+  drain_alerts st;
+  if st.pending >= st.config.batch then publish st
+
+let feed st line =
+  settle st (Online.apply_line ~lineno:(st.lines + 1) st.online line)
+
+let published st = Snapshot.published st.snapshot
+
+let finish st =
+  if st.pending > 0 then publish st;
+  if st.config.checkpoint_every <> None && st.last_checkpoint <> st.lines then
+    write_checkpoint st;
+  let wall_ns = Clock.now_ns () - st.t_start in
+  let stats = Online.stats st.online in
+  {
+    lines = st.lines;
+    stats;
+    final = Snapshot.current st.snapshot;
+    versions_published = st.published;
+    checkpoints_written = st.checkpoints;
+    cache_evictions = st.evictions;
+    drift_alerts =
+      (match Online.drift st.online with
+      | Some d -> Drift.alerts d
+      | None -> []);
+    read_errors = 0;
+    swap_failures = st.swap_failures;
+    checkpoint_failures = st.checkpoint_failures;
+    wall_ns;
+    events_per_sec =
+      (if wall_ns <= 0 then 0.0
+       else
+         float_of_int stats.Online.applied /. Clock.seconds_of_ns wall_ns);
+  }
+
+(* The pull loop behind both codecs: read a record with [next] under the
+   [on_error] policy, hand it to [absorb], and report once the source
+   is exhausted. *)
+let pull_loop ~on_error st ~absorb next =
+  let read_errors = ref 0 in
   let consecutive = ref 0 in
   let rec pull () =
     let attempt () =
@@ -159,157 +325,47 @@ let ingest ?engine ~skip ~on_error ?on_degraded ?on_alert ?on_publish
         incr consecutive;
         if !consecutive > max_consecutive_read_errors then raise e
         else begin
-          degraded "read" e;
+          st.on_degraded ~stage:"read" e;
           pull ()
         end)
-  in
-  let swap () =
-    match engine with
-    | Some e -> (
-      let t0 = Clock.now_ns () in
-      match
-        Fail.point "runner.swap";
-        Snapshot.swap_into snapshot e
-      with
-      | evicted ->
-        evictions := !evictions + evicted;
-        ignore (Trace.phase ~hist:m_swap_seconds "stream.swap" ~t0)
-      | exception ex ->
-        (* the engine keeps answering from the last version it
-           successfully swapped onto; the next publish retries *)
-        incr swap_failures;
-        Metrics.inc m_swap_failures;
-        degraded "swap" ex)
-    | None -> ()
-  in
-  swap ();
-  let drain_alerts () =
-    match Online.drift online with
-    | None -> ()
-    | Some d ->
-      let count = Drift.alert_count d in
-      if count > !seen_alerts then begin
-        List.iteri
-          (fun i a ->
-            if i >= !seen_alerts then begin
-              if Trace.enabled () then
-                Trace.instant "stream.drift_alert"
-                  ~args:
-                    [
-                      ("edge", Trace.Int a.Drift.edge);
-                      ("reference_rate", Trace.Float a.Drift.reference_rate);
-                      ("window_rate", Trace.Float a.Drift.window_rate);
-                    ]
-                  ();
-              match on_alert with Some f -> f a | None -> ()
-            end)
-          (Drift.alerts d);
-        seen_alerts := count
-      end
-  in
-  let checkpoint_due () =
-    match config.checkpoint_every with
-    | Some k -> !lines - !last_checkpoint >= k
-    | None -> false
-  in
-  let write_checkpoint () =
-    match Snapshot.checkpoint snapshot with
-    | () ->
-      incr checkpoints;
-      Metrics.inc m_checkpoints;
-      last_checkpoint := !lines
-    | exception ex ->
-      (* retries inside Snapshot.checkpoint are exhausted; keep
-         ingesting — [last_checkpoint] stays put, so the next publish
-         tries again, and recovery still has the previous generation *)
-      incr checkpoint_failures;
-      Metrics.inc m_checkpoint_failures;
-      degraded "checkpoint" ex
-  in
-  let publish () =
-    let t0 = Clock.now_ns () in
-    let v = Snapshot.publish snapshot (Online.model online) ~offset:!lines in
-    swap ();
-    (* forgetting is per published batch: evidence already absorbed
-       loses weight (1 - lambda) before the next batch accumulates *)
-    Online.decay online;
-    incr published;
-    pending := 0;
-    Metrics.inc m_published;
-    Metrics.set m_offset (float_of_int !lines);
-    let t1 =
-      t0
-      + Trace.phase ~hist:m_publish_seconds
-          ~args:[ ("offset", Trace.Int !lines) ]
-          "stream.publish" ~t0
-    in
-    Metrics.observe m_batch_seconds (t1 - !t_last_publish);
-    t_last_publish := t1;
-    (match on_publish with Some f -> f v | None -> ());
-    if checkpoint_due () then write_checkpoint ()
   in
   let rec loop () =
     match pull () with
     | None -> ()
     | Some record ->
-      incr lines;
-      (match apply ~lineno:!lines record with
-      | `Applied -> incr pending
-      | `Quarantined reason -> (
-        match on_quarantine with
-        | Some f -> f ~line:!lines ~reason
-        | None -> ()));
-      drain_alerts ();
-      if !pending >= config.batch then publish ();
+      absorb st record;
       loop ()
   in
   loop ();
-  if !pending > 0 then publish ();
-  if config.checkpoint_every <> None && !last_checkpoint <> !lines then
-    write_checkpoint ();
-  let wall_ns = Clock.now_ns () - t_start in
-  let stats = Online.stats online in
-  {
-    lines = !lines;
-    stats;
-    final = Snapshot.current snapshot;
-    versions_published = !published;
-    checkpoints_written = !checkpoints;
-    cache_evictions = !evictions;
-    drift_alerts =
-      (match Online.drift online with Some d -> Drift.alerts d | None -> []);
-    read_errors = !read_errors;
-    swap_failures = !swap_failures;
-    checkpoint_failures = !checkpoint_failures;
-    wall_ns;
-    events_per_sec =
-      (if wall_ns <= 0 then 0.0
-       else
-         float_of_int stats.Online.applied /. Clock.seconds_of_ns wall_ns);
-  }
+  { (finish st) with read_errors = !read_errors }
 
 let run ?engine ?(skip = 0) ?(on_error = Fail_fast) ?on_degraded ?on_alert
     ?on_publish ?on_quarantine config online snapshot next =
   check_config "Runner.run" config skip;
   for _ = 1 to skip do
-    ignore (next ())
+    if next () = None then
+      failwith "Runner.run: resume offset is past the end of the log"
   done;
-  ingest ?engine ~skip ~on_error ?on_degraded ?on_alert ?on_publish
-    ?on_quarantine config online snapshot
-    ~apply:(fun ~lineno line -> Online.apply_line ~lineno online line)
-    next
+  let st =
+    start ?engine ~skip ?on_degraded ?on_alert ?on_publish ?on_quarantine
+      config online snapshot
+  in
+  pull_loop ~on_error st ~absorb:feed next
 
 let run_binlog ?engine ?(skip = 0) ?(on_error = Fail_fast) ?on_degraded
     ?on_alert ?on_publish ?on_quarantine config online snapshot reader =
   check_config "Runner.run_binlog" config skip;
   if Binlog.Reader.skip reader skip < skip then
     failwith "Runner.run_binlog: resume offset is past the end of the log";
-  ingest ?engine ~skip ~on_error ?on_degraded ?on_alert ?on_publish
-    ?on_quarantine config online snapshot
-    ~apply:(fun ~lineno:_ record -> Online.apply_record online record)
+  let st =
+    start ?engine ~skip ?on_degraded ?on_alert ?on_publish ?on_quarantine
+      config online snapshot
+  in
+  pull_loop ~on_error st
+    ~absorb:(fun st record -> settle st (Online.apply_record st.online record))
     (fun () -> Binlog.Reader.next reader)
 
-let pp_report ppf r =
+let pp_report ppf (r : report) =
   Format.fprintf ppf
     "@[<v>%d lines: %a@,\
      final version %d (digest %s, offset %d); %d published, %d checkpoints, \

@@ -1,25 +1,29 @@
-(** The ingest loop: drains an event-log line source through an
-    {!Online} updater, publishing {!Snapshot} versions at batch
-    boundaries, hot-swapping them into an optional engine, applying
-    forgetting, and writing periodic checkpoints.
+(** The ingest loop: feeds event-log records through an {!Online}
+    updater, publishing {!Snapshot} versions at batch boundaries,
+    hot-swapping them into an optional engine, applying forgetting, and
+    writing periodic checkpoints.
+
+    The core is push-style ({!start}, {!feed}, {!finish}): the server
+    feeds each [POST /evidence] line on the connection thread that read
+    it. {!run} and {!run_binlog} are pull loops over the same core.
 
     Cadences:
     - a version is published (and the engine swapped, and one
       {!Online.decay} step applied) every [batch] {e applied} events,
-      and once more at end of stream if anything is pending;
+      and once more at {!finish} if anything is pending;
     - a checkpoint is written at the first publish at least
       [checkpoint_every] {e lines} after the previous one (lines, not
       events, so a recovered run skips exactly the consumed prefix —
-      quarantined lines included), and once more at end of stream.
+      quarantined lines included), and once more at {!finish}.
 
     Replay determinism: with forgetting off, any [batch] size — and any
     checkpoint/recover split — yields the same final model bit for bit,
     because publishing only freezes the accumulator.
 
-    {b Supervision.} Read failures from the source follow the [on_error]
-    policy; engine-swap and checkpoint-write failures never kill the
-    run: the engine keeps serving the last successfully swapped version
-    and ingest continues (counted in
+    {b Supervision.} Read failures from a pulled source follow the
+    [on_error] policy; engine-swap and checkpoint-write failures never
+    kill the run: the engine keeps serving the last successfully
+    swapped version and ingest continues (counted in
     [iflow_stream_degraded_swaps_total] /
     [iflow_stream_checkpoint_failures_total] and surfaced in the
     {!report}). *)
@@ -58,6 +62,43 @@ type report = {
   events_per_sec : float;     (** applied events per wall second *)
 }
 
+type t
+(** One ingest in progress. Not thread-safe: callers feeding it from
+    several threads hold one lock around {!feed} and {!finish}. *)
+
+val start :
+  ?engine:Iflow_engine.Engine.t ->
+  ?skip:int ->
+  ?on_degraded:(stage:string -> exn -> unit) ->
+  ?on_alert:(Drift.alert -> unit) ->
+  ?on_publish:(Snapshot.version -> unit) ->
+  ?on_quarantine:(line:int -> reason:string -> unit) ->
+  config -> Online.t -> Snapshot.t -> t
+(** Begin an ingest whose log offset starts at [skip] (lines already
+    absorbed, e.g. a recovered checkpoint's offset). When [engine] is
+    given it is swapped onto the snapshot's current version here, and
+    after every publish, before [on_publish] sees it.
+    [on_degraded ~stage e] fires once per absorbed fault with [stage]
+    one of ["read"] (pull loops only), ["swap"], ["checkpoint"].
+    [on_quarantine ~line ~reason] fires once per quarantined event with
+    the 1-based line number of the event log — [reason] already carries
+    the same line number (and, for malformed JSON, the byte offset of
+    the damage) via {!Online.apply_line}. Failpoint: [runner.swap] per
+    engine swap. Raises [Invalid_argument] on [batch < 1], a
+    non-positive [checkpoint_every] or a negative [skip]. *)
+
+val feed : t -> string -> unit
+(** Absorb one JSONL event line; when it completes a batch, publish,
+    swap, decay and (when due) checkpoint before returning. *)
+
+val published : t -> int
+(** The id of the snapshot's current version: the last one published. *)
+
+val finish : t -> report
+(** Publish the pending partial batch (if any), write the final
+    checkpoint when checkpoints are on, and report. [read_errors] is 0:
+    reads are the pull loops' business. *)
+
 val run :
   ?engine:Iflow_engine.Engine.t ->
   ?skip:int ->
@@ -68,19 +109,13 @@ val run :
   ?on_quarantine:(line:int -> reason:string -> unit) ->
   config -> Online.t -> Snapshot.t -> (unit -> string option) -> report
 (** [run config online snapshot next] pulls lines until [next ()]
-    returns [None]. [skip] discards that many leading lines first (the
-    offset of a recovered checkpoint; skip reads are never retried or
-    skipped — a failure there means the resume point is unreachable).
-    When [engine] is given it is swapped onto the current version up
-    front and after every publish, before [on_publish] sees it.
-    [on_degraded ~stage e] fires once per absorbed fault with [stage]
-    one of ["read"], ["swap"], ["checkpoint"]. [on_quarantine ~line ~reason] fires once per
-    quarantined event with the 1-based line number of the event log —
-    [reason] already carries the same line number (and, for malformed
-    JSON, the byte offset of the damage) via {!Online.apply_line}.
-    Failpoints: [runner.read] per pull, [runner.swap]
-    per engine swap. Raises [Invalid_argument] on [batch < 1] or a
-    non-positive [checkpoint_every]. *)
+    returns [None], {!feed}ing each to a {!start}ed ingest, and returns
+    its {!finish} report. [skip] discards that many leading lines first
+    (the offset of a recovered checkpoint; skip reads are never retried
+    or skipped — a failure there means the resume point is
+    unreachable). The other arguments are {!start}'s. Failpoint:
+    [runner.read] per pull. Raises [Invalid_argument] as {!start} does,
+    and [Failure] when [skip] runs past the end of the source. *)
 
 val run_binlog :
   ?engine:Iflow_engine.Engine.t ->

@@ -398,7 +398,8 @@ let note ~id ~tenant ~kind ~path ?(fallback = "") ?(error = "")
     ?(version = -1) ?(digest = "") ?(queue_wait_ns = 0) ?(plan_ns = 0)
     ?(sample_ns = 0) ?(serialize_ns = 0) ?(rounds = 0) ?(samples = 0)
     ?(rhat = Float.nan) ?(mcse = Float.nan) () =
-  Flight.submit
+  ignore
+  @@ Flight.submit
     {
       Flight.seq = -1;
       id;
@@ -450,8 +451,11 @@ let test_flight_note_and_find () =
         check_string "path" "exact" (Flight.string_of_path r.Flight.path)
       | None -> Alcotest.fail "q-1 not found");
       check_bool "miss is None" true (Flight.find "nope" = None);
-      (* records are copies: recording more never mutates them *)
+      (* records are immutable and shared, never copied: recording more
+         leaves a held one as it was *)
       let held = List.hd (Flight.recent 1) in
+      check_bool "scrapes share the stored record" true
+        (match Flight.find "q-2" with Some r -> r == held | None -> false);
       note ~id:"q-3" ~tenant:"c" ~kind:"k" ~path:Flight.Err
         ~error:"bad_request" ();
       check_string "held copy untouched" "q-2" held.Flight.id;

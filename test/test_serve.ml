@@ -1187,20 +1187,35 @@ let beta_substrate seed =
   in
   (g, model, lines)
 
-let run_learner server engine model ~batch =
-  let online = Online.create model in
-  let snapshot = Snapshot.create ~id:0 ~offset:0 model in
-  ignore engine;
-  Thread.create
-    (fun () ->
-      ignore
-        (Runner.run ~engine
-           ~on_degraded:(fun ~stage e -> Server.note_degraded server ~stage e)
-           ~on_publish:(Server.on_publish server)
-           { Runner.batch; checkpoint_every = None }
-           online snapshot
-           (Server.ingest_source server)))
-    ()
+(* A server whose learner applies POST /evidence on the connection
+   thread, over [model]'s substrate; [on_publish] sees each version
+   right after its swap. [f] gets the server, its engine and the
+   learner, and runs before the server stops. *)
+let with_learner ?on_publish ~batch model f =
+  let engine =
+    Engine.create ~config:fast_config ~seed:7 (Beta_icm.expected_icm model)
+  in
+  let learner =
+    Runner.start ~engine ?on_publish
+      { Runner.batch; checkpoint_every = None }
+      (Online.create model)
+      (Snapshot.create ~id:0 ~offset:0 model)
+  in
+  let server = Server.create ~learner ~engine () in
+  Server.start server;
+  Fun.protect
+    ~finally:(fun () -> Server.stop server)
+    (fun () -> f server engine learner)
+
+(* one POST /evidence exchange: status line, headers, body *)
+let post_evidence port lines =
+  let body = String.concat "\n" lines in
+  http port
+    (Printf.sprintf
+       "POST /evidence HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n\r\n%s"
+       (String.length body) body)
+
+let accepted = "HTTP/1.1 202 Accepted"
 
 (* the (version, digest) pair a /healthz body reports *)
 let health_pair body =
@@ -1214,44 +1229,23 @@ let health_pair body =
 
 let test_serve_hot_swap_under_load () =
   let _g, model, lines = beta_substrate 17 in
-  let engine =
-    Engine.create ~config:fast_config ~seed:7 (Beta_icm.expected_icm model)
-  in
-  let server = Server.create ~engine () in
-  Server.start server;
   (* what the learner publishes: version id -> the digest the engine
-     holds right after the runner swapped that version in. Written only
-     by the learner thread and read only after it is joined. *)
+     holds right after the runner swapped that version in. Written
+     under the server's learner lock and read only after the server
+     stopped. *)
   let published = Hashtbl.create 8 in
-  Hashtbl.replace published 0 (Engine.digest engine);
-  let online = Online.create model in
-  let snapshot = Snapshot.create ~id:0 ~offset:0 model in
-  let learner =
-    Thread.create
-      (fun () ->
-        ignore
-          (Runner.run ~engine
-             ~on_degraded:(fun ~stage e ->
-               Server.note_degraded server ~stage e)
-             ~on_publish:(fun v ->
-               Server.on_publish server v;
-               Hashtbl.replace published v.Snapshot.id (Engine.digest engine))
-             { Runner.batch = 16; checkpoint_every = None }
-             online snapshot
-             (Server.ingest_source server)))
-      ()
+  let last = ref model in
+  let engine_ref = ref None in
+  let on_publish (v : Snapshot.version) =
+    last := v.Snapshot.model;
+    Hashtbl.replace published v.Snapshot.id
+      (Engine.digest (Option.get !engine_ref))
   in
-  let learner_joined = ref false in
-  let join_learner () =
-    Server.stop server;
-    if not !learner_joined then begin
-      Thread.join learner;
-      learner_joined := true
-    end
-  in
-  Fun.protect ~finally:join_learner (fun () ->
+  let health = ref [] and answers = Array.make 3 [] in
+  with_learner ~on_publish ~batch:16 model (fun server engine _learner ->
+      engine_ref := Some engine;
+      Hashtbl.replace published 0 (Engine.digest engine);
       let stop_clients = ref false in
-      let answers = Array.make 3 [] in
       let client i =
         let fd = connect (Server.port server) in
         Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
@@ -1266,52 +1260,49 @@ let test_serve_hot_swap_under_load () =
       in
       let clients = List.init 3 (fun i -> Thread.create client i) in
       (* /healthz polled while versions move under the load *)
-      let health = ref [] in
       let poll () = health := health_pair (Server.health_json server) :: !health in
       (* stream evidence under the running query load: 5 batches *)
       List.iter
         (fun line ->
           poll ();
-          spin "ingest accepted" (fun () -> Server.ingest_line server line))
+          let status, _, _ = post_evidence (Server.port server) [ line ] in
+          check_string "evidence applied" accepted status)
         (lines 80);
-      spin "several versions published" (fun () ->
-          poll ();
-          Server.current_version server >= 4);
+      poll ();
       stop_clients := true;
       List.iter Thread.join clients;
       check_bool "versions advanced" true (Server.current_version server >= 4);
       check_bool "never degraded" false (Server.degraded server);
       (* the live engine now answers bit-identically to a fresh engine
          built on the final published model *)
-      let final = (Snapshot.current snapshot).Snapshot.model in
       let fresh =
-        Engine.create ~config:fast_config ~seed:7 (Beta_icm.expected_icm final)
+        Engine.create ~config:fast_config ~seed:7
+          (Beta_icm.expected_icm !last)
       in
       let q = Query.flow ~src:0 ~dst:5 () in
       same_result "post-swap vs fresh engine" (Engine.query fresh q)
-        (Engine.query engine q);
-      (* with the learner joined, every published pair is known: each
-         answer and each /healthz read must name one of them *)
-      join_learner ();
-      check_bool "learner published" true (Hashtbl.length published >= 5);
-      let torn what version digest =
-        if Hashtbl.find_opt published version <> Some digest then
-          Alcotest.failf
-            "torn %s: version %d with digest %s, but version %d published %s"
-            what version digest version
-            (Option.value (Hashtbl.find_opt published version)
-               ~default:"<never published>")
-      in
-      let n = ref 0 in
-      Array.iter
-        (List.iter (fun line ->
-             incr n;
-             match parse_ok line with
-             | got, Some v -> torn ("answer " ^ line) v got.Engine.model_digest
-             | _, None -> Alcotest.failf "answer without a version: %s" line))
-        answers;
-      check_bool "answers collected" true (!n > 0);
-      List.iter (fun (v, d) -> torn "/healthz" v d) !health)
+        (Engine.query engine q));
+  (* with the server stopped, every published pair is known: each
+     answer and each /healthz read must name one of them *)
+  check_bool "learner published" true (Hashtbl.length published >= 5);
+  let torn what version digest =
+    if Hashtbl.find_opt published version <> Some digest then
+      Alcotest.failf
+        "torn %s: version %d with digest %s, but version %d published %s"
+        what version digest version
+        (Option.value (Hashtbl.find_opt published version)
+           ~default:"<never published>")
+  in
+  let n = ref 0 in
+  Array.iter
+    (List.iter (fun line ->
+         incr n;
+         match parse_ok line with
+         | got, Some v -> torn ("answer " ^ line) v got.Engine.model_digest
+         | _, None -> Alcotest.failf "answer without a version: %s" line))
+    answers;
+  check_bool "answers collected" true (!n > 0);
+  List.iter (fun (v, d) -> torn "/healthz" v d) !health
 
 (* a numeric "id" is echoed only when it names one integer exactly *)
 let test_serve_numeric_id_echo () =
@@ -1353,35 +1344,23 @@ let test_serve_version_follows_swap () =
 
 let test_serve_degraded_swap () =
   let _g, model, lines = beta_substrate 23 in
-  let engine =
-    Engine.create ~config:fast_config ~seed:7 (Beta_icm.expected_icm model)
-  in
-  let server = Server.create ~engine () in
-  Server.start server;
-  let learner = run_learner server engine model ~batch:8 in
-  Fun.protect
-    ~finally:(fun () ->
-      Fail.reset ();
-      Server.stop server;
-      Thread.join learner)
-    (fun () ->
-      (* let the first batch publish cleanly — arming before the
-         learner's startup swap would consume the failure there *)
-      List.iter
-        (fun line ->
-          spin "ingest accepted" (fun () -> Server.ingest_line server line))
-        (lines 8);
-      spin "first publish" (fun () -> Server.current_version server >= 1);
+  Fun.protect ~finally:Fail.reset @@ fun () ->
+  with_learner ~batch:8 model (fun server engine _learner ->
+      let post lines =
+        let status, _, _ = post_evidence (Server.port server) lines in
+        check_string "evidence applied" accepted status
+      in
+      (* the first batch publishes cleanly: the learner's startup swap
+         already ran, so arming now hits a publish *)
+      post (lines 8);
+      check_bool "first publish" true (Server.current_version server >= 1);
       let good_version = Server.current_version server in
       let good_digest = Engine.digest engine in
       (* the next publish fails its swap: the engine must keep serving
          the last-good model and the server must report degraded *)
       Fail.arm ~count:1 "runner.swap";
-      List.iter
-        (fun line ->
-          spin "ingest accepted" (fun () -> Server.ingest_line server line))
-        (lines 8);
-      spin "degraded surfaced" (fun () -> Server.degraded server);
+      post (lines 8);
+      check_bool "degraded surfaced" true (Server.degraded server);
       check_string "still the last-good model" good_digest
         (Engine.digest engine);
       let fd = connect (Server.port server) in
@@ -1400,11 +1379,8 @@ let test_serve_degraded_swap () =
           | _ -> "<missing>")
       | Error msg -> Alcotest.failf "healthz: %s" msg);
       (* the next batch swaps cleanly and recovery is automatic *)
-      List.iter
-        (fun line ->
-          spin "ingest accepted" (fun () -> Server.ingest_line server line))
-        (lines 8);
-      spin "recovered" (fun () -> not (Server.degraded server));
+      post (lines 8);
+      check_bool "recovered" false (Server.degraded server);
       check_bool "version advanced past the failure" true
         (Server.current_version server > good_version);
       check_bool "digest moved" true (Engine.digest engine <> good_digest))
@@ -1413,38 +1389,66 @@ let test_serve_bad_evidence_keeps_learning () =
   (* an evidence line naming an out-of-range edge endpoint must be
      quarantined, not end the learner: later batches still publish *)
   let _g, model, lines = beta_substrate 29 in
-  let engine =
-    Engine.create ~config:fast_config ~seed:7 (Beta_icm.expected_icm model)
-  in
-  let server = Server.create ~engine () in
-  Server.start server;
-  let learner = run_learner server engine model ~batch:4 in
-  Fun.protect
-    ~finally:(fun () ->
-      Server.stop server;
-      Thread.join learner)
-    (fun () ->
-      let post body =
-        let fd = connect (Server.port server) in
-        Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
-            Sockio.write_all fd
-              (Printf.sprintf
-                 "POST /evidence HTTP/1.1\r\nHost: t\r\nContent-Length: \
-                  %d\r\n\r\n%s"
-                 (String.length body) body);
-            match Sockio.read_line (Sockio.reader fd) with
-            | Sockio.Line status -> status
-            | _ -> Alcotest.fail "no status line")
+  with_learner ~batch:4 model (fun server _engine _learner ->
+      let post lines =
+        let status, _, _ = post_evidence (Server.port server) lines in
+        status
       in
       let bad =
         {|{"type":"attributed","sources":[0],"nodes":[0,1],"edges":[[99999,1]]}|}
       in
-      check_string "bad line queued" "HTTP/1.1 202 Accepted" (post bad);
+      check_string "bad line queued" accepted (post [ bad ]);
       let before = Server.current_version server in
-      check_string "valid batch queued" "HTTP/1.1 202 Accepted"
-        (post (String.concat "\n" (lines 8)));
-      spin "version advanced past the bad line" (fun () ->
-          Server.current_version server >= before + 2))
+      check_string "valid batch queued" accepted (post (lines 8));
+      check_bool "version advanced past the bad line" true
+        (Server.current_version server >= before + 2))
+
+(* read-your-writes: the 202 leaves only after the lines are applied, so
+   a body that completes a batch is already served when it returns *)
+let test_serve_evidence_read_your_writes () =
+  let _g, model, lines = beta_substrate 31 in
+  with_learner ~batch:8 model (fun server _engine _learner ->
+      let port = Server.port server in
+      let status, _, body = post_evidence port (lines 11) in
+      check_string "accepted" accepted status;
+      check_string "every line counted" {|{"accepted":11}|} body;
+      let _, _, health = http port "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n" in
+      check_int "/healthz already names version 1" 1 (fst (health_pair health));
+      let fd = connect port in
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+          let r = Sockio.reader fd in
+          let _, version = parse_ok (ask r fd (query_json ~src:0 ~dst:1 ())) in
+          check_bool "the next answer carries it" true (version = Some 1));
+      (* 3 lines pending + 5 completes the second batch *)
+      ignore (post_evidence port (lines 5));
+      check_int "second batch served at once" 2 (Server.current_version server))
+
+let test_serve_evidence_without_learner () =
+  with_server (fun server _engine ->
+      let status, _, body = post_evidence (Server.port server) [ "{}" ] in
+      check_string "typed refusal" "HTTP/1.1 404 Not Found" status;
+      check_bool "bad_request code" true
+        (Result.map (Jsonl.member "error") (Jsonl.parse body)
+        = Ok (Some (Jsonl.Str "bad_request")));
+      check_int "nothing counted" 0 (Server.current_version server))
+
+(* stopping the server leaves a partial batch pending; finishing the
+   learner afterwards publishes and swaps it in *)
+let test_serve_finish_publishes_tail () =
+  let _g, model, lines = beta_substrate 37 in
+  let learner, engine =
+    with_learner ~batch:8 model (fun server engine learner ->
+        let status, _, _ = post_evidence (Server.port server) (lines 5) in
+        check_string "accepted" accepted status;
+        check_int "below the batch: nothing published" 0
+          (Server.current_version server);
+        (learner, engine))
+  in
+  let report = Runner.finish learner in
+  check_int "the tail published" 1 report.Runner.versions_published;
+  check_int "covering every line" 5 report.Runner.final.Snapshot.offset;
+  check_bool "and swapped in" true
+    (Engine.version engine = (1, Icm.digest (Beta_icm.expected_icm report.Runner.final.Snapshot.model)))
 
 (* ---------- request ids and the flight recorder ---------- *)
 
@@ -2032,7 +2036,7 @@ let test_serve_deadline_unmeetable () =
             }
           in
           for _ = 1 to 40 do
-            Flight.submit rc
+            ignore (Flight.submit rc)
           done;
           let shed0 = (Server.stats server).Server.shed_deadline in
           let fd = connect (Server.port server) in
@@ -2462,6 +2466,12 @@ let () =
             test_serve_numeric_id_echo;
           Alcotest.test_case "bad evidence keeps learning" `Slow
             test_serve_bad_evidence_keeps_learning;
+          Alcotest.test_case "evidence: read your writes" `Quick
+            test_serve_evidence_read_your_writes;
+          Alcotest.test_case "evidence without a learner" `Quick
+            test_serve_evidence_without_learner;
+          Alcotest.test_case "finish publishes the tail" `Quick
+            test_serve_finish_publishes_tail;
           Alcotest.test_case "/metrics counts what /healthz counts" `Quick
             test_serve_metrics_match_healthz;
           Alcotest.test_case "paced client round trip" `Slow

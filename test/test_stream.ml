@@ -275,6 +275,57 @@ let test_checkpoint_restore_determinism () =
       check_bool "version numbering continues" true
         (report.Runner.final.Snapshot.id > version))
 
+(* a resume offset past the end of a JSONL source is unreachable, as it
+   is for the binary log: the run fails instead of reporting nothing *)
+let test_skip_past_end_fails () =
+  let g, _, lines = substrate 19 ~events:5 in
+  match
+    Runner.run ~skip:10 Runner.default_config
+      (Online.create (Beta_icm.uninformed g))
+      (Snapshot.create (Beta_icm.uninformed g))
+      (Runner.lines_of_list lines)
+  with
+  | exception Failure _ -> ()
+  | r -> Alcotest.failf "skip 10 of 5 lines succeeded with %d lines" r.Runner.lines
+
+(* the push core fed line by line publishes what the pull loop does *)
+let test_feed_matches_run () =
+  let g, _, lines = substrate 23 ~events:100 in
+  let config = { Runner.batch = 16; checkpoint_every = None } in
+  (* each run's published (id, offset) pairs, oldest first *)
+  let recorded run =
+    let seen = ref [] in
+    let report =
+      run (fun (v : Snapshot.version) ->
+          seen := (v.Snapshot.id, v.Snapshot.offset) :: !seen)
+    in
+    (report, List.rev !seen)
+  in
+  let pulled, pulled_ids =
+    recorded (fun on_publish ->
+        Runner.run ~on_publish config
+          (Online.create (Beta_icm.uninformed g))
+          (Snapshot.create (Beta_icm.uninformed g))
+          (Runner.lines_of_list lines))
+  in
+  let pushed, pushed_ids =
+    recorded (fun on_publish ->
+        let st =
+          Runner.start ~on_publish config
+            (Online.create (Beta_icm.uninformed g))
+            (Snapshot.create (Beta_icm.uninformed g))
+        in
+        List.iter (Runner.feed st) lines;
+        check_int "six full batches published" 6 (Runner.published st);
+        Runner.finish st)
+  in
+  check_bool "same (id, offset) sequence" true (pulled_ids = pushed_ids);
+  check_int "tail published at finish" 7 pushed.Runner.versions_published;
+  check_int "same lines" pulled.Runner.lines pushed.Runner.lines;
+  check_string "same final model"
+    (Beta_icm.digest pulled.Runner.final.Snapshot.model)
+    (Beta_icm.digest pushed.Runner.final.Snapshot.model)
+
 let light_config =
   {
     Engine.default_config with
@@ -814,25 +865,55 @@ let test_engine_swap_and_invalidate () =
   let ph = Engine.phases () in
   let hit = Engine.query ~phases:ph engine q1 in
   check_bool "same-digest swap keeps the entry" true hit.Engine.cached;
-  check_int "cache hit tagged with the new id" 3 ph.Engine.version;
-  (* invalidate by digest only touches matching entries *)
-  ignore (Engine.query engine q1);
-  check_int "foreign digest evicts nothing" 0
-    (Engine.invalidate engine ~digest:"no-such-digest");
-  check_bool "current digest evicts the entry" true
-    (Engine.invalidate engine ~digest:(Engine.digest engine) >= 1)
+  check_int "cache hit tagged with the new id" 3 ph.Engine.version
 
-let test_lru_evict_where () =
-  let cache = Lru.create 8 in
-  List.iter (fun k -> Lru.add cache k k) [ "a/1"; "a/2"; "b/1"; "c/1" ];
-  let n =
-    Lru.evict_where cache (fun k -> String.length k > 0 && k.[0] = 'a')
+(* an answer computed on a model swapped out mid-query is returned but
+   not cached: under the new model it could never be served *)
+let test_superseded_answer_not_cached () =
+  let a = five_node_model 3 and b = five_node_model 4 in
+  let slow =
+    {
+      light_config with
+      Engine.planner = false;
+      round_samples = 100_000;
+      max_samples = 400_000;
+      mcse_target = 1e-12;
+    }
   in
-  check_int "two evicted" 2 n;
-  check_int "two remain" 2 (Lru.length cache);
-  check_bool "survivors intact" true
-    (Lru.mem cache "b/1" && Lru.mem cache "c/1");
-  check_int "evictions counted" 2 (Lru.stats cache).Lru.evictions
+  let engine = Engine.create ~config:slow ~seed:9 a in
+  let ph = Engine.phases () in
+  let answer = ref None in
+  let th =
+    Thread.create
+      (fun () ->
+        answer := Some (Engine.query ~phases:ph engine (Query.flow ~src:0 ~dst:4 ())))
+      ()
+  in
+  (* the query has captured model [a] once its phases carry a version *)
+  while ph.Engine.version < 0 do
+    Thread.yield ()
+  done;
+  ignore (Engine.swap engine ~version:1 b);
+  Thread.join th;
+  check_string "answered on the model it captured" (Icm.digest a)
+    (Option.get !answer).Engine.model_digest;
+  check_int "not cached" 0 (Engine.cache_stats engine).Lru.entries
+
+let test_lru_clear_counts_evictions () =
+  let hooked = ref 0 in
+  let cache = Lru.create ~on_evict:(fun () -> incr hooked) 8 in
+  List.iter (fun k -> Lru.add cache k k) [ "a"; "b"; "c" ];
+  ignore (Lru.find cache "a");
+  check_int "three dropped" 3 (Lru.clear cache);
+  check_int "none remain" 0 (Lru.length cache);
+  check_bool "gone" false (Lru.mem cache "a");
+  check_int "evictions counted" 3 (Lru.stats cache).Lru.evictions;
+  check_int "hook ran per entry" 3 !hooked;
+  check_int "hits kept" 1 (Lru.stats cache).Lru.hits;
+  check_int "empty clear drops nothing" 0 (Lru.clear cache);
+  (* the recency list starts over: the cache still evicts LRU-first *)
+  List.iter (fun k -> Lru.add cache k k) [ "x"; "y" ];
+  check_bool "usable after clear" true (Lru.find cache "x" = Some "x")
 
 (* ---------- snapshot versioning ---------- *)
 
@@ -882,6 +963,9 @@ let () =
             test_replay_determinism;
           Alcotest.test_case "checkpoint/restore split" `Quick
             test_checkpoint_restore_determinism;
+          Alcotest.test_case "skip past the end fails" `Quick
+            test_skip_past_end_fails;
+          Alcotest.test_case "feed = run" `Quick test_feed_matches_run;
           Alcotest.test_case "streamed engine = fresh engine" `Slow
             test_streamed_engine_matches_fresh;
           Alcotest.test_case "forgetting" `Quick
@@ -915,7 +999,10 @@ let () =
         [
           Alcotest.test_case "hot-swap and invalidation" `Quick
             test_engine_swap_and_invalidate;
-          Alcotest.test_case "lru evict_where" `Quick test_lru_evict_where;
+          Alcotest.test_case "superseded answers not cached" `Quick
+            test_superseded_answer_not_cached;
+          Alcotest.test_case "lru clear counts evictions" `Quick
+            test_lru_clear_counts_evictions;
         ] );
       ("snapshot", [ Alcotest.test_case "versioning" `Quick test_snapshot_versioning ]);
     ]
