@@ -224,7 +224,6 @@ type learner = {
   checkpoint : string option;
   checkpoint_every : int option;
   keep_checkpoints : int;
-  on_error : Iflow_stream.Runner.error_policy;
   max_quarantine_rate : float option;
   forget : float;
   drift_window : int;
@@ -277,26 +276,6 @@ let learner_term =
              and verifies, so a crash mid-write costs one interval of \
              replay, not the run.")
   in
-  let on_error =
-    let policy_conv =
-      Arg.enum
-        [
-          ("fail", Iflow_stream.Runner.Fail_fast);
-          ("skip", Iflow_stream.Runner.Skip_line);
-          ("retry", Iflow_stream.Runner.Retry_reads Iflow_fault.Retry.default);
-        ]
-    in
-    Arg.(
-      value & opt policy_conv Iflow_stream.Runner.Fail_fast
-      & info [ "on-error" ]
-          ~doc:
-            "What to do when reading the event log fails: 'fail' stops \
-             the run, 'skip' drops the read and continues (up to 100 \
-             consecutive failures), 'retry' retries the read with \
-             exponential backoff before failing. Governs `stream`'s reads \
-             only: `serve` reads evidence from POST /evidence bodies, \
-             which it applies as they arrive.")
-  in
   let max_quarantine_rate =
     Arg.(
       value
@@ -330,7 +309,7 @@ let learner_term =
           ~doc:"Significance of the Hoeffding drift test (smaller = stricter).")
   in
   let make model resume batch checkpoint checkpoint_every keep_checkpoints
-      on_error max_quarantine_rate forget drift_window drift_delta =
+      max_quarantine_rate forget drift_window drift_delta =
     {
       model;
       resume;
@@ -338,7 +317,6 @@ let learner_term =
       checkpoint;
       checkpoint_every;
       keep_checkpoints;
-      on_error;
       max_quarantine_rate;
       forget;
       drift_window;
@@ -347,8 +325,28 @@ let learner_term =
   in
   Term.(
     const make $ model $ resume $ batch $ checkpoint $ checkpoint_every
-    $ keep_checkpoints $ on_error $ max_quarantine_rate $ forget
+    $ keep_checkpoints $ max_quarantine_rate $ forget
     $ drift_window $ drift_delta)
+
+(* `stream`'s read-failure policy; `serve` reads no log (its evidence
+   arrives in POST bodies), so it does not take the flag *)
+let on_error_term =
+  let policy_conv =
+    Arg.enum
+      [
+        ("fail", Iflow_stream.Runner.Fail_fast);
+        ("skip", Iflow_stream.Runner.Skip_line);
+        ("retry", Iflow_stream.Runner.Retry_reads Iflow_fault.Retry.default);
+      ]
+  in
+  Arg.(
+    value & opt policy_conv Iflow_stream.Runner.Fail_fast
+    & info [ "on-error" ]
+        ~doc:
+          "What to do when reading the event log fails: 'fail' stops the \
+           run, 'skip' drops the read and continues (up to 100 \
+           consecutive failures), 'retry' retries the read with \
+           exponential backoff before failing.")
 
 (* ----- event-log encoding ----- *)
 

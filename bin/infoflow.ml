@@ -531,7 +531,7 @@ let explain_cmd =
 
 (* ----- stream ----- *)
 
-let stream seed learner events_path format drift_report
+let stream seed learner on_error events_path format drift_report
     quarantine_report probes output metrics_every obs =
   C.obs_setup obs;
   let model, skip, version = C.load_initial ~component:"stream" learner in
@@ -612,7 +612,7 @@ let stream seed learner events_path format drift_report
       or_die (fun () ->
           let reader = Iflow_stream.Binlog.Reader.open_ events_path in
           Iflow_stream.Runner.run_binlog ?engine ~skip
-            ~on_error:learner.C.on_error ~on_degraded ~on_alert ~on_quarantine
+            ~on_error ~on_degraded ~on_alert ~on_quarantine
             ~on_publish config online snapshot reader)
     | `Jsonl ->
       let ic, close =
@@ -624,7 +624,7 @@ let stream seed learner events_path format drift_report
       Fun.protect ~finally:close (fun () ->
           or_die (fun () ->
               Iflow_stream.Runner.run ?engine ~skip
-                ~on_error:learner.C.on_error ~on_degraded ~on_alert
+                ~on_error ~on_degraded ~on_alert
                 ~on_quarantine ~on_publish config online snapshot
                 (Iflow_stream.Runner.lines_of_channel ic)))
   in
@@ -707,7 +707,7 @@ let stream_cmd =
           replay-from-offset recovery, and hot-swap of each published \
           version into the query engine.")
     Term.(
-      const stream $ C.seed_term $ C.learner_term $ events_term
+      const stream $ C.seed_term $ C.learner_term $ C.on_error_term $ events_term
       $ C.format_term $ drift_report_term
       $ quarantine_report_term $ probes $ output $ metrics_every $ C.obs_term)
 

@@ -25,9 +25,8 @@ let report_proposal_tree rng ppf =
       let tree = Fenwick.of_array weights in
       let fenwick_time =
         time_per_call (fun () ->
-            let e = Fenwick.sample rng tree in
             (* the chain also updates the flipped edge's weight *)
-            Fenwick.set tree e (1.0 -. Fenwick.get tree e))
+            Fenwick.complement tree (Fenwick.sample rng tree))
       in
       let naive_time =
         time_per_call (fun () ->

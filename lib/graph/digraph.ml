@@ -59,6 +59,8 @@ let edge_dst g e = g.dsts.(e)
 let out_degree g v = g.out_offsets.(v + 1) - g.out_offsets.(v)
 let in_degree g v = g.in_offsets.(v + 1) - g.in_offsets.(v)
 
+let out_edge g v k = g.out_ids.(g.out_offsets.(v) + k)
+
 let iter_out g v f =
   for i = g.out_offsets.(v) to g.out_offsets.(v + 1) - 1 do
     f g.out_ids.(i)

@@ -29,6 +29,11 @@ val mem_edge : t -> src:int -> dst:int -> bool
 val out_degree : t -> int -> int
 val in_degree : t -> int -> int
 
+val out_edge : t -> int -> int -> int
+(** [out_edge g v k] is the id of [v]'s [k]-th out-edge,
+    [0 <= k < out_degree g v], in {!iter_out} order. A loop over it
+    needs no closure, so it allocates nothing. *)
+
 val iter_out : t -> int -> (int -> unit) -> unit
 (** [iter_out g v f] applies [f] to the id of every edge leaving [v]. *)
 

@@ -56,14 +56,16 @@ let queue_empty ws = ws.head = ws.tail
 let expand ws ~active g =
   while not (queue_empty ws) do
     let v = pop ws in
-    Digraph.iter_out g v (fun e ->
-        if active e then begin
-          let w = Digraph.edge_dst g e in
-          if ws.stamp.(w) <> ws.epoch then begin
-            ws.stamp.(w) <- ws.epoch;
-            push ws w
-          end
-        end)
+    for k = 0 to Digraph.out_degree g v - 1 do
+      let e = Digraph.out_edge g v k in
+      if active e then begin
+        let w = Digraph.edge_dst g e in
+        if ws.stamp.(w) <> ws.epoch then begin
+          ws.stamp.(w) <- ws.epoch;
+          push ws w
+        end
+      end
+    done
   done
 
 let bfs ws ~active g ~src =
@@ -240,27 +242,39 @@ module Cache = struct
   let source t = t.source
   let reaches t v = t.cur.stamp.(v) = t.cur.epoch
 
-  (* Full BFS from the source into [buf], recording the tree. *)
-  let full_bfs t buf ~active =
+  (* Expand the queued nodes through active out-edges into [buf],
+     recording each new member's tree parent, and also adding it to the
+     undo trail when [record]. *)
+  let spread t buf ~active ~record =
     let ws = t.ws in
-    buf.epoch <- buf.epoch + 1;
-    ws.head <- 0;
-    ws.tail <- 0;
-    buf.stamp.(t.source) <- buf.epoch;
-    buf.parent.(t.source) <- -1;
-    push ws t.source;
     while not (queue_empty ws) do
       let v = pop ws in
-      Digraph.iter_out t.g v (fun e ->
-          if active e then begin
-            let w = Digraph.edge_dst t.g e in
-            if buf.stamp.(w) <> buf.epoch then begin
-              buf.stamp.(w) <- buf.epoch;
-              buf.parent.(w) <- e;
-              push ws w
-            end
-          end)
+      for k = 0 to Digraph.out_degree t.g v - 1 do
+        let e = Digraph.out_edge t.g v k in
+        if active e then begin
+          let w = Digraph.edge_dst t.g e in
+          if buf.stamp.(w) <> buf.epoch then begin
+            buf.stamp.(w) <- buf.epoch;
+            buf.parent.(w) <- e;
+            if record then begin
+              t.trail.(t.trail_len) <- w;
+              t.trail_len <- t.trail_len + 1
+            end;
+            push ws w
+          end
+        end
+      done
     done
+
+  (* Full BFS from the source into [buf], recording the tree. *)
+  let full_bfs t buf ~active =
+    buf.epoch <- buf.epoch + 1;
+    t.ws.head <- 0;
+    t.ws.tail <- 0;
+    buf.stamp.(t.source) <- buf.epoch;
+    buf.parent.(t.source) <- -1;
+    push t.ws t.source;
+    spread t buf ~active ~record:false
 
   let rebuild t ~active = full_bfs t t.cur ~active
 
@@ -291,30 +305,15 @@ module Cache = struct
      source-side endpoint): marks only the newly reached region, and
      records it so a rejection can unmark it again. *)
   let grow t ~active ~edge d =
-    let ws = t.ws in
     let buf = t.cur in
-    ws.head <- 0;
-    ws.tail <- 0;
-    t.trail_len <- 0;
+    t.ws.head <- 0;
+    t.ws.tail <- 0;
     buf.stamp.(d) <- buf.epoch;
     buf.parent.(d) <- edge;
-    t.trail.(t.trail_len) <- d;
-    t.trail_len <- t.trail_len + 1;
-    push ws d;
-    while not (queue_empty ws) do
-      let v = pop ws in
-      Digraph.iter_out t.g v (fun e ->
-          if active e then begin
-            let w = Digraph.edge_dst t.g e in
-            if buf.stamp.(w) <> buf.epoch then begin
-              buf.stamp.(w) <- buf.epoch;
-              buf.parent.(w) <- e;
-              t.trail.(t.trail_len) <- w;
-              t.trail_len <- t.trail_len + 1;
-              push ws w
-            end
-          end)
-    done
+    t.trail.(0) <- d;
+    t.trail_len <- 1;
+    push t.ws d;
+    spread t buf ~active ~record:true
 
   let update t ~active ~edge =
     let s = Digraph.edge_src t.g edge in

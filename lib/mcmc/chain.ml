@@ -2,7 +2,6 @@ module Icm = Iflow_core.Icm
 module Pseudo_state = Iflow_core.Pseudo_state
 module Fenwick = Iflow_stats.Fenwick
 module Reach = Iflow_graph.Reach
-module Rng = Iflow_stats.Rng
 module Metrics = Iflow_obs.Metrics
 
 (* The hot loop never touches these — [advance] flushes deltas from the
@@ -34,8 +33,7 @@ type t = {
   icm : Icm.t;
   conditions : Conditions.t;
   state : Pseudo_state.t;
-  weights : Fenwick.t;
-  mutable z : float; (* cached total proposal weight *)
+  weights : Fenwick.t; (* proposal weights; its total is Z *)
   mutable steps : int;
   mutable accepted : int;
   mutable since_rebuild : int;
@@ -102,7 +100,6 @@ let create ?(conditions = Conditions.empty) ?init rng icm =
     conditions;
     state;
     weights;
-    z = Fenwick.total weights;
     steps = 0;
     accepted = 0;
     since_rebuild = 0;
@@ -144,31 +141,27 @@ let conditions_hold_after_flip t e =
     done;
   !ok
 
+(* Every float of a step stays inside [Fenwick.propose_complement]
+   (the draw, [Z], [Z'] and the Hastings test); what crosses into this
+   module is an edge id or -1, so a step allocates nothing. *)
 let step rng t =
   t.steps <- t.steps + 1;
-  if t.z > 0.0 then begin
-    let e = Fenwick.sample rng t.weights in
-    let w = Fenwick.get t.weights e in
-    (* Flipping e replaces its weight w by 1 - w (the two weights are p
-       and 1-p), so Z' = Z + 1 - 2w; acceptance is min(Z/Z', 1). *)
-    let z' = t.z +. 1.0 -. (2.0 *. w) in
-    let a = if t.z < z' then t.z /. z' else 1.0 in
-    if Rng.uniform rng <= a then begin
-      Pseudo_state.flip t.state e;
-      if Array.length t.caches = 0 || conditions_hold_after_flip t e then begin
-        t.accepted <- t.accepted + 1;
-        Fenwick.set t.weights e (1.0 -. w);
-        t.since_rebuild <- t.since_rebuild + 1;
-        if t.since_rebuild >= rebuild_every then begin
-          Fenwick.rebuild t.weights;
-          t.since_rebuild <- 0
-        end;
-        t.z <- Fenwick.total t.weights
+  let e = Fenwick.propose_complement rng t.weights in
+  if e >= 0 then begin
+    Pseudo_state.flip t.state e;
+    if Array.length t.caches = 0 || conditions_hold_after_flip t e then begin
+      t.accepted <- t.accepted + 1;
+      (* flipping e swaps its weight between p and 1 - p *)
+      Fenwick.complement t.weights e;
+      t.since_rebuild <- t.since_rebuild + 1;
+      if t.since_rebuild >= rebuild_every then begin
+        Fenwick.rebuild t.weights;
+        t.since_rebuild <- 0
       end
-      else
-        (* Candidate violates the conditions: indicator 0, reject. *)
-        Pseudo_state.flip t.state e
     end
+    else
+      (* Candidate violates the conditions: indicator 0, reject. *)
+      Pseudo_state.flip t.state e
   end
 
 let steps_taken t = t.steps
@@ -223,4 +216,4 @@ let advance rng t k =
   done;
   flush_metrics t
 
-let normaliser t = t.z
+let normaliser t = Fenwick.total t.weights

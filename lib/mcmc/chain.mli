@@ -39,7 +39,8 @@ val workspace : t -> Iflow_graph.Reach.workspace
     like the chain itself. *)
 
 val step : Iflow_stats.Rng.t -> t -> unit
-(** One Metropolis-Hastings transition (propose, accept or reject). *)
+(** One Metropolis-Hastings transition (propose, accept or reject). It
+    allocates nothing, with or without conditions. *)
 
 val advance : Iflow_stats.Rng.t -> t -> int -> unit
 (** [advance rng t k] performs [k] steps — used for burn-in and

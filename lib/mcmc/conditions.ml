@@ -39,24 +39,6 @@ let length = List.length
 
 let sources t = List.sort_uniq compare (List.map (fun c -> c.cond_src) t)
 
-let satisfied icm state t =
-  match t with
-  | [] -> true
-  | _ ->
-    let reach = Hashtbl.create 4 in
-    let reach_from u =
-      match Hashtbl.find_opt reach u with
-      | Some r -> r
-      | None ->
-        let r = Pseudo_state.reachable icm state ~sources:[ u ] in
-        Hashtbl.add reach u r;
-        r
-    in
-    List.for_all
-      (fun { cond_src; cond_dst; required } ->
-        (reach_from cond_src).(cond_dst) = required)
-      t
-
 let satisfied_ws ws icm state t =
   match t with
   | [] -> true
@@ -74,14 +56,8 @@ let satisfied_ws ws icm state t =
     in
     go (-1) t
 
-(* A state with positive model probability: edges with p = 1 must be
-   active, edges with p = 0 must be inactive; others free. *)
-let clamp_determined icm state =
-  for e = 0 to Icm.n_edges icm - 1 do
-    let p = Icm.prob icm e in
-    if p >= 1.0 then Pseudo_state.set state e true
-    else if p <= 0.0 then Pseudo_state.set state e false
-  done
+let satisfied icm state t =
+  is_empty t || satisfied_ws (Reach.workspace (Icm.n_nodes icm)) icm state t
 
 let repair_positive ws icm state { cond_src; cond_dst; _ } =
   (* Activate a path through edges that are allowed to be active
@@ -128,51 +104,32 @@ let repair_negative ws rng icm state { cond_src; cond_dst; _ } =
   loop (Icm.n_edges icm + 1)
 
 let initial_state rng icm t =
-  if is_empty t then begin
-    let s = Pseudo_state.sample rng icm in
-    Some s
-  end
+  let s = Pseudo_state.sample rng icm in
+  if is_empty t then Some s
   else begin
-    (* Phase 1: rejection sampling from the marginal. *)
-    let rec reject tries =
-      if tries = 0 then None
-      else begin
-        let s = Pseudo_state.sample rng icm in
-        if satisfied icm s t then Some s else reject (tries - 1)
-      end
-    in
-    match reject 50 with
-    | Some s -> Some s
-    | None ->
-      (* Phase 2: greedy repair from a fresh sample. Positive conditions
-         first (adding edges), then negative (cutting), then re-check:
-         cutting can break a positive condition, so iterate a few
-         times. *)
-      let ws = Reach.workspace (Icm.n_nodes icm) in
-      let rec attempt tries =
-        if tries = 0 then None
-        else begin
-          let s = Pseudo_state.sample rng icm in
-          clamp_determined icm s;
-          let rec rounds k =
-            if k = 0 then false
-            else if satisfied icm s t then true
-            else begin
-              let ok =
-                List.for_all
-                  (fun c ->
-                    if c.required then repair_positive ws icm s c
-                    else repair_negative ws rng icm s c)
-                  t
-              in
-              if not ok then false else rounds (k - 1)
-            end
-          in
-          if rounds (2 + length t) && satisfied icm s t then Some s
-          else attempt (tries - 1)
-        end
+    (* A draw that satisfies C is an exact draw from Pr (x | C) and is
+       kept as it is. Otherwise a greedy repair of that draw: positive
+       conditions first (adding edges), then negative (cutting), then
+       re-check; cutting can break a positive condition, so iterate a
+       few times. The repair only activates edges with p > 0 and only
+       cuts edges with p < 1, so the state keeps positive probability. *)
+    let ws = Reach.workspace (Icm.n_nodes icm) in
+    let rec attempt s tries =
+      let rec rounds k =
+        satisfied_ws ws icm s t
+        || k > 0
+           && List.for_all
+                (fun c ->
+                  if c.required then repair_positive ws icm s c
+                  else repair_negative ws rng icm s c)
+                t
+           && rounds (k - 1)
       in
-      attempt 20
+      if rounds (2 + length t) then Some s
+      else if tries = 1 then None
+      else attempt (Pseudo_state.sample rng icm) (tries - 1)
+    in
+    attempt s 20
   end
 
 let pp ppf t =

@@ -26,7 +26,8 @@ val sources : t -> int list
     source when checking the indicator). *)
 
 val satisfied : Iflow_core.Icm.t -> Iflow_core.Pseudo_state.t -> t -> bool
-(** The combined indicator I(x, C). *)
+(** The combined indicator I(x, C): {!satisfied_ws} over a workspace it
+    creates. *)
 
 val satisfied_ws :
   Iflow_graph.Reach.workspace ->
@@ -38,11 +39,14 @@ val initial_state :
   Iflow_stats.Rng.t -> Iflow_core.Icm.t -> t ->
   Iflow_core.Pseudo_state.t option
 (** A pseudo-state with positive probability under the model that
-    satisfies the conditions: first rejection-sample from the marginal,
-    then fall back on greedy repair (activate the path requiring the
-    fewest new edge activations for unmet positive conditions, cut
-    paths for violated negative ones).
-    [None] when no satisfying state was found — e.g. a positive
+    satisfies the conditions. It draws one state from the marginal and
+    keeps it if it satisfies them: without conditions, or when the draw
+    meets them, it is an exact draw. Otherwise it greedily repairs that
+    draw: it activates the path needing the fewest new edge activations
+    for each unmet positive condition, and cuts paths for each violated
+    negative one, over a few bounded rounds. It never activates a p = 0
+    edge or cuts a p = 1 edge. Only a failed repair draws again.
+    [None] when no satisfying state was found, e.g. a positive
     condition between disconnected nodes. *)
 
 val pp : Format.formatter -> t -> unit

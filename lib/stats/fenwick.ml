@@ -23,7 +23,7 @@ let create n =
 
 let length t = t.n
 
-let add_internal t i delta =
+let[@inline] add_internal t i delta =
   let i = ref (i + 1) in
   while !i <= t.n do
     t.tree.(!i) <- t.tree.(!i) +. delta;
@@ -43,13 +43,17 @@ let of_array weights =
 
 let get t i = t.weights.(i)
 
-let set t i w =
+let[@inline] set t i w =
   if w < 0.0 then invalid_arg "Fenwick.set: negative weight";
   let delta = w -. t.weights.(i) in
   t.weights.(i) <- w;
   add_internal t i delta
 
-let prefix_sum t i =
+(* The hot functions below are [@inline], and [uniform] below is
+   [Rng.uniform] made here, so the floats of [sample] and
+   [propose_complement] stay unboxed: without flambda a float that
+   crosses a function call is boxed. *)
+let[@inline] prefix_sum t i =
   let acc = ref 0.0 in
   let i = ref i in
   while !i > 0 do
@@ -58,12 +62,12 @@ let prefix_sum t i =
   done;
   !acc
 
-let total t = prefix_sum t t.n
+let[@inline] total t = prefix_sum t t.n
 
 (* Standard Fenwick descent: find smallest index whose inclusive prefix
    sum exceeds u. Clamps to the last index to absorb float round-off at
    the upper boundary. *)
-let find_prefix t u =
+let[@inline] find_prefix t u =
   if t.n = 0 then invalid_arg "Fenwick.find_prefix: empty tree";
   let pos = ref 0 in
   let remaining = ref u in
@@ -78,10 +82,25 @@ let find_prefix t u =
   done;
   if !pos >= t.n then t.n - 1 else !pos
 
+let[@inline] uniform rng = Float.of_int (Rng.bits53 rng) *. 0x1.p-53
+
 let sample rng t =
   let z = total t in
   if not (z > 0.0) then invalid_arg "Fenwick.sample: zero total weight";
-  find_prefix t (Rng.float rng z)
+  find_prefix t (uniform rng *. z)
+
+let complement t i = set t i (1.0 -. t.weights.(i))
+
+let propose_complement rng t =
+  let z = total t in
+  if not (z > 0.0) then -1
+  else begin
+    let i = find_prefix t (uniform rng *. z) in
+    (* Complementing w_i makes the total Z' = Z + 1 - 2 w_i *)
+    let z' = z +. 1.0 -. (2.0 *. t.weights.(i)) in
+    let a = if z < z' then z /. z' else 1.0 in
+    if uniform rng <= a then i else -1
+  end
 
 let rebuild t =
   Array.fill t.tree 0 (t.n + 1) 0.0;

@@ -36,6 +36,19 @@ val sample : Rng.t -> t -> int
 (** [sample rng t] draws an index with probability proportional to its
     weight. Raises [Invalid_argument] when [total t = 0]. *)
 
+val complement : t -> int -> unit
+(** [complement t i] replaces the weight [w] at [i] by [1 - w], O(log n).
+    For weights in [[0, 1]], the probabilities of the two values of a
+    binary variable. *)
+
+val propose_complement : Rng.t -> t -> int
+(** One Metropolis-Hastings proposal over complementary weights: draws
+    [i] as {!sample} does, then accepts it when a further
+    {!Rng.uniform} draw is [<= min (Z / Z', 1)], where [Z] is the total
+    and [Z' = Z + 1 - 2 w_i] the total after {!complement}[ t i].
+    Returns [i] if accepted and [-1] if rejected or [Z = 0]. It does
+    not change the tree, and allocates nothing. O(log n). *)
+
 val rebuild : t -> unit
 (** Recompute all internal sums from the stored exact weights, clearing
     any floating-point drift accumulated by incremental updates. The MH

@@ -6,12 +6,19 @@ let split t =
   let a = Random.State.bits t and b = Random.State.bits t in
   Random.State.make [| a; b; a lxor (b lsl 7) |]
 
-let float t bound = Random.State.float t bound
-let uniform t = Random.State.float t 1.0
-let uniform_in t lo hi = lo +. Random.State.float t (hi -. lo)
+(* The stdlib's [Random.State.float] draw, computed here: the top 53
+   bits of one [bits64], redrawn when zero. As an int it crosses module
+   boundaries unboxed; the float is made where it is used. *)
+let rec bits53 t =
+  let n = Int64.to_int (Int64.shift_right_logical (Random.State.bits64 t) 11) in
+  if n <> 0 then n else bits53 t
+
+let[@inline] uniform t = Float.of_int (bits53 t) *. 0x1.p-53
+let float t bound = uniform t *. bound
+let uniform_in t lo hi = lo +. float t (hi -. lo)
 let int t bound = Random.State.int t bound
 let bool t = Random.State.bool t
-let bernoulli t p = Random.State.float t 1.0 < p
+let bernoulli t p = uniform t < p
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
@@ -25,4 +32,3 @@ let choose t a =
   if Array.length a = 0 then invalid_arg "Rng.choose: empty array";
   a.(Random.State.int t (Array.length a))
 
-let state t = t

@@ -19,7 +19,14 @@ val float : t -> float -> float
 (** [float t bound] draws uniformly from [[0, bound)]. *)
 
 val uniform : t -> float
-(** [uniform t] draws uniformly from [[0, 1)]. *)
+(** [uniform t] draws uniformly from [[0, 1)]: the same value as
+    [Random.State.float (state t) 1.0], namely
+    [Float.of_int (bits53 t) *. 0x1.p-53]. *)
+
+val bits53 : t -> int
+(** [bits53 t] is the non-zero 53-bit integer behind {!uniform}. A
+    float returned from another module is boxed, an int is not, so a
+    loop that must not allocate draws this and scales it itself. *)
 
 val uniform_in : t -> float -> float -> float
 (** [uniform_in t lo hi] draws uniformly from [[lo, hi)]. *)
@@ -39,6 +46,3 @@ val shuffle : t -> 'a array -> unit
 val choose : t -> 'a array -> 'a
 (** [choose t a] draws a uniform element of [a]. Raises
     [Invalid_argument] on an empty array. *)
-
-val state : t -> Random.State.t
-(** Escape hatch to the underlying state. *)

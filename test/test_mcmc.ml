@@ -98,6 +98,36 @@ let test_chain_acceptance_reported () =
   let rate = Chain.acceptance_rate chain in
   Alcotest.(check bool) "acceptance sane" true (rate > 0.2 && rate <= 1.0)
 
+(* A step draws, flips and checks in preallocated state: after a
+   warm-up, 20,000 steps allocate no word, with and without a
+   condition (whose reach cache grows and rebuilds on the way). *)
+let test_chain_step_allocates_nothing () =
+  let rng = Rng.create 77 in
+  let nodes = 2000 and edges = 4000 in
+  let g = Gen.gnm rng ~nodes ~edges in
+  let icm =
+    Icm.create g (Array.init edges (fun _ -> 0.05 +. (0.5 *. Rng.uniform rng)))
+  in
+  let reach = Iflow_graph.Traverse.reachable_from g [ 0 ] in
+  let dst = ref (-1) in
+  Array.iteri (fun v r -> if r && v <> 0 && !dst < 0 then dst := v) reach;
+  Alcotest.(check bool) "model has a reachable pair" true (!dst >= 0);
+  let words_per_run ?conditions seed =
+    let rng = Rng.create seed in
+    let chain = Chain.create ?conditions rng icm in
+    for _ = 1 to 2000 do
+      Chain.step rng chain
+    done;
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 20_000 do
+      Chain.step rng chain
+    done;
+    Gc.minor_words () -. w0
+  in
+  check_close "unconditioned" 0.0 (words_per_run 78);
+  check_close "one positive condition" 0.0
+    (words_per_run ~conditions:(Conditions.v [ (0, !dst, true) ]) 79)
+
 let test_chain_init_validation () =
   let icm = triangle 0.5 0.5 0.5 in
   let rng = Rng.create 36 in
@@ -407,6 +437,8 @@ let () =
           Alcotest.test_case "impossible edges" `Quick test_chain_respects_impossible_edges;
           Alcotest.test_case "acceptance reported" `Quick test_chain_acceptance_reported;
           Alcotest.test_case "init validation" `Quick test_chain_init_validation;
+          Alcotest.test_case "step allocates nothing" `Quick
+            test_chain_step_allocates_nothing;
           Alcotest.test_case "stationary marginals" `Slow test_chain_stationary_marginals;
         ] );
       ( "estimator",

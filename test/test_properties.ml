@@ -85,6 +85,64 @@ let prop_conditional_matches_brute_force =
         | exception Failure _ -> false)
       | exception Failure _ -> true (* conditions infeasible: nothing to test *))
 
+(* Generated graphs of at most 12 edges, some with p = 0 or p = 1, each
+   with 1-3 generated conditions of either sign on one or several
+   sources. The start never refuses a feasible set and never accepts an
+   infeasible one, it satisfies C with positive probability, and MH from
+   it matches brute force. *)
+let prop_generated_conditions =
+  QCheck.Test.make ~count:300
+    ~name:"generated conditions: start iff feasible, MH matches brute force"
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let nodes = 3 + Rng.int rng 5 in
+      let edges = 1 + Rng.int rng (min 12 (nodes * (nodes - 1))) in
+      let g = Gen.gnm rng ~nodes ~edges in
+      let icm =
+        Icm.create g
+          (Array.init edges (fun _ ->
+               match Rng.int rng 6 with
+               | 0 -> 0.0
+               | 1 -> 1.0
+               | _ -> 0.1 +. (0.8 *. Rng.uniform rng)))
+      in
+      let conditions =
+        List.fold_left
+          (fun acc (u, v, r) ->
+            if List.exists (fun (u', v', _) -> u = u' && v = v') acc then acc
+            else acc @ [ (u, v, r) ])
+          []
+          (List.init (1 + Rng.int rng 3) (fun _ ->
+               (Rng.int rng nodes, Rng.int rng nodes, Rng.bool rng)))
+      in
+      let src = Rng.int rng nodes and dst = Rng.int rng nodes in
+      let c = Conditions.v conditions in
+      let truth =
+        match Exact.brute_force_conditional icm ~conditions ~src ~dst with
+        | p -> Some p
+        | exception Failure _ -> None
+      in
+      match (truth, Conditions.initial_state rng icm c) with
+      | None, None -> true
+      | None, Some _ -> QCheck.Test.fail_reportf "start for an infeasible set"
+      | Some _, None -> QCheck.Test.fail_reportf "no start for a feasible set"
+      | Some p, Some s ->
+        if not (Conditions.satisfied icm s c) then
+          QCheck.Test.fail_reportf "start violates C";
+        if not (Float.is_finite (Pseudo_state.log_prob icm s)) then
+          QCheck.Test.fail_reportf "start has probability 0";
+        (* 2,000 retained samples: worst error over these seeds is under
+           half the tolerance *)
+        let estimate =
+          Estimator.flow_probability ~conditions:c rng icm
+            { Estimator.burn_in = 1000; thin = 5; samples = 2000 }
+            ~src ~dst
+        in
+        if Float.abs (estimate -. p) > 0.06 then
+          QCheck.Test.fail_reportf "MH %.4f, brute force %.4f" estimate p;
+        true)
+
 (* ---------- grow/remove round trip ---------- *)
 
 let prop_grow_remove_roundtrip =
@@ -199,7 +257,10 @@ let () =
           ] );
       ( "sampling",
         qcheck
-          [ prop_conditional_matches_brute_force; prop_impact_samples_bounded ]
+          [
+            prop_conditional_matches_brute_force; prop_generated_conditions;
+            prop_impact_samples_bounded;
+          ]
       );
       ("models", qcheck [ prop_grow_remove_roundtrip; prop_summary_totals ]);
       ("delay", qcheck [ prop_delay_monotone_in_active_set ]);

@@ -215,7 +215,7 @@ let test_cache_rebuild () =
   Alcotest.(check bool) "only source" false (Reach.Cache.reaches cache 1);
   Alcotest.(check bool) "source itself" true (Reach.Cache.reaches cache 0)
 
-(* ---------- satisfied_ws agrees with satisfied ---------- *)
+(* ---------- satisfied_ws agrees with a Traverse oracle ---------- *)
 
 let test_satisfied_ws_agrees () =
   for seed = 1 to 40 do
@@ -245,7 +245,13 @@ let test_satisfied_ws_agrees () =
           [] raw
       in
       let conds = Conditions.v dedup in
-      let expected = Conditions.satisfied icm s conds in
+      (* independent oracle: one allocating Traverse sweep per condition *)
+      let expected =
+        List.for_all
+          (fun (u, v, r) ->
+            (Pseudo_state.reachable icm s ~sources:[ u ]).(v) = r)
+          dedup
+      in
       let got = Conditions.satisfied_ws ws icm s conds in
       if expected <> got then
         Alcotest.failf "seed %d: satisfied_ws disagrees (%b vs %b)" seed
