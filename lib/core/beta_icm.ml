@@ -3,18 +3,26 @@ module Beta = Iflow_stats.Dist.Beta
 module Dist = Iflow_stats.Dist
 module Rng = Iflow_stats.Rng
 
-type t = { graph : Digraph.t; betas : Beta.t array }
+(* The posterior as two pseudo-count arrays, [alpha.(e)] and [beta.(e)]
+   for edge [e], the layout {!Accum} keeps too: publishing copies two
+   flat float arrays and builds no per-edge [Beta.t]. *)
+type t = { graph : Digraph.t; alpha : float array; beta : float array }
 
 let create graph betas =
   if Array.length betas <> Digraph.n_edges graph then
     invalid_arg "Beta_icm.create: size mismatch";
-  { graph; betas = Array.copy betas }
+  {
+    graph;
+    alpha = Array.map (fun b -> b.Beta.alpha) betas;
+    beta = Array.map (fun b -> b.Beta.beta) betas;
+  }
 
 let uninformed graph =
-  { graph; betas = Array.make (Digraph.n_edges graph) Beta.uniform }
+  let m = Digraph.n_edges graph in
+  { graph; alpha = Array.make m 1.0; beta = Array.make m 1.0 }
 
 let graph t = t.graph
-let edge_beta t e = t.betas.(e)
+let edge_beta t e = { Beta.alpha = t.alpha.(e); beta = t.beta.(e) }
 let n_nodes t = Digraph.n_nodes t.graph
 let n_edges t = Digraph.n_edges t.graph
 
@@ -31,20 +39,18 @@ let train_attributed g objects =
           beta.(e) <- beta.(e) +. 1.0
       done)
     objects;
-  { graph = g; betas = Array.init m (fun e -> Beta.v alpha.(e) beta.(e)) }
+  { graph = g; alpha; beta }
 
 let observe_many t obs =
-  let m = Array.length t.betas in
-  let betas = Array.copy t.betas in
+  let m = Array.length t.alpha in
+  let alpha = Array.copy t.alpha and beta = Array.copy t.beta in
   List.iter
     (fun (edge, fired) ->
       if edge < 0 || edge >= m then invalid_arg "Beta_icm.observe_many: bad edge";
-      let b = betas.(edge) in
-      betas.(edge) <-
-        (if fired then Beta.v (b.Beta.alpha +. 1.0) b.Beta.beta
-         else Beta.v b.Beta.alpha (b.Beta.beta +. 1.0)))
+      if fired then alpha.(edge) <- alpha.(edge) +. 1.0
+      else beta.(edge) <- beta.(edge) +. 1.0)
     obs;
-  { t with betas }
+  { t with alpha; beta }
 
 let observe t ~edge ~fired = observe_many t [ (edge, fired) ]
 
@@ -54,29 +60,27 @@ let grow t ~new_nodes ~new_edges =
   let pairs =
     Digraph.edges t.graph @ List.map (fun (s, d, _) -> (s, d)) new_edges
   in
-  let betas =
-    Array.append t.betas (Array.of_list (List.map (fun (_, _, b) -> b) new_edges))
-  in
-  { graph = Digraph.of_edges ~nodes pairs; betas }
+  let priors = Array.of_list (List.map (fun (_, _, b) -> b) new_edges) in
+  {
+    graph = Digraph.of_edges ~nodes pairs;
+    alpha = Array.append t.alpha (Array.map (fun b -> b.Beta.alpha) priors);
+    beta = Array.append t.beta (Array.map (fun b -> b.Beta.beta) priors);
+  }
 
 let remove_edges t pairs =
   let doomed = Hashtbl.create 16 in
   List.iter (fun p -> Hashtbl.replace doomed p ()) pairs;
+  let pair e = (Digraph.edge_src t.graph e, Digraph.edge_dst t.graph e) in
   let kept =
-    List.filteri
-      (fun _ pair -> not (Hashtbl.mem doomed pair))
-      (Digraph.edges t.graph)
+    List.filter
+      (fun e -> not (Hashtbl.mem doomed (pair e)))
+      (List.init (n_edges t) Fun.id)
   in
-  let kept_betas =
-    List.filteri
-      (fun e _ ->
-        let pair = (Digraph.edge_src t.graph e, Digraph.edge_dst t.graph e) in
-        not (Hashtbl.mem doomed pair))
-      (Array.to_list t.betas)
-  in
+  let pick counts = Array.of_list (List.map (fun e -> counts.(e)) kept) in
   {
-    graph = Digraph.of_edges ~nodes:(Digraph.n_nodes t.graph) kept;
-    betas = Array.of_list kept_betas;
+    graph = Digraph.of_edges ~nodes:(Digraph.n_nodes t.graph) (List.map pair kept);
+    alpha = pick t.alpha;
+    beta = pick t.beta;
   }
 
 module Accum = struct
@@ -92,8 +96,8 @@ module Accum = struct
   let of_model (m : model) =
     {
       graph = m.graph;
-      alpha = Array.map (fun b -> b.Beta.alpha) m.betas;
-      beta = Array.map (fun b -> b.Beta.beta) m.betas;
+      alpha = Array.copy m.alpha;
+      beta = Array.copy m.beta;
       observed = 0;
     }
 
@@ -102,11 +106,15 @@ module Accum = struct
   let observed t = t.observed
 
   let freeze t : model =
-    {
-      graph = t.graph;
-      betas = Array.init (Array.length t.alpha) (fun e ->
-          Beta.v t.alpha.(e) t.beta.(e));
-    }
+    (* the check [Beta.v] makes: decay can underflow a count to 0 *)
+    for e = 0 to Array.length t.alpha - 1 do
+      let a = t.alpha.(e) and b = t.beta.(e) in
+      if a <= 0.0 || b <= 0.0 then
+        invalid_arg
+          (Printf.sprintf "Beta_icm.Accum.freeze: edge %d has alpha = %g, beta = %g"
+             e a b)
+    done;
+    { graph = t.graph; alpha = Array.copy t.alpha; beta = Array.copy t.beta }
 
   let observe t ~edge ~fired =
     if edge < 0 || edge >= Array.length t.alpha then
@@ -128,8 +136,8 @@ module Accum = struct
 
   let reload t (m : model) =
     t.graph <- m.graph;
-    t.alpha <- Array.map (fun b -> b.Beta.alpha) m.betas;
-    t.beta <- Array.map (fun b -> b.Beta.beta) m.betas
+    t.alpha <- Array.copy m.alpha;
+    t.beta <- Array.copy m.beta
 
   let grow t ~new_nodes ~new_edges =
     reload t (grow (freeze t) ~new_nodes ~new_edges)
@@ -138,25 +146,28 @@ module Accum = struct
 end
 
 let digest t =
-  let fp = Iflow_stats.Fingerprint.create () in
   let module Fp = Iflow_stats.Fingerprint in
-  Fp.add_int fp (Digraph.n_nodes t.graph);
-  Fp.add_int fp (Digraph.n_edges t.graph);
-  Digraph.iter_edges t.graph (fun _ { Digraph.src; dst } ->
-      Fp.add_int fp src;
-      Fp.add_int fp dst);
-  Array.iter
-    (fun b ->
-      Fp.add_float fp b.Beta.alpha;
-      Fp.add_float fp b.Beta.beta)
-    t.betas;
+  let fp = Fp.resume (Digraph.fingerprint t.graph) in
+  Fp.add_float_pairs fp t.alpha t.beta;
   Fp.to_hex fp
 
-let expected_icm t = Icm.create t.graph (Array.map Beta.mean t.betas)
-let mode_icm t = Icm.create t.graph (Array.map Beta.mode t.betas)
+let expected_icm t =
+  (* a loop, not [Array.map Beta.mean], so no per-edge float is boxed;
+     [a /. (a +. b)] is [Beta.mean], bit for bit *)
+  let m = Array.length t.alpha in
+  let probs = Array.create_float m in
+  for e = 0 to m - 1 do
+    let a = t.alpha.(e) in
+    probs.(e) <- a /. (a +. t.beta.(e))
+  done;
+  Icm.create t.graph probs
+
+let mode_icm t =
+  Icm.create t.graph (Array.init (n_edges t) (fun e -> Beta.mode (edge_beta t e)))
 
 let sample_icm rng t =
-  Icm.create t.graph (Array.map (fun b -> Beta.sample rng b) t.betas)
+  Icm.create t.graph
+    (Array.init (n_edges t) (fun e -> Beta.sample rng (edge_beta t e)))
 
 let mean_std_icm rng ~mean ~std g =
   let m = Digraph.n_edges g in

@@ -3,7 +3,13 @@
 
     A betaICM is a distribution over point-probability ICMs; flow queries
     either collapse it to the expected ICM or sample ICMs from it (nested
-    Metropolis-Hastings, Section III-E). *)
+    Metropolis-Hastings, Section III-E).
+
+    {b Representation.} A model holds its graph and the posterior as two
+    flat float arrays, [alpha.(e)] and [beta.(e)] for edge [e] — the
+    layout {!Accum} keeps. No per-edge [Beta.t] is stored:
+    {!edge_beta} builds one on demand, and {!expected_icm} and {!digest}
+    read the arrays directly, so neither boxes a value per edge. *)
 
 type t
 
@@ -71,12 +77,18 @@ module Accum : sig
   val remove_edges : t -> (int * int) list -> unit
 
   val freeze : t -> model
-  (** An immutable snapshot; the accumulator remains usable. *)
+  (** An immutable snapshot; the accumulator remains usable. It checks
+      every pseudo-count is positive (the check [Beta.v] makes; decay
+      can underflow a count to 0), raising [Invalid_argument]
+      otherwise, and copies the two arrays: O(m) time, [2 (m + 1)]
+      words and nothing boxed per edge. *)
 end
 
 val digest : t -> string
 (** FNV-1a fingerprint of the topology and every (alpha, beta) pair —
-    the identity used by checkpoint headers and model versioning. *)
+    the identity used by [.bicm] checkpoint headers. It resumes from the
+    graph's {!Iflow_graph.Digraph.fingerprint} and hashes the [16 m]
+    bytes of the pseudo-counts, allocating only the hex string. *)
 
 val grow :
   t -> new_nodes:int -> new_edges:(int * int * Iflow_stats.Dist.Beta.t) list -> t
@@ -93,7 +105,9 @@ val remove_edges : t -> (int * int) list -> t
 
 val expected_icm : t -> Icm.t
 (** Point ICM with each activation probability set to its posterior
-    mean [alpha / (alpha + beta)]. *)
+    mean [alpha / (alpha + beta)], bit-identical to {!Iflow_stats.Dist.Beta.mean}.
+    One float array is filled and handed to {!Icm.create}, which checks
+    and copies it. *)
 
 val mode_icm : t -> Icm.t
 

@@ -7,11 +7,11 @@ let create graph probs =
     invalid_arg
       (Printf.sprintf "Icm.create: %d probabilities for %d edges"
          (Array.length probs) (Digraph.n_edges graph));
-  Array.iteri
-    (fun e p ->
-      if not (p >= 0.0 && p <= 1.0) then
-        invalid_arg (Printf.sprintf "Icm.create: p(%d) = %g outside [0,1]" e p))
-    probs;
+  for e = 0 to Array.length probs - 1 do
+    let p = probs.(e) in
+    if not (p >= 0.0 && p <= 1.0) then
+      invalid_arg (Printf.sprintf "Icm.create: p(%d) = %g outside [0,1]" e p)
+  done;
   { graph; probs = Array.copy probs }
 
 let const graph p = create graph (Array.make (Digraph.n_edges graph) p)
@@ -23,12 +23,7 @@ let n_edges t = Digraph.n_edges t.graph
 
 let digest t =
   let module Fp = Iflow_stats.Fingerprint in
-  let fp = Fp.create () in
-  Fp.add_int fp (Digraph.n_nodes t.graph);
-  Fp.add_int fp (Digraph.n_edges t.graph);
-  Digraph.iter_edges t.graph (fun _ { Digraph.src; dst } ->
-      Fp.add_int fp src;
-      Fp.add_int fp dst);
+  let fp = Fp.resume (Digraph.fingerprint t.graph) in
   Fp.add_floats fp t.probs;
   Fp.to_hex fp
 

@@ -29,6 +29,9 @@ val n_edges : t -> int
 val digest : t -> string
 (** FNV-1a fingerprint of the topology and edge probabilities — the
     model identity used by the engine's per-query seeds and cache
-    (hashed once per {!Iflow_engine.Engine.swap}). *)
+    (hashed once per {!Iflow_engine.Engine.swap}) and by [.icm] file
+    headers. It resumes from the graph's
+    {!Iflow_graph.Digraph.fingerprint} and hashes the [8 m] bytes of
+    the probabilities, allocating only the hex string. *)
 
 val pp : Format.formatter -> t -> unit

@@ -358,6 +358,12 @@ let run_query ?rid ~ph ?(cancel = Cancel.none) ?(on_deadline = `Fail) t ~icm
           | Ok xs ->
             Array.iter (buffer_push buffers.(i)) xs;
             total := !total + Array.length xs
+          | Error (Invalid_argument msg) ->
+            (* every chain shares the model and the conditions, so an
+               argument error (a start whose bounded repair found no
+               state meeting the conditions) is the query's fault, not
+               a lost chain: it ends the query as a bad query *)
+            invalid_arg (Printf.sprintf "query %s: %s" (Query.key q) msg)
           | Error e -> fail_chain i e)
         draws;
       incr rounds;

@@ -164,7 +164,10 @@ val query :
   t -> Query.t -> result
 (** Answer one query, consulting the cache first. Raises
     [Invalid_argument] when the query mentions a node outside the
-    model, [Failure] when its conditions cannot be satisfied.
+    model, or when its conditions cannot be satisfied: a chain start
+    whose bounded repair finds no state meeting them ends the query
+    there, is not a lost chain and is not counted in
+    [iflow_engine_failed_chains_total].
 
     [?rid] names the request for observability only: it is added to the
     [engine.query] trace span and, when a trace sink is installed,

@@ -32,6 +32,9 @@ let v ?(conditions = []) kind =
     if List.exists (fun (u, d) -> u < 0 || d < 0) flows then
       invalid_arg "Query: negative node id";
     if flows = [] then invalid_arg "Query: empty flow list");
+  (* refuse contradictory and self-negative conditions here, so a wire
+     request carrying them is a bad request *)
+  if conditions <> [] then ignore (Iflow_mcmc.Conditions.v conditions);
   { kind; conditions = sort_conditions conditions }
 
 let flow ?conditions ~src ~dst () = v ?conditions (Flow { src; dst })

@@ -16,8 +16,9 @@ type kind =
 type t
 
 val v : ?conditions:(int * int * bool) list -> kind -> t
-(** Raises [Invalid_argument] on negative node ids or empty
-    sink / flow lists. *)
+(** Raises [Invalid_argument] on negative node ids, empty sink / flow
+    lists, and conditions {!Iflow_mcmc.Conditions.v} refuses
+    (contradictory or self-negative). *)
 
 val flow : ?conditions:(int * int * bool) list -> src:int -> dst:int -> unit -> t
 val community :

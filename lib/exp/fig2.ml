@@ -58,7 +58,7 @@ let focus_predictions rng (lab : Twitter_lab.t) config ~focus ~radius
               ~src:sub_focus ~dst:sink
           with
           | estimate -> Some { Measures.estimate; outcome = z }
-          | exception Failure _ -> None
+          | exception Invalid_argument _ -> None
         end)
       outcomes
   end

@@ -8,7 +8,21 @@ type t = {
   out_ids : int array;
   in_offsets : int array;
   in_ids : int array;
+  structure : int64;
+      (* FNV-1a state after n, m and every (src, dst) pair: the prefix
+         every model digest over this graph starts from *)
 }
+
+let structure_fingerprint ~nodes srcs dsts =
+  let module Fp = Iflow_stats.Fingerprint in
+  let fp = Fp.create () in
+  Fp.add_int fp nodes;
+  Fp.add_int fp (Array.length srcs);
+  for e = 0 to Array.length srcs - 1 do
+    Fp.add_int fp srcs.(e);
+    Fp.add_int fp dsts.(e)
+  done;
+  Fp.value fp
 
 let of_edges ~nodes pairs =
   if nodes < 0 then invalid_arg "Digraph.of_edges: negative node count";
@@ -49,9 +63,19 @@ let of_edges ~nodes pairs =
   in
   let out_offsets, out_ids = csr (fun e -> srcs.(e)) in
   let in_offsets, in_ids = csr (fun e -> dsts.(e)) in
-  { n = nodes; srcs; dsts; out_offsets; out_ids; in_offsets; in_ids }
+  {
+    n = nodes;
+    srcs;
+    dsts;
+    out_offsets;
+    out_ids;
+    in_offsets;
+    in_ids;
+    structure = structure_fingerprint ~nodes srcs dsts;
+  }
 
 let n_nodes g = g.n
+let fingerprint g = g.structure
 let n_edges g = Array.length g.srcs
 let edge g e = { src = g.srcs.(e); dst = g.dsts.(e) }
 let edge_src g e = g.srcs.(e)

@@ -16,6 +16,17 @@ val of_edges : nodes:int -> (int * int) list -> t
     duplicate pairs — the ICM has at most one edge per ordered pair. *)
 
 val n_nodes : t -> int
+
+val fingerprint : t -> int64
+(** The structure fingerprint: the {!Iflow_stats.Fingerprint} state
+    after feeding [n_nodes], [n_edges] and then every edge's source and
+    destination in edge-id order, each with
+    {!Iflow_stats.Fingerprint.add_int}. {!of_edges} computes it once, so
+    reading it is free. Model digests ({!Iflow_core.Icm.digest},
+    {!Iflow_core.Beta_icm.digest}) {!Iflow_stats.Fingerprint.resume}
+    from it and hash only their per-edge numbers; the digest values are
+    the same as hashing the whole structure each time. *)
+
 val n_edges : t -> int
 val edge : t -> int -> edge
 val edge_src : t -> int -> int

@@ -72,7 +72,7 @@ let create ?(conditions = Conditions.empty) ?init rng icm =
       (match Conditions.initial_state rng icm conditions with
       | Some s -> s
       | None ->
-        failwith "Chain.create: could not satisfy flow conditions")
+        invalid_arg "Chain.create: could not satisfy flow conditions")
   in
   let weights =
     Fenwick.of_array

@@ -19,10 +19,11 @@ val create :
   ?init:Iflow_core.Pseudo_state.t ->
   Iflow_stats.Rng.t -> Iflow_core.Icm.t -> t
 (** Fresh chain. Without [init], the initial state is drawn from the
-    marginal (or repaired to satisfy [conditions]). Raises [Failure]
-    when no state satisfying the conditions could be constructed, and
-    [Invalid_argument] when [init] itself violates them or has zero
-    probability. *)
+    marginal (or repaired to satisfy [conditions]). Raises
+    [Invalid_argument] when no state satisfying the conditions could be
+    constructed (the conditions are infeasible, or too tight for the
+    bounded repair of {!Conditions.initial_state}), and when [init]
+    itself violates them or has zero probability. *)
 
 val icm : t -> Iflow_core.Icm.t
 val conditions : t -> Conditions.t

@@ -20,6 +20,12 @@ let v list =
   let conds =
     List.map
       (fun (u, v, required) ->
+        if u = v && not required then
+          invalid_arg
+            (Printf.sprintf
+               "Conditions.v: %d ~> %d can never be false (a source always \
+                holds its own object)"
+               u v);
         (match Hashtbl.find_opt seen (u, v) with
         | Some prev when prev <> required ->
           invalid_arg

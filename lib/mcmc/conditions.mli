@@ -13,7 +13,8 @@ val empty : t
 val v : (int * int * bool) list -> t
 (** [(u, v, required)] — when [required], flow [u ~> v] must exist;
     otherwise it must not. Raises [Invalid_argument] on a directly
-    contradictory pair. Conditions are stored grouped by source (stable
+    contradictory pair, and on [(u, u, false)], which no state meets
+    because a source always holds its own object. Conditions are stored grouped by source (stable
     within a source), so indicator checks do one reachability sweep per
     distinct source. *)
 

@@ -53,8 +53,9 @@ val stream :
   ?conditions:Conditions.t ->
   Iflow_stats.Rng.t -> Iflow_core.Icm.t -> burn_in:int -> thin:int -> stream
 (** Create the chain, run the burn-in, and return the stream. Raises
-    like {!Chain.create} (e.g. [Failure] when the conditions cannot be
-    satisfied) and [Invalid_argument] on [burn_in < 0] or [thin < 1].
+    like {!Chain.create} (e.g. [Invalid_argument] when the conditions
+    cannot be satisfied) and [Invalid_argument] on [burn_in < 0] or
+    [thin < 1].
 
     [?cancel] (default {!Cancel.none}) makes the burn-in cooperative:
     the token is polled every 128 steps (chunked {!Chain.advance} —

@@ -583,6 +583,82 @@ let prop_pseudo_state_gives_consistent_active_state =
       in
       Evidence.attributed_object_is_consistent g o)
 
+(* ---------- publish cost ---------- *)
+
+let gnm_beta_model seed ~nodes ~edges =
+  let rng = Rng.create seed in
+  let g = Gen.gnm rng ~nodes ~edges in
+  Beta_icm.create g
+    (Array.init edges (fun _ ->
+         Beta.v (1.0 +. (9.0 *. Rng.uniform rng)) (1.0 +. (9.0 *. Rng.uniform rng))))
+
+(* minor words one call of [f] allocates, after two warm-up calls *)
+let minor_words_of f =
+  ignore (Sys.opaque_identity (f ()));
+  ignore (Sys.opaque_identity (f ()));
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. w0
+
+(* every word one call of [f] allocates, minor and major (arrays this
+   large go straight to the major heap, which [Gc.quick_stat] does not
+   count until later); the [Gc.stat] records add a few words *)
+let words_of f =
+  ignore (Sys.opaque_identity (f ()));
+  let s0 = Gc.stat () in
+  ignore (Sys.opaque_identity (f ()));
+  let s1 = Gc.stat () in
+  s1.Gc.minor_words -. s0.Gc.minor_words
+  +. (s1.Gc.major_words -. s0.Gc.major_words)
+  -. (s1.Gc.promoted_words -. s0.Gc.promoted_words)
+
+(* A digest resumes from the graph's structure fingerprint and hashes
+   the per-edge numbers without boxing: its allocation is a constant
+   (the hex string and one boxed state), not a function of m. *)
+let test_digest_allocation () =
+  let sizes = [ (500, 1000); (2000, 4000) ] in
+  let counts =
+    List.map
+      (fun (nodes, edges) ->
+        let model = gnm_beta_model 41 ~nodes ~edges in
+        let icm = Beta_icm.expected_icm model in
+        let w_icm = minor_words_of (fun () -> Icm.digest icm) in
+        let w_beta = minor_words_of (fun () -> Beta_icm.digest model) in
+        if w_icm > 64.0 || w_beta > 64.0 then
+          Alcotest.failf "m = %d: Icm.digest %.0f words, Beta_icm.digest %.0f words"
+            edges w_icm w_beta;
+        (w_icm, w_beta))
+      sizes
+  in
+  Alcotest.(check bool) "independent of m" true
+    (List.for_all (fun c -> c = List.hd counts) counts)
+
+(* freeze copies the two pseudo-count arrays and boxes nothing per
+   edge; expected_icm builds one probability array and Icm.create copies
+   it, so it too stays within two float arrays *)
+let test_publish_allocation () =
+  let edges = 4000 in
+  let model = gnm_beta_model 42 ~nodes:2000 ~edges in
+  let acc = Beta_icm.Accum.of_model model in
+  for e = 0 to 99 do
+    Beta_icm.Accum.observe acc ~edge:(e * 37 mod edges) ~fired:(e mod 3 = 0)
+  done;
+  let two_arrays = float_of_int (2 * (edges + 1)) in
+  let w = words_of (fun () -> Beta_icm.Accum.freeze acc) in
+  if w > two_arrays +. 64.0 then
+    Alcotest.failf "Accum.freeze: %.0f words for %d edges" w edges;
+  let frozen = Beta_icm.Accum.freeze acc in
+  let w = words_of (fun () -> Beta_icm.expected_icm frozen) in
+  if w > two_arrays +. 64.0 then
+    Alcotest.failf "expected_icm: %.0f words for %d edges" w edges;
+  (* the unboxed path computes what the per-edge Beta.t path did *)
+  let icm = Beta_icm.expected_icm frozen in
+  for e = 0 to edges - 1 do
+    let b = Beta_icm.edge_beta frozen e in
+    if Int64.bits_of_float (Icm.prob icm e) <> Int64.bits_of_float (Beta.mean b)
+    then Alcotest.failf "edge %d: expected_icm differs from Beta.mean" e
+  done
+
 let qcheck tests =
   List.map (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0 |])) tests
 
@@ -631,6 +707,9 @@ let () =
           Alcotest.test_case "recovers probabilities" `Quick test_train_recovers_probabilities;
           Alcotest.test_case "sampling and observe" `Quick test_beta_icm_sampling_and_observe;
           Alcotest.test_case "grow and remove" `Quick test_grow_and_remove;
+          Alcotest.test_case "digests allocate O(1)" `Quick test_digest_allocation;
+          Alcotest.test_case "publish boxes nothing per edge" `Quick
+            test_publish_allocation;
         ] );
       ( "summary",
         [

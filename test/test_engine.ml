@@ -326,6 +326,46 @@ let test_engine_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "out-of-range query accepted"
 
+(* A condition set no state meets is the query's fault, not a lost
+   chain. [(u, u, false)] is refused when the query is built (a source
+   always holds its own object); a positive condition on an unreachable
+   pair ends the query with [Invalid_argument] once the chain start's
+   bounded repair fails, with or without the planner, and counts no
+   failed chain. *)
+let test_engine_infeasible_conditions () =
+  Alcotest.check_raises "self-negative refused"
+    (Invalid_argument
+       "Conditions.v: 3 ~> 3 can never be false (a source always holds its \
+        own object)")
+    (fun () -> ignore (Query.flow ~conditions:[ (3, 3, false) ] ~src:0 ~dst:1 ()));
+  (* 0 -> 1 -> 2 and 3 -> 0: nothing reaches 3 *)
+  let g = Digraph.of_edges ~nodes:4 [ (0, 1); (1, 2); (3, 0) ] in
+  let icm = Icm.create g [| 0.5; 0.5; 0.5 |] in
+  let failed = Iflow_obs.Metrics.counter "iflow_engine_failed_chains_total" in
+  List.iter
+    (fun planner ->
+      let engine =
+        Engine.create
+          ~config:{ test_engine_config with Engine.planner }
+          ~seed:3 icm
+      in
+      let before = Iflow_obs.Metrics.counter_value failed in
+      (match
+         Engine.query engine
+           (Query.flow ~conditions:[ (0, 3, true) ] ~src:0 ~dst:2 ())
+       with
+      | _ -> Alcotest.fail "answered under infeasible conditions"
+      | exception Engine.Chains_failed _ -> Alcotest.fail "reported as chain faults"
+      | exception Invalid_argument msg ->
+        Alcotest.(check bool) "names the query" true
+          (String.starts_with ~prefix:"query flow 0 2" msg));
+      Alcotest.(check int) "no chain counted lost" before
+        (Iflow_obs.Metrics.counter_value failed);
+      let r = Engine.query engine (Query.flow ~src:0 ~dst:2 ()) in
+      Alcotest.(check bool) "the engine answers on" true
+        (Float.is_finite r.Engine.estimate))
+    [ true; false ]
+
 (* ---------- Deadlines & cancellation ---------- *)
 
 module Cancel = Iflow_mcmc.Cancel
@@ -508,6 +548,8 @@ let () =
           Alcotest.test_case "cache disabled" `Slow
             test_engine_cache_disabled_retains_nothing;
           Alcotest.test_case "validation" `Quick test_engine_validation;
+          Alcotest.test_case "infeasible conditions are a bad query" `Quick
+            test_engine_infeasible_conditions;
         ] );
       ( "deadlines",
         [

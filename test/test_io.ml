@@ -107,6 +107,54 @@ let test_malformed_inputs () =
       expect_failure "probability out of range" (fun () ->
           Model_io.load_icm path))
 
+(* ---------- digest values ---------- *)
+
+(* Digests written down from the build before digests resumed from the
+   graph's structure fingerprint. They are a file format (the .icm /
+   .bicm header) and seed every sampled answer, so they must not move. *)
+let test_digest_pins () =
+  let model = Generator.default_beta_icm (Rng.create 2301) ~nodes:40 ~edges:160 in
+  Alcotest.(check string) "Beta_icm.digest" "034fc9aaa6a3c8a8" (Beta_icm.digest model);
+  Alcotest.(check string) "Icm.digest" "2009e43ecd7fedd8"
+    (Icm.digest (Beta_icm.expected_icm model));
+  let g = Gen.gnm (Rng.create 2302) ~nodes:50 ~edges:200 in
+  let rng = Rng.create 2303 in
+  let probs =
+    Array.init 200 (fun e ->
+        if e = 0 then -0.0 else if e = 1 then 1.0 else Rng.uniform rng)
+  in
+  Alcotest.(check string) "Icm.digest with -0.0" "dad95fcbf0016c9b"
+    (Icm.digest (Icm.create g probs));
+  Alcotest.(check string) "Icm.digest, no edges" "a879e912bda60d66"
+    (Icm.digest (Icm.const (Digraph.of_edges ~nodes:3 []) 0.5));
+  Alcotest.(check string) "Beta_icm.digest, empty graph" "88201fb960ff6465"
+    (Beta_icm.digest (Beta_icm.uninformed (Digraph.of_edges ~nodes:0 [])))
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* fixtures/fixture.{bicm,icm} were saved by that same earlier build:
+   they load (the header digest is recomputed and checked), and saving
+   the loaded model writes the same bytes again *)
+let test_fixtures_load () =
+  let model, meta = Model_io.load_beta_icm_meta "fixtures/fixture.bicm" in
+  Alcotest.(check (option string)) "bicm header digest" (Some "02d7c3b26c09a3b4")
+    (List.assoc_opt "digest" meta);
+  Alcotest.(check string) "bicm digest" "02d7c3b26c09a3b4" (Beta_icm.digest model);
+  with_temp ".bicm" (fun path ->
+      Model_io.save_beta_icm
+        ~meta:(List.filter (fun (k, _) -> k <> "digest") meta)
+        path model;
+      Alcotest.(check string) "bicm bytes" (read_file "fixtures/fixture.bicm")
+        (read_file path));
+  let icm = Model_io.load_icm "fixtures/fixture.icm" in
+  Alcotest.(check string) "icm digest" "035456f9e8193137" (Icm.digest icm);
+  Alcotest.(check string) "icm = expected bicm" (Icm.digest icm)
+    (Icm.digest (Beta_icm.expected_icm model));
+  with_temp ".icm" (fun path ->
+      Model_io.save_icm path icm;
+      Alcotest.(check string) "icm bytes" (read_file "fixtures/fixture.icm")
+        (read_file path))
+
 let () =
   Alcotest.run "iflow_io"
     [
@@ -120,4 +168,9 @@ let () =
         ] );
       ( "errors",
         [ Alcotest.test_case "malformed inputs" `Quick test_malformed_inputs ] );
+      ( "digests",
+        [
+          Alcotest.test_case "pinned values" `Quick test_digest_pins;
+          Alcotest.test_case "earlier build's files load" `Quick test_fixtures_load;
+        ] );
     ]

@@ -117,31 +117,43 @@ let prop_generated_conditions =
                (Rng.int rng nodes, Rng.int rng nodes, Rng.bool rng)))
       in
       let src = Rng.int rng nodes and dst = Rng.int rng nodes in
-      let c = Conditions.v conditions in
       let truth =
         match Exact.brute_force_conditional icm ~conditions ~src ~dst with
         | p -> Some p
         | exception Failure _ -> None
       in
-      match (truth, Conditions.initial_state rng icm c) with
-      | None, None -> true
-      | None, Some _ -> QCheck.Test.fail_reportf "start for an infeasible set"
-      | Some _, None -> QCheck.Test.fail_reportf "no start for a feasible set"
-      | Some p, Some s ->
-        if not (Conditions.satisfied icm s c) then
-          QCheck.Test.fail_reportf "start violates C";
-        if not (Float.is_finite (Pseudo_state.log_prob icm s)) then
-          QCheck.Test.fail_reportf "start has probability 0";
-        (* 2,000 retained samples: worst error over these seeds is under
-           half the tolerance *)
-        let estimate =
-          Estimator.flow_probability ~conditions:c rng icm
-            { Estimator.burn_in = 1000; thin = 5; samples = 2000 }
-            ~src ~dst
-        in
-        if Float.abs (estimate -. p) > 0.06 then
-          QCheck.Test.fail_reportf "MH %.4f, brute force %.4f" estimate p;
-        true)
+      let self_negative =
+        List.exists (fun (u, v, r) -> u = v && not r) conditions
+      in
+      match Conditions.v conditions with
+      | exception Invalid_argument _ ->
+        (* a source always holds its own object: (u, u, false) is
+           refused up front, the only set refused here *)
+        if not self_negative || truth <> None then
+          QCheck.Test.fail_reportf "refused a set with no self-negative condition";
+        true
+      | _ when self_negative ->
+        QCheck.Test.fail_reportf "self-negative condition accepted"
+      | c -> (
+        match (truth, Conditions.initial_state rng icm c) with
+        | None, None -> true
+        | None, Some _ -> QCheck.Test.fail_reportf "start for an infeasible set"
+        | Some _, None -> QCheck.Test.fail_reportf "no start for a feasible set"
+        | Some p, Some s ->
+          if not (Conditions.satisfied icm s c) then
+            QCheck.Test.fail_reportf "start violates C";
+          if not (Float.is_finite (Pseudo_state.log_prob icm s)) then
+            QCheck.Test.fail_reportf "start has probability 0";
+          (* 2,000 retained samples: worst error over these seeds is under
+             half the tolerance *)
+          let estimate =
+            Estimator.flow_probability ~conditions:c rng icm
+              { Estimator.burn_in = 1000; thin = 5; samples = 2000 }
+              ~src ~dst
+          in
+          if Float.abs (estimate -. p) > 0.06 then
+            QCheck.Test.fail_reportf "MH %.4f, brute force %.4f" estimate p;
+          true))
 
 (* ---------- grow/remove round trip ---------- *)
 

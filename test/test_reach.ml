@@ -235,12 +235,15 @@ let test_satisfied_ws_agrees () =
         List.init k (fun _ ->
             (Rng.int rng nodes, Rng.int rng nodes, Rng.bool rng))
       in
-      (* keep one condition per (src, dst): Conditions.v rejects
-         contradictions *)
+      (* keep one condition per (src, dst) and no (u, u, false):
+         Conditions.v rejects contradictions and self-negatives *)
       let dedup =
         List.fold_left
           (fun acc (u, v, r) ->
-            if List.exists (fun (u', v', _) -> u = u' && v = v') acc then acc
+            if
+              (u = v && not r)
+              || List.exists (fun (u', v', _) -> u = u' && v = v') acc
+            then acc
             else (u, v, r) :: acc)
           [] raw
       in

@@ -1839,6 +1839,32 @@ let error_code line =
     | Some (Jsonl.Str s) -> s
     | _ -> "<no error member>")
 
+(* conditions no state meets are the client's error: a self-negative
+   one is refused at decode (bad_request), an unreachable positive one
+   once the chain start fails (bad_query); neither is a chains_failed
+   500, and the session answers on *)
+let test_serve_infeasible_conditions () =
+  with_server (fun server engine ->
+      (* 0 -> 1 -> 2 -> 3 and 4 -> 0: nothing reaches 4 *)
+      let g = Digraph.of_edges ~nodes:5 [ (0, 1); (1, 2); (2, 3); (4, 0) ] in
+      ignore (Engine.swap engine ~version:1 (Icm.create g [| 0.5; 0.5; 0.5; 0.5 |]));
+      let failed = Iflow_obs.Metrics.counter "iflow_engine_failed_chains_total" in
+      let before = Iflow_obs.Metrics.counter_value failed in
+      let fd = connect (Server.port server) in
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+          let r = Sockio.reader fd in
+          check_string "self-negative" "bad_request"
+            (error_code
+               (ask r fd
+                  {|{"type":"flow","src":0,"dst":3,"conditions":[[3,3,false]]}|}));
+          check_string "unreachable positive" "bad_query"
+            (error_code
+               (ask r fd
+                  {|{"type":"flow","src":0,"dst":3,"conditions":[[0,4,true]]}|}));
+          check_int "no chain counted lost" before
+            (Iflow_obs.Metrics.counter_value failed);
+          ignore (parse_ok (ask r fd (query_json ~src:0 ~dst:3 ())))))
+
 (* mcse_target is unreachable, so only a tripped token can stop the
    sampler — the serve-side twin of the engine's never_converge *)
 let never_converge =
@@ -2464,6 +2490,8 @@ let () =
             test_serve_version_follows_swap;
           Alcotest.test_case "numeric id echo in range" `Quick
             test_serve_numeric_id_echo;
+          Alcotest.test_case "infeasible conditions are client errors" `Quick
+            test_serve_infeasible_conditions;
           Alcotest.test_case "bad evidence keeps learning" `Slow
             test_serve_bad_evidence_keeps_learning;
           Alcotest.test_case "evidence: read your writes" `Quick

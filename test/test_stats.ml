@@ -397,6 +397,126 @@ let test_rng_split_independence () =
   done;
   Alcotest.(check bool) "split diverges" false !same
 
+(* ---------- Fingerprint ---------- *)
+
+(* FNV-1a one byte at a time, as the digest format defines it: integers
+   as 8 little-endian bytes, floats as their IEEE-754 bits, strings and
+   arrays with their length folded after their contents. *)
+module Fnv_reference = struct
+  let byte h b = Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) 0x100000001b3L
+
+  let int64 h x =
+    let h = ref h in
+    for i = 0 to 7 do
+      h := byte !h (Int64.to_int (Int64.shift_right_logical x (8 * i)))
+    done;
+    !h
+
+  let int h x = int64 h (Int64.of_int x)
+  let float h x = int64 h (Int64.bits_of_float x)
+
+  let string h s =
+    int (String.fold_left (fun h c -> byte h (Char.code c)) h s) (String.length s)
+
+  let floats h xs = int (Array.fold_left float h xs) (Array.length xs)
+  let ints h xs = int (Array.fold_left int h xs) (Array.length xs)
+
+  let float_pairs h xs ys =
+    let h = ref h in
+    Array.iteri (fun i x -> h := float (float !h x) ys.(i)) xs;
+    !h
+end
+
+type fp_input =
+  | Byte of int
+  | Bool of bool
+  | Int of int
+  | Int64 of int64
+  | Float of float
+  | Str of string
+  | Floats of float array
+  | Ints of int array
+  | Pairs of float array * float array
+
+let reference h = function
+  | Byte b -> Fnv_reference.byte h b
+  | Bool b -> Fnv_reference.byte h (if b then 1 else 0)
+  | Int x -> Fnv_reference.int h x
+  | Int64 x -> Fnv_reference.int64 h x
+  | Float x -> Fnv_reference.float h x
+  | Str s -> Fnv_reference.string h s
+  | Floats xs -> Fnv_reference.floats h xs
+  | Ints xs -> Fnv_reference.ints h xs
+  | Pairs (xs, ys) -> Fnv_reference.float_pairs h xs ys
+
+let feed fp = function
+  | Byte b -> Fingerprint.add_byte fp b
+  | Bool b -> Fingerprint.add_bool fp b
+  | Int x -> Fingerprint.add_int fp x
+  | Int64 x -> Fingerprint.add_int64 fp x
+  | Float x -> Fingerprint.add_float fp x
+  | Str s -> Fingerprint.add_string fp s
+  | Floats xs -> Fingerprint.add_floats fp xs
+  | Ints xs -> Fingerprint.add_ints fp xs
+  | Pairs (xs, ys) -> Fingerprint.add_float_pairs fp xs ys
+
+let gen_fp_inputs =
+  let open QCheck.Gen in
+  let special =
+    oneofl
+      [ 0.0; -0.0; Float.nan; Int64.float_of_bits 0x7ff8_0000_dead_beefL; infinity;
+        neg_infinity; Float.min_float; Float.max_float; 5e-324; 1.0 ]
+  in
+  let fl = frequency [ (1, special); (3, float) ] in
+  let input =
+    frequency
+      [
+        (1, map (fun b -> Byte b) (int_range (-300) 300));
+        (1, map (fun b -> Bool b) bool);
+        (2, map (fun x -> Int x) (oneof [ int; oneofl [ 0; -1; max_int; min_int ] ]));
+        (1, map (fun x -> Int64 x) (map Int64.of_int int));
+        (2, map (fun x -> Float x) fl);
+        (2, map (fun s -> Str s) (string_size (0 -- 20)));
+        (2, map (fun xs -> Floats xs) (array_size (0 -- 30) fl));
+        (1, map (fun xs -> Ints xs) (array_size (0 -- 30) int));
+        ( 1,
+          map
+            (fun xys -> Pairs (Array.map fst xys, Array.map snd xys))
+            (array_size (0 -- 30) (pair fl fl)) );
+      ]
+  in
+  pair (list_size (0 -- 12) input) nat
+
+(* Every entry point gives the byte-at-a-time value, and so does a
+   fingerprint resumed from any prefix's [value]. *)
+let prop_fingerprint_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"fingerprint = byte-at-a-time FNV-1a"
+    (QCheck.make gen_fp_inputs)
+    (fun (inputs, cut) ->
+      let expected = List.fold_left reference 0xcbf29ce484222325L inputs in
+      let fp = Fingerprint.create () in
+      List.iter (feed fp) inputs;
+      let cut = cut mod (List.length inputs + 1) in
+      let prefix = Fingerprint.create () in
+      List.iteri (fun i x -> if i < cut then feed prefix x) inputs;
+      let resumed = Fingerprint.resume (Fingerprint.value prefix) in
+      List.iteri (fun i x -> if i >= cut then feed resumed x) inputs;
+      Fingerprint.value fp = expected
+      && Fingerprint.value resumed = expected
+      && Fingerprint.to_hex fp = Printf.sprintf "%016Lx" expected)
+
+let test_fingerprint_known_values () =
+  Alcotest.(check string) "offset basis" "cbf29ce484222325"
+    (Fingerprint.to_hex (Fingerprint.create ()));
+  (* FNV-1a 64 of "a" is af63dc4c8601ec8c; add_string folds the length
+     after the byte *)
+  let fp = Fingerprint.create () in
+  Fingerprint.add_byte fp (Char.code 'a');
+  Alcotest.(check string) "FNV-1a \"a\"" "af63dc4c8601ec8c" (Fingerprint.to_hex fp);
+  Alcotest.check_raises "pair lengths"
+    (Invalid_argument "Fingerprint.add_float_pairs: length mismatch") (fun () ->
+      Fingerprint.add_float_pairs fp [| 1.0 |] [||])
+
 let qcheck tests = List.map (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0 |])) tests
 
 let () =
@@ -439,6 +559,9 @@ let () =
           Alcotest.test_case "rebuild" `Quick test_fenwick_rebuild;
         ]
         @ qcheck [ prop_fenwick_matches_naive; prop_fenwick_find_prefix_correct ] );
+      ( "fingerprint",
+        Alcotest.test_case "known values" `Quick test_fingerprint_known_values
+        :: qcheck [ prop_fingerprint_matches_reference ] );
       ( "descriptive",
         [
           Alcotest.test_case "basics" `Quick test_descriptive_basics;
