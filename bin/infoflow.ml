@@ -160,9 +160,9 @@ let plan_string (r : Engine.result) =
   | Engine.Plan_exact { cone_nodes; validated } ->
     Printf.sprintf "exact (cone %d nodes%s)" cone_nodes
       (if validated then ", validated against MH" else "")
-  | Engine.Plan_mh { fallback = Some reason } ->
-    Printf.sprintf "mh (fallback: %s)" reason
-  | Engine.Plan_mh { fallback = None } -> "mh"
+  | Engine.Plan_mh { fallback = Some reason; sampler } ->
+    Printf.sprintf "%s (fallback: %s)" (Engine.sampler_label sampler) reason
+  | Engine.Plan_mh { fallback = None; sampler } -> Engine.sampler_label sampler
 
 let explain_flag =
   Arg.(
@@ -171,7 +171,8 @@ let explain_flag =
         ~doc:
           "Also report how each answer was produced: 'exact' with the \
            evaluated cone size when the query planner certified a \
-           closed-form answer, 'mh' with the fallback reason otherwise.")
+           closed-form answer, otherwise the sampler ('direct' or 'mh') with \
+           the fallback reason.")
 
 (* --deadline-ms in nanoseconds, refused where the deadline would wrap *)
 let deadline_budget_ns ms =
@@ -218,11 +219,15 @@ let estimate seed model_path src dst conditions engine_config config nested
   | Engine.Plan_exact { cone_nodes; _ } ->
     Printf.printf "  exact (closed form, no sampling; %d cone nodes)\n"
       cone_nodes
-  | Engine.Plan_mh _ ->
-    Printf.printf
-      "  R-hat %.4f, ESS %.0f, MCSE %.5f (%d samples, %d chains, %d domains)\n"
+  | Engine.Plan_mh { sampler; _ } ->
+    Printf.printf "  R-hat %.4f, ESS %.0f, MCSE %.5f (%d samples, %s)\n"
       r.Engine.rhat r.Engine.ess r.Engine.mcse r.Engine.total_samples
-      r.Engine.chains_used (Engine.pool_size engine));
+      (match sampler with
+      | Engine.Mh ->
+        Printf.sprintf "%d chains, %d domains" r.Engine.chains_used
+          (Engine.pool_size engine)
+      | Engine.Direct ->
+        Printf.sprintf "%d cascade streams, 1 domain" r.Engine.chains_used));
   if r.Engine.partial then
     Printf.printf
       "  partial: the %d ms deadline cut sampling short of convergence\n"
@@ -434,9 +439,9 @@ let batch_cmd =
 
 (* The planner's own view of a query, without answering it: what the
    engine would decide, and why. Runs no sampling at all. *)
-let explain_query icm ~planner q =
+let explain_query icm ~config q =
   Printf.printf "%s\n" (Query.key q);
-  if not planner then
+  if not config.Engine.planner then
     Printf.printf "  plan: mh — %s\n" (Planner.describe Planner.Disabled)
   else
     match
@@ -445,8 +450,12 @@ let explain_query icm ~planner q =
     with
     | exception (Failure msg | Invalid_argument msg) ->
       Printf.printf "  error: %s\n" msg
+    | Error (Planner.Condition_infeasible _ as reason) ->
+      (* the engine refuses these as bad queries *)
+      Printf.printf "  error: %s\n" (Planner.describe reason)
     | Error reason ->
-      Printf.printf "  plan: mh (fallback %s)\n    %s\n"
+      Printf.printf "  plan: %s (fallback %s)\n    %s\n"
+        (Engine.sampler_label (Engine.sampler config q))
         (Planner.reason_label reason)
         (Planner.describe reason)
     | Ok e ->
@@ -475,7 +484,6 @@ let explain seed model_path src dst conditions queries_path engine_config obs =
   ignore seed;
   let model = Model_io.load_beta_icm model_path in
   let icm = Beta_icm.expected_icm model in
-  let planner = engine_config.Engine.planner in
   match (queries_path, src, dst) with
   | Some path, _, _ ->
     let ic = or_die (fun () -> open_in path) in
@@ -487,14 +495,14 @@ let explain seed model_path src dst conditions queries_path engine_config obs =
           | line ->
             (if String.trim line <> "" then
                match Query.of_line ~lineno line with
-               | Ok q -> explain_query icm ~planner q
+               | Ok q -> explain_query icm ~config:engine_config q
                | Error msg -> Obs_log.err ~component:"explain" "%s" msg);
             go (lineno + 1)
           | exception End_of_file -> ()
         in
         go 1)
   | None, Some src, Some dst ->
-    explain_query icm ~planner (Query.flow ~conditions ~src ~dst ())
+    explain_query icm ~config:engine_config (Query.flow ~conditions ~src ~dst ())
   | None, _, _ ->
     Obs_log.err ~component:"explain" "provide --src and --dst, or --queries";
     exit 1
@@ -524,7 +532,9 @@ let explain_cmd =
        ~doc:
          "Show how the query planner would answer a query without sampling: \
           'exact' with the closed-form value, evaluated cone and (on tree \
-          cones) the unique path, or 'mh' with the typed fallback reason.")
+          cones) the unique path, or the sampler with the typed fallback \
+          reason: 'direct' (forward cascades) without conditions, 'mh' \
+          with them.")
     Term.(
       const explain $ C.seed_term $ C.model_required $ src $ dst $ conditions
       $ queries $ C.engine_term $ C.obs_term)

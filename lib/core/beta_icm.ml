@@ -160,13 +160,13 @@ let expected_icm t =
     let a = t.alpha.(e) in
     probs.(e) <- a /. (a +. t.beta.(e))
   done;
-  Icm.create t.graph probs
+  Icm.own t.graph probs
 
 let mode_icm t =
-  Icm.create t.graph (Array.init (n_edges t) (fun e -> Beta.mode (edge_beta t e)))
+  Icm.own t.graph (Array.init (n_edges t) (fun e -> Beta.mode (edge_beta t e)))
 
 let sample_icm rng t =
-  Icm.create t.graph
+  Icm.own t.graph
     (Array.init (n_edges t) (fun e -> Beta.sample rng (edge_beta t e)))
 
 let mean_std_icm rng ~mean ~std g =
@@ -178,7 +178,7 @@ let mean_std_icm rng ~mean ~std g =
         let p = Dist.gaussian rng ~mean:mean.(e) ~std:std.(e) in
         Float.max 0.0 (Float.min 1.0 p))
   in
-  Icm.create g probs
+  Icm.own g probs
 
 let pp ppf t =
   Format.fprintf ppf "beta_icm(%d nodes, %d edges)" (n_nodes t) (n_edges t)

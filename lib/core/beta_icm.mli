@@ -106,8 +106,8 @@ val remove_edges : t -> (int * int) list -> t
 val expected_icm : t -> Icm.t
 (** Point ICM with each activation probability set to its posterior
     mean [alpha / (alpha + beta)], bit-identical to {!Iflow_stats.Dist.Beta.mean}.
-    One float array is filled and handed to {!Icm.create}, which checks
-    and copies it. *)
+    One float array is filled and handed to {!Icm.own}, which checks
+    it and keeps it without a copy. *)
 
 val mode_icm : t -> Icm.t
 

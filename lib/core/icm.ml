@@ -2,7 +2,8 @@ module Digraph = Iflow_graph.Digraph
 
 type t = { graph : Digraph.t; probs : float array }
 
-let create graph probs =
+(* Checks [probs] and keeps it: the caller hands the array over. *)
+let own graph probs =
   if Array.length probs <> Digraph.n_edges graph then
     invalid_arg
       (Printf.sprintf "Icm.create: %d probabilities for %d edges"
@@ -12,12 +13,16 @@ let create graph probs =
     if not (p >= 0.0 && p <= 1.0) then
       invalid_arg (Printf.sprintf "Icm.create: p(%d) = %g outside [0,1]" e p)
   done;
-  { graph; probs = Array.copy probs }
+  { graph; probs }
 
-let const graph p = create graph (Array.make (Digraph.n_edges graph) p)
+let create graph probs = own graph (Array.copy probs)
+let const graph p = own graph (Array.make (Digraph.n_edges graph) p)
 let graph t = t.graph
 let prob t e = t.probs.(e)
 let probs t = Array.copy t.probs
+
+(* [Rng.uniform] scaled here, so the float never leaves this module *)
+let fires t e bits = Float.of_int bits *. 0x1.p-53 < t.probs.(e)
 let n_nodes t = Digraph.n_nodes t.graph
 let n_edges t = Digraph.n_edges t.graph
 

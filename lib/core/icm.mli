@@ -13,6 +13,12 @@ val create : Iflow_graph.Digraph.t -> float array -> t
     length differs from the edge count or any probability is outside
     [[0, 1]]. *)
 
+val own : Iflow_graph.Digraph.t -> float array -> t
+(** {!create} without the copy: the ICM keeps [probs] itself, so the
+    caller must not mutate it afterwards. For builders that fill a
+    fresh array, such as {!Beta_icm.expected_icm}. Same checks and
+    errors as {!create}. *)
+
 val const : Iflow_graph.Digraph.t -> float -> t
 (** Every edge gets the same activation probability. *)
 
@@ -22,6 +28,11 @@ val prob : t -> int -> float
 
 val probs : t -> float array
 (** A copy of the probability vector. *)
+
+val fires : t -> int -> int -> bool
+(** [fires t e (Iflow_stats.Rng.bits53 rng)] tosses edge [e]'s coin:
+    the same verdict as [Rng.bernoulli rng (prob t e)] on that draw.
+    No float crosses the call, so a loop of tosses allocates nothing. *)
 
 val n_nodes : t -> int
 val n_edges : t -> int

@@ -115,9 +115,19 @@ let validate_config c =
   | Some d when d < 1 -> bad "domains must be >= 1 (got %d)" d
   | _ -> ()
 
+type sampler = Mh | Direct
+
+let sampler_label = function Mh -> "mh" | Direct -> "direct"
+
+(* Without conditions the pseudo-state is a product of independent edge
+   coins, so a forward cascade is an exact draw; conditioned queries
+   need the chain. A planner-off engine keeps MH for everything. *)
+let sampler config q =
+  if config.planner && Query.conditions q = [] then Direct else Mh
+
 type plan =
   | Plan_exact of { cone_nodes : int; validated : bool }
-  | Plan_mh of { fallback : string option }
+  | Plan_mh of { fallback : string option; sampler : sampler }
 
 (* Phase timings and the version tag live OUTSIDE [result] on purpose:
    results are cached in the LRU and must stay bit-identical whether or
@@ -242,8 +252,12 @@ let buffer_push b x =
 
 let buffer_contents b = Array.sub b.data 0 b.len
 
-let run_query ?rid ~ph ?(cancel = Cancel.none) ?(on_deadline = `Fail) t ~icm
-    ~digest q =
+(* Direct streams run in order on the caller's domain: a cascade round
+   is too short to pay for spawning domains. *)
+let serial = Pool.create ~size:1 ()
+
+let run_query ?rid ~ph ?(cancel = Cancel.none) ?(on_deadline = `Fail) ~sampler
+    t ~icm ~digest q =
   let span_args =
     ("key", Trace.Str (Query.key q))
     ::
@@ -264,7 +278,43 @@ let run_query ?rid ~ph ?(cancel = Cancel.none) ?(on_deadline = `Fail) t ~icm
   (* chain RNGs are fixed up front, so losing chain i to a fault never
      perturbs the draws of the survivors *)
   let chain_rngs = Array.init c.chains (fun _ -> Rng.split qrng) in
-  let streams = Array.make c.chains None in
+  (* [draw_round i n]: n retained draws from stream i, which is built
+     on first use *)
+  let pool, draw_round =
+    match sampler with
+    | Mh ->
+      let streams = Array.make c.chains None in
+      ( t.pool,
+        fun i n ->
+          let st =
+            match streams.(i) with
+            | Some st -> st
+            | None ->
+              let st =
+                Estimator.stream ~cancel ~conditions chain_rngs.(i) icm
+                  ~burn_in:c.burn_in ~thin:c.thin
+              in
+              streams.(i) <- Some st;
+              st
+          in
+          (* each chain owns its workspace, so the K chains of a query
+             run allocation-free on K domains without sharing scratch *)
+          let ws = Estimator.stream_workspace st in
+          Array.init n (fun _ ->
+              Estimator.stream_next st ~f:(fun state ->
+                  if Query.indicator_ws ws icm q state then 1.0 else 0.0)) )
+    | Direct ->
+      (* the streams run one after another, and every draw starts from a
+         fresh state, so they share one scratch *)
+      let fw = lazy (Iflow_core.Forward.create icm) in
+      ( serial,
+        fun i n ->
+          let fw = Lazy.force fw in
+          let rng = chain_rngs.(i) in
+          Array.init n (fun _ ->
+              if Cancel.cancelled cancel then raise Estimator.Cancelled;
+              if Query.draw fw rng q then 1.0 else 0.0) )
+  in
   let buffers = Array.init c.chains (fun _ -> buffer_create ()) in
   let failed = Array.make c.chains false in
   let first_failure = ref None in
@@ -309,7 +359,7 @@ let run_query ?rid ~ph ?(cancel = Cancel.none) ?(on_deadline = `Fail) t ~icm
       min c.round_samples (max 1 ((c.max_samples - !total + k - 1) / k))
     in
     let draws =
-      Pool.run_results t.pool
+      Pool.run_results pool
         (fun i ->
           Fail.point "engine.chain";
           (match flow with
@@ -319,23 +369,7 @@ let run_query ?rid ~ph ?(cancel = Cancel.none) ?(on_deadline = `Fail) t ~icm
             if not (Atomic.exchange flow_linked true) then
               Trace.flow_step "request" ~id
           | None -> ());
-          let st =
-            match streams.(i) with
-            | Some st -> st
-            | None ->
-              let st =
-                Estimator.stream ~cancel ~conditions chain_rngs.(i) icm
-                  ~burn_in:c.burn_in ~thin:c.thin
-              in
-              streams.(i) <- Some st;
-              st
-          in
-          (* each chain owns its workspace, so the K chains of a query
-             run allocation-free on K domains without sharing scratch *)
-          let ws = Estimator.stream_workspace st in
-          Array.init per_chain (fun _ ->
-              Estimator.stream_next st ~f:(fun state ->
-                  if Query.indicator_ws ws icm q state then 1.0 else 0.0)))
+          draw_round i per_chain)
         live_chains
     in
     (* a token tripping mid-round aborts the whole round: the draws of
@@ -405,7 +439,7 @@ let run_query ?rid ~ph ?(cancel = Cancel.none) ?(on_deadline = `Fail) t ~icm
       cached = false;
       partial;
       model_digest = digest;
-      plan = Plan_mh { fallback = None };
+      plan = Plan_mh { fallback = None; sampler };
     }
   in
   if not !cancelled then finish ~partial:false
@@ -438,21 +472,24 @@ let cacheable t r =
   | Plan_mh _ -> (not r.partial) && r.chains_used = t.config.chains
 
 (* Plan, then answer: closed form when the planner certifies the whole
-   query, the MH sampler (tagged with the fallback reason) otherwise.
-   Planning is RNG-free and run_query is untouched, so answers on the
-   MH path stay bit-for-bit what they were without a planner. *)
+   query, a bad query when it proves a condition infeasible, and
+   sampling (tagged with the fallback reason) otherwise. Planning is
+   RNG-free, so conditioned answers on the MH path stay bit-for-bit
+   what they were without a planner. *)
 let compute ?rid ~ph ?cancel ?on_deadline t ~icm ~digest q =
   if Query.max_node q >= Icm.n_nodes icm then
     invalid_arg
       (Printf.sprintf "Engine: query %s references node >= %d" (Query.key q)
          (Icm.n_nodes icm));
-  if not t.config.planner then begin
-    Planner.record_fallback Planner.Disabled;
+  let sampled reason =
+    Planner.record_fallback reason;
+    let sampler = sampler t.config q in
     {
-      (run_query ?rid ~ph ?cancel ?on_deadline t ~icm ~digest q) with
-      plan = Plan_mh { fallback = Some (Planner.reason_label Planner.Disabled) };
+      (run_query ?rid ~ph ?cancel ?on_deadline ~sampler t ~icm ~digest q) with
+      plan = Plan_mh { fallback = Some (Planner.reason_label reason); sampler };
     }
-  end
+  in
+  if not t.config.planner then sampled Planner.Disabled
   else begin
     let t0 = Clock.now_ns () in
     let planned =
@@ -460,12 +497,13 @@ let compute ?rid ~ph ?cancel ?on_deadline t ~icm ~digest q =
     in
     ph.plan_ns <- ph.plan_ns + Trace.phase "engine.plan" ~t0;
     match planned with
-    | Error reason ->
+    | Error (Planner.Condition_infeasible _ as reason) ->
+      (* no state meets the conditions: a bad query, refused before any
+         chain starts *)
       Planner.record_fallback reason;
-      {
-        (run_query ?rid ~ph ?cancel ?on_deadline t ~icm ~digest q) with
-        plan = Plan_mh { fallback = Some (Planner.reason_label reason) };
-      }
+      invalid_arg
+        (Printf.sprintf "query %s: %s" (Query.key q) (Planner.describe reason))
+    | Error reason -> sampled reason
     | Ok e ->
       Planner.record_exact ();
       let r =
@@ -490,7 +528,7 @@ let compute ?rid ~ph ?cancel ?on_deadline t ~icm ~digest q =
       if t.config.plan_validate then begin
         (* Exact_then_validate: also run the full MH path and cross
            check within its own error bar; the answer stays exact *)
-        match run_query ?rid ~ph ?cancel t ~icm ~digest q with
+        match run_query ?rid ~ph ?cancel ~sampler:Mh t ~icm ~digest q with
         | mh ->
           let tol = (5.0 *. mh.mcse) +. 1e-9 in
           let agreed = Float.abs (mh.estimate -. r.estimate) <= tol in

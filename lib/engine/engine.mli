@@ -1,9 +1,11 @@
 (** The parallel flow-query engine.
 
     Turns the one-shot estimator of {!Iflow_mcmc.Estimator} into a
-    reusable service: each query runs K independent Metropolis-Hastings
-    chains spread across a {!Pool} of OCaml 5 domains, draws samples in
-    adaptive rounds until the cross-chain {!Diagnostics} pass
+    reusable service: each query the planner does not answer exactly
+    runs K independent sample streams — Metropolis-Hastings chains
+    spread across a {!Pool} of OCaml 5 domains, or, without conditions,
+    forward cascades on the calling domain (see {!sampler}) — draws
+    samples in adaptive rounds until the cross-chain {!Diagnostics} pass
     (split-R̂ ≤ target and MCSE ≤ target) or a sample budget is
     exhausted, and memoises results on the current model in an {!Lru}
     cache keyed by the query (conditions included): config and seed
@@ -50,15 +52,35 @@ val default_config : config
     {!Iflow_mcmc.Estimator.default_config}), rounds of 250, cap 20000,
     R̂ ≤ 1.05, MCSE ≤ 0.01, cache 256, planner on, validation off. *)
 
+type sampler =
+  | Mh  (** K Metropolis-Hastings chains ({!Iflow_mcmc.Estimator.stream}) *)
+  | Direct
+      (** K streams of independent lazy forward cascades
+          ({!Iflow_core.Forward}, {!Query.draw}): exact draws, no
+          burn-in, run in order on the calling domain *)
+
+val sampler_label : sampler -> string
+(** ["mh"] or ["direct"], as on the wire and in [explain]. *)
+
+val sampler : config -> Query.t -> sampler
+(** The sampler for a query the planner does not certify: [Direct]
+    when the planner is on and the query has no conditions, [Mh]
+    otherwise. Without conditions the pseudo-state is a product of
+    independent edge coins, so a cascade is an exact draw; conditioned
+    queries need the chain, and [planner = false] keeps MH for
+    everything. *)
+
 type plan =
   | Plan_exact of { cone_nodes : int; validated : bool }
       (** answered in closed form by the planner; [cone_nodes] is the
           total size of the evaluated reachability cones *)
-  | Plan_mh of { fallback : string option }
-      (** answered by Metropolis-Hastings sampling; [fallback] is the
-          planner's {!Iflow_plan.Planner.reason_label} when the planner
-          was consulted and refused, [None] for pre-planner answers
-          (e.g. parsed off the wire from an older peer) *)
+  | Plan_mh of { fallback : string option; sampler : sampler }
+      (** answered by sampling, through the adaptive rounds and
+          {!Diagnostics} stopping rule; [sampler] says which draws fed
+          them. [fallback] is the planner's
+          {!Iflow_plan.Planner.reason_label} when the planner was
+          consulted and refused, [None] for pre-planner answers (e.g.
+          parsed off the wire from an older peer). *)
 
 type result = {
   estimate : float;      (** pooled flow-probability estimate *)
@@ -164,9 +186,11 @@ val query :
   t -> Query.t -> result
 (** Answer one query, consulting the cache first. Raises
     [Invalid_argument] when the query mentions a node outside the
-    model, or when its conditions cannot be satisfied: a chain start
-    whose bounded repair finds no state meeting them ends the query
-    there, is not a lost chain and is not counted in
+    model, or when its conditions cannot be satisfied. With the
+    planner on, a condition the planner finds infeasible
+    ([condition_infeasible]) raises before any sampling; without it, a
+    chain start whose bounded repair finds no state meeting them ends
+    the query there. Neither is a lost chain or is counted in
     [iflow_engine_failed_chains_total].
 
     [?rid] names the request for observability only: it is added to the
@@ -180,8 +204,9 @@ val query :
 
     {b Deadlines.} [?cancel] (default {!Iflow_mcmc.Cancel.none})
     threads a cooperative cancellation token into the sampler: every
-    chain polls it per retained draw and inside the burn-in (128-step
-    chunks), and the adaptive loop polls it at round boundaries. A
+    stream polls it per retained draw, chains also inside the burn-in
+    (128-step chunks), and the adaptive loop polls it at round
+    boundaries. A
     token already tripped at entry stops the query before any burn-in
     (cache hits and exact-planned answers are still returned — they
     cost nothing). When the token trips mid-query, [?on_deadline]
@@ -202,13 +227,16 @@ val query :
     paths, in-stars, the paper's triangle and cycle motifs) are
     answered exactly, in closed form, with no sampling — [plan]
     records [Plan_exact] and the answer is cached under the same key a
-    sampled one would use. Everything else falls back to MH with the
-    refusal reason in [plan]. The planner is deterministic and
-    RNG-free, so MH-path answers are bit-for-bit identical to a
-    planner-less engine.
+    sampled one would use. Everything else is sampled, with the
+    refusal reason in [plan]: by [Direct] cascades when the query has
+    no conditions, by MH chains when it has (see {!sampler}). Stream
+    [i] draws from the same [i]-th split either way. The planner is
+    deterministic and RNG-free, so conditioned answers are bit-for-bit
+    identical to a planner-less engine.
 
-    {b Fault tolerance.} A chain that raises mid-query (including the
-    [engine.chain] failpoint) is dropped — its partial round is
+    {b Fault tolerance.} A stream that raises mid-query (including the
+    [engine.chain] failpoint, hit once per stream and round on both
+    samplers) is dropped — its partial round is
     discarded, the survivors' draws are untouched because every chain's
     RNG is split up front — and the query completes from the surviving
     chains as long as at least half remain ([chains_used] records how

@@ -1,6 +1,7 @@
 module Icm = Iflow_core.Icm
 module Pseudo_state = Iflow_core.Pseudo_state
 module Reach = Iflow_graph.Reach
+module Forward = Iflow_core.Forward
 
 type kind =
   | Flow of { src : int; dst : int }
@@ -75,6 +76,18 @@ let indicator_ws ws icm t state =
     List.for_all
       (fun (src, dst) -> Pseudo_state.flow_ws ws icm state ~src ~dst)
       flows
+
+let rec all_flow fw rng = function
+  | [] -> true
+  | (src, dst) :: rest ->
+    Forward.flow fw rng ~src ~dst && all_flow fw rng rest
+
+let draw fw rng t =
+  Forward.fresh fw;
+  match t.kind with
+  | Flow { src; dst } -> Forward.flow fw rng ~src ~dst
+  | Community { src; sinks } -> Forward.community fw rng ~src ~sinks
+  | Joint { flows } -> all_flow fw rng flows
 
 let key t =
   let b = Buffer.create 64 in

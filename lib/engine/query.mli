@@ -47,6 +47,13 @@ val indicator_ws :
     per-chain sample loops use, so evaluating a query over thousands of
     retained samples does no per-sample allocation. *)
 
+val draw : Iflow_core.Forward.t -> Iflow_stats.Rng.t -> t -> bool
+(** The queried event on one fresh, independent pseudo-state, read off
+    lazy forward cascades ({!Iflow_core.Forward}). An exact draw only
+    for a query without conditions, which this does not check. A
+    joint's flows share the state's coins and stop at the first flow
+    that fails. Allocates nothing. *)
+
 val key : t -> string
 (** Canonical textual form; equal queries have equal keys. Used in
     cache keys and derived seeds, and as the human-readable rendering. *)

@@ -19,8 +19,8 @@ module Metrics = Iflow_obs.Metrics
      edge-disjoint from all target cones and all other condition cones
      — independence then gives Pr[targets | conditions] = Pr[targets]
      and Pr[conditions] > 0.
-   Anything else falls back to MH with a counted reason; the planner
-   never approximates. *)
+   Anything else falls back to sampling with a counted reason; the
+   planner never approximates. *)
 
 type reason =
   | Disabled
@@ -59,7 +59,7 @@ let m_exact_hits =
 let fallback_counter label =
   Metrics.counter
     ~labels:[ ("reason", label) ]
-    ~help:"Planner fallbacks to the MH sampler, by reason"
+    ~help:"Planner refusals, by reason (sampled, or a bad query when infeasible)"
     "iflow_plan_fallbacks_total"
 
 let fallback_counters =

@@ -8,8 +8,9 @@
     individually, all cones involved are pairwise edge-disjoint (so the
     events ride on disjoint, independent edge coins and conjunctions
     multiply while conditions cancel), and every condition is feasible
-    or vacuous. Everything else returns a typed fallback {!reason} for
-    the MH path — the planner refuses, it never approximates.
+    or vacuous. Everything else returns a typed fallback {!reason}, and
+    the engine samples instead — the planner refuses, it never
+    approximates.
 
     Counters ([iflow_plan_exact_hits_total],
     [iflow_plan_fallbacks_total{reason=...}],
@@ -30,7 +31,8 @@ type reason =
           another condition *)
   | Condition_infeasible of { c_src : int; c_dst : int; want : bool }
       (** the condition has probability 0 (positive on an impossible
-          flow, negative on a certain one) — MH will refuse it too *)
+          flow, negative on a certain one): the engine refuses the
+          query as a bad query, and MH would refuse it too *)
 
 val reason_label : reason -> string
 (** Stable snake_case label, used as the metric's [reason] label and on

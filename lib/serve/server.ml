@@ -484,7 +484,7 @@ let finish_request t ~rid ~tenant ~kind ~reply ~ran ~deadline_budget_ns
              | Engine.Plan_exact _ -> Flight.Exact
              | Engine.Plan_mh _ -> Flight.Mh),
           (match res.Engine.plan with
-          | Engine.Plan_mh { fallback = Some f } -> f
+          | Engine.Plan_mh { fallback = Some f; _ } -> f
           | _ -> ""),
           "", version, res.Engine.model_digest, res.Engine.total_samples,
           res.Engine.rhat, res.Engine.mcse )

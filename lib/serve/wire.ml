@@ -76,8 +76,9 @@ let result_line ?id ?request_id ?version ?(degraded = false) (r : Engine.result)
     Buffer.add_string b "\"plan\":\"exact\",";
     Buffer.add_string b (Printf.sprintf "\"plan_cone\":%d," cone_nodes);
     Buffer.add_string b (Printf.sprintf "\"plan_validated\":%b," validated)
-  | Engine.Plan_mh { fallback } ->
-    Buffer.add_string b "\"plan\":\"mh\",";
+  | Engine.Plan_mh { fallback; sampler } ->
+    Buffer.add_string b
+      (Printf.sprintf "\"plan\":\"%s\"," (Engine.sampler_label sampler));
     (match fallback with
     | Some reason ->
       Buffer.add_string b
@@ -145,7 +146,8 @@ let parsed_result json =
     in
     let version = Option.bind (Jsonl.member "version" json) Jsonl.to_int in
     (* lines from pre-planner peers carry no "plan" field: treat them
-       as MH answers with no fallback tag *)
+       as MH answers with no fallback tag; "direct" is the cascade
+       sampler *)
     let plan =
       match Jsonl.member "plan" json with
       | Some (Jsonl.Str "exact") ->
@@ -165,7 +167,12 @@ let parsed_result json =
           | Some (Jsonl.Str s) -> Some s
           | _ -> None
         in
-        Engine.Plan_mh { fallback }
+        let sampler =
+          match Jsonl.member "plan" json with
+          | Some (Jsonl.Str "direct") -> Engine.Direct
+          | _ -> Engine.Mh
+        in
+        Engine.Plan_mh { fallback; sampler }
     in
     Ok
       ( {

@@ -52,7 +52,8 @@ val result_line :
     only — the server computes it from the engine's configured chain
     count (exact-planned answers are never degraded). The answer's
     {!Iflow_engine.Engine.plan} is carried as ["plan":"exact"] with
-    ["plan_cone"] / ["plan_validated"], or ["plan":"mh"] with an
+    ["plan_cone"] / ["plan_validated"], or ["plan":"mh"] /
+    ["plan":"direct"] (the {!Iflow_engine.Engine.sampler}) with an
     optional ["plan_fallback"] reason label. Anytime answers cut short
     by a deadline carry ["partial":true] (absent-as-false for peers
     predating the field). *)

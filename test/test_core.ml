@@ -634,8 +634,8 @@ let test_digest_allocation () =
     (List.for_all (fun c -> c = List.hd counts) counts)
 
 (* freeze copies the two pseudo-count arrays and boxes nothing per
-   edge; expected_icm builds one probability array and Icm.create copies
-   it, so it too stays within two float arrays *)
+   edge; expected_icm builds one probability array and Icm.own keeps
+   it, so it stays within one float array *)
 let test_publish_allocation () =
   let edges = 4000 in
   let model = gnm_beta_model 42 ~nodes:2000 ~edges in
@@ -649,7 +649,7 @@ let test_publish_allocation () =
     Alcotest.failf "Accum.freeze: %.0f words for %d edges" w edges;
   let frozen = Beta_icm.Accum.freeze acc in
   let w = words_of (fun () -> Beta_icm.expected_icm frozen) in
-  if w > two_arrays +. 64.0 then
+  if w > float_of_int (edges + 1) +. 64.0 then
     Alcotest.failf "expected_icm: %.0f words for %d edges" w edges;
   (* the unboxed path computes what the per-edge Beta.t path did *)
   let icm = Beta_icm.expected_icm frozen in

@@ -329,9 +329,10 @@ let test_engine_validation () =
 (* A condition set no state meets is the query's fault, not a lost
    chain. [(u, u, false)] is refused when the query is built (a source
    always holds its own object); a positive condition on an unreachable
-   pair ends the query with [Invalid_argument] once the chain start's
-   bounded repair fails, with or without the planner, and counts no
-   failed chain. *)
+   pair ends the query with [Invalid_argument] and counts no failed
+   chain. With the planner, its verdict ends the query after zero
+   rounds, before any task reaches the pool; without it, the chain
+   start's bounded repair fails. *)
 let test_engine_infeasible_conditions () =
   Alcotest.check_raises "self-negative refused"
     (Invalid_argument
@@ -342,6 +343,7 @@ let test_engine_infeasible_conditions () =
   let g = Digraph.of_edges ~nodes:4 [ (0, 1); (1, 2); (3, 0) ] in
   let icm = Icm.create g [| 0.5; 0.5; 0.5 |] in
   let failed = Iflow_obs.Metrics.counter "iflow_engine_failed_chains_total" in
+  let tasks = Iflow_obs.Metrics.counter "iflow_engine_pool_tasks_total" in
   List.iter
     (fun planner ->
       let engine =
@@ -350,21 +352,177 @@ let test_engine_infeasible_conditions () =
           ~seed:3 icm
       in
       let before = Iflow_obs.Metrics.counter_value failed in
+      let tasks_before = Iflow_obs.Metrics.counter_value tasks in
+      let ph = Engine.phases () in
       (match
-         Engine.query engine
+         Engine.query ~phases:ph engine
            (Query.flow ~conditions:[ (0, 3, true) ] ~src:0 ~dst:2 ())
        with
       | _ -> Alcotest.fail "answered under infeasible conditions"
       | exception Engine.Chains_failed _ -> Alcotest.fail "reported as chain faults"
       | exception Invalid_argument msg ->
         Alcotest.(check bool) "names the query" true
-          (String.starts_with ~prefix:"query flow 0 2" msg));
+          (String.starts_with ~prefix:"query flow 0 2" msg);
+        if planner then
+          Alcotest.(check string) "names the condition"
+            "query flow 0 2 | 0:3:+: condition 0:3:+ has probability 0" msg);
+      if planner then begin
+        Alcotest.(check int) "zero rounds" 0 ph.Engine.rounds;
+        Alcotest.(check int) "no chain started" tasks_before
+          (Iflow_obs.Metrics.counter_value tasks)
+      end;
       Alcotest.(check int) "no chain counted lost" before
         (Iflow_obs.Metrics.counter_value failed);
       let r = Engine.query engine (Query.flow ~src:0 ~dst:2 ()) in
       Alcotest.(check bool) "the engine answers on" true
         (Float.is_finite r.Engine.estimate))
     [ true; false ]
+
+(* ---------- Direct cascades ---------- *)
+
+(* one round of [n] draws over two streams, then stop *)
+let direct_config n =
+  {
+    test_engine_config with
+    Engine.chains = 2;
+    round_samples = n / 2;
+    max_samples = n;
+    cache_capacity = 0;
+  }
+
+(* Bernstein's inequality: the mean of [n] i.i.d. draws in [0, 1] with
+   variance p (1 - p) strays more than [t] from [p] with probability at
+   most 2 exp (-n t^2 / (2 p (1 - p) + 2 t / 3)); this is the [t] that
+   makes that bound [delta]. *)
+let bernstein ~n ~delta p =
+  let l = log (2.0 /. delta) and n = float_of_int n in
+  ((l /. 3.0) +. sqrt ((l *. l /. 9.0) +. (2.0 *. n *. p *. (1.0 -. p) *. l)))
+  /. n
+
+(* Pr(a ~> b and c ~> d) = Pr(a ~> b | c ~> d) Pr(c ~> d) *)
+let brute_force_joint icm (a, b) (c, d) =
+  let pc = Exact.brute_force_flow icm ~src:c ~dst:d in
+  if pc = 0.0 then 0.0
+  else
+    Exact.brute_force_conditional icm ~conditions:[ (c, d, true) ] ~src:a ~dst:b
+    *. pc
+
+(* Generated graphs of at most 12 edges, 1 edge in 6 at p = 0 or p = 1,
+   with a flow, a community and a joint query each, answered by the
+   planner-on engine from 8,000 draws. An exact plan must equal
+   enumeration; a direct answer must be within the Bernstein bound at
+   delta = 1e-6 per comparison (450 comparisons: a correct sampler
+   fails the run with probability below 5e-4, and the seed is fixed),
+   and exactly 0 or 1 where enumeration is. *)
+let prop_direct_matches_brute_force =
+  let n = 8000 in
+  QCheck.Test.make ~count:150 ~name:"direct answers match brute force"
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let nodes = 3 + Rng.int rng 4 in
+      let edges = 1 + Rng.int rng (min 12 (nodes * (nodes - 1))) in
+      let g = Gen.gnm rng ~nodes ~edges in
+      let icm =
+        Icm.create g
+          (Array.init edges (fun _ ->
+               match Rng.int rng 12 with
+               | 0 -> 0.0
+               | 1 -> 1.0
+               | _ -> 0.05 +. (0.9 *. Rng.uniform rng)))
+      in
+      let node () = Rng.int rng nodes in
+      let a = node () and b = node () and c = node () and d = node () in
+      let engine = Engine.create ~config:(direct_config n) ~seed icm in
+      List.for_all
+        (fun (q, truth) ->
+          let r = Engine.query engine q in
+          let est = r.Engine.estimate in
+          match r.Engine.plan with
+          | Engine.Plan_exact _ ->
+            Float.abs (est -. truth) <= 1e-9
+            || QCheck.Test.fail_reportf "%s: exact %g, enumeration %g"
+                 (Query.key q) est truth
+          | Engine.Plan_mh { sampler = Engine.Mh; _ } ->
+            QCheck.Test.fail_reportf "%s: unconditioned query sent to MH"
+              (Query.key q)
+          | Engine.Plan_mh { sampler = Engine.Direct; _ } ->
+            let ok =
+              if truth = 0.0 || truth = 1.0 then est = truth
+              else Float.abs (est -. truth) <= bernstein ~n ~delta:1e-6 truth
+            in
+            (ok && r.Engine.total_samples = n)
+            || QCheck.Test.fail_reportf "%s: direct %g from %d draws, \
+                                         enumeration %g"
+                 (Query.key q) est r.Engine.total_samples truth)
+        [
+          (Query.flow ~src:a ~dst:b (), Exact.brute_force_flow icm ~src:a ~dst:b);
+          ( Query.community ~src:a ~sinks:[ b; c ] (),
+            Exact.brute_force_community icm ~src:a ~sinks:[ b; c ] );
+          ( Query.joint ~flows:[ (a, b); (c, d) ] (),
+            brute_force_joint icm (a, b) (c, d) );
+        ])
+
+(* the bottleneck 0 -> 1 -> {2, 3} -> 4: refused as an unsound join *)
+let bottleneck_icm () =
+  Icm.create
+    (Digraph.of_edges ~nodes:5 [ (0, 1); (1, 2); (1, 3); (2, 4); (3, 4) ])
+    [| 0.9; 0.6; 0.7; 0.8; 0.5 |]
+
+let test_direct_domains_invariant () =
+  let icm = bottleneck_icm () in
+  let run domains q =
+    let config = { test_engine_config with Engine.domains = Some domains } in
+    Engine.query (Engine.create ~config ~seed:61 icm) q
+  in
+  List.iter
+    (fun q ->
+      let a = run 1 q and b = run 3 q in
+      (match a.Engine.plan with
+      | Engine.Plan_mh { sampler = Engine.Direct; _ } -> ()
+      | _ -> Alcotest.failf "%s not answered by direct cascades" (Query.key q));
+      Alcotest.(check bool)
+        (Query.key q ^ " independent of domains")
+        true
+        (Int64.equal
+           (Int64.bits_of_float a.Engine.estimate)
+           (Int64.bits_of_float b.Engine.estimate)
+        && Int64.equal
+             (Int64.bits_of_float a.Engine.mcse)
+             (Int64.bits_of_float b.Engine.mcse)
+        && a.Engine.total_samples = b.Engine.total_samples
+        && a.Engine.plan = b.Engine.plan))
+    [
+      Query.flow ~src:0 ~dst:4 ();
+      Query.community ~src:0 ~sinks:[ 2; 4 ] ();
+      Query.joint ~flows:[ (0, 4); (1, 4) ] ();
+    ]
+
+(* After a warm-up, 20,000 draws allocate no word, for each kind *)
+let test_direct_draw_allocates_nothing () =
+  let rng = Rng.create 71 in
+  let nodes = 2000 and edges = 4000 in
+  let g = Gen.gnm rng ~nodes ~edges in
+  let icm =
+    Icm.create g (Array.init edges (fun _ -> 0.1 +. (0.5 *. Rng.uniform rng)))
+  in
+  let fw = Iflow_core.Forward.create icm in
+  List.iter
+    (fun q ->
+      let rng = Rng.create 72 in
+      for _ = 1 to 2000 do
+        ignore (Query.draw fw rng q)
+      done;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 20_000 do
+        ignore (Query.draw fw rng q)
+      done;
+      check_close (Query.key q) 0.0 (Gc.minor_words () -. w0))
+    [
+      Query.flow ~src:0 ~dst:1 ();
+      Query.community ~src:0 ~sinks:[ 1; 2; 3 ] ();
+      Query.joint ~flows:[ (0, 1); (2, 3); (4, 5) ] ();
+    ]
 
 (* ---------- Deadlines & cancellation ---------- *)
 
@@ -550,6 +708,15 @@ let () =
           Alcotest.test_case "validation" `Quick test_engine_validation;
           Alcotest.test_case "infeasible conditions are a bad query" `Quick
             test_engine_infeasible_conditions;
+        ] );
+      ( "direct",
+        [
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0 |])
+            prop_direct_matches_brute_force;
+          Alcotest.test_case "independent of domains" `Quick
+            test_direct_domains_invariant;
+          Alcotest.test_case "a draw allocates nothing" `Quick
+            test_direct_draw_allocates_nothing;
         ] );
       ( "deadlines",
         [

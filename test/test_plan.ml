@@ -452,18 +452,19 @@ let test_engine_fallback_tagged () =
   let engine = Engine.create ~config:fast_config ~seed:7 icm in
   let r = Engine.query engine (Query.flow ~src:0 ~dst:4 ()) in
   (match r.Engine.plan with
-  | Engine.Plan_mh { fallback = Some "unsound_join" } -> ()
-  | Engine.Plan_mh { fallback } ->
-    Alcotest.failf "wrong fallback tag %s"
+  | Engine.Plan_mh { fallback = Some "unsound_join"; sampler = Engine.Direct } -> ()
+  | Engine.Plan_mh { fallback; sampler } ->
+    Alcotest.failf "wrong plan %s (fallback %s)" (Engine.sampler_label sampler)
       (Option.value fallback ~default:"<none>")
   | Engine.Plan_exact _ -> Alcotest.fail "bottleneck answered exactly");
   Alcotest.(check bool) "sampled" true (r.Engine.total_samples > 0)
 
 let test_engine_mh_bit_identical () =
-  (* on a query the planner refuses, answers must be bit-for-bit what a
-     planner-less engine produces *)
+  (* on a conditioned query the planner refuses, answers must be
+     bit-for-bit what a planner-less engine produces (unconditioned
+     refusals go to the cascade sampler instead) *)
   let icm = icm_of ~nodes:5 bottleneck [ 0.5; 0.5; 0.5; 0.5; 0.5 ] in
-  let q = Query.flow ~src:0 ~dst:4 () in
+  let q = Query.flow ~conditions:[ (0, 2, true) ] ~src:0 ~dst:4 () in
   let on = Engine.query (Engine.create ~config:fast_config ~seed:7 icm) q in
   let off =
     Engine.query
@@ -478,8 +479,11 @@ let test_engine_mh_bit_identical () =
        (Int64.bits_of_float off.Engine.estimate));
   Alcotest.(check int) "samples" on.Engine.total_samples
     off.Engine.total_samples;
+  (match on.Engine.plan with
+  | Engine.Plan_mh { fallback = Some "unsound_join"; sampler = Engine.Mh } -> ()
+  | _ -> Alcotest.fail "refused conditioned query not sampled by MH");
   match off.Engine.plan with
-  | Engine.Plan_mh { fallback = Some "disabled" } -> ()
+  | Engine.Plan_mh { fallback = Some "disabled"; sampler = Engine.Mh } -> ()
   | _ -> Alcotest.fail "planner-off engine not tagged disabled"
 
 let test_engine_counters () =

@@ -440,7 +440,11 @@ let test_http_rejects () =
 
 (* ---------- Wire ---------- *)
 
+(* every plan an answer can carry, the cascade sampler's included,
+   decodes back to an equal value *)
 let test_wire_result_roundtrip () =
+  List.iter
+    (fun plan ->
   let r =
     {
       Engine.estimate = 0.1 +. 0.2;
@@ -452,7 +456,7 @@ let test_wire_result_roundtrip () =
       cached = true;
       partial = false;
       model_digest = "abc\"\\def";
-      plan = Engine.Plan_mh { fallback = Some "unsound_join" };
+      plan;
     }
   in
   let line = Wire.result_line ~id:"q-1" ~version:7 ~degraded:false r in
@@ -482,7 +486,12 @@ let test_wire_result_roundtrip () =
       check_string "id echo" "q-1"
         (match Jsonl.member "id" json with
         | Some (Jsonl.Str s) -> s
-        | _ -> "<missing>"))
+        | _ -> "<missing>")))
+    [
+      Engine.Plan_mh { fallback = Some "unsound_join"; sampler = Engine.Mh };
+      Engine.Plan_mh { fallback = Some "unsound_join"; sampler = Engine.Direct };
+      Engine.Plan_mh { fallback = None; sampler = Engine.Direct };
+    ]
 
 let test_wire_nonfinite () =
   (* rhat is nan when every sample agrees (unreachable pair); the line
@@ -1892,7 +1901,7 @@ let test_wire_partial_and_deadline_codes () =
       cached = false;
       partial = true;
       model_digest = "d";
-      plan = Engine.Plan_mh { fallback = None };
+      plan = Engine.Plan_mh { fallback = None; sampler = Engine.Mh };
     }
   in
   (match Jsonl.parse (Wire.result_line r) with
