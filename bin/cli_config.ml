@@ -119,18 +119,13 @@ let mcmc_term =
   let make burn_in thin samples = { Estimator.burn_in; thin; samples } in
   Term.(const make $ burn $ thin $ samples)
 
-(* engine knobs shared by `estimate`, `batch`, and `serve` *)
+(* engine knobs shared by `estimate`, `batch`, and `serve`; each query
+   runs on the domain that asks it, so `--domains` is `serve`'s alone *)
 let engine_term =
   let chains =
     Arg.(
       value & opt int Engine.default_config.Engine.chains
       & info [ "chains" ] ~doc:"Independent MH chains per query.")
-  in
-  let domains =
-    Arg.(
-      value & opt (some int) None
-      & info [ "domains" ]
-          ~doc:"Domain-pool size (default: recommended for this machine).")
   in
   let rhat =
     Arg.(
@@ -161,12 +156,11 @@ let engine_term =
              (within 5 MCSE); disagreements are logged and counted. The \
              exact answer is still returned.")
   in
-  let make chains domains rhat_target mcse_target no_planner plan_validate
+  let make chains rhat_target mcse_target no_planner plan_validate
       (config : Estimator.config) =
     {
       Engine.default_config with
       Engine.chains;
-      domains;
       rhat_target;
       mcse_target;
       burn_in = config.Estimator.burn_in;
@@ -178,7 +172,7 @@ let engine_term =
     }
   in
   Term.(
-    const make $ chains $ domains $ rhat $ mcse $ no_planner $ plan_validate
+    const make $ chains $ rhat $ mcse $ no_planner $ plan_validate
     $ mcmc_term)
 
 (* ----- argument converters ----- *)

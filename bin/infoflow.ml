@@ -223,11 +223,9 @@ let estimate seed model_path src dst conditions engine_config config nested
     Printf.printf "  R-hat %.4f, ESS %.0f, MCSE %.5f (%d samples, %s)\n"
       r.Engine.rhat r.Engine.ess r.Engine.mcse r.Engine.total_samples
       (match sampler with
-      | Engine.Mh ->
-        Printf.sprintf "%d chains, %d domains" r.Engine.chains_used
-          (Engine.pool_size engine)
+      | Engine.Mh -> Printf.sprintf "%d chains" r.Engine.chains_used
       | Engine.Direct ->
-        Printf.sprintf "%d cascade streams, 1 domain" r.Engine.chains_used));
+        Printf.sprintf "%d cascade streams" r.Engine.chains_used));
   if r.Engine.partial then
     Printf.printf
       "  partial: the %d ms deadline cut sampling short of convergence\n"
@@ -394,10 +392,10 @@ let batch seed model_path queries_path engine_config deadline_ms explain obs =
     queries results;
   let stats = Engine.cache_stats engine in
   Obs_log.info ~component:"batch"
-    "answered %d queries in %.2fs (%.1f queries/s, %d domains); cache: %a"
+    "answered %d queries in %.2fs (%.1f queries/s); cache: %a"
     (List.length queries) elapsed
     (float_of_int (List.length queries) /. Float.max elapsed 1e-9)
-    (Engine.pool_size engine) Iflow_engine.Lru.pp_stats stats
+    Iflow_engine.Lru.pp_stats stats
 
 let batch_cmd =
   let queries =
@@ -855,8 +853,9 @@ let convert_cmd =
 
 let serve seed host port workers queue_capacity max_connections quota_rate
     quota_burst flight_capacity slow_query_ms default_deadline_ms
-    max_deadline_ms read_timeout_ms learner engine_config obs =
+    max_deadline_ms read_timeout_ms domains learner engine_config obs =
   C.obs_setup obs;
+  let engine_config = { engine_config with Engine.domains } in
   (* Graceful shutdown via sigwait: with every thread parked in a
      blocking section (accept, condition waits), an ordinary
      Signal_handle never gets a safepoint to run on. Mask the signals
@@ -1040,6 +1039,17 @@ let serve_cmd =
             "Clamp client-supplied deadlines down to this cap; unset \
              leaves them unclamped.")
   in
+  let domains =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "domains" ]
+          ~doc:
+            "Serving domains (default: recommended for this machine). Each \
+             accepted connection's thread runs on the domain with the \
+             fewest open connections, so sessions answer in parallel; a \
+             query's chains run in order on its connection's domain.")
+  in
   let read_timeout_ms =
     Arg.(
       value
@@ -1071,7 +1081,7 @@ let serve_cmd =
       const serve $ C.seed_term $ host $ port $ workers $ queue_capacity
       $ max_connections $ quota_rate $ quota_burst $ flight_capacity
       $ slow_query_ms $ default_deadline_ms $ max_deadline_ms
-      $ read_timeout_ms $ C.learner_term $ C.engine_term $ C.obs_term)
+      $ read_timeout_ms $ domains $ C.learner_term $ C.engine_term $ C.obs_term)
 
 (* ----- impact ----- *)
 

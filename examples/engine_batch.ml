@@ -23,8 +23,8 @@ let () =
   let icm = Icm.create g (Array.init m (fun _ -> 0.2 +. (0.7 *. Rng.uniform rng))) in
 
   let engine = Engine.create ~seed:7 icm in
-  Printf.printf "model %s: %d nodes, %d edges; pool of %d domain(s)\n\n"
-    (String.sub (Engine.digest engine) 0 8) nodes m (Engine.pool_size engine);
+  Printf.printf "model %s: %d nodes, %d edges\n\n"
+    (String.sub (Engine.digest engine) 0 8) nodes m;
 
   (* risk of three workstations leaking to two external sinks — the
      latest-arriving nodes the graph can actually route to — plus the

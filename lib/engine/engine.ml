@@ -189,7 +189,6 @@ type t = {
   mutable digest : string;
   mutable version : int;
   config : config;
-  pool : Pool.t;
   cache : (string, result) Lru.t;
   seed : int;
   lock : Mutex.t;
@@ -208,7 +207,6 @@ let create ?(config = default_config) ~seed icm =
     digest = Icm.digest icm;
     version = 0;
     config;
-    pool = Pool.create ?size:config.domains ();
     cache =
       Lru.create
         ~on_evict:(fun () -> Metrics.inc m_cache_evictions)
@@ -223,7 +221,6 @@ let icm t = locked t (fun () -> t.icm)
 let digest t = locked t (fun () -> t.digest)
 let version t = locked t (fun () -> (t.version, t.digest))
 let config t = t.config
-let pool_size t = Pool.size t.pool
 let cache_stats t = locked t (fun () -> Lru.stats t.cache)
 
 (* Per-query seed derived from (engine seed, model, query), so results
@@ -252,10 +249,6 @@ let buffer_push b x =
 
 let buffer_contents b = Array.sub b.data 0 b.len
 
-(* Direct streams run in order on the caller's domain: a cascade round
-   is too short to pay for spawning domains. *)
-let serial = Pool.create ~size:1 ()
-
 let run_query ?rid ~ph ?(cancel = Cancel.none) ?(on_deadline = `Fail) ~sampler
     t ~icm ~digest q =
   let span_args =
@@ -263,14 +256,6 @@ let run_query ?rid ~ph ?(cancel = Cancel.none) ?(on_deadline = `Fail) ~sampler
     ::
     (match rid with Some r -> [ ("rid", Trace.Str r) ] | None -> [])
   in
-  (* the numeric flow id ties this query's spans (conn thread, worker
-     thread, pool domains) into one arrowed chain in the trace viewer *)
-  let flow =
-    match rid with
-    | Some r when Trace.enabled () -> Some (Trace.flow_id r)
-    | _ -> None
-  in
-  let flow_linked = Atomic.make false in
   let t0 = Clock.now_ns () in
   let c = t.config in
   let conditions = Conditions.v (Query.conditions q) in
@@ -280,40 +265,36 @@ let run_query ?rid ~ph ?(cancel = Cancel.none) ?(on_deadline = `Fail) ~sampler
   let chain_rngs = Array.init c.chains (fun _ -> Rng.split qrng) in
   (* [draw_round i n]: n retained draws from stream i, which is built
      on first use *)
-  let pool, draw_round =
+  let draw_round =
     match sampler with
     | Mh ->
       let streams = Array.make c.chains None in
-      ( t.pool,
-        fun i n ->
-          let st =
-            match streams.(i) with
-            | Some st -> st
-            | None ->
-              let st =
-                Estimator.stream ~cancel ~conditions chain_rngs.(i) icm
-                  ~burn_in:c.burn_in ~thin:c.thin
-              in
-              streams.(i) <- Some st;
-              st
-          in
-          (* each chain owns its workspace, so the K chains of a query
-             run allocation-free on K domains without sharing scratch *)
-          let ws = Estimator.stream_workspace st in
-          Array.init n (fun _ ->
-              Estimator.stream_next st ~f:(fun state ->
-                  if Query.indicator_ws ws icm q state then 1.0 else 0.0)) )
+      fun i n ->
+        let st =
+          match streams.(i) with
+          | Some st -> st
+          | None ->
+            let st =
+              Estimator.stream ~cancel ~conditions chain_rngs.(i) icm
+                ~burn_in:c.burn_in ~thin:c.thin
+            in
+            streams.(i) <- Some st;
+            st
+        in
+        let ws = Estimator.stream_workspace st in
+        Array.init n (fun _ ->
+            Estimator.stream_next st ~f:(fun state ->
+                if Query.indicator_ws ws icm q state then 1.0 else 0.0))
     | Direct ->
       (* the streams run one after another, and every draw starts from a
          fresh state, so they share one scratch *)
       let fw = lazy (Iflow_core.Forward.create icm) in
-      ( serial,
-        fun i n ->
-          let fw = Lazy.force fw in
-          let rng = chain_rngs.(i) in
-          Array.init n (fun _ ->
-              if Cancel.cancelled cancel then raise Estimator.Cancelled;
-              if Query.draw fw rng q then 1.0 else 0.0) )
+      fun i n ->
+        let fw = Lazy.force fw in
+        let rng = chain_rngs.(i) in
+        Array.init n (fun _ ->
+            if Cancel.cancelled cancel then raise Estimator.Cancelled;
+            if Query.draw fw rng q then 1.0 else 0.0)
   in
   let buffers = Array.init c.chains (fun _ -> buffer_create ()) in
   let failed = Array.make c.chains false in
@@ -358,18 +339,17 @@ let run_query ?rid ~ph ?(cancel = Cancel.none) ?(on_deadline = `Fail) ~sampler
     let per_chain =
       min c.round_samples (max 1 ((c.max_samples - !total + k - 1) / k))
     in
+    (* the streams run in order on the calling domain; a raising
+       stream yields [Error] in its slot and the rest still draw *)
     let draws =
-      Pool.run_results pool
+      Array.map
         (fun i ->
-          Fail.point "engine.chain";
-          (match flow with
-          | Some id ->
-            (* one step event per query, from whichever pool domain
-               picks a chain up first — this is the cross-domain hop *)
-            if not (Atomic.exchange flow_linked true) then
-              Trace.flow_step "request" ~id
-          | None -> ());
-          draw_round i per_chain)
+          match
+            Fail.point "engine.chain";
+            draw_round i per_chain
+          with
+          | xs -> Ok xs
+          | exception e -> Error e)
         live_chains
     in
     (* a token tripping mid-round aborts the whole round: the draws of

@@ -2,9 +2,9 @@
 
     Turns the one-shot estimator of {!Iflow_mcmc.Estimator} into a
     reusable service: each query the planner does not answer exactly
-    runs K independent sample streams — Metropolis-Hastings chains
-    spread across a {!Pool} of OCaml 5 domains, or, without conditions,
-    forward cascades on the calling domain (see {!sampler}) — draws
+    runs K independent sample streams — Metropolis-Hastings chains, or,
+    without conditions, forward cascades (see {!sampler}), in order on
+    the calling domain — draws
     samples in adaptive rounds until the cross-chain {!Diagnostics} pass
     (split-R̂ ≤ target and MCSE ≤ target) or a sample budget is
     exhausted, and memoises results on the current model in an {!Lru}
@@ -15,8 +15,8 @@
     fingerprinting (engine seed, model digest, query key); chain [i]
     then takes the [i]-th {!Iflow_stats.Rng.split} of that stream, and
     chains are merged in index order. Results are therefore bit-for-bit
-    identical across runs, across query arrival orders, and across pool
-    sizes — the domain count changes wall-clock time only.
+    identical across runs, across query arrival orders, and across the
+    domains and threads that call {!query}.
 
     {b Thread safety.} An engine value may be driven by concurrent
     callers (threads or domains): the cache and the current
@@ -30,7 +30,10 @@
 
 type config = {
   chains : int;          (** independent MH chains per query *)
-  domains : int option;  (** pool size; [None] = recommended count *)
+  domains : int option;
+      (** serving domains for {!Iflow_serve.Server}; [None] = the
+          recommended count. The engine itself never spawns a domain:
+          a query's streams run in order on the calling domain. *)
   burn_in : int;         (** per-chain burn-in steps *)
   thin : int;            (** steps between retained samples *)
   round_samples : int;   (** per-chain samples per adaptive round *)
@@ -48,7 +51,7 @@ type config = {
 }
 
 val default_config : config
-(** chains 4, recommended domains, burn-in 1000, thin 20 (matching
+(** chains 4, recommended serving domains, burn-in 1000, thin 20 (matching
     {!Iflow_mcmc.Estimator.default_config}), rounds of 250, cap 20000,
     R̂ ≤ 1.05, MCSE ≤ 0.01, cache 256, planner on, validation off. *)
 
@@ -57,7 +60,7 @@ type sampler =
   | Direct
       (** K streams of independent lazy forward cascades
           ({!Iflow_core.Forward}, {!Query.draw}): exact draws, no
-          burn-in, run in order on the calling domain *)
+          burn-in *)
 
 val sampler_label : sampler -> string
 (** ["mh"] or ["direct"], as on the wire and in [explain]. *)
@@ -167,8 +170,6 @@ val version : t -> int * string
 (** The current (version id, digest) pair, read under one lock, so
     both come from one {!swap} (id 0 before the first). *)
 
-val pool_size : t -> int
-
 val swap : t -> version:int -> Iflow_core.Icm.t -> int
 (** Hot-swap the engine onto model version [version]: the model, its
     {!Iflow_core.Icm.digest} and the id change together under the one
@@ -194,13 +195,10 @@ val query :
     [iflow_engine_failed_chains_total].
 
     [?rid] names the request for observability only: it is added to the
-    [engine.query] trace span and, when a trace sink is installed,
-    hashed into a flow id so the first chain task on a pool domain
-    emits the flow-step event linking the caller's spans to the
-    sampling work. [?phases] receives the plan/sample time split and
-    the captured version id (see {!phases}). Neither argument can reach
-    the RNG, the cache key, or the result — answers are bit-for-bit
-    identical with or without them.
+    [engine.sample] trace span. [?phases] receives the plan/sample time
+    split and the captured version id (see {!phases}). Neither argument
+    can reach the RNG, the cache key, or the result — answers are
+    bit-for-bit identical with or without them.
 
     {b Deadlines.} [?cancel] (default {!Iflow_mcmc.Cancel.none})
     threads a cooperative cancellation token into the sampler: every

@@ -19,7 +19,7 @@ type trigger = {
 
 (* Fast path: one atomic load and a branch, so points can be planted at
    per-line / per-round frequency and cost nothing while disarmed. Everything behind the
-   flag is guarded by [lock]; points are evaluated from pool domains. *)
+   flag is guarded by [lock]; points are evaluated from every serving domain. *)
 let armed = Atomic.make false
 let lock = Mutex.create ()
 let points : (string, trigger) Hashtbl.t = Hashtbl.create 16

@@ -73,9 +73,8 @@ val stream_chain : stream -> Chain.t
 (** The underlying chain (acceptance-rate inspection etc.). *)
 
 val stream_workspace : stream -> Iflow_graph.Reach.workspace
-(** The stream's chain-owned BFS workspace — one per chain, so a query
-    engine running K chains on K domains threads K disjoint
-    workspaces. Reuse it to evaluate indicators over retained samples
+(** The stream's chain-owned BFS workspace — one per chain, so K
+    chains never share scratch, whichever domains run them. Reuse it to evaluate indicators over retained samples
     without allocating. *)
 
 val flow_probability :

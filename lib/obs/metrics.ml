@@ -1,4 +1,4 @@
-(* Shard count: enough to keep a machine's worth of pool domains off
+(* Shard count: enough to keep a machine's worth of serving domains off
    each other's cache lines, small enough that merges stay trivial.
    Power of two so the shard pick is a mask, not a mod. *)
 let n_shards = 16

@@ -3,7 +3,7 @@
 
     {b Sharding.} Counter and histogram cells are split across a small
     fixed array of shards indexed by [Domain.self () land mask], so the
-    engine's pool domains record without cache-line ping-pong on a
+    server's serving domains record without cache-line ping-pong on a
     single cell; each shard is an [Atomic.t], so a scrape (or a merge
     after [Domain.join]) reads exact totals. Gauges are last-writer-
     wins single cells — they carry instantaneous readings (R-hat at

@@ -109,8 +109,5 @@ let flow_id rid = Hashtbl.hash rid land 0x3fffffff
 let flow_start ?args name ~id =
   if enabled () then emit ~name ~ph:"s" ~flow:id ?args ~ts_ns:(Clock.now_ns ()) ()
 
-let flow_step ?args name ~id =
-  if enabled () then emit ~name ~ph:"t" ~flow:id ?args ~ts_ns:(Clock.now_ns ()) ()
-
 let flow_finish ?args name ~id =
   if enabled () then emit ~name ~ph:"f" ~flow:id ?args ~ts_ns:(Clock.now_ns ()) ()

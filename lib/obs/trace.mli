@@ -47,13 +47,9 @@ val flow_id : string -> int
 
 val flow_start : ?args:(string * arg) list -> string -> id:int -> unit
 (** Emit a flow-start ("ph":"s") event. Emit it from inside the span
-    where the request is admitted; the matching {!flow_finish} on
-    another domain draws the cross-thread arrow. *)
-
-val flow_step : ?args:(string * arg) list -> string -> id:int -> unit
-(** Emit a flow-step ("ph":"t") event — an intermediate hop (e.g. the
-    first MH chain task picking the request up on a pool domain). *)
+    where the request is admitted; the matching {!flow_finish} draws
+    the arrow to where its answer was completed. *)
 
 val flow_finish : ?args:(string * arg) list -> string -> id:int -> unit
 (** Emit a flow-finish ("ph":"f", binding to the enclosing slice) event
-    from the domain that completed the request's work. *)
+    from the thread that completed the request's work. *)

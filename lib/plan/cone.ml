@@ -27,8 +27,8 @@ module Icm = Iflow_core.Icm
    than k. *)
 
 type t = {
-  icm : Icm.t;
-  g : Digraph.t;
+  mutable icm : Icm.t;
+  mutable g : Digraph.t;
   rev : int array; (* = epoch: reaches dst without passing src *)
   fwd : int array; (* = epoch: in the cone *)
   rq : int array; (* reverse-BFS queue, nearest dst first *)
@@ -64,6 +64,14 @@ let create icm =
     dst = 0;
     work = 0;
   }
+
+let n_nodes t = Array.length t.rev
+
+let rebind t icm =
+  if Digraph.n_nodes (Icm.graph icm) <> Array.length t.rev then
+    invalid_arg "Cone.rebind: node count differs";
+  t.icm <- icm;
+  t.g <- Icm.graph icm
 
 type verdict =
   | Unreachable

@@ -21,6 +21,14 @@ type t
 
 val create : Iflow_core.Icm.t -> t
 
+val n_nodes : t -> int
+(** The node count the scratch was created for. *)
+
+val rebind : t -> Iflow_core.Icm.t -> unit
+(** Trace another model with the same node count on this scratch, e.g.
+    the next version of a model that is learning. Raises
+    [Invalid_argument] when the node count differs. *)
+
 type verdict =
   | Unreachable
       (** [dst] is unreachable from [src] through edges that can fire:

@@ -108,45 +108,54 @@ type exact = {
 
 exception Stop of reason
 
-(* Edge-disjointness ledger across every cone the plan relies on. Only
-   live cone edges carry dependence; a deterministic 0-probability edge
-   shared between cones is harmless. *)
+(* Scratch for one plan at a time: the cone, and the edge-disjointness
+   ledger across every cone the plan relies on. An entry claimed by the
+   current plan holds [2 * stamp + kind], with kind 0 for a condition's
+   cone and 1 for a target's, so a new plan clears it by bumping
+   [stamp]. Only live cone edges carry dependence; a deterministic
+   0-probability edge shared between cones is harmless. *)
+type scratch = {
+  cone : Cone.t;
+  ledger : int array;
+  mutable stamp : int;
+  ws : Reach.workspace Lazy.t; (* for negative conditions *)
+}
+
 type claim = Claim_condition | Claim_target
 
-let claim ledger kind cone =
+let claim sc kind cone =
+  let mine = 2 * sc.stamp and target = kind = Claim_target in
   Cone.iter_edges cone (fun e ->
-      (match ledger.(e) with
-      | None -> ()
-      | Some Claim_condition -> raise (Stop Condition_overlap)
-      | Some Claim_target ->
+      let entry = sc.ledger.(e) in
+      if entry = mine || entry = mine + 1 then
         raise
           (Stop
-             (match kind with
-             | Claim_condition -> Condition_overlap
-             | Claim_target -> Target_overlap)));
-      ledger.(e) <- Some kind)
+             (if target && entry = mine + 1 then Target_overlap
+              else Condition_overlap));
+      sc.ledger.(e) <- (if target then mine + 1 else mine))
 
-let plan icm ~targets ~conditions =
+(* One scratch per domain, kept across plans and rebuilt only when the
+   model's node or edge count changes. A plan takes it out of its
+   domain's slot and puts it back when done, so two threads of one
+   domain never share it: the second builds its own. *)
+let slot = Domain.DLS.new_key (fun () -> Atomic.make None)
+
+let take_scratch icm =
+  let n = Icm.n_nodes icm and m = Icm.n_edges icm in
+  match Atomic.exchange (Domain.DLS.get slot) None with
+  | Some sc when Array.length sc.ledger = m && Cone.n_nodes sc.cone = n ->
+    Cone.rebind sc.cone icm;
+    sc.stamp <- sc.stamp + 1;
+    sc
+  | _ ->
+    let ws = lazy (Reach.workspace n) in
+    { cone = Cone.create icm; ledger = Array.make m 0; stamp = 1; ws }
+
+(* [plan] on the scratch [sc], which [take_scratch] bound to [icm] *)
+let plan_on sc icm ~targets ~conditions =
   let g = Icm.graph icm in
-  let n = Digraph.n_nodes g in
-  let check what v =
-    if v < 0 || v >= n then
-      invalid_arg (Printf.sprintf "Planner.plan: %s node %d out of range" what v)
-  in
-  List.iter
-    (fun (s, d) ->
-      check "target" s;
-      check "target" d)
-    targets;
-  List.iter
-    (fun (u, v, _) ->
-      check "condition" u;
-      check "condition" v)
-    conditions;
-  if targets = [] then invalid_arg "Planner.plan: no targets";
-  let ledger = Array.make (Digraph.n_edges g) None in
-  let cone = Cone.create icm in
-  let ws = lazy (Reach.workspace n) in
+  let cone = sc.cone in
+  let work0 = Cone.work cone in
   try
     (* conditions first: their joint feasibility must hold even when
        the target product collapses to 0 (MH raises on infeasible
@@ -168,13 +177,13 @@ let plan icm ~targets ~conditions =
             if not want then begin
               (* certainly-present flow (an all-probability-1 path)
                  makes a negative condition infeasible *)
-              let ws = Lazy.force ws in
+              let ws = Lazy.force sc.ws in
               Reach.bfs ws ~active:(fun e -> Icm.prob icm e >= 1.0) g ~src:u;
               if Reach.marked ws v then
                 raise
                   (Stop (Condition_infeasible { c_src = u; c_dst = v; want }))
             end;
-            claim ledger Claim_condition cone)
+            claim sc Claim_condition cone)
       conditions;
     (* targets, sequentially; the first impossible one short-circuits
        the whole conjunction to an exact 0 *)
@@ -203,7 +212,7 @@ let plan icm ~targets ~conditions =
             | Cone.Fork { node } -> raise (Stop (Unsound_join { node }))
             | Cone.Traced { nodes; edges } ->
               let p, path = Cone.flow cone in
-              claim ledger Claim_target cone;
+              claim sc Claim_target cone;
               value := !value *. p;
               report s d nodes edges p path)
       targets;
@@ -212,8 +221,30 @@ let plan icm ~targets ~conditions =
         value = !value;
         cone_nodes = !total_nodes;
         cone_edges = !total_edges;
-        work = Cone.work cone;
+        work = Cone.work cone - work0;
         targets = List.rev !reports;
         dropped_conditions = !dropped;
       }
   with Stop r -> Error r
+
+let plan icm ~targets ~conditions =
+  let n = Icm.n_nodes icm in
+  let check what v =
+    if v < 0 || v >= n then
+      invalid_arg (Printf.sprintf "Planner.plan: %s node %d out of range" what v)
+  in
+  List.iter
+    (fun (s, d) ->
+      check "target" s;
+      check "target" d)
+    targets;
+  List.iter
+    (fun (u, v, _) ->
+      check "condition" u;
+      check "condition" v)
+    conditions;
+  if targets = [] then invalid_arg "Planner.plan: no targets";
+  let sc = take_scratch icm in
+  let result = plan_on sc icm ~targets ~conditions in
+  Atomic.set (Domain.DLS.get slot) (Some sc);
+  result

@@ -1,11 +1,9 @@
 (** A bounded multi-producer / multi-consumer queue — the server's
-    evidence hand-off to the learner.
+    hand-off of accepted connections to a serving domain's mailbox.
 
-    Producers (connection threads posting evidence) offer items with
-    {!try_push}, which {e refuses} instead of blocking when the queue
-    is full: the caller turns that refusal into a typed over-capacity
-    response, so overload sheds at the front door instead of growing
-    an unbounded backlog. Consumers block in {!pop} until an item
+    Producers offer items with {!try_push}, which {e refuses} instead
+    of blocking when the queue is full, so a caller can shed instead of
+    growing an unbounded backlog. Consumers block in {!pop} until an item
     arrives or the queue is closed {e and} drained — close is
     graceful: everything pushed before the close is still handed
     out. *)

@@ -214,9 +214,13 @@ type t = {
   mutable listen_fd : Unix.file_descr option;
   mutable bound_port : int;
   mutable accept_thread : Thread.t option;
+  (* serving domain k > 0 and its mailbox are [serving.(k - 1)]; domain
+     0 is the acceptor's own *)
+  mutable serving : ((int * Unix.file_descr) Bqueue.t * unit Domain.t) array;
   (* open connections; an fd is closed only after leaving the table, so
      [stop] may shut down any fd it finds here *)
   conns : (int, Unix.file_descr) Hashtbl.t;
+  load : int array; (* open connections per serving domain *)
   conns_empty : Condition.t;
   mutable next_conn : int;
   t_start : int;
@@ -269,7 +273,13 @@ let create ?(config = default_config) ?gate ?learner ~engine () =
     listen_fd = None;
     bound_port = 0;
     accept_thread = None;
+    serving = [||];
     conns = Hashtbl.create 64;
+    load =
+      Array.make
+        (Option.value (Engine.config engine).Engine.domains
+           ~default:(Domain.recommended_domain_count ()))
+        0;
     conns_empty = Condition.create ();
     next_conn = 0;
     t_start = Clock.now_ns ();
@@ -828,7 +838,7 @@ let handle_http t fd r first_line =
            (Printf.sprintf "no route %s %s" meth path)
         ^ "\n"))
 
-let handle_conn t conn_id fd =
+let handle_conn t ~domain conn_id fd =
   let r = Sockio.reader ~max_line_bytes:t.config.max_line_bytes fd in
   Option.iter (fun ms -> Sockio.guard r ~window_ms:ms) t.config.read_timeout_ms;
   Fun.protect
@@ -840,6 +850,7 @@ let handle_conn t conn_id fd =
          never shuts down an fd number already reused *)
       Mutex.protect t.lock (fun () ->
           Hashtbl.remove t.conns conn_id;
+          t.load.(domain) <- t.load.(domain) - 1;
           (try Unix.close fd with Unix.Unix_error _ -> ());
           if Hashtbl.length t.conns = 0 then Condition.broadcast t.conns_empty))
     (fun () ->
@@ -859,6 +870,24 @@ let handle_conn t conn_id fd =
       with
       | Unix.Unix_error _ -> (* peer went away; nothing to salvage *) ()
       | Sys_error _ -> ())
+
+(* A spawned serving domain's thread: start a thread here, in this
+   domain, for each connection posted to its mailbox, until [stop]
+   closes it. The domain then ends, and joining it waits for the
+   threads it started. *)
+let rec serve_mailbox t ~domain mb =
+  match Bqueue.pop mb with
+  | Some (conn_id, fd) ->
+    ignore (Thread.create (fun () -> handle_conn t ~domain conn_id fd) ());
+    serve_mailbox t ~domain mb
+  | None -> ()
+
+(* the serving domain with the fewest open connections, the lowest index
+   on ties, so the acceptor's own domain takes the first *)
+let least_loaded load =
+  let best = ref 0 in
+  Array.iteri (fun k n -> if n < load.(!best) then best := k) load;
+  !best
 
 let accept_loop t listen_fd =
   let stopping () = Mutex.protect t.lock (fun () -> t.state <> Running) in
@@ -881,14 +910,22 @@ let accept_loop t listen_fd =
       else begin
         Atomic.incr t.s_active;
         Metrics.set m_active (float_of_int (Atomic.get t.s_active));
-        let conn_id =
+        let conn_id, domain =
           Mutex.protect t.lock (fun () ->
               let id = t.next_conn in
               t.next_conn <- id + 1;
               Hashtbl.replace t.conns id fd;
-              id)
+              let k = least_loaded t.load in
+              t.load.(k) <- t.load.(k) + 1;
+              (id, k))
         in
-        ignore (Thread.create (fun () -> handle_conn t conn_id fd) ())
+        if domain = 0 then
+          ignore
+            (Thread.create (fun () -> handle_conn t ~domain conn_id fd) ())
+        else
+          (* never refused: a mailbox holds at most [max_connections]
+             and closes only after the acceptor has stopped *)
+          ignore (Bqueue.try_push (fst t.serving.(domain - 1)) (conn_id, fd))
       end;
       go ()
     | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
@@ -902,6 +939,14 @@ let accept_loop t listen_fd =
 (* ----- lifecycle ----- *)
 
 let port t = Mutex.protect t.lock (fun () -> t.bound_port)
+
+(* close every mailbox, then join its domain: once the connections are
+   gone, each domain's thread returns and the join waits for the
+   threads it started *)
+let join_serving t =
+  Array.iter (fun (mb, _) -> Bqueue.close mb) t.serving;
+  Array.iter (fun (_, d) -> Domain.join d) t.serving;
+  t.serving <- [||]
 
 let start t =
   let listen_fd =
@@ -934,10 +979,26 @@ let start t =
   if t.config.flight_capacity > 0 then
     Flight.configure ~capacity:t.config.flight_capacity ()
   else Flight.disable ();
+  (* the acceptor places connections only once every domain is up; a
+     spawn that fails ends the domains already started and unbinds *)
+  (try
+     for k = 1 to Array.length t.load - 1 do
+       let mb = Bqueue.create t.config.max_connections in
+       let d = Domain.spawn (fun () -> serve_mailbox t ~domain:k mb) in
+       t.serving <- Array.append t.serving [| (mb, d) |]
+     done
+   with e ->
+     join_serving t;
+     (try Unix.close listen_fd with Unix.Unix_error _ -> ());
+     Mutex.protect t.lock (fun () ->
+         t.listen_fd <- None;
+         t.state <- Idle);
+     raise e);
   let acceptor = Thread.create (fun () -> accept_loop t listen_fd) () in
   Mutex.protect t.lock (fun () -> t.accept_thread <- Some acceptor);
-  Log.info ~component:"serve" "listening on %s:%d (%d workers, queue %d)"
-    t.config.host (port t) t.config.workers t.config.queue_capacity
+  Log.info ~component:"serve"
+    "listening on %s:%d (%d domains, %d workers, queue %d)" t.config.host
+    (port t) (Array.length t.load) t.config.workers t.config.queue_capacity
 
 let stop t =
   let to_stop =
@@ -979,8 +1040,11 @@ let stop t =
           t.conns;
         while Hashtbl.length t.conns > 0 do
           Condition.wait t.conns_empty t.lock
-        done;
-        (* every request has answered: [wait] may return *)
+        done);
+    (* 4. every connection has closed: end the serving domains *)
+    join_serving t;
+    (* every request has answered: [wait] may return *)
+    Mutex.protect t.lock (fun () ->
         t.state <- Stopped;
         Condition.broadcast t.stopped_cv)
   end

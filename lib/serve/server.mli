@@ -22,11 +22,23 @@
       refused {e immediately} with [over_capacity] — latency under
       overload stays bounded because backlog cannot grow;
     - holding a slot, the connection thread runs
-      {!Iflow_engine.Engine.query} itself (whose chains fan out over
-      the domain pool). Answers are bit-identical to [infoflow batch]
-      on the same model and seed: the engine derives per-query seeds
-      from (seed, model digest, query) alone, so neither concurrency
-      nor arrival order can perturb an estimate.
+      {!Iflow_engine.Engine.query} itself, chains in order on its own
+      domain. Answers are bit-identical to [infoflow batch] on the same
+      model and seed: the engine derives per-query seeds from (seed,
+      model digest, query) alone, so neither concurrency, arrival
+      order nor the serving domain can perturb an estimate.
+
+    {b Serving domains.} The server runs on [d] domains, [d] being the
+    engine's [config.domains] (default
+    [Domain.recommended_domain_count ()]); OCaml threads of one domain
+    never run in parallel, so this is what lets sessions answer on
+    several cores at once. One acceptor thread, in the domain that
+    called {!start} (index 0), places each connection on the domain
+    with the fewest open connections, the lowest index on ties. Domain
+    0 starts the connection's thread itself; each other domain has a
+    mailbox that its own thread waits on, and starts the threads of
+    the connections posted to it. {!Slots} stays the one admission line
+    across domains.
 
     {b Hot-swap consistency.} The engine holds model, digest and
     version id as one triple ({!Iflow_engine.Engine.swap}); an answer
@@ -59,8 +71,8 @@
     answer and error line as ["request_id"] (and back in the
     [X-Request-Id] response header when the client supplied one). The
     id is passed to {!Iflow_engine.Engine.query}, which tags the
-    [engine.query] trace span and links the connection thread and the
-    pool domains with Chrome-trace flow events. One {!Iflow_obs.Flight}
+    [engine.sample] trace span; a Chrome-trace flow event pair marks
+    the request's admission and its serialised answer. One {!Iflow_obs.Flight}
     record per line — answer path, version/digest, the full phase
     decomposition in nanoseconds, convergence diagnostics or typed
     error — lands in the ring served by [GET /debug/requests?n=], and
@@ -154,9 +166,13 @@ val create :
     {!Iflow_mcmc.Cancel.max_budget_ms}. *)
 
 val start : t -> unit
-(** Bind, listen, and spawn the accept thread, which spawns one thread
-    per connection; returns immediately. Raises [Unix.Unix_error] when the port cannot
-    be bound, [Invalid_argument] when already started. *)
+(** Bind, listen, spawn the serving domains past the caller's own, and
+    start the accept thread, which places each connection on a domain
+    where its one thread runs; returns immediately. Raises
+    [Unix.Unix_error] when the port cannot be bound,
+    [Invalid_argument] when already started, and what
+    [Domain.spawn] raises when a domain cannot start (the domains
+    already started are joined and the port is released first). *)
 
 val port : t -> int
 (** The bound port (the ephemeral one when config said 0). Only valid
@@ -172,7 +188,8 @@ val stop : t -> unit
     sampling, while requests holding a slot finish normally), end
     every connection's input and wait until each has written its last
     answer (an evidence post in flight finishes applying its lines)
-    and closed. A peer that stops reading holds the wait for at most
+    and closed, then close every serving domain's mailbox and join
+    the domain. A peer that stops reading holds the wait for at most
     one [read_timeout_ms] window (the send timeout); with the guard
     off, until it reads or goes away. Idempotent. *)
 

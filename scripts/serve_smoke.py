@@ -13,7 +13,7 @@ only. Asserts:
   - POSTed evidence is applied before its 202 returns: the first
     /healthz after a POST holding more than one --batch of events
     already reports a newer version, while the query load still runs;
-  - every answer carries a "plan" tag ("exact" or "mh"), a self-flow
+  - every answer carries a "plan" tag ("exact", "mh" or "direct"), a self-flow
     query is answered by the exact planner (plan "exact", estimate 1.0,
     not degraded), and the iflow_plan_exact_hits_total counter moved;
   - every answer echoes a non-empty "request_id" (server-minted when
@@ -93,7 +93,7 @@ class Recorder:
         with self.lock:
             self.latencies.append(dt)
             self.answers += 1
-            if reply.get("plan") not in ("exact", "mh"):
+            if reply.get("plan") not in ("exact", "mh", "direct"):
                 fail(f"answer without a plan tag: {reply}")
             if not reply.get("request_id"):
                 fail(f"answer without a request_id: {reply}")

@@ -1,6 +1,5 @@
 (* The crash-recovery property test, in its own executable because
-   Unix.fork is forbidden once any domain has been spawned (and the
-   rest of the fault suite exercises the domain pool):
+   Unix.fork is forbidden once any domain has been spawned:
 
      SIGKILL an ingest child at a random instant; recovering from the
      newest valid checkpoint in the rotated set and replaying the rest

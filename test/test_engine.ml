@@ -240,18 +240,6 @@ let test_engine_deterministic () =
     && a.Engine.rhat = b.Engine.rhat
     && a.Engine.total_samples = b.Engine.total_samples)
 
-let test_engine_pool_size_invariant () =
-  let icm = five_node_icm 12 in
-  let q = Query.flow ~src:0 ~dst:4 () in
-  let run domains =
-    let config = { test_engine_config with Engine.domains = Some domains } in
-    let engine = Engine.create ~config ~seed:32 icm in
-    Engine.query engine q
-  in
-  let a = run 1 and b = run 3 in
-  Alcotest.(check bool) "independent of pool size" true
-    (a.Engine.estimate = b.Engine.estimate && a.Engine.rhat = b.Engine.rhat)
-
 let test_engine_order_invariant () =
   let icm = five_node_icm 12 in
   let q1 = Query.flow ~src:0 ~dst:4 () in
@@ -331,7 +319,7 @@ let test_engine_validation () =
    always holds its own object); a positive condition on an unreachable
    pair ends the query with [Invalid_argument] and counts no failed
    chain. With the planner, its verdict ends the query after zero
-   rounds, before any task reaches the pool; without it, the chain
+   rounds, before any chain steps; without it, the chain
    start's bounded repair fails. *)
 let test_engine_infeasible_conditions () =
   Alcotest.check_raises "self-negative refused"
@@ -343,7 +331,7 @@ let test_engine_infeasible_conditions () =
   let g = Digraph.of_edges ~nodes:4 [ (0, 1); (1, 2); (3, 0) ] in
   let icm = Icm.create g [| 0.5; 0.5; 0.5 |] in
   let failed = Iflow_obs.Metrics.counter "iflow_engine_failed_chains_total" in
-  let tasks = Iflow_obs.Metrics.counter "iflow_engine_pool_tasks_total" in
+  let steps = Iflow_obs.Metrics.counter "iflow_mcmc_steps_total" in
   List.iter
     (fun planner ->
       let engine =
@@ -352,7 +340,7 @@ let test_engine_infeasible_conditions () =
           ~seed:3 icm
       in
       let before = Iflow_obs.Metrics.counter_value failed in
-      let tasks_before = Iflow_obs.Metrics.counter_value tasks in
+      let steps_before = Iflow_obs.Metrics.counter_value steps in
       let ph = Engine.phases () in
       (match
          Engine.query ~phases:ph engine
@@ -368,8 +356,8 @@ let test_engine_infeasible_conditions () =
             "query flow 0 2 | 0:3:+: condition 0:3:+ has probability 0" msg);
       if planner then begin
         Alcotest.(check int) "zero rounds" 0 ph.Engine.rounds;
-        Alcotest.(check int) "no chain started" tasks_before
-          (Iflow_obs.Metrics.counter_value tasks)
+        Alcotest.(check int) "no chain stepped" steps_before
+          (Iflow_obs.Metrics.counter_value steps)
       end;
       Alcotest.(check int) "no chain counted lost" before
         (Iflow_obs.Metrics.counter_value failed);
@@ -697,8 +685,6 @@ let () =
           Alcotest.test_case "community vs exact" `Slow
             test_engine_community_matches_exact;
           Alcotest.test_case "deterministic" `Slow test_engine_deterministic;
-          Alcotest.test_case "pool-size invariant" `Slow
-            test_engine_pool_size_invariant;
           Alcotest.test_case "order invariant" `Slow test_engine_order_invariant;
           Alcotest.test_case "cache hit" `Slow test_engine_cache_hit;
           Alcotest.test_case "batch dedups through the cache" `Slow

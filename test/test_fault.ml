@@ -1,6 +1,6 @@
 (* Tests for the fault-tolerance layer (lib/fault) and its wiring:
    CRC-32 checkpoints, failpoint injection, retry supervision, atomic
-   writes with rotation, degraded pool/engine/runner behaviour, and the
+   writes with rotation, degraded engine/runner behaviour, and the
    SIGKILL crash-recovery property:
 
      kill an ingest child at a random instant; recovering from the
@@ -14,7 +14,6 @@ module Icm = Iflow_core.Icm
 module Beta_icm = Iflow_core.Beta_icm
 module Cascade = Iflow_core.Cascade
 module Engine = Iflow_engine.Engine
-module Pool = Iflow_engine.Pool
 module Query = Iflow_engine.Query
 module Model_io = Iflow_io.Model_io
 module Event = Iflow_stream.Event
@@ -434,37 +433,6 @@ let test_snapshot_recover_missing () =
     | exception Sys_error _ -> true
     | _ -> false)
 
-(* ---------- Pool: per-task capture ---------- *)
-
-let test_pool_run_results () =
-  List.iter
-    (fun size ->
-      let pool = Pool.create ~size () in
-      let r =
-        Pool.run_results pool
-          (fun i -> if i mod 3 = 0 then failwith (string_of_int i) else i * 10)
-          (Array.init 7 Fun.id)
-      in
-      check_int "all tasks attempted" 7 (Array.length r);
-      Array.iteri
-        (fun i -> function
-          | Ok v ->
-            check_bool "ok slot" true (i mod 3 <> 0);
-            check_int "value" (i * 10) v
-          | Error (Failure m) ->
-            check_bool "error slot" true (i mod 3 = 0);
-            check_string "carries the task's exn" (string_of_int i) m
-          | Error _ -> Alcotest.fail "unexpected exn")
-        r;
-      (* run still raises the lowest-index failure *)
-      check_bool "run re-raises" true
-        (match Pool.run pool (fun i -> if i = 2 then failwith "boom" else i)
-                 (Array.init 4 Fun.id)
-         with
-        | exception Failure m -> m = "boom"
-        | _ -> false))
-    [ 1; 4 ]
-
 (* ---------- Engine: degraded queries ---------- *)
 
 let five_node_model seed =
@@ -634,8 +602,7 @@ let test_runner_checkpoint_failure_keeps_going () =
           check_int "but every line was ingested" 100 report.Runner.lines))
 
 (* The SIGKILL crash-recovery property test lives in test_crash.ml:
-   Unix.fork is forbidden once any domain has been spawned, and the
-   pool/engine tests above spawn domains. *)
+   Unix.fork is forbidden once any domain has been spawned. *)
 
 let () =
   Alcotest.run "fault"
@@ -688,7 +655,6 @@ let () =
           Alcotest.test_case "missing checkpoint" `Quick
             test_snapshot_recover_missing;
         ] );
-      ("pool", [ Alcotest.test_case "run_results" `Quick test_pool_run_results ]);
       ( "engine",
         [
           Alcotest.test_case "degrades and recovers" `Quick

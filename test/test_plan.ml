@@ -33,6 +33,66 @@ let reason_exn = function
   | Ok (_ : Planner.exact) -> Alcotest.fail "expected a fallback, got exact"
   | Error r -> r
 
+(* ---------- scratch reuse ---------- *)
+
+(* Words one [plan] call allocates, minor plus major, on a model whose
+   first five nodes hold the bottleneck 0 -> 1 -> {2, 3} -> 4 and whose
+   other [n - 5] nodes form an idle chain. The refused (0, 4) and the
+   exact path (2, 4) trace the same cones at every [n]. *)
+let plan_words ~n =
+  let edges =
+    [ (0, 1); (1, 2); (1, 3); (2, 4); (3, 4) ]
+    @ List.init (n - 6) (fun i -> (5 + i, 6 + i))
+  in
+  let icm = icm_of ~nodes:n edges (List.map (fun _ -> 0.5) edges) in
+  let calls () =
+    ignore (reason_exn (plan icm ~targets:[ (0, 4) ] ~conditions:[]));
+    check_close "path" 0.5
+      (value_exn (plan icm ~targets:[ (2, 4) ] ~conditions:[])).Planner.value
+  in
+  calls ();
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = words () in
+  for _ = 1 to 100 do
+    calls ()
+  done;
+  (words () -. w0) /. 100.0
+
+(* A plan reuses its domain's scratch, so what a call allocates depends
+   on the cones it traces and not on the model's size: a fresh scratch
+   would cost 5n + m words. *)
+let test_plan_words_independent_of_n () =
+  let small = plan_words ~n:64 and large = plan_words ~n:65_536 in
+  check_close "words per call pair at n = 64 and n = 65,536" small large;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words per call pair" small)
+    true (small < 2_000.0)
+
+(* The scratch follows the model it is handed: a new version with the
+   same counts, and a model of another size in between, each answer as
+   if planned on fresh scratch. *)
+let test_plan_scratch_follows_model () =
+  let edges = [ (0, 1); (1, 2) ] in
+  let a = icm_of ~nodes:3 edges [ 0.5; 0.5 ]
+  and b = icm_of ~nodes:3 edges [ 0.25; 1.0 ]
+  and c = icm_of ~nodes:4 [ (0, 1); (1, 2); (2, 3) ] [ 0.5; 0.5; 0.5 ] in
+  let value icm dst =
+    (value_exn (plan icm ~targets:[ (0, dst) ] ~conditions:[])).Planner.value
+  in
+  check_close "a" 0.25 (value a 2);
+  check_close "b, same counts" 0.25 (value b 2);
+  check_close "b, one hop" 0.25 (value b 1);
+  check_close "c, another size" 0.125 (value c 3);
+  check_close "a again" 0.5 (value a 1);
+  (* claims do not outlive their plan: the same disjoint community
+     plans exact every time *)
+  for _ = 1 to 3 do
+    ignore (value_exn (plan c ~targets:[ (0, 1); (2, 3) ] ~conditions:[]))
+  done
+
 (* ---------- cone extraction ---------- *)
 
 let cone_edges c =
@@ -585,6 +645,10 @@ let () =
         [
           Alcotest.test_case "extraction" `Quick test_cone_extraction;
           Alcotest.test_case "path product" `Quick test_path_product;
+          Alcotest.test_case "plan words independent of n" `Quick
+            test_plan_words_independent_of_n;
+          Alcotest.test_case "scratch follows the model" `Quick
+            test_plan_scratch_follows_model;
         ] );
       ( "soundness",
         [

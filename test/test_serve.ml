@@ -871,6 +871,110 @@ let test_serve_bit_identical () =
             { got with Engine.cached = (List.hd expected).Engine.cached };
           check_int "initial version" 0 (Option.get version)))
 
+(* ---------- serving domains ---------- *)
+
+let two_domains = { fast_config with Engine.domains = Some 2 }
+
+(* The acceptor places each connection on the serving domain with the
+   fewest open connections: with the first session still open, the
+   second runs on the other domain. The gate runs on the connection
+   thread, so it sees the domain that answers. *)
+let test_serve_sessions_spread_over_domains () =
+  let seen = ref [] and m = Mutex.create () in
+  let gate () =
+    Mutex.protect m (fun () -> seen := (Domain.self () :> int) :: !seen)
+  in
+  with_server ~engine_config:two_domains ~gate (fun server _engine ->
+      let a = connect (Server.port server) in
+      let b = connect (Server.port server) in
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.close a;
+          Unix.close b)
+        (fun () ->
+          ignore (parse_ok (ask (Sockio.reader a) a (query_json ~src:0 ~dst:1 ())));
+          ignore (parse_ok (ask (Sockio.reader b) b (query_json ~src:0 ~dst:2 ())));
+          match !seen with
+          | [ second; first ] ->
+            check_bool
+              (Printf.sprintf "sessions on different domains (%d, %d)" first
+                 second)
+              true (first <> second)
+          | l -> Alcotest.failf "gate ran %d times, not 2" (List.length l)))
+
+(* The same conditioned, unconditioned, community and joint queries,
+   spread over two sessions, give byte-identical answer lines from one
+   serving domain and from two: a query's chains run on its
+   connection's domain, and nothing about that domain reaches an
+   answer. *)
+let test_serve_answers_independent_of_domains () =
+  let queries =
+    [
+      {|{"type":"flow","src":0,"dst":1}|};
+      {|{"type":"flow","src":0,"dst":4,"conditions":[[0,2,true]]}|};
+      {|{"type":"flow","src":1,"dst":3,"conditions":[[2,4,false]]}|};
+      {|{"type":"community","src":0,"sinks":[2,3,4]}|};
+      {|{"type":"joint","flows":[[0,3],[1,4]]}|};
+      {|{"type":"flow","src":3,"dst":0}|};
+    ]
+  in
+  let answers domains =
+    with_server
+      ~engine_config:{ fast_config with Engine.domains = Some domains }
+      (fun server _engine ->
+        let fds = Array.init 2 (fun _ -> connect (Server.port server)) in
+        Fun.protect
+          ~finally:(fun () -> Array.iter Unix.close fds)
+          (fun () ->
+            let readers = Array.map Sockio.reader fds in
+            List.mapi
+              (fun i q ->
+                (* a fixed request id, so the lines can match byte for byte *)
+                let line =
+                  Printf.sprintf {|{"request_id":"q%d",%s|} i
+                    (String.sub q 1 (String.length q - 1))
+                in
+                let k = i mod 2 in
+                ask readers.(k) fds.(k) line)
+              queries))
+  in
+  let one = answers 1 and two = answers 2 in
+  List.iter2
+    (fun a b ->
+      ignore (parse_ok a);
+      check_string "answer line" a b)
+    one two
+
+(* Every stop joins the server's domains. The runtime caps live domains
+   at 128, so 130 start/stop cycles of a two-domain server fail here if
+   any domain outlives its server. Each cycle answers a session on
+   each domain first, so the joined domains have run connection
+   threads. *)
+let test_serve_stop_joins_domains () =
+  let engine = Engine.create ~config:two_domains ~seed:7 (five_node_icm 3) in
+  for cycle = 1 to 130 do
+    let server = Server.create ~engine () in
+    Server.start server;
+    Fun.protect
+      ~finally:(fun () -> Server.stop server)
+      (fun () ->
+        let a = connect (Server.port server) in
+        let b = connect (Server.port server) in
+        Fun.protect
+          ~finally:(fun () ->
+            Unix.close a;
+            Unix.close b)
+          (fun () ->
+            List.iter
+              (fun fd ->
+                match
+                  Jsonl.parse (ask (Sockio.reader fd) fd (query_json ~src:0 ~dst:1 ()))
+                with
+                | Ok _ -> ()
+                | Error msg -> Alcotest.failf "cycle %d: %s" cycle msg)
+              [ a; b ]))
+  done
+
 (* A paced client on one connection must not wait on TCP's delayed
    ACK. With Nagle's algorithm on, an answer written while the previous
    answer is still unacknowledged is held until the client sends its
@@ -1756,7 +1860,8 @@ let test_serve_observability_bit_identity () =
            (fun () ->
              let len = in_channel_length ic in
              let s = really_input_string ic len in
-             (* flow phases s/t/f all present *)
+             (* the request's flow starts and finishes on its
+                connection thread: no intermediate hop *)
              let has needle =
                let nl = String.length needle and sl = String.length s in
                let rec go i =
@@ -1764,7 +1869,8 @@ let test_serve_observability_bit_identity () =
                in
                go 0
              in
-             has {|"ph": "s"|} && has {|"ph": "t"|} && has {|"ph": "f"|})))
+             has {|"ph": "s"|} && has {|"ph": "f"|}
+             && not (has {|"ph": "t"|}))))
 
 (* ---------- concurrent Engine.query callers ---------- *)
 
@@ -2513,6 +2619,15 @@ let () =
             test_serve_metrics_match_healthz;
           Alcotest.test_case "paced client round trip" `Slow
             test_serve_paced_client_round_trip;
+        ] );
+      ( "domains",
+        [
+          Alcotest.test_case "sessions spread over domains" `Quick
+            test_serve_sessions_spread_over_domains;
+          Alcotest.test_case "answers independent of domains" `Quick
+            test_serve_answers_independent_of_domains;
+          Alcotest.test_case "stop joins every domain, 130 cycles" `Slow
+            test_serve_stop_joins_domains;
         ] );
       ( "request-ids",
         [
