@@ -10,6 +10,7 @@
 open Cmdliner
 module Estimator = Iflow_mcmc.Estimator
 module Engine = Iflow_engine.Engine
+module Query = Iflow_engine.Query
 module Beta_icm = Iflow_core.Beta_icm
 module Model_io = Iflow_io.Model_io
 module Obs_log = Iflow_obs.Log
@@ -147,17 +148,8 @@ let engine_term =
              Metropolis-Hastings path, even when a closed-form answer is \
              available.")
   in
-  let plan_validate =
-    Arg.(
-      value & flag
-      & info [ "plan-validate" ]
-          ~doc:
-            "Cross-check every exact-planned answer against a full MH run \
-             (within 5 MCSE); disagreements are logged and counted. The \
-             exact answer is still returned.")
-  in
-  let make chains rhat_target mcse_target no_planner plan_validate
-      (config : Estimator.config) =
+  let make chains rhat_target mcse_target no_planner (config : Estimator.config)
+      =
     {
       Engine.default_config with
       Engine.chains;
@@ -168,12 +160,9 @@ let engine_term =
       round_samples = min 250 config.Estimator.samples;
       max_samples = config.Estimator.samples * chains;
       planner = not no_planner;
-      plan_validate;
     }
   in
-  Term.(
-    const make $ chains $ rhat $ mcse $ no_planner $ plan_validate
-    $ mcmc_term)
+  Term.(const make $ chains $ rhat $ mcse $ no_planner $ mcmc_term)
 
 (* ----- argument converters ----- *)
 
@@ -208,6 +197,34 @@ let model_required =
     required
     & opt (some string) None
     & info [ "model" ] ~doc:"betaICM file.")
+
+(* a --model file as the betaICM and its expected ICM; a missing or
+   malformed file exits 1 with the reason *)
+let load_model path =
+  or_die (fun () ->
+      let model = Model_io.load_beta_icm path in
+      (model, Beta_icm.expected_icm model))
+
+(* the queries of a JSONL file in order, blank lines skipped; each
+   undecodable line's message (which names the line) goes to
+   [on_error] *)
+let read_queries path ~on_error =
+  let ic = or_die (fun () -> open_in path) in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      let rec go acc lineno =
+        match input_line ic with
+        | exception End_of_file -> List.rev acc
+        | line when String.trim line = "" -> go acc (lineno + 1)
+        | line -> (
+          match Query.of_line ~lineno line with
+          | Ok q -> go (q :: acc) (lineno + 1)
+          | Error msg ->
+            on_error msg;
+            go acc (lineno + 1))
+      in
+      go [] 1)
 
 (* ----- the streaming learner's knobs, shared by `stream` and `serve` ----- *)
 

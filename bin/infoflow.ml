@@ -157,9 +157,8 @@ let train_cmd =
 (* one-line rendering of how an answer was produced, for --explain *)
 let plan_string (r : Engine.result) =
   match r.Engine.plan with
-  | Engine.Plan_exact { cone_nodes; validated } ->
-    Printf.sprintf "exact (cone %d nodes%s)" cone_nodes
-      (if validated then ", validated against MH" else "")
+  | Engine.Plan_exact { cone_nodes } ->
+    Printf.sprintf "exact (cone %d nodes)" cone_nodes
   | Engine.Plan_mh { fallback = Some reason; sampler } ->
     Printf.sprintf "%s (fallback: %s)" (Engine.sampler_label sampler) reason
   | Engine.Plan_mh { fallback = None; sampler } -> Engine.sampler_label sampler
@@ -184,8 +183,7 @@ let estimate seed model_path src dst conditions engine_config config nested
     deadline deadline_ms delay_mean explain obs =
   C.obs_setup obs;
   let rng = Rng.create seed in
-  let model = Model_io.load_beta_icm model_path in
-  let icm = Beta_icm.expected_icm model in
+  let model, icm = C.load_model model_path in
   let engine = or_die (fun () -> Engine.create ~config:engine_config ~seed icm) in
   let query = Query.flow ~conditions ~src ~dst () in
   let conditions = Conditions.v conditions in
@@ -317,32 +315,12 @@ let estimate_cmd =
 
 let batch seed model_path queries_path engine_config deadline_ms explain obs =
   C.obs_setup obs;
-  let model = Model_io.load_beta_icm model_path in
-  let icm = Beta_icm.expected_icm model in
+  let _, icm = C.load_model model_path in
   let engine = or_die (fun () -> Engine.create ~config:engine_config ~seed icm) in
-  let lines =
-    let ic = or_die (fun () -> open_in queries_path) in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let rec go acc lineno =
-          match input_line ic with
-          | line -> go ((lineno, line) :: acc) (lineno + 1)
-          | exception End_of_file -> List.rev acc
-        in
-        go [] 1)
-  in
   let queries =
-    List.filter_map
-      (fun (lineno, line) ->
-        if String.trim line = "" then None
-        else
-          match Query.of_line ~lineno line with
-          | Ok q -> Some q
-          | Error msg ->
-            Obs_log.err ~component:"batch" "%s: %s" queries_path msg;
-            exit 1)
-      lines
+    C.read_queries queries_path ~on_error:(fun msg ->
+        Obs_log.err ~component:"batch" "%s: %s" queries_path msg;
+        exit 1)
   in
   let rids =
     let pid = Unix.getpid () in
@@ -439,66 +417,48 @@ let batch_cmd =
    engine would decide, and why. Runs no sampling at all. *)
 let explain_query icm ~config q =
   Printf.printf "%s\n" (Query.key q);
-  if not config.Engine.planner then
-    Printf.printf "  plan: mh — %s\n" (Planner.describe Planner.Disabled)
-  else
-    match
-      Planner.plan icm ~targets:(Query.targets q)
-        ~conditions:(Query.conditions q)
-    with
-    | exception (Failure msg | Invalid_argument msg) ->
-      Printf.printf "  error: %s\n" msg
-    | Error (Planner.Condition_infeasible _ as reason) ->
-      (* the engine refuses these as bad queries *)
-      Printf.printf "  error: %s\n" (Planner.describe reason)
-    | Error reason ->
-      Printf.printf "  plan: %s (fallback %s)\n    %s\n"
-        (Engine.sampler_label (Engine.sampler config q))
-        (Planner.reason_label reason)
-        (Planner.describe reason)
-    | Ok e ->
-      Printf.printf "  plan: exact — Pr = %.6f (%d cone nodes, %d edges, %d \
-                     edge visits%s)\n"
-        e.Planner.value e.Planner.cone_nodes e.Planner.cone_edges
-        e.Planner.work
-        (if e.Planner.dropped_conditions > 0 then
-           Printf.sprintf ", %d vacuous conditions dropped"
-             e.Planner.dropped_conditions
-         else "");
-      List.iter
-        (fun (tp : Planner.target_plan) ->
-          Printf.printf "  target %d ~> %d: Pr = %.6f, cone %d nodes / %d \
-                         edges%s\n"
-            tp.Planner.t_src tp.Planner.t_dst tp.Planner.probability
-            tp.Planner.cone_nodes tp.Planner.cone_edges
-            (match tp.Planner.path with
-            | Some path ->
-              ", path " ^ String.concat " -> " (List.map string_of_int path)
-            | None -> ""))
-        e.Planner.targets
+  match Engine.route config icm q with
+  | exception (Failure msg | Invalid_argument msg) ->
+    Printf.printf "  error: %s\n" msg
+  | Engine.Sample { sampler; reason = Planner.Disabled } ->
+    Printf.printf "  plan: %s — %s\n" (Engine.sampler_label sampler)
+      (Planner.describe Planner.Disabled)
+  | Engine.Bad_query reason ->
+    Printf.printf "  error: %s\n" (Planner.describe reason)
+  | Engine.Sample { sampler; reason } ->
+    Printf.printf "  plan: %s (fallback %s)\n    %s\n"
+      (Engine.sampler_label sampler)
+      (Planner.reason_label reason)
+      (Planner.describe reason)
+  | Engine.Exact e ->
+    Printf.printf "  plan: exact — Pr = %.6f (%d cone nodes, %d edges, %d \
+                   edge visits%s)\n"
+      e.Planner.value e.Planner.cone_nodes e.Planner.cone_edges
+      e.Planner.work
+      (if e.Planner.dropped_conditions > 0 then
+         Printf.sprintf ", %d vacuous conditions dropped"
+           e.Planner.dropped_conditions
+       else "");
+    List.iter
+      (fun (tp : Planner.target_plan) ->
+        Printf.printf "  target %d ~> %d: Pr = %.6f, cone %d nodes / %d \
+                       edges%s\n"
+          tp.Planner.t_src tp.Planner.t_dst tp.Planner.probability
+          tp.Planner.cone_nodes tp.Planner.cone_edges
+          (match tp.Planner.path with
+          | Some path ->
+            ", path " ^ String.concat " -> " (List.map string_of_int path)
+          | None -> ""))
+      e.Planner.targets
 
 let explain seed model_path src dst conditions queries_path engine_config obs =
   C.obs_setup obs;
   ignore seed;
-  let model = Model_io.load_beta_icm model_path in
-  let icm = Beta_icm.expected_icm model in
+  let _, icm = C.load_model model_path in
   match (queries_path, src, dst) with
   | Some path, _, _ ->
-    let ic = or_die (fun () -> open_in path) in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let rec go lineno =
-          match input_line ic with
-          | line ->
-            (if String.trim line <> "" then
-               match Query.of_line ~lineno line with
-               | Ok q -> explain_query icm ~config:engine_config q
-               | Error msg -> Obs_log.err ~component:"explain" "%s" msg);
-            go (lineno + 1)
-          | exception End_of_file -> ()
-        in
-        go 1)
+    C.read_queries path ~on_error:(Obs_log.err ~component:"explain" "%s")
+    |> List.iter (explain_query icm ~config:engine_config)
   | None, Some src, Some dst ->
     explain_query icm ~config:engine_config (Query.flow ~conditions ~src ~dst ())
   | None, _, _ ->
@@ -878,7 +838,6 @@ let serve seed host port workers queue_capacity max_connections quota_rate
   in
   let config =
     {
-      Server.default_config with
       Server.host;
       port;
       workers;
@@ -1087,8 +1046,7 @@ let serve_cmd =
 
 let impact seed model_path src config =
   let rng = Rng.create seed in
-  let model = Model_io.load_beta_icm model_path in
-  let icm = Beta_icm.expected_icm model in
+  let _, icm = C.load_model model_path in
   let samples = Estimator.impact_samples rng icm config ~src in
   let floats = Array.map float_of_int samples in
   let module D = Iflow_stats.Descriptive in
@@ -1211,8 +1169,7 @@ let train_unattributed_cmd =
 
 let seeds seed model_path k runs =
   let rng = Rng.create seed in
-  let model = Model_io.load_beta_icm model_path in
-  let icm = Beta_icm.expected_icm model in
+  let model, icm = C.load_model model_path in
   let chosen, spread = Iflow_mcmc.Influence.greedy_seeds ~runs rng icm ~k in
   Printf.printf "greedy %d-seed set: [%s]\n" k
     (String.concat "; " (List.map string_of_int chosen));
@@ -1236,8 +1193,7 @@ let seeds_cmd =
 
 let calibrate seed model_path trials config =
   let rng = Rng.create seed in
-  let model = Model_io.load_beta_icm model_path in
-  let icm = Beta_icm.expected_icm model in
+  let model, icm = C.load_model model_path in
   let n = Beta_icm.n_nodes model in
   if n < 2 then (
     Printf.eprintf "error: model needs at least 2 nodes\n";
@@ -1274,8 +1230,7 @@ let calibrate_cmd =
 (* ----- metrics ----- *)
 
 let metrics seed model_path src dst engine_config json =
-  let model = Model_io.load_beta_icm model_path in
-  let icm = Beta_icm.expected_icm model in
+  let model, icm = C.load_model model_path in
   let n = Beta_icm.n_nodes model in
   if src >= n || dst >= n then begin
     Obs_log.err ~component:"metrics" "probe %d:%d out of range (model has %d nodes)"

@@ -76,9 +76,6 @@ let run_trace rng icm ~sources =
   let o = run rng icm ~sources in
   Evidence.forget_attribution (Icm.graph icm) o
 
-let run_many rng icm ~sources ~count =
-  List.init count (fun _ -> run rng icm ~sources)
-
 let reached_count (o : Evidence.attributed_object) =
   let is_source = Array.make (Array.length o.active_nodes) false in
   List.iter (fun v -> is_source.(v) <- true) o.sources;

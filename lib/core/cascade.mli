@@ -17,11 +17,6 @@ val run_trace :
 (** Simulate and keep only activation times (BFS steps) — ground-truth
     generation for the unattributed-learning experiments. *)
 
-val run_many :
-  Iflow_stats.Rng.t -> Icm.t -> sources:int list -> count:int ->
-  Evidence.attributed
-(** [count] independent objects from the same sources. *)
-
 val run_contextual :
   Iflow_stats.Rng.t -> source_icm:Icm.t -> relay_icm:Icm.t ->
   sources:int list -> Evidence.attributed_object

@@ -6,7 +6,6 @@ module Rng = Iflow_stats.Rng
 type t = Bytes.t
 
 let create m = Bytes.make m '\000'
-let all_active m = Bytes.make m '\001'
 let n_edges t = Bytes.length t
 let get t e = Bytes.unsafe_get t e <> '\000'
 let set t e b = Bytes.unsafe_set t e (if b then '\001' else '\000')

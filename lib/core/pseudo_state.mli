@@ -10,7 +10,6 @@ type t
 val create : int -> t
 (** All-inactive state over the given number of edges. *)
 
-val all_active : int -> t
 val n_edges : t -> int
 val get : t -> int -> bool
 val set : t -> int -> bool -> unit

@@ -65,9 +65,6 @@ let build g traces ~sink =
     traces;
   freeze sink table
 
-let build_all g traces =
-  Array.init (Digraph.n_nodes g) (fun sink -> build g traces ~sink)
-
 let of_table ~sink rows =
   let table = Hashtbl.create 16 in
   List.iter

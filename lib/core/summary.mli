@@ -22,9 +22,6 @@ val build : Iflow_graph.Digraph.t -> Evidence.unattributed -> sink:int -> t
     source, or whose characteristic is empty, carry no information about
     [k]'s in-edges and are dropped. *)
 
-val build_all : Iflow_graph.Digraph.t -> Evidence.unattributed -> t array
-(** One summary per node, single pass over the evidence. *)
-
 val of_table : sink:int -> (int array * int * int) list -> t
 (** Build from explicit (characteristic, count, leaks) rows — used for
     the paper's Table I / Table II examples. Raises [Invalid_argument]

@@ -9,7 +9,6 @@ module Trace = Iflow_obs.Trace
 module Clock = Iflow_obs.Clock
 module Fail = Iflow_fault.Fail
 module Planner = Iflow_plan.Planner
-module Obs_log = Iflow_obs.Log
 
 let m_queries =
   Metrics.counter ~help:"Flow queries answered (cache hits included)"
@@ -78,7 +77,6 @@ type config = {
   mcse_target : float;
   cache_capacity : int;
   planner : bool;
-  plan_validate : bool;
 }
 
 let default_config =
@@ -93,7 +91,6 @@ let default_config =
     mcse_target = 0.01;
     cache_capacity = 256;
     planner = true;
-    plan_validate = false;
   }
 
 let validate_config c =
@@ -119,16 +116,6 @@ type sampler = Mh | Direct
 
 let sampler_label = function Mh -> "mh" | Direct -> "direct"
 
-(* Without conditions the pseudo-state is a product of independent edge
-   coins, so a forward cascade is an exact draw; conditioned queries
-   need the chain. A planner-off engine keeps MH for everything. *)
-let sampler config q =
-  if config.planner && Query.conditions q = [] then Direct else Mh
-
-type plan =
-  | Plan_exact of { cone_nodes : int; validated : bool }
-  | Plan_mh of { fallback : string option; sampler : sampler }
-
 (* Phase timings and the version tag live OUTSIDE [result] on purpose:
    results are cached in the LRU and must stay bit-identical whether or
    not anyone is measuring (and versions may share a digest), so callers
@@ -139,6 +126,39 @@ type phases = {
 }
 
 let phases () = { plan_ns = 0; sample_ns = 0; rounds = 0; version = -1 }
+
+type route =
+  | Exact of Planner.exact
+  | Sample of { sampler : sampler; reason : Planner.reason }
+  | Bad_query of Planner.reason
+
+(* Without conditions the pseudo-state is a product of independent edge
+   coins, so a forward cascade is an exact draw; conditioned queries
+   need the chain. A planner-off engine keeps MH for everything. *)
+let route ?phases:ph config icm q =
+  if Query.max_node q >= Icm.n_nodes icm then
+    invalid_arg
+      (Printf.sprintf "Engine: query %s references node >= %d" (Query.key q)
+         (Icm.n_nodes icm));
+  if not config.planner then Sample { sampler = Mh; reason = Planner.Disabled }
+  else begin
+    let t0 = Clock.now_ns () in
+    let planned =
+      Planner.plan icm ~targets:(Query.targets q) ~conditions:(Query.conditions q)
+    in
+    (match ph with
+    | Some ph -> ph.plan_ns <- ph.plan_ns + Trace.phase "engine.plan" ~t0
+    | None -> ());
+    match planned with
+    | Ok e -> Exact e
+    | Error (Planner.Condition_infeasible _ as reason) -> Bad_query reason
+    | Error reason ->
+      Sample { sampler = (if Query.conditions q = [] then Direct else Mh); reason }
+  end
+
+type plan =
+  | Plan_exact of { cone_nodes : int }
+  | Plan_mh of { fallback : string option; sampler : sampler }
 
 type result = {
   estimate : float;
@@ -451,80 +471,37 @@ let cacheable t r =
   | Plan_exact _ -> true
   | Plan_mh _ -> (not r.partial) && r.chains_used = t.config.chains
 
-(* Plan, then answer: closed form when the planner certifies the whole
-   query, a bad query when it proves a condition infeasible, and
-   sampling (tagged with the fallback reason) otherwise. Planning is
-   RNG-free, so conditioned answers on the MH path stay bit-for-bit
-   what they were without a planner. *)
+(* Plan, then answer (see [route]). Planning is RNG-free, so
+   conditioned answers on the MH path stay bit-for-bit what they were
+   without a planner. *)
 let compute ?rid ~ph ?cancel ?on_deadline t ~icm ~digest q =
-  if Query.max_node q >= Icm.n_nodes icm then
-    invalid_arg
-      (Printf.sprintf "Engine: query %s references node >= %d" (Query.key q)
-         (Icm.n_nodes icm));
-  let sampled reason =
+  match route ~phases:ph t.config icm q with
+  | Bad_query reason ->
+    (* no state meets the conditions: a bad query, refused before any
+       chain starts *)
     Planner.record_fallback reason;
-    let sampler = sampler t.config q in
+    invalid_arg
+      (Printf.sprintf "query %s: %s" (Query.key q) (Planner.describe reason))
+  | Sample { sampler; reason } ->
+    Planner.record_fallback reason;
     {
       (run_query ?rid ~ph ?cancel ?on_deadline ~sampler t ~icm ~digest q) with
       plan = Plan_mh { fallback = Some (Planner.reason_label reason); sampler };
     }
-  in
-  if not t.config.planner then sampled Planner.Disabled
-  else begin
-    let t0 = Clock.now_ns () in
-    let planned =
-      Planner.plan icm ~targets:(Query.targets q) ~conditions:(Query.conditions q)
-    in
-    ph.plan_ns <- ph.plan_ns + Trace.phase "engine.plan" ~t0;
-    match planned with
-    | Error (Planner.Condition_infeasible _ as reason) ->
-      (* no state meets the conditions: a bad query, refused before any
-         chain starts *)
-      Planner.record_fallback reason;
-      invalid_arg
-        (Printf.sprintf "query %s: %s" (Query.key q) (Planner.describe reason))
-    | Error reason -> sampled reason
-    | Ok e ->
-      Planner.record_exact ();
-      let r =
-        {
-          estimate = e.Planner.value;
-          rhat = 1.0;
-          ess = 0.0;
-          mcse = 0.0;
-          total_samples = 0;
-          chains_used = 0;
-          cached = false;
-          partial = false;
-          model_digest = digest;
-          plan =
-            Plan_exact
-              {
-                cone_nodes = e.Planner.cone_nodes;
-                validated = t.config.plan_validate;
-              };
-        }
-      in
-      if t.config.plan_validate then begin
-        (* Exact_then_validate: also run the full MH path and cross
-           check within its own error bar; the answer stays exact *)
-        match run_query ?rid ~ph ?cancel ~sampler:Mh t ~icm ~digest q with
-        | mh ->
-          let tol = (5.0 *. mh.mcse) +. 1e-9 in
-          let agreed = Float.abs (mh.estimate -. r.estimate) <= tol in
-          Planner.record_validation ~agreed;
-          if not agreed then
-            Obs_log.warn ~component:"engine"
-              "plan validation disagreement on %s: exact %.6f vs MH %.6f \
-               (mcse %.6f)"
-              (Query.key q) r.estimate mh.estimate mh.mcse
-        | exception Deadline_exceeded _ ->
-          (* the deadline tripped inside the optional cross-check; the
-             exact answer stands unvalidated *)
-          ()
-      end;
-      r
-  end
+  | Exact e ->
+    Planner.record_exact ();
+    {
+      estimate = e.Planner.value;
+      rhat = 1.0;
+      ess = 0.0;
+      mcse = 0.0;
+      total_samples = 0;
+      chains_used = 0;
+      cached = false;
+      partial = false;
+      model_digest = digest;
+      plan = Plan_exact { cone_nodes = e.Planner.cone_nodes };
+    }
 
 (* The cache holds answers on the current model only: config and seed
    never change, so [Query.key] (conditions included) is the whole key,
@@ -570,16 +547,3 @@ let query ?rid ?phases:caller ?cancel ?on_deadline t q =
             set_cache_entries t
           end);
     r
-
-let pp_result ppf r =
-  match r.plan with
-  | Plan_exact { cone_nodes; validated } ->
-    Format.fprintf ppf "%.5f (exact, cone %d nodes%s%s)" r.estimate cone_nodes
-      (if validated then ", validated" else "")
-      (if r.cached then ", cached" else "")
-  | Plan_mh _ ->
-    Format.fprintf ppf
-      "%.5f (R-hat %.4f, ESS %.0f, MCSE %.5f, n %d, chains %d%s%s)" r.estimate
-      r.rhat r.ess r.mcse r.total_samples r.chains_used
-      (if r.partial then ", partial" else "")
-      (if r.cached then ", cached" else "")

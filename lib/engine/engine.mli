@@ -44,16 +44,12 @@ type config = {
   planner : bool;
       (** route queries through the exact-oracle planner
           ({!Iflow_plan.Planner}) first; [false] forces the MH path *)
-  plan_validate : bool;
-      (** exact-then-validate mode: exact answers are cross-checked
-          against a full MH run (within [5 × MCSE]); disagreements are
-          logged and counted, the exact answer is still returned *)
 }
 
 val default_config : config
 (** chains 4, recommended serving domains, burn-in 1000, thin 20 (matching
     {!Iflow_mcmc.Estimator.default_config}), rounds of 250, cap 20000,
-    R̂ ≤ 1.05, MCSE ≤ 0.01, cache 256, planner on, validation off. *)
+    R̂ ≤ 1.05, MCSE ≤ 0.01, cache 256, planner on. *)
 
 type sampler =
   | Mh  (** K Metropolis-Hastings chains ({!Iflow_mcmc.Estimator.stream}) *)
@@ -65,16 +61,46 @@ type sampler =
 val sampler_label : sampler -> string
 (** ["mh"] or ["direct"], as on the wire and in [explain]. *)
 
-val sampler : config -> Query.t -> sampler
-(** The sampler for a query the planner does not certify: [Direct]
-    when the planner is on and the query has no conditions, [Mh]
-    otherwise. Without conditions the pseudo-state is a product of
-    independent edge coins, so a cascade is an exact draw; conditioned
-    queries need the chain, and [planner = false] keeps MH for
-    everything. *)
+type phases = {
+  mutable plan_ns : int;   (** time inside {!Iflow_plan.Planner.plan} *)
+  mutable sample_ns : int; (** time inside the MH sampling loop *)
+  mutable rounds : int;    (** adaptive rounds the sampler ran *)
+  mutable version : int;   (** version id the query captured, set on
+                               every path, cache hits included *)
+}
+(** Per-query phase decomposition and version tag, reported through a
+    caller-provided side channel (see the [?phases] argument of
+    {!query}) rather than in {!result} — results are cached and must
+    stay bit-identical whether or not anyone measures them, and
+    versions with one digest share entries. A cache hit leaves the
+    timings at zero. *)
+
+val phases : unit -> phases
+(** A fresh record: timings zero, [version] [-1]. *)
+
+type route =
+  | Exact of Iflow_plan.Planner.exact  (** certified: the closed form *)
+  | Sample of { sampler : sampler; reason : Iflow_plan.Planner.reason }
+      (** sample; [reason] is the planner's refusal, or [Disabled] when
+          the planner is off. [sampler] is [Direct] when the planner is
+          on and the query has no conditions, [Mh] otherwise: without
+          conditions the pseudo-state is a product of independent edge
+          coins, so a cascade is an exact draw; conditioned queries
+          need the chain, and [planner = false] keeps MH for
+          everything. *)
+  | Bad_query of Iflow_plan.Planner.reason
+      (** a condition is infeasible ([Condition_infeasible]): no state
+          meets it, so the query is refused before any sampling *)
+
+val route : ?phases:phases -> config -> Iflow_core.Icm.t -> Query.t -> route
+(** How {!query} answers a query that misses the cache, without
+    answering it: the planner's verdict (one linear pass per cone, no
+    sampling) and the sampler it would fall back to. [?phases]
+    receives the planning time. Raises [Invalid_argument] when the
+    query mentions a node outside the model, planner on or off. *)
 
 type plan =
-  | Plan_exact of { cone_nodes : int; validated : bool }
+  | Plan_exact of { cone_nodes : int }
       (** answered in closed form by the planner; [cone_nodes] is the
           total size of the evaluated reachability cones *)
   | Plan_mh of { fallback : string option; sampler : sampler }
@@ -109,24 +135,6 @@ type result = {
           [total_samples = 0], [chains_used = 0] — all finite, so the
           wire codec round-trips them bit-exactly. *)
 }
-
-type phases = {
-  mutable plan_ns : int;   (** time inside {!Iflow_plan.Planner.plan} *)
-  mutable sample_ns : int; (** time inside the MH sampling loop *)
-  mutable rounds : int;    (** adaptive rounds the sampler ran *)
-  mutable version : int;   (** version id the query captured, set on
-                               every path, cache hits included *)
-}
-(** Per-query phase decomposition and version tag, reported through a
-    caller-provided side channel (see the [?phases] argument of
-    {!query}) rather than in {!result} — results are cached and must
-    stay bit-identical whether or not anyone measures them, and
-    versions with one digest share entries. Timings accumulate, so
-    validation reruns add into the same cells; a cache hit leaves them
-    at zero. *)
-
-val phases : unit -> phases
-(** A fresh record: timings zero, [version] [-1]. *)
 
 exception
   Chains_failed of {
@@ -244,5 +252,3 @@ val query :
     ask re-samples at full strength. *)
 
 val cache_stats : t -> Lru.stats
-
-val pp_result : Format.formatter -> result -> unit

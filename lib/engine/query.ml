@@ -55,17 +55,6 @@ let max_node t =
   let pairs = targets t @ List.map (fun (u, d, _) -> (u, d)) t.conditions in
   List.fold_left (fun m (u, d) -> max m (max u d)) 0 pairs
 
-let indicator icm t state =
-  match t.kind with
-  | Flow { src; dst } -> Pseudo_state.flow icm state ~src ~dst
-  | Community { src; sinks } ->
-    let reached = Pseudo_state.reachable icm state ~sources:[ src ] in
-    List.for_all (fun v -> reached.(v)) sinks
-  | Joint { flows } ->
-    List.for_all
-      (fun (src, dst) -> Pseudo_state.flow icm state ~src ~dst)
-      flows
-
 let indicator_ws ws icm t state =
   match t.kind with
   | Flow { src; dst } -> Pseudo_state.flow_ws ws icm state ~src ~dst

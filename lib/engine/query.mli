@@ -36,15 +36,13 @@ val targets : t -> (int * int) list
 val max_node : t -> int
 (** Largest node id the query mentions (for model-bounds validation). *)
 
-val indicator : Iflow_core.Icm.t -> t -> Iflow_core.Pseudo_state.t -> bool
-(** Does this pseudo-state realise the queried event? (Conditions are
-    {e not} checked here — the sampler conditions the chain itself.) *)
-
 val indicator_ws :
   Iflow_graph.Reach.workspace ->
   Iflow_core.Icm.t -> t -> Iflow_core.Pseudo_state.t -> bool
-(** {!indicator} through a reusable BFS workspace — what the engine's
-    per-chain sample loops use, so evaluating a query over thousands of
+(** Does this pseudo-state realise the queried event? (Conditions are
+    {e not} checked here — the sampler conditions the chain itself.)
+    Evaluated through a reusable BFS workspace, as the engine's
+    per-chain sample loops do, so evaluating a query over thousands of
     retained samples does no per-sample allocation. *)
 
 val draw : Iflow_core.Forward.t -> Iflow_stats.Rng.t -> t -> bool

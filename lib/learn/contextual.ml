@@ -47,10 +47,6 @@ let edge_beta t context e =
   let c = (counts_for t context).(e) in
   Beta.of_counts ~successes:c.fired ~failures:c.held
 
-let model_for t context =
-  let m = Digraph.n_edges t.graph in
-  Beta_icm.create t.graph (Array.init m (fun e -> edge_beta t context e))
-
 let pooled t =
   let m = Digraph.n_edges t.graph in
   Beta_icm.create t.graph

@@ -24,10 +24,6 @@ val train : Iflow_graph.Digraph.t -> Iflow_core.Evidence.attributed -> t
 
 val edge_beta : t -> context -> int -> Iflow_stats.Dist.Beta.t
 
-val model_for : t -> context -> Iflow_core.Beta_icm.t
-(** The betaICM a context induces (e.g. the [From_source] model answers
-    "who forwards fresh originals"). *)
-
 val pooled : t -> Iflow_core.Beta_icm.t
 (** Contexts merged back together — identical to
     [Beta_icm.train_attributed] on the same evidence (tested). *)

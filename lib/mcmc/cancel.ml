@@ -56,7 +56,3 @@ let reason t =
   | Live -> None
   | Expired -> Some "deadline expired"
   | Fired reason -> Some reason
-
-let remaining_ns t =
-  if t.deadline_ns = max_int then None
-  else Some (t.deadline_ns - Iflow_obs.Clock.now_ns ())

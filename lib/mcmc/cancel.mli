@@ -51,7 +51,3 @@ val reason : t -> string option
 
 val deadline_ns : t -> int option
 (** The absolute deadline, [None] for fire-only / disarmed tokens. *)
-
-val remaining_ns : t -> int option
-(** Budget left until the deadline (negative once past); [None] when
-    no deadline is set. *)

@@ -6,7 +6,6 @@ module Rng = Iflow_stats.Rng
 type config = { burn_in : int; thin : int; samples : int }
 
 let default_config = { burn_in = 1000; thin = 20; samples = 1000 }
-let quick_config = { burn_in = 300; thin = 5; samples = 400 }
 
 let validate { burn_in; thin; samples } =
   if burn_in < 0 || thin < 1 || samples < 1 then
@@ -56,7 +55,6 @@ let stream_next st ~f =
   Chain.advance st.stream_rng st.chain st.stream_thin;
   f (Chain.state st.chain)
 
-let stream_chain st = st.chain
 let stream_workspace st = Chain.workspace st.chain
 
 let fold_samples_ws ?conditions rng icm config ~init ~f =

@@ -11,9 +11,6 @@ val default_config : config
 (** burn_in 1000, thin 20, samples 1000 — comfortable for the paper's
     50-node / 200-edge synthetic models. *)
 
-val quick_config : config
-(** A cheaper setting for large experiment sweeps. *)
-
 val fold_samples :
   ?conditions:Conditions.t ->
   Iflow_stats.Rng.t -> Iflow_core.Icm.t -> config ->
@@ -68,9 +65,6 @@ val stream_next : stream -> f:(Iflow_core.Pseudo_state.t -> 'a) -> 'a
     must not retain or mutate the state. Raises {!Cancelled} when the
     stream's token has tripped (checked before advancing, so a
     cancelled stream never draws again). *)
-
-val stream_chain : stream -> Chain.t
-(** The underlying chain (acceptance-rate inspection etc.). *)
 
 val stream_workspace : stream -> Iflow_graph.Reach.workspace
 (** The stream's chain-owned BFS workspace — one per chain, so K

@@ -2,7 +2,6 @@ external now_ns : unit -> int = "iflow_obs_clock_monotonic_ns" [@@noalloc]
 
 let elapsed_ns t0 = now_ns () - t0
 let seconds_of_ns ns = float_of_int ns /. 1e9
-let now_s () = seconds_of_ns (now_ns ())
 
 let time_per_call ?(min_interval = 0.05) ?(max_reps = 10_000_000) f =
   let rec run reps =

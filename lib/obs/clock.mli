@@ -17,9 +17,6 @@ val elapsed_ns : int -> int
 val seconds_of_ns : int -> float
 (** Nanoseconds to seconds ([/. 1e9]). *)
 
-val now_s : unit -> float
-(** [seconds_of_ns (now_ns ())] — convenience for coarse timings. *)
-
 val time_per_call : ?min_interval:float -> ?max_reps:int -> (unit -> unit) ->
   float
 (** [time_per_call f] is the mean wall seconds per call of [f],

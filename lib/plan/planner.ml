@@ -70,23 +70,10 @@ let fallback_counters =
       "condition_infeasible";
     ]
 
-let m_validations =
-  Metrics.counter ~help:"Exact answers cross-checked against a full MH run"
-    "iflow_plan_validations_total"
-
-let m_disagreements =
-  Metrics.counter
-    ~help:"Cross-checks where exact and MH disagreed beyond tolerance"
-    "iflow_plan_validate_disagreements_total"
-
 let record_exact () = Metrics.inc m_exact_hits
 
 let record_fallback r =
   Metrics.inc (List.assoc (reason_label r) fallback_counters)
-
-let record_validation ~agreed =
-  Metrics.inc m_validations;
-  if not agreed then Metrics.inc m_disagreements
 
 type target_plan = {
   t_src : int;

@@ -13,11 +13,9 @@
     approximates.
 
     Counters ([iflow_plan_exact_hits_total],
-    [iflow_plan_fallbacks_total{reason=...}],
-    [iflow_plan_validations_total],
-    [iflow_plan_validate_disagreements_total]) are registered on the
+    [iflow_plan_fallbacks_total{reason=...}]) are registered on the
     default {!Iflow_obs.Metrics} registry; callers report outcomes via
-    {!record_exact} / {!record_fallback} / {!record_validation}. *)
+    {!record_exact} / {!record_fallback}. *)
 
 type reason =
   | Disabled  (** planning turned off by configuration *)
@@ -76,4 +74,3 @@ val plan :
 
 val record_exact : unit -> unit
 val record_fallback : reason -> unit
-val record_validation : agreed:bool -> unit

@@ -155,13 +155,10 @@ let phase_handles =
 type config = {
   host : string;
   port : int;
-  backlog : int;
   queue_capacity : int;
   workers : int;
   max_connections : int;
   quota : Quota.config option;
-  max_line_bytes : int;
-  max_body_bytes : int;
   flight_capacity : int;
   slow_query_ms : int option;
   default_deadline_ms : int option;
@@ -169,17 +166,20 @@ type config = {
   read_timeout_ms : int option;
 }
 
+(* fixed limits: the listen(2) backlog, the per-line cap of both
+   dialects and the HTTP body cap *)
+let backlog = 128
+let max_line_bytes = 1 lsl 20
+let max_body_bytes = 8 lsl 20
+
 let default_config =
   {
     host = "127.0.0.1";
     port = 0;
-    backlog = 128;
     queue_capacity = 64;
     workers = 2;
     max_connections = 1024;
     quota = None;
-    max_line_bytes = 1 lsl 20;
-    max_body_bytes = 8 lsl 20;
     flight_capacity = 1024;
     slow_query_ms = None;
     default_deadline_ms = None;
@@ -235,9 +235,6 @@ let validate_config c =
   if c.workers < 1 then bad "workers must be >= 1 (got %d)" c.workers;
   if c.max_connections < 1 then
     bad "max_connections must be >= 1 (got %d)" c.max_connections;
-  if c.max_line_bytes < 64 then
-    bad "max_line_bytes must be >= 64 (got %d)" c.max_line_bytes;
-  if c.backlog < 1 then bad "backlog must be >= 1 (got %d)" c.backlog;
   if c.flight_capacity < 0 then
     bad "flight_capacity must be >= 0 (got %d)" c.flight_capacity;
   (* every ms value becomes nanoseconds added to a clock reading *)
@@ -713,8 +710,7 @@ let handle_jsonl t fd r first_line =
     | Sockio.Too_long ->
       Sockio.write_all fd
         (Wire.error_line Wire.Bad_request
-           (Printf.sprintf "line %d exceeds %d bytes" lineno
-              t.config.max_line_bytes)
+           (Printf.sprintf "line %d exceeds %d bytes" lineno max_line_bytes)
         ^ "\n")
     | Sockio.Line line ->
       respond line lineno;
@@ -729,8 +725,7 @@ let handle_http t fd r first_line =
     Sockio.write_all fd (Http.response ?headers ?content_type ~status body)
   in
   match
-    Http.read_request ~max_body_bytes:t.config.max_body_bytes r
-      ~first_line
+    Http.read_request ~max_body_bytes r ~first_line
   with
   | Http.Malformed msg ->
     send ~status:400 (Wire.error_line Wire.Bad_request msg ^ "\n")
@@ -839,7 +834,7 @@ let handle_http t fd r first_line =
         ^ "\n"))
 
 let handle_conn t ~domain conn_id fd =
-  let r = Sockio.reader ~max_line_bytes:t.config.max_line_bytes fd in
+  let r = Sockio.reader ~max_line_bytes fd in
   Option.iter (fun ms -> Sockio.guard r ~window_ms:ms) t.config.read_timeout_ms;
   Fun.protect
     ~finally:(fun () ->
@@ -963,7 +958,7 @@ let start t =
              Unix.ADDR_INET (Unix.inet_addr_of_string t.config.host, t.config.port)
            in
            Unix.bind fd addr;
-           Unix.listen fd t.config.backlog
+           Unix.listen fd backlog
          with e ->
            (try Unix.close fd with Unix.Unix_error _ -> ());
            raise e);

@@ -105,7 +105,6 @@
 type config = {
   host : string;            (** bind address, default 127.0.0.1 *)
   port : int;               (** 0 picks an ephemeral port *)
-  backlog : int;            (** listen(2) backlog *)
   queue_capacity : int;     (** requests that may wait for a slot — the
                                 knob that trades queueing delay for
                                 shed rate *)
@@ -114,8 +113,6 @@ type config = {
   max_connections : int;    (** concurrent connections before shedding
                                 at accept time *)
   quota : Quota.config option;  (** per-tenant buckets; [None] = off *)
-  max_line_bytes : int;     (** per-line cap, both dialects *)
-  max_body_bytes : int;     (** HTTP body cap *)
   flight_capacity : int;    (** flight-recorder ring size; {!start}
                                 (re)configures the process-global
                                 {!Iflow_obs.Flight} ring to this many
@@ -143,9 +140,10 @@ type config = {
 }
 
 val default_config : config
-(** 127.0.0.1:0, backlog 128, queue 64, 2 workers, 1024 connections,
-    no quota, 1 MiB lines, 8 MiB bodies, flight ring 1024, slow-query logging off, no deadlines, 30 s read
-    timeout. *)
+(** 127.0.0.1:0, queue 64, 2 workers, 1024 connections, no quota,
+    flight ring 1024, slow-query logging off, no deadlines, 30 s read
+    timeout. The listen(2) backlog (128), the line cap of both dialects
+    (1 MiB) and the HTTP body cap (8 MiB) are fixed. *)
 
 type t
 

@@ -22,16 +22,6 @@ let code_string = function
   | Deadline_exceeded -> "deadline_exceeded"
   | Deadline_unmeetable -> "deadline_unmeetable"
 
-let http_status = function
-  | Bad_request -> 400
-  | Bad_query -> 422
-  | Over_capacity -> 429
-  | Quota_exceeded -> 429
-  | Chains_failed -> 500
-  | Shutting_down -> 503
-  | Deadline_exceeded -> 504
-  | Deadline_unmeetable -> 503
-
 let escape s =
   let b = Buffer.create (String.length s + 2) in
   Buffer.add_char b '"';
@@ -72,10 +62,9 @@ let result_line ?id ?request_id ?version ?(degraded = false) (r : Engine.result)
   Buffer.add_string b
     (Printf.sprintf "\"partial\":%b," r.Engine.partial);
   (match r.Engine.plan with
-  | Engine.Plan_exact { cone_nodes; validated } ->
+  | Engine.Plan_exact { cone_nodes } ->
     Buffer.add_string b "\"plan\":\"exact\",";
-    Buffer.add_string b (Printf.sprintf "\"plan_cone\":%d," cone_nodes);
-    Buffer.add_string b (Printf.sprintf "\"plan_validated\":%b," validated)
+    Buffer.add_string b (Printf.sprintf "\"plan_cone\":%d," cone_nodes)
   | Engine.Plan_mh { fallback; sampler } ->
     Buffer.add_string b
       (Printf.sprintf "\"plan\":\"%s\"," (Engine.sampler_label sampler));
@@ -155,12 +144,9 @@ let parsed_result json =
           Option.bind (Jsonl.member "plan_cone" json) Jsonl.to_int
           |> Option.value ~default:0
         in
-        let validated =
-          match Jsonl.member "plan_validated" json with
-          | Some (Jsonl.Bool v) -> v
-          | _ -> false
-        in
-        Engine.Plan_exact { cone_nodes; validated }
+        (* lines from older peers may also carry "plan_validated",
+           which is ignored *)
+        Engine.Plan_exact { cone_nodes }
       | _ ->
         let fallback =
           match Jsonl.member "plan_fallback" json with

@@ -36,9 +36,6 @@ type error_code =
 val code_string : error_code -> string
 (** ["bad_request"], ["over_capacity"], ... — the wire spelling. *)
 
-val http_status : error_code -> int
-(** 400 / 422 / 429 / 429 / 500 / 503 / 504 / 503 respectively. *)
-
 val result_line :
   ?id:string -> ?request_id:string -> ?version:int -> ?degraded:bool ->
   Iflow_engine.Engine.result -> string
@@ -52,7 +49,7 @@ val result_line :
     only — the server computes it from the engine's configured chain
     count (exact-planned answers are never degraded). The answer's
     {!Iflow_engine.Engine.plan} is carried as ["plan":"exact"] with
-    ["plan_cone"] / ["plan_validated"], or ["plan":"mh"] /
+    ["plan_cone"], or ["plan":"mh"] /
     ["plan":"direct"] (the {!Iflow_engine.Engine.sampler}) with an
     optional ["plan_fallback"] reason label. Anytime answers cut short
     by a deadline carry ["partial":true] (absent-as-false for peers
@@ -66,7 +63,10 @@ val parsed_result :
   Iflow_engine.Jsonl.value ->
   (Iflow_engine.Engine.result * int option, string) result
 (** Client-side decode of a {!result_line} (tests, bench): the result
-    with [model_digest] restored and the version field. *)
+    with [model_digest] restored and the version field. Lines from
+    older peers are accepted: a missing ["plan"] reads as MH, a missing
+    ["partial"] as false, and a ["plan_validated"] member is
+    ignored. *)
 
 val escape : string -> string
 (** JSON string escaping (quotes included). *)

@@ -56,6 +56,8 @@ module Varint = struct
     go v
 end
 
+(* A read position in [buf], bounded by [limit]: a whole segment, or
+   one payload inside it. *)
 module Cursor = struct
   type t = { mutable buf : Bytes.t; mutable pos : int; mutable limit : int }
 
@@ -69,21 +71,25 @@ module Cursor = struct
   let remaining c = c.limit - c.pos
   let at_end c = c.pos >= c.limit
 
-  let varint c =
+  (* [what] and [within] name the field and its bound in errors *)
+  let varint_in ~what ~within c =
     let v = ref 0 and shift = ref 0 and fin = ref false in
     while not !fin do
       if c.pos >= c.limit then
-        raise (Malformed (Truncated, "varint runs past the payload"));
+        raise
+          (Malformed (Truncated, Printf.sprintf "%s runs past the %s" what within));
       let byte = Char.code (Bytes.unsafe_get c.buf c.pos) in
       c.pos <- c.pos + 1;
       if !shift > 56 then
-        raise (Malformed (Bad_varint, "varint longer than 63 bits"));
+        raise (Malformed (Bad_varint, what ^ " longer than 63 bits"));
       v := !v lor ((byte land 0x7f) lsl !shift);
       shift := !shift + 7;
       if byte < 0x80 then fin := true
     done;
-    if !v < 0 then raise (Malformed (Bad_varint, "varint overflows"));
+    if !v < 0 then raise (Malformed (Bad_varint, what ^ " overflows"));
     !v
+
+  let varint c = varint_in ~what:"varint" ~within:"payload" c
 
   let float64 c =
     if c.limit - c.pos < 8 then
@@ -306,111 +312,17 @@ module Writer = struct
     end
 end
 
-(* ----- batches ----- *)
-
-module Batch = struct
-  type t = {
-    mutable n : int;
-    mutable cap : int;
-    mutable src : Bytes.t array;
-    mutable off : int array;
-    mutable len : int array; (* -1 marks a framing-error slot *)
-    mutable crc : int array;
-    mutable foff : int array;
-    mutable seg : string array;
-    mutable errors : (int * error) list;
-  }
-
-  let create () =
-    {
-      n = 0;
-      cap = 0;
-      src = [||];
-      off = [||];
-      len = [||];
-      crc = [||];
-      foff = [||];
-      seg = [||];
-      errors = [];
-    }
-
-  let length b = b.n
-
-  let ensure b cap =
-    if b.cap < cap then begin
-      let ncap = max cap (max 16 (2 * b.cap)) in
-      let grow_i a =
-        let na = Array.make ncap 0 in
-        Array.blit a 0 na 0 b.cap;
-        na
-      in
-      b.src <-
-        (let na = Array.make ncap Bytes.empty in
-         Array.blit b.src 0 na 0 b.cap;
-         na);
-      b.seg <-
-        (let na = Array.make ncap "" in
-         Array.blit b.seg 0 na 0 b.cap;
-         na);
-      b.off <- grow_i b.off;
-      b.len <- grow_i b.len;
-      b.crc <- grow_i b.crc;
-      b.foff <- grow_i b.foff;
-      b.cap <- ncap
-    end
-end
-
-let frame_error (b : Batch.t) i = List.assoc_opt i b.errors
-
-let check_crc (b : Batch.t) i =
-  Crc32.update 0 (Bytes.unsafe_to_string b.src.(i)) b.off.(i) b.len.(i)
-  = b.crc.(i)
-
-let crc_error (b : Batch.t) i =
-  {
-    segment = b.seg.(i);
-    offset = b.foff.(i);
-    reason = Bad_crc;
-    detail =
-      Printf.sprintf "payload CRC mismatch (stored %s)" (Crc32.to_hex b.crc.(i));
-  }
-
-let decode_frame (b : Batch.t) i =
-  match frame_error b i with
-  | Some e -> Error e
-  | None ->
-    if not (check_crc b i) then Error (crc_error b i)
-    else begin
-      let c = Cursor.create () in
-      Cursor.set c b.src.(i) ~pos:b.off.(i) ~limit:(b.off.(i) + b.len.(i));
-      match decode_event c with
-      | ev ->
-        if Cursor.at_end c then Ok ev
-        else
-          Error
-            {
-              segment = b.seg.(i);
-              offset = b.foff.(i);
-              reason = Bad_varint;
-              detail = "trailing bytes after the event body";
-            }
-      | exception Malformed (reason, detail) ->
-        Error { segment = b.seg.(i); offset = b.foff.(i); reason; detail }
-    end
-
 (* ----- reader ----- *)
 
 module Reader = struct
   type t = {
     base : string;
-    mutable buf : Bytes.t;
-    mutable blen : int;
-    mutable pos : int;
+    seg : Cursor.t; (* the current segment, whole; [pos] is the next frame *)
+    payload : Cursor.t; (* the frame being decoded *)
     mutable seg_path : string;
     mutable next_index : int;
     mutable exhausted : bool;
     mutable events : int;
-    mutable scratch : Batch.t option; (* lazily built, for [next]/[skip] *)
   }
 
   let load_file path =
@@ -423,130 +335,103 @@ module Reader = struct
         really_input ic b 0 len;
         b)
 
+  let enter r ~index path =
+    let b = load_file path in
+    validate_header ~path ~index b;
+    Cursor.set r.seg b ~pos:header_size ~limit:(Bytes.length b);
+    r.seg_path <- path;
+    r.next_index <- index + 1
+
   let open_ base =
-    let b = load_file base in
-    validate_header ~path:base ~index:0 b;
-    {
-      base;
-      buf = b;
-      blen = Bytes.length b;
-      pos = header_size;
-      seg_path = base;
-      next_index = 1;
-      exhausted = false;
-      events = 0;
-      scratch = None;
-    }
+    let r =
+      {
+        base;
+        seg = Cursor.create ();
+        payload = Cursor.create ();
+        seg_path = base;
+        next_index = 0;
+        exhausted = false;
+        events = 0;
+      }
+    in
+    enter r ~index:0 base;
+    r
 
   let advance r =
     let path = segment_path r.base r.next_index in
-    if Sys.file_exists path then begin
-      let b = load_file path in
-      validate_header ~path ~index:r.next_index b;
-      r.buf <- b;
-      r.blen <- Bytes.length b;
-      r.pos <- header_size;
-      r.seg_path <- path;
-      r.next_index <- r.next_index + 1
-    end
+    if Sys.file_exists path then enter r ~index:r.next_index path
     else r.exhausted <- true
 
-  let read_len r =
-    let v = ref 0 and shift = ref 0 and fin = ref false in
-    while not !fin do
-      if r.pos >= r.blen then
-        raise
-          (Malformed (Truncated, "record length runs past the segment end"));
-      let byte = Char.code (Bytes.unsafe_get r.buf r.pos) in
-      r.pos <- r.pos + 1;
-      if !shift > 56 then
-        raise (Malformed (Bad_varint, "record length longer than 63 bits"));
-      v := !v lor ((byte land 0x7f) lsl !shift);
-      shift := !shift + 7;
-      if byte < 0x80 then fin := true
+  (* [Frame]: a payload of [len] bytes and its CRC, just consumed; the
+     frame starts at [start] *)
+  type slot = Frame of { start : int; len : int } | Damaged of error
+
+  (* The frame step [next] and [skip] share: consume one event slot,
+     crossing segment boundaries; [None] at end of log. A bad payload
+     CRC is [next]'s to find (the framing was intact); a bad length
+     varint or a record running past its segment consumes the rest of
+     the segment as one damaged slot, since the frame chain cannot be
+     followed past it, and reading resumes at the next segment. *)
+  let step r =
+    let c = r.seg in
+    while c.pos >= c.limit && not r.exhausted do
+      advance r
     done;
-    if !v < 0 then raise (Malformed (Bad_varint, "record length overflows"));
-    !v
+    if r.exhausted then None
+    else begin
+      let start = c.pos in
+      r.events <- r.events + 1;
+      let damaged reason detail =
+        c.pos <- c.limit;
+        Some (Damaged { segment = r.seg_path; offset = start; reason; detail })
+      in
+      match Cursor.varint_in ~what:"record length" ~within:"segment end" c with
+      | len when len >= 1 && len <= max_payload && len + 4 <= Cursor.remaining c
+        ->
+        c.pos <- c.pos + len + 4;
+        Some (Frame { start; len })
+      | len when len < 1 -> damaged Bad_varint "zero-length record"
+      | len when len > max_payload ->
+        damaged Bad_varint (Printf.sprintf "implausible record length %d" len)
+      | len ->
+        damaged Truncated
+          (Printf.sprintf "record of %d bytes runs past the segment end" len)
+      | exception Malformed (reason, detail) -> damaged reason detail
+    end
 
-  let framing_error r (b : Batch.t) i ~start reason detail =
-    b.src.(i) <- Bytes.empty;
-    b.off.(i) <- 0;
-    b.len.(i) <- -1;
-    b.crc.(i) <- 0;
-    b.foff.(i) <- start;
-    b.seg.(i) <- r.seg_path;
-    b.errors <-
-      (i, { segment = r.seg_path; offset = start; reason; detail })
-      :: b.errors;
-    (* the frame chain is unrecoverable past this point — consume the
-       rest of the segment as this one quarantined event and resume at
-       the next segment boundary *)
-    r.pos <- r.blen
-
-  let read_batch r (b : Batch.t) ~max =
-    if max < 1 then invalid_arg "Binlog.Reader.read_batch: max must be >= 1";
-    b.n <- 0;
-    b.errors <- [];
-    Batch.ensure b max;
-    while b.n < max && not r.exhausted do
-      if r.pos >= r.blen then advance r
-      else begin
-        let start = r.pos in
-        let i = b.n in
-        (match read_len r with
-        | len when len >= 1 && len <= max_payload && r.pos + len + 4 <= r.blen
-          ->
-          b.src.(i) <- r.buf;
-          b.off.(i) <- r.pos;
-          b.len.(i) <- len;
-          b.crc.(i) <-
-            Int32.to_int (Bytes.get_int32_le r.buf (r.pos + len))
-            land 0xFFFFFFFF;
-          b.foff.(i) <- start;
-          b.seg.(i) <- r.seg_path;
-          r.pos <- r.pos + len + 4
-        | len ->
-          let reason, detail =
-            if len < 1 then (Bad_varint, "zero-length record")
-            else if len > max_payload then
-              (Bad_varint, Printf.sprintf "implausible record length %d" len)
-            else
-              ( Truncated,
-                Printf.sprintf "record of %d bytes runs past the segment end"
-                  len )
-          in
-          framing_error r b i ~start reason detail
-        | exception Malformed (reason, detail) ->
-          framing_error r b i ~start reason detail);
-        b.n <- b.n + 1;
-        r.events <- r.events + 1
-      end
-    done;
-    b.n > 0
-
-  let scratch_batch r =
-    match r.scratch with
-    | Some b -> b
-    | None ->
-      let b = Batch.create () in
-      r.scratch <- Some b;
-      b
+  (* CRC check, tag dispatch, body decode, trailing-byte check *)
+  let decode r ~start ~len =
+    let error reason detail =
+      Error { segment = r.seg_path; offset = start; reason; detail }
+    in
+    let buf = r.seg.buf and off = r.seg.pos - len - 4 in
+    let stored =
+      Int32.to_int (Bytes.get_int32_le buf (off + len)) land 0xFFFFFFFF
+    in
+    if Crc32.update 0 (Bytes.unsafe_to_string buf) off len <> stored then
+      error Bad_crc
+        (Printf.sprintf "payload CRC mismatch (stored %s)" (Crc32.to_hex stored))
+    else begin
+      let c = r.payload in
+      Cursor.set c buf ~pos:off ~limit:(off + len);
+      match decode_event c with
+      | ev when Cursor.at_end c -> Ok ev
+      | _ -> error Bad_varint "trailing bytes after the event body"
+      | exception Malformed (reason, detail) -> error reason detail
+    end
 
   let next r =
-    let b = scratch_batch r in
-    if read_batch r b ~max:1 then Some (decode_frame b 0) else None
+    match step r with
+    | None -> None
+    | Some (Damaged e) -> Some (Error e)
+    | Some (Frame { start; len }) -> Some (decode r ~start ~len)
 
   let skip r n =
     if n < 0 then invalid_arg "Binlog.Reader.skip: negative count";
-    let b = scratch_batch r in
-    let remaining = ref n in
-    let progressing = ref true in
-    while !remaining > 0 && !progressing do
-      if read_batch r b ~max:(min !remaining 4096) then
-        remaining := !remaining - b.Batch.n
-      else progressing := false
-    done;
-    n - !remaining
+    let rec go k =
+      if k = n then k else match step r with None -> k | Some _ -> go (k + 1)
+    in
+    go 0
 
   let events_seen r = r.events
   let segment r = r.seg_path

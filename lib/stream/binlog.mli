@@ -99,23 +99,6 @@ end
 
 (** {1 Reading} *)
 
-(** A decoded run of frames, reused across reads (zero steady-state
-    allocation: the arrays grow to the high-water mark and stay). Each
-    slot is either a readable frame or a framing-error placeholder —
-    both count as one event towards offsets. *)
-module Batch : sig
-  type t
-
-  val create : unit -> t
-  val length : t -> int
-end
-
-val decode_frame : Batch.t -> int -> (Event.t, error) result
-(** Decode slot [i] of a batch: framing error, CRC check, tag dispatch,
-    body decode, trailing-byte check. Every ingest of a binary log goes
-    through here, one frame at a time ({!Reader.next} feeding
-    {!Online.apply_record}). *)
-
 module Reader : sig
   type t
 
@@ -123,23 +106,23 @@ module Reader : sig
   (** Loads the first segment; raises [Sys_error] when the file is
       missing and {!Corrupt} on structural damage. Segments are read
       whole into memory (they are bounded by the writer's
-      [segment_bytes]), so batch extraction is pure pointer walking. *)
-
-  val read_batch : t -> Batch.t -> max:int -> bool
-  (** Fill [batch] with up to [max] event slots, crossing segment
-      boundaries transparently; false at end of log (batch empty).
-      Framing errors become error slots: a bad length varint or a
-      truncated record consumes the rest of its segment as one
-      quarantined event (the frame chain is unrecoverable there), a
-      bad payload CRC consumes just that record. *)
+      [segment_bytes]), so following the frame chain is pointer
+      walking. *)
 
   val next : t -> (Event.t, error) result option
-  (** The next event slot, decoded ([read_batch] of 1 +
-      {!decode_frame}); [None] at end of log. *)
+  (** The next event slot, decoded; [None] at end of log. Crosses
+      segment boundaries transparently. Each slot is one event towards
+      offsets, damaged or not: a bad payload CRC, an unknown tag or a
+      malformed body is an [Error] for that one record (framing was
+      intact, so reading resumes at the next frame); a bad length
+      varint or a record running past its segment consumes the rest
+      of the segment as one [Error] slot (the frame chain cannot be
+      followed past it), and reading resumes at the next segment. *)
 
   val skip : t -> int -> int
-  (** [skip r n] consumes up to [n] event slots (the resume path —
-      mirrors line skipping, framing errors included) and returns the
+  (** [skip r n] consumes up to [n] event slots exactly as [n] calls
+      of {!next} would, without decoding them (the resume path —
+      mirrors line skipping, damaged slots included), and returns the
       number actually skipped. *)
 
   val events_seen : t -> int

@@ -495,9 +495,8 @@ let test_engine_routes_exact () =
   let r = Engine.query engine (Query.flow ~src:0 ~dst:2 ()) in
   check_close "exact value" 0.25 r.Engine.estimate;
   (match r.Engine.plan with
-  | Engine.Plan_exact { cone_nodes; validated } ->
-    Alcotest.(check int) "cone size" 3 cone_nodes;
-    Alcotest.(check bool) "not validated" false validated
+  | Engine.Plan_exact { cone_nodes } ->
+    Alcotest.(check int) "cone size" 3 cone_nodes
   | Engine.Plan_mh _ -> Alcotest.fail "path query was not planned exact");
   check_close "all diagnostics finite and trivial" 1.0 r.Engine.rhat;
   Alcotest.(check int) "no samples drawn" 0 r.Engine.total_samples;
@@ -546,6 +545,39 @@ let test_engine_mh_bit_identical () =
   | Engine.Plan_mh { fallback = Some "disabled"; sampler = Engine.Mh } -> ()
   | _ -> Alcotest.fail "planner-off engine not tagged disabled"
 
+(* [Engine.route], which `infoflow explain` prints, is the decision
+   [Engine.query] acts on *)
+let test_engine_route_agrees () =
+  let icm = icm_of ~nodes:5 bottleneck [ 0.5; 0.5; 0.5; 0.5; 0.5 ] in
+  let off = { fast_config with Engine.planner = false } in
+  let flow ?conditions src dst = Query.flow ?conditions ~src ~dst () in
+  List.iter
+    (fun (config, q) ->
+      let asked =
+        match Engine.query (Engine.create ~config ~seed:7 icm) q with
+        | r -> Some r.Engine.plan
+        | exception Invalid_argument _ -> None
+      in
+      match (Engine.route config icm q, asked) with
+      | Engine.Exact e, Some (Engine.Plan_exact { cone_nodes }) ->
+        Alcotest.(check int) "cone" e.Planner.cone_nodes cone_nodes
+      | Engine.Sample { sampler; reason }, Some (Engine.Plan_mh p) ->
+        Alcotest.(check bool) (Query.key q) true
+          (sampler = p.sampler
+          && p.fallback = Some (Planner.reason_label reason))
+      | Engine.Bad_query _, None -> ()
+      | exception Invalid_argument _ when asked = None -> ()
+      | _ -> Alcotest.failf "route and query disagree on %s" (Query.key q))
+    [
+      (fast_config, flow 0 1);
+      (fast_config, flow 0 4);
+      (fast_config, flow ~conditions:[ (0, 2, true) ] 0 4);
+      (fast_config, flow ~conditions:[ (4, 0, true) ] 0 4);
+      (fast_config, flow 0 9);
+      (off, flow 0 1);
+      (off, flow 0 9);
+    ]
+
 let test_engine_counters () =
   let hits = Metrics.counter "iflow_plan_exact_hits_total" in
   let falls =
@@ -562,19 +594,6 @@ let test_engine_counters () =
   ignore (Engine.query engine (Query.flow ~src:0 ~dst:4 ()));
   Alcotest.(check int) "exact hit counted" (h0 + 1) (Metrics.counter_value hits);
   Alcotest.(check int) "fallback counted" (f0 + 1) (Metrics.counter_value falls)
-
-let test_engine_validate_mode () =
-  let icm = icm_of ~nodes:3 [ (0, 1); (1, 2) ] [ 0.5; 0.5 ] in
-  let engine =
-    Engine.create
-      ~config:{ fast_config with Engine.plan_validate = true }
-      ~seed:7 icm
-  in
-  let r = Engine.query engine (Query.flow ~src:0 ~dst:2 ()) in
-  check_close "still the exact value" 0.25 r.Engine.estimate;
-  match r.Engine.plan with
-  | Engine.Plan_exact { validated = true; _ } -> ()
-  | _ -> Alcotest.fail "validation not recorded on the plan"
 
 (* the headline scale case: a 6000-node tree answers exactly and agrees
    with MH on the same engine seed within the sampler's own error bar *)
@@ -678,12 +697,13 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "routes exact" `Quick test_engine_routes_exact;
+          Alcotest.test_case "route agrees with query" `Quick
+            test_engine_route_agrees;
           Alcotest.test_case "fallback tagged" `Slow
             test_engine_fallback_tagged;
           Alcotest.test_case "mh bit-identical" `Slow
             test_engine_mh_bit_identical;
           Alcotest.test_case "counters" `Slow test_engine_counters;
-          Alcotest.test_case "validate mode" `Slow test_engine_validate_mode;
           Alcotest.test_case "6000-node tree" `Slow test_engine_large_tree;
         ] );
     ]

@@ -258,6 +258,126 @@ let prop_impact_samples_bounded =
       in
       Array.for_all (fun k -> k >= 0 && k <= 6) samples)
 
+(* ---------- binary log reader fuzz ---------- *)
+
+module Binlog = Iflow_stream.Binlog
+module Event = Iflow_stream.Event
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> output_string oc s)
+
+(* segment [k]'s header and its frames, from a valid log small enough
+   to roll over several segments *)
+let binlog_parts =
+  lazy
+    (let base = Filename.temp_file "iflow_fuzz_src" ".ibl" in
+     let w = Binlog.Writer.create ~segment_bytes:128 base in
+     for i = 0 to 29 do
+       Binlog.Writer.append w
+         (match i mod 4 with
+         | 0 -> Event.Attributed { sources = [ i ]; nodes = [ i; i + 1 ]; edges = [ (i, i + 1) ] }
+         | 1 -> Event.Trace { sources = [ i ]; times = [ (i + 2, 1) ] }
+         | 2 -> Event.Add_nodes { count = i }
+         | _ -> Event.Remove_edges { edges = [ (i, 0); (0, i) ] })
+     done;
+     Binlog.Writer.close w;
+     let segments =
+       Array.init (Binlog.Writer.segments w) (fun k ->
+           let path = Binlog.segment_path base k in
+           let s = read_file path in
+           Sys.remove path;
+           s)
+     in
+     let h = Binlog.header_size in
+     ( Array.map (fun s -> String.sub s 0 h) segments,
+       String.concat ""
+         (Array.to_list
+            (Array.map (fun s -> String.sub s h (String.length s - h)) segments))
+     ))
+
+(* a segment body: random bytes, or random slices of valid frames with
+   an occasional flipped byte *)
+let fuzz_body st frames =
+  let b = Buffer.create 256 in
+  if Random.State.bool st then
+    for _ = 1 to Random.State.int st 200 do
+      Buffer.add_char b (Char.chr (Random.State.int st 256))
+    done
+  else
+    for _ = 1 to 1 + Random.State.int st 6 do
+      let start = Random.State.int st (String.length frames) in
+      let len = Random.State.int st (min 60 (String.length frames - start) + 1) in
+      Buffer.add_string b (String.sub frames start len)
+    done;
+  let body = Buffer.to_bytes b in
+  if Bytes.length body > 0 && Random.State.int st 3 = 0 then begin
+    let i = Random.State.int st (Bytes.length body) in
+    Bytes.set body i
+      (Char.chr (Char.code (Bytes.get body i) lxor (1 lsl Random.State.int st 8)))
+  end;
+  Bytes.to_string body
+
+let prop_binlog_reader_total =
+  QCheck.Test.make ~count:400
+    ~name:"binlog reader answers arbitrary bytes with typed errors"
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let headers, frames = Lazy.force binlog_parts in
+      let base = Filename.temp_file "iflow_fuzz" ".ibl" in
+      let n_segments = 1 + Random.State.int st (min 3 (Array.length headers)) in
+      let sizes =
+        List.init n_segments (fun k ->
+            let path = Binlog.segment_path base k in
+            let s = headers.(k) ^ fuzz_body st frames in
+            write_file path s;
+            (path, String.length s))
+      in
+      Fun.protect
+        ~finally:(fun () -> List.iter (fun (p, _) -> Sys.remove p) sizes)
+        (fun () ->
+          (* every slot consumes at least one byte past a header *)
+          let budget =
+            List.fold_left (fun n (_, len) -> n + len) 0 sizes
+            - (n_segments * Binlog.header_size)
+          in
+          let read ~skip =
+            let r = Binlog.Reader.open_ base in
+            let skipped = Binlog.Reader.skip r skip in
+            let rec go acc left =
+              match Binlog.Reader.next r with
+              | None -> List.rev acc
+              | Some _ when left = 0 ->
+                QCheck.Test.fail_reportf "reader did not end within %d slots"
+                  budget
+              | Some slot -> go (slot :: acc) (left - 1)
+            in
+            let slots = go [] (budget - skipped) in
+            (skipped, Binlog.Reader.events_seen r, slots)
+          in
+          let _, seen, slots = read ~skip:0 in
+          let n = List.length slots in
+          if seen <> n then
+            QCheck.Test.fail_reportf "events_seen %d after %d slots" seen n;
+          List.iter
+            (function
+              | Ok _ -> ()
+              | Error (e : Binlog.error) -> (
+                match List.assoc_opt e.Binlog.segment sizes with
+                | Some len
+                  when e.Binlog.offset >= Binlog.header_size
+                       && e.Binlog.offset < len -> ()
+                | _ ->
+                  QCheck.Test.fail_reportf "error outside its segment: %s"
+                    (Binlog.error_message e)))
+            slots;
+          let k = Random.State.int st (n + 3) in
+          let skipped, seen', rest = read ~skip:k in
+          skipped = min k n && seen' = n
+          && rest = List.filteri (fun i _ -> i >= skipped) slots))
+
 let () =
   Alcotest.run "iflow_properties"
     [
@@ -276,4 +396,5 @@ let () =
       );
       ("models", qcheck [ prop_grow_remove_roundtrip; prop_summary_totals ]);
       ("delay", qcheck [ prop_delay_monotone_in_active_set ]);
+      ("binlog fuzz", qcheck [ prop_binlog_reader_total ]);
     ]

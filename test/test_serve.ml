@@ -507,7 +507,7 @@ let test_wire_nonfinite () =
       cached = false;
       partial = false;
       model_digest = "d";
-      plan = Engine.Plan_exact { cone_nodes = 3; validated = false };
+      plan = Engine.Plan_exact { cone_nodes = 3 };
     }
   in
   let line = Wire.result_line r in
@@ -535,9 +535,7 @@ let test_wire_error_line () =
     check_int "retry hint" 250
       (match Jsonl.member "retry_after_ms" json with
       | Some (Jsonl.Num f) -> int_of_float f
-      | _ -> -1);
-    check_int "status mapping" 429 (Wire.http_status Wire.Quota_exceeded);
-    check_int "status mapping" 503 (Wire.http_status Wire.Shutting_down)
+      | _ -> -1)
 
 let test_decode_errors_carry_line_numbers () =
   (match Query.of_line ~lineno:41 "{\"type\":\"flow\"}" with
@@ -2033,10 +2031,8 @@ let test_wire_partial_and_deadline_codes () =
     | Error msg -> Alcotest.failf "decode: %s" msg));
   check_string "exceeded code" "deadline_exceeded"
     (Wire.code_string Wire.Deadline_exceeded);
-  check_int "exceeded is 504" 504 (Wire.http_status Wire.Deadline_exceeded);
   check_string "unmeetable code" "deadline_unmeetable"
-    (Wire.code_string Wire.Deadline_unmeetable);
-  check_int "unmeetable is 503" 503 (Wire.http_status Wire.Deadline_unmeetable)
+    (Wire.code_string Wire.Deadline_unmeetable)
 
 let test_quota_retry_after_honest () =
   (* the retry hint must be honest in both directions: still denied
