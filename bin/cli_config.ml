@@ -1,18 +1,24 @@
-(* Cli_config — the reusable flag-spec layer of the infoflow CLI.
+(* Cli_config — the flag-spec layer of the infoflow CLI.
 
-   Every subcommand used to carry its own copy of the seed /
-   observability / MCMC / engine / checkpoint / on-error option
-   parsing; the copies drifted (the CLI once shipped MCMC defaults that
-   silently disagreed with the library). This module is the single
-   source of truth: subcommands compose the terms below and call the
-   matching setup/loader helpers, so a knob means the same thing in
-   `estimate`, `batch`, `stream`, and `serve`. *)
+   Every flag that more than one subcommand takes is declared here
+   once, with the setup, loader and wiring helpers that go with it, so
+   a knob means the same thing in every subcommand that takes it (the
+   CLI once shipped MCMC defaults that silently disagreed with the
+   library). Subcommands compose the terms below; `infoflow.ml` keeps
+   only what one subcommand alone does. *)
 open Cmdliner
 module Estimator = Iflow_mcmc.Estimator
+module Cancel = Iflow_mcmc.Cancel
 module Engine = Iflow_engine.Engine
 module Query = Iflow_engine.Query
 module Beta_icm = Iflow_core.Beta_icm
 module Model_io = Iflow_io.Model_io
+module Runner = Iflow_stream.Runner
+module Snapshot = Iflow_stream.Snapshot
+module Online = Iflow_stream.Online
+module Drift = Iflow_stream.Drift
+module Server = Iflow_serve.Server
+module Quota = Iflow_serve.Quota
 module Obs_log = Iflow_obs.Log
 module Obs_metrics = Iflow_obs.Metrics
 module Obs_prometheus = Iflow_obs.Prometheus
@@ -120,8 +126,9 @@ let mcmc_term =
   let make burn_in thin samples = { Estimator.burn_in; thin; samples } in
   Term.(const make $ burn $ thin $ samples)
 
-(* engine knobs shared by `estimate`, `batch`, and `serve`; each query
-   runs on the domain that asks it, so `--domains` is `serve`'s alone *)
+(* engine knobs shared by `estimate`, `batch`, `explain`, `metrics` and
+   `serve`; each query runs on the domain that asks it, so `--domains`
+   is `serve`'s alone *)
 let engine_term =
   let chains =
     Arg.(
@@ -164,7 +171,55 @@ let engine_term =
   in
   Term.(const make $ chains $ rhat $ mcse $ no_planner $ mcmc_term)
 
-(* ----- argument converters ----- *)
+(* ----- files ----- *)
+
+(* [f] over [path] opened for reading, closed afterwards; a file that
+   cannot be opened exits 1 *)
+let with_file path f =
+  let ic = or_die (fun () -> open_in path) in
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> f ic)
+
+(* [with_file], with '-' meaning stdin *)
+let with_in path f = if path = "-" then f stdin else with_file path f
+
+(* [f] over [path] opened for writing, '-' meaning stdout *)
+let with_out path f =
+  if path = "-" then f stdout
+  else
+    let oc = or_die (fun () -> open_out path) in
+    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
+
+(* -o/--output: each writer names its own default file *)
+let output_info doc = Arg.info [ "o"; "output" ] ~doc
+let output default ~doc = Arg.(value & opt string default & output_info doc)
+
+(* the corpus `train` and `train-unattributed` read, and the name
+   table they write *)
+let tweets_term =
+  Arg.(
+    required
+    & opt (some string) None
+    & info [ "tweets" ] ~doc:"Tweet corpus (TSV: id author time text).")
+
+let names default =
+  Arg.(
+    value & opt string default
+    & info [ "names" ] ~doc:"Output user-name table.")
+
+let model_required =
+  Arg.(
+    required
+    & opt (some string) None
+    & info [ "model" ] ~doc:"betaICM file.")
+
+(* a --model file as the betaICM and its expected ICM; a missing or
+   malformed file exits 1 with the reason *)
+let load_model path =
+  or_die (fun () ->
+      let model = Model_io.load_beta_icm path in
+      (model, Beta_icm.expected_icm model))
+
+(* ----- queries ----- *)
 
 let condition_conv =
   let parse s =
@@ -192,27 +247,35 @@ let probe_conv =
   in
   Arg.conv (parse, fun ppf (u, v) -> Format.fprintf ppf "%d:%d" u v)
 
-let model_required =
-  Arg.(
-    required
-    & opt (some string) None
-    & info [ "model" ] ~doc:"betaICM file.")
+(* --src/--dst: required where the query needs them, optional where
+   --queries can stand in (explain), defaulted for metrics' probe *)
+let src_info = Arg.info [ "src" ] ~doc:"Source node."
+let dst_info = Arg.info [ "dst" ] ~doc:"Sink node."
+let required_node node = Arg.(required & opt (some int) None & node)
 
-(* a --model file as the betaICM and its expected ICM; a missing or
-   malformed file exits 1 with the reason *)
-let load_model path =
-  or_die (fun () ->
-      let model = Model_io.load_beta_icm path in
-      (model, Beta_icm.expected_icm model))
+let conditions_term =
+  Arg.(
+    value & opt_all condition_conv []
+    & info [ "c"; "condition" ]
+        ~doc:
+          "Flow condition SRC:DST:+ (flow known present) or SRC:DST:- \
+           (known absent); repeatable.")
+
+(* --queries: required by batch, optional in explain *)
+let queries_info =
+  Arg.info [ "queries" ]
+    ~doc:
+      "JSONL query file: one JSON object per line, e.g. \
+       {\"type\":\"flow\",\"src\":0,\"dst\":5, \
+       \"conditions\":[[0,3,\"+\"]]}, \
+       {\"type\":\"community\",\"src\":0,\"sinks\":[3,4]}, or \
+       {\"type\":\"joint\",\"flows\":[[0,3],[1,4]]}."
 
 (* the queries of a JSONL file in order, blank lines skipped; each
    undecodable line's message (which names the line) goes to
    [on_error] *)
 let read_queries path ~on_error =
-  let ic = or_die (fun () -> open_in path) in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
+  with_file path (fun ic ->
       let rec go acc lineno =
         match input_line ic with
         | exception End_of_file -> List.rev acc
@@ -225,6 +288,56 @@ let read_queries path ~on_error =
             go acc (lineno + 1))
       in
       go [] 1)
+
+let explain_flag =
+  Arg.(
+    value & flag
+    & info [ "explain" ]
+        ~doc:
+          "Also report how each answer was produced: 'exact' with the \
+           evaluated cone size when the query planner certified a \
+           closed-form answer, otherwise the sampler ('direct' or 'mh') with \
+           the fallback reason.")
+
+(* one-line rendering of how an answer was produced, for --explain *)
+let plan_string (r : Engine.result) =
+  match r.Engine.plan with
+  | Engine.Plan_exact { cone_nodes } ->
+    Printf.sprintf "exact (cone %d nodes)" cone_nodes
+  | Engine.Plan_mh { fallback = Some reason; sampler } ->
+    Printf.sprintf "%s (fallback: %s)" (Engine.sampler_label sampler) reason
+  | Engine.Plan_mh { fallback = None; sampler } -> Engine.sampler_label sampler
+
+let deadline_ms_term =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "deadline-ms" ]
+        ~doc:
+          "Wall-clock budget for answering each query. Sampling is \
+           cancelled at the deadline: a query with at least one completed \
+           round answers its partial estimate, flagged (batch's cached \
+           column reads 'partial'); one with none reports \
+           deadline_exceeded (estimate exits 2). Without this flag, answers \
+           are bit-for-bit those of a deadline-free run. (Distinct from \
+           estimate's --deadline, which asks about flow arrival time.)")
+
+(* One query under its own fresh --deadline-ms budget; [None] when the
+   deadline passed before one sampling round completed. Without a
+   deadline the token is never armed. Raises [Invalid_argument] where
+   the deadline would wrap. *)
+let query_within ?rid ?phases deadline_ms engine q =
+  let cancel =
+    match deadline_ms with
+    | Some ms when ms > Cancel.max_budget_ms ->
+      invalid_arg
+        (Printf.sprintf "--deadline-ms exceeds %d" Cancel.max_budget_ms)
+    | Some ms -> Cancel.with_budget ~budget_ns:(ms * 1_000_000) ()
+    | None -> Cancel.none
+  in
+  match Engine.query ?rid ?phases ~cancel engine q with
+  | r -> Some r
+  | exception Engine.Deadline_exceeded _ -> None
 
 (* ----- the streaming learner's knobs, shared by `stream` and `serve` ----- *)
 
@@ -260,7 +373,7 @@ let learner_term =
   in
   let batch =
     Arg.(
-      value & opt int Iflow_stream.Runner.default_config.Iflow_stream.Runner.batch
+      value & opt int Runner.default_config.Runner.batch
       & info [ "batch" ]
           ~doc:"Applied events per published model version (and swap).")
   in
@@ -309,13 +422,13 @@ let learner_term =
   let drift_window =
     Arg.(
       value
-      & opt int Iflow_stream.Drift.default_config.Iflow_stream.Drift.window
+      & opt int Drift.default_config.Drift.window
       & info [ "drift-window" ] ~doc:"Per-edge trials per drift-test window.")
   in
   let drift_delta =
     Arg.(
       value
-      & opt float Iflow_stream.Drift.default_config.Iflow_stream.Drift.delta
+      & opt float Drift.default_config.Drift.delta
       & info [ "drift-delta" ]
           ~doc:"Significance of the Hoeffding drift test (smaller = stricter).")
   in
@@ -345,13 +458,13 @@ let on_error_term =
   let policy_conv =
     Arg.enum
       [
-        ("fail", Iflow_stream.Runner.Fail_fast);
-        ("skip", Iflow_stream.Runner.Skip_line);
-        ("retry", Iflow_stream.Runner.Retry_reads Iflow_fault.Retry.default);
+        ("fail", Runner.Fail_fast);
+        ("skip", Runner.Skip_line);
+        ("retry", Runner.Retry_reads Iflow_fault.Retry.default);
       ]
   in
   Arg.(
-    value & opt policy_conv Iflow_stream.Runner.Fail_fast
+    value & opt policy_conv Runner.Fail_fast
     & info [ "on-error" ]
         ~doc:
           "What to do when reading the event log fails: 'fail' stops the \
@@ -394,7 +507,7 @@ let load_initial ~component (l : learner) =
   | Some ckpt, _ ->
     let model, offset, version =
       or_die (fun () ->
-          Iflow_stream.Snapshot.recover
+          Snapshot.recover
             ~on_skip:(fun ~path ~reason ->
               Obs_log.warn ~component "skipping damaged checkpoint %s: %s"
                 path reason)
@@ -408,29 +521,157 @@ let load_initial ~component (l : learner) =
     Obs_log.err ~component "provide --model or --resume";
     exit 1
 
-let drift_config (l : learner) =
-  {
-    Iflow_stream.Drift.default_config with
-    window = l.drift_window;
-    delta = l.drift_delta;
-  }
+(* What `stream` and `serve` both build from the learner flags over
+   [model]: the runner cadence, the online learner, and its snapshot,
+   starting at version [version] and event-log offset [offset]. *)
+let start_learner (l : learner) ~version ~offset model =
+  let snapshot =
+    or_die (fun () ->
+        Snapshot.create ?checkpoint_path:l.checkpoint ~keep:l.keep_checkpoints
+          ~id:version ~offset model)
+  in
+  let drift =
+    { Drift.default_config with window = l.drift_window; delta = l.drift_delta }
+  in
+  let online =
+    or_die (fun () -> Online.create ~forget:l.forget ~drift model)
+  in
+  ( { Runner.batch = l.batch; checkpoint_every = l.checkpoint_every },
+    online,
+    snapshot )
+
+(* the runner's [on_degraded] callback *)
+let log_degraded ~component ~stage e =
+  Obs_log.warn ~component "degraded (%s): %s" stage (Printexc.to_string e)
 
 (* end-of-run quarantine-rate gate shared by `stream` and `serve` *)
-let check_quarantine_rate ~component (l : learner)
-    (s : Iflow_stream.Online.stats) =
+let check_quarantine_rate ~component (l : learner) (s : Online.stats) =
   match l.max_quarantine_rate with
   | None -> ()
   | Some limit ->
-    let quarantined = Iflow_stream.Online.quarantined s in
+    let quarantined = Online.quarantined s in
     let rate =
-      if s.Iflow_stream.Online.applied = 0 then
+      if s.Online.applied = 0 then
         if quarantined = 0 then 0.0 else Float.infinity
-      else
-        float_of_int quarantined /. float_of_int s.Iflow_stream.Online.applied
+      else float_of_int quarantined /. float_of_int s.Online.applied
     in
     if rate > limit then begin
       Obs_log.err ~component
         "quarantine rate %.4f (%d quarantined / %d applied) exceeds limit %.4f"
-        rate quarantined s.Iflow_stream.Online.applied limit;
+        rate quarantined s.Online.applied limit;
       exit exit_quarantine
     end
+
+(* ----- the server ----- *)
+
+(* where `serve` listens and `requests` connects *)
+let host_term =
+  Arg.(
+    value & opt string Server.default_config.Server.host
+    & info [ "host" ] ~doc:"Server address (serve binds it).")
+
+let port_term =
+  Arg.(
+    value & opt int 7411
+    & info [ "port" ]
+        ~doc:
+          "Server TCP port; for serve, 0 picks an ephemeral one (printed on \
+           startup).")
+
+(* every `serve` flag that sets a Server.config field *)
+let server_term =
+  let d = Server.default_config in
+  let count name default doc =
+    Arg.(value & opt int default & info [ name ] ~doc)
+  in
+  let millis name doc =
+    Arg.(value & opt (some int) None & info [ name ] ~doc)
+  in
+  let workers =
+    count "workers" d.Server.workers
+      "Requests executing at once: each connection thread runs its own \
+       query once it holds one of these execution slots."
+  in
+  let queue_capacity =
+    count "queue-capacity" d.Server.queue_capacity
+      "Requests that may wait for an execution slot, first come first \
+       served; requests beyond it are shed immediately with an \
+       over_capacity response."
+  in
+  let max_connections =
+    count "max-connections" d.Server.max_connections
+      "Concurrent connections before shedding at accept time."
+  in
+  let quota_rate =
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "quota-rate" ]
+          ~doc:
+            "Per-tenant sustained queries/second (token-bucket refill \
+             rate); unset disables quotas.")
+  in
+  let quota_burst =
+    Arg.(
+      value & opt float Quota.default_config.Quota.burst
+      & info [ "quota-burst" ]
+          ~doc:"Per-tenant burst size (token-bucket capacity).")
+  in
+  let flight_capacity =
+    count "flight-capacity" d.Server.flight_capacity
+      "Flight-recorder ring size: the last N requests stay reconstructible \
+       via GET /debug/requests (id, answer path, version, phase-decomposed \
+       latency). 0 disables the ring (slow-query logging still works)."
+  in
+  let slow_query_ms =
+    millis "slow-query-ms"
+      "Log a structured slow-query line (with the full flight record) for \
+       any request whose admission-to-serialized wall time reaches this \
+       many milliseconds; unset disables."
+  in
+  let default_deadline_ms =
+    millis "default-deadline-ms"
+      "Deadline applied to requests that do not carry their own \
+       (deadline_ms field or X-Deadline-Ms header); unset means no \
+       implicit deadline."
+  in
+  let max_deadline_ms =
+    millis "max-deadline-ms"
+      "Clamp client-supplied deadlines down to this cap; unset leaves them \
+       unclamped."
+  in
+  let read_timeout_ms =
+    Arg.(
+      value
+      & opt (some int) d.Server.read_timeout_ms
+      & info [ "read-timeout-ms" ]
+          ~doc:
+            "Read window of the slow-loris guard: a peer sending nothing \
+             inside one window, or one whose request (a JSONL line, or an \
+             HTTP request through its body) is still incomplete 4 windows \
+             after its first read, gets a typed bad_request and is \
+             disconnected. 0 disables.")
+  in
+  let make host port workers queue_capacity max_connections quota_rate
+      quota_burst flight_capacity slow_query_ms default_deadline_ms
+      max_deadline_ms read_timeout_ms =
+    {
+      Server.host;
+      port;
+      workers;
+      queue_capacity;
+      max_connections;
+      quota =
+        Option.map (fun rate -> { Quota.rate; burst = quota_burst }) quota_rate;
+      flight_capacity;
+      slow_query_ms;
+      default_deadline_ms;
+      max_deadline_ms;
+      (* --read-timeout-ms 0 switches the guard off *)
+      read_timeout_ms = (match read_timeout_ms with Some 0 -> None | v -> v);
+    }
+  in
+  Term.(
+    const make $ host_term $ port_term $ workers $ queue_capacity
+    $ max_connections $ quota_rate $ quota_burst $ flight_capacity
+    $ slow_query_ms $ default_deadline_ms $ max_deadline_ms $ read_timeout_ms)

@@ -12,9 +12,9 @@
      impact            impact (dispersion) distribution of a source
      calibrate         self-test a model with the bucket experiment
 
-   Shared flag specs (seed, observability, MCMC, engine, checkpoint and
-   on-error knobs) live in Cli_config, so every subcommand parses the
-   same knob the same way. *)
+   Every flag two subcommands share, and the wiring they share, lives
+   in Cli_config, so every subcommand parses the same knob the same
+   way; this file keeps what one subcommand alone does. *)
 open Cmdliner
 module C = Cli_config
 module Rng = Iflow_stats.Rng
@@ -26,7 +26,6 @@ module Generator = Iflow_core.Generator
 module Cascade = Iflow_core.Cascade
 module Pseudo_state = Iflow_core.Pseudo_state
 module Estimator = Iflow_mcmc.Estimator
-module Cancel = Iflow_mcmc.Cancel
 module Conditions = Iflow_mcmc.Conditions
 module Nested = Iflow_mcmc.Nested
 module Measures = Iflow_stats.Measures
@@ -36,7 +35,6 @@ module Engine = Iflow_engine.Engine
 module Query = Iflow_engine.Query
 module Planner = Iflow_plan.Planner
 module Server = Iflow_serve.Server
-module Quota = Iflow_serve.Quota
 module Sockio = Iflow_serve.Sockio
 module Jsonl = Iflow_engine.Jsonl
 module Obs_log = Iflow_obs.Log
@@ -62,11 +60,7 @@ let generate_model_cmd =
   let edges =
     Arg.(value & opt int 200 & info [ "m"; "edges" ] ~doc:"Number of edges.")
   in
-  let output =
-    Arg.(
-      value & opt string "model.bicm"
-      & info [ "o"; "output" ] ~doc:"Output file.")
-  in
+  let output = C.output "model.bicm" ~doc:"Output file." in
   Cmd.v
     (Cmd.info "generate-model"
        ~doc:"Synthesise a random betaICM (paper Section IV-A).")
@@ -97,11 +91,7 @@ let generate_corpus_cmd =
     Arg.(
       value & opt int 2000 & info [ "originals" ] ~doc:"Original tweet count.")
   in
-  let output =
-    Arg.(
-      value & opt string "tweets.tsv"
-      & info [ "o"; "output" ] ~doc:"Output file.")
-  in
+  let output = C.output "tweets.tsv" ~doc:"Output file." in
   Cmd.v
     (Cmd.info "generate-corpus"
        ~doc:"Synthesise a raw tweet corpus with ground truth.")
@@ -129,55 +119,15 @@ let train tweets_path output names_path =
     names_path
 
 let train_cmd =
-  let tweets =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "tweets" ] ~doc:"Tweet corpus (TSV: id author time text).")
-  in
-  let output =
-    Arg.(
-      value & opt string "trained.bicm"
-      & info [ "o"; "output" ] ~doc:"Output betaICM file.")
-  in
-  let names =
-    Arg.(
-      value & opt string "trained.names"
-      & info [ "names" ] ~doc:"Output user-name table.")
-  in
+  let output = C.output "trained.bicm" ~doc:"Output betaICM file." in
   Cmd.v
     (Cmd.info "train"
        ~doc:
          "Parse a tweet corpus, infer the graph from '@' references, and \
           train a betaICM from the attributed retweet evidence.")
-    Term.(const train $ tweets $ output $ names)
+    Term.(const train $ C.tweets_term $ output $ C.names "trained.names")
 
 (* ----- estimate ----- *)
-
-(* one-line rendering of how an answer was produced, for --explain *)
-let plan_string (r : Engine.result) =
-  match r.Engine.plan with
-  | Engine.Plan_exact { cone_nodes } ->
-    Printf.sprintf "exact (cone %d nodes)" cone_nodes
-  | Engine.Plan_mh { fallback = Some reason; sampler } ->
-    Printf.sprintf "%s (fallback: %s)" (Engine.sampler_label sampler) reason
-  | Engine.Plan_mh { fallback = None; sampler } -> Engine.sampler_label sampler
-
-let explain_flag =
-  Arg.(
-    value & flag
-    & info [ "explain" ]
-        ~doc:
-          "Also report how each answer was produced: 'exact' with the \
-           evaluated cone size when the query planner certified a \
-           closed-form answer, otherwise the sampler ('direct' or 'mh') with \
-           the fallback reason.")
-
-(* --deadline-ms in nanoseconds, refused where the deadline would wrap *)
-let deadline_budget_ns ms =
-  if ms > Cancel.max_budget_ms then
-    invalid_arg (Printf.sprintf "--deadline-ms exceeds %d" Cancel.max_budget_ms);
-  ms * 1_000_000
 
 let estimate seed model_path src dst conditions engine_config config nested
     deadline deadline_ms delay_mean explain obs =
@@ -189,22 +139,17 @@ let estimate seed model_path src dst conditions engine_config config nested
   let conditions = Conditions.v conditions in
   let rid = Printf.sprintf "cli-%d-1" (Unix.getpid ()) in
   let ph = Engine.phases () in
-  let cancel =
-    match deadline_ms with
-    | Some ms ->
-      or_die (fun () -> Cancel.with_budget ~budget_ns:(deadline_budget_ns ms) ())
-    | None -> Cancel.none
-  in
   let r =
-    or_die (fun () ->
-        try Engine.query ~rid ~phases:ph ~cancel ~on_deadline:`Partial engine query
-        with Engine.Deadline_exceeded { rounds; _ } ->
-          Printf.eprintf
-            "infoflow estimate: deadline_exceeded — %d ms elapsed before any \
-             usable round (%d completed)\n"
-            (Option.value deadline_ms ~default:0)
-            rounds;
-          exit 2)
+    match
+      or_die (fun () -> C.query_within ~rid ~phases:ph deadline_ms engine query)
+    with
+    | Some r -> r
+    | None ->
+      Printf.eprintf
+        "infoflow estimate: deadline_exceeded — %d ms elapsed before any \
+         round completed\n"
+        (Option.value deadline_ms ~default:0);
+      exit 2
   in
   Obs_log.debug ~component:"estimate" ~rid
     "phases: plan %dns, sample %dns (%d rounds)" ph.Engine.plan_ns
@@ -228,7 +173,7 @@ let estimate seed model_path src dst conditions engine_config config nested
     Printf.printf
       "  partial: the %d ms deadline cut sampling short of convergence\n"
       (Option.value deadline_ms ~default:0);
-  if explain then Printf.printf "  plan: %s\n" (plan_string r);
+  if explain then Printf.printf "  plan: %s\n" (C.plan_string r);
   if nested > 0 then begin
     let samples =
       Nested.flow_samples ~conditions rng model config ~reps:nested ~src ~dst
@@ -254,20 +199,6 @@ let estimate seed model_path src dst conditions engine_config config nested
       dst deadline delay_mean p
 
 let estimate_cmd =
-  let src =
-    Arg.(required & opt (some int) None & info [ "src" ] ~doc:"Source node.")
-  in
-  let dst =
-    Arg.(required & opt (some int) None & info [ "dst" ] ~doc:"Sink node.")
-  in
-  let conditions =
-    Arg.(
-      value & opt_all C.condition_conv []
-      & info [ "c"; "condition" ]
-          ~doc:
-            "Flow condition SRC:DST:+ (flow known present) or SRC:DST:- \
-             (known absent); repeatable.")
-  in
   let nested =
     Arg.(
       value & opt int 0
@@ -289,27 +220,17 @@ let estimate_cmd =
       & info [ "delay-mean" ]
           ~doc:"Mean per-edge latency used with --deadline.")
   in
-  let deadline_ms =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "deadline-ms" ]
-          ~doc:
-            "Wall-clock budget for answering the query itself. Sampling is \
-             cancelled at the deadline: with at least one completed round \
-             the partial estimate is printed (flagged), otherwise the \
-             command exits 2 with deadline_exceeded. (Distinct from \
-             --deadline, which asks about flow arrival time.)")
-  in
   Cmd.v
     (Cmd.info "estimate"
        ~doc:
          "Estimate a (conditional) flow probability with multi-chain \
           Metropolis-Hastings sampling and convergence diagnostics.")
     Term.(
-      const estimate $ C.seed_term $ C.model_required $ src $ dst $ conditions
-      $ C.engine_term $ C.mcmc_term $ nested $ deadline $ deadline_ms
-      $ delay_mean $ explain_flag $ C.obs_term)
+      const estimate $ C.seed_term $ C.model_required
+      $ C.(required_node src_info)
+      $ C.(required_node dst_info)
+      $ C.conditions_term $ C.engine_term $ C.mcmc_term $ nested $ deadline
+      $ C.deadline_ms_term $ delay_mean $ C.explain_flag $ C.obs_term)
 
 (* ----- batch ----- *)
 
@@ -329,23 +250,11 @@ let batch seed model_path queries_path engine_config deadline_ms explain obs =
   in
   let t0 = Obs_clock.now_ns () in
   (* each query gets its own fresh budget; an exhausted one answers
-     typed instead of poisoning the rest of the file. Without
-     --deadline-ms the token is never armed, so answers are bit-for-bit
-     those of a deadline-free engine. *)
+     typed instead of poisoning the rest of the file *)
   let results =
     or_die (fun () ->
         List.mapi
-          (fun i q ->
-            let cancel =
-              match deadline_ms with
-              | Some ms -> Cancel.with_budget ~budget_ns:(deadline_budget_ns ms) ()
-              | None -> Cancel.none
-            in
-            match
-              Engine.query ~rid:rids.(i) ~cancel ~on_deadline:`Partial engine q
-            with
-            | r -> Ok r
-            | exception Engine.Deadline_exceeded { rounds; _ } -> Error rounds)
+          (fun i q -> C.query_within ~rid:rids.(i) deadline_ms engine q)
           queries)
   in
   let elapsed = Obs_clock.seconds_of_ns (Obs_clock.now_ns () - t0) in
@@ -354,19 +263,17 @@ let batch seed model_path queries_path engine_config deadline_ms explain obs =
   List.iter2
     (fun q result ->
       match result with
-      | Ok (r : Engine.result) ->
+      | Some (r : Engine.result) ->
         Printf.printf "%s\t%.5f\t%.4f\t%.0f\t%.5f\t%d\t%s%s\n" (Query.key q)
           r.Engine.estimate r.Engine.rhat r.Engine.ess r.Engine.mcse
           r.Engine.total_samples
           (if r.Engine.cached then "yes"
            else if r.Engine.partial then "partial"
            else "no")
-          (if explain then "\t" ^ plan_string r else "")
-      | Error rounds ->
+          (if explain then "\t" ^ C.plan_string r else "")
+      | None ->
         Printf.printf "%s\t-\t-\t-\t-\t0\tdeadline_exceeded%s\n" (Query.key q)
-          (if explain then
-             Printf.sprintf "\tcancelled after %d rounds" rounds
-           else ""))
+          (if explain then "\tcancelled before any round completed" else ""))
     queries results;
   let stats = Engine.cache_stats engine in
   Obs_log.info ~component:"batch"
@@ -376,30 +283,6 @@ let batch seed model_path queries_path engine_config deadline_ms explain obs =
     Iflow_engine.Lru.pp_stats stats
 
 let batch_cmd =
-  let queries =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "queries" ]
-          ~doc:
-            "JSONL query file: one JSON object per line, e.g. \
-             {\"type\":\"flow\",\"src\":0,\"dst\":5, \
-             \"conditions\":[[0,3,\"+\"]]}, \
-             {\"type\":\"community\",\"src\":0,\"sinks\":[3,4]}, or \
-             {\"type\":\"joint\",\"flows\":[[0,3],[1,4]]}.")
-  in
-  let deadline_ms =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "deadline-ms" ]
-          ~doc:
-            "Per-query wall-clock budget. Sampling is cancelled at the \
-             deadline: queries with at least one completed round report \
-             their partial estimate (cached column reads 'partial'), \
-             queries with none report 'deadline_exceeded'. Without this \
-             flag, answers are bit-for-bit identical to previous releases.")
-  in
   Cmd.v
     (Cmd.info "batch"
        ~doc:
@@ -408,8 +291,9 @@ let batch_cmd =
           MCSE, deduplication and an LRU result cache. Emits TSV with \
           diagnostics columns.")
     Term.(
-      const batch $ C.seed_term $ C.model_required $ queries $ C.engine_term
-      $ deadline_ms $ explain_flag $ C.obs_term)
+      const batch $ C.seed_term $ C.model_required
+      $ Arg.(required & opt (some string) None & C.queries_info)
+      $ C.engine_term $ C.deadline_ms_term $ C.explain_flag $ C.obs_term)
 
 (* ----- explain ----- *)
 
@@ -451,9 +335,8 @@ let explain_query icm ~config q =
           | None -> ""))
       e.Planner.targets
 
-let explain seed model_path src dst conditions queries_path engine_config obs =
+let explain model_path src dst conditions queries_path engine_config obs =
   C.obs_setup obs;
-  ignore seed;
   let _, icm = C.load_model model_path in
   match (queries_path, src, dst) with
   | Some path, _, _ ->
@@ -466,25 +349,6 @@ let explain seed model_path src dst conditions queries_path engine_config obs =
     exit 1
 
 let explain_cmd =
-  let src =
-    Arg.(value & opt (some int) None & info [ "src" ] ~doc:"Source node.")
-  in
-  let dst =
-    Arg.(value & opt (some int) None & info [ "dst" ] ~doc:"Sink node.")
-  in
-  let conditions =
-    Arg.(
-      value & opt_all C.condition_conv []
-      & info [ "c"; "condition" ]
-          ~doc:"Flow condition SRC:DST:+ or SRC:DST:-; repeatable.")
-  in
-  let queries =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "queries" ]
-          ~doc:"Explain every query in this JSONL file (same format as batch).")
-  in
   Cmd.v
     (Cmd.info "explain"
        ~doc:
@@ -494,8 +358,12 @@ let explain_cmd =
           reason: 'direct' (forward cascades) without conditions, 'mh' \
           with them.")
     Term.(
-      const explain $ C.seed_term $ C.model_required $ src $ dst $ conditions
-      $ queries $ C.engine_term $ C.obs_term)
+      const explain $ C.model_required
+      $ Arg.(value & opt (some int) None & C.src_info)
+      $ Arg.(value & opt (some int) None & C.dst_info)
+      $ C.conditions_term
+      $ Arg.(value & opt (some string) None & C.queries_info)
+      $ C.engine_term $ C.obs_term)
 
 (* ----- stream ----- *)
 
@@ -508,10 +376,8 @@ let stream seed learner on_error events_path format drift_report
      Obs_log.err ~component:"stream" "binary ingest cannot read stdin";
      exit 1
    end);
-  let snapshot =
-    or_die (fun () ->
-        Iflow_stream.Snapshot.create ?checkpoint_path:learner.C.checkpoint
-          ~keep:learner.C.keep_checkpoints ~id:version ~offset:skip model)
+  let config, online, snapshot =
+    C.start_learner learner ~version ~offset:skip model
   in
   let engine =
     (* only pay for an engine when there is something to serve *)
@@ -550,25 +416,11 @@ let stream seed learner on_error events_path format drift_report
         Obs_prometheus.write_file Obs_metrics.default path
     | _ -> ()
   in
-  let on_degraded ~stage e =
-    Obs_log.warn ~component:"stream" "degraded (%s): %s" stage
-      (Printexc.to_string e)
-  in
+  let on_degraded = C.log_degraded ~component:"stream" in
   let on_quarantine ~line ~reason =
     if quarantine_report then
       Obs_log.warn ~component:"stream" "%s:%d: quarantined: %s" events_path
         line reason
-  in
-  let config =
-    {
-      Iflow_stream.Runner.batch = learner.C.batch;
-      checkpoint_every = learner.C.checkpoint_every;
-    }
-  in
-  let online =
-    or_die (fun () ->
-        Iflow_stream.Online.create ~forget:learner.C.forget
-          ~drift:(C.drift_config learner) model)
   in
   let on_alert a =
     if drift_report then
@@ -583,13 +435,7 @@ let stream seed learner on_error events_path format drift_report
             ~on_error ~on_degraded ~on_alert ~on_quarantine
             ~on_publish config online snapshot reader)
     | `Jsonl ->
-      let ic, close =
-        if events_path = "-" then (stdin, fun () -> ())
-        else
-          let ic = or_die (fun () -> open_in events_path) in
-          (ic, fun () -> close_in_noerr ic)
-      in
-      Fun.protect ~finally:close (fun () ->
+      C.with_in events_path (fun ic ->
           or_die (fun () ->
               Iflow_stream.Runner.run ?engine ~skip
                 ~on_error ~on_degraded ~on_alert
@@ -653,7 +499,7 @@ let stream_cmd =
     Arg.(
       value
       & opt (some string) None
-      & info [ "o"; "output" ] ~doc:"Write the final model here.")
+      & C.output_info "Write the final model here.")
   in
   let metrics_every =
     Arg.(
@@ -696,14 +542,8 @@ let convert input output segment_bytes strict obs =
   in
   if Iflow_stream.Binlog.is_binlog input then begin
     (* binary -> jsonl: the audit direction *)
-    let oc, close =
-      if output = "-" then (stdout, fun () -> ())
-      else
-        let oc = or_die (fun () -> open_out output) in
-        (oc, fun () -> close_out oc)
-    in
     let events = ref 0 in
-    Fun.protect ~finally:close (fun () ->
+    C.with_out output (fun oc ->
         or_die (fun () ->
             let r = Iflow_stream.Binlog.Reader.open_ input in
             let rec go () =
@@ -725,36 +565,32 @@ let convert input output segment_bytes strict obs =
   end
   else begin
     (* jsonl -> binary: the fast-ingest direction *)
-    let ic, close =
-      if input = "-" then (stdin, fun () -> ())
-      else
-        let ic = or_die (fun () -> open_in input) in
-        (ic, fun () -> close_in_noerr ic)
-    in
     let w =
-      or_die (fun () ->
-          Iflow_stream.Binlog.Writer.create ?segment_bytes output)
+      C.with_in input (fun ic ->
+          let w =
+            or_die (fun () ->
+                Iflow_stream.Binlog.Writer.create ?segment_bytes output)
+          in
+          Fun.protect
+            ~finally:(fun () -> Iflow_stream.Binlog.Writer.close w)
+            (fun () ->
+              let lineno = ref 0 in
+              let rec go () =
+                match Iflow_stream.Runner.lines_of_channel ic () with
+                | None -> ()
+                | Some line ->
+                  incr lineno;
+                  (match Iflow_stream.Event.of_line ~lineno:!lineno line with
+                  | Ok ev -> (
+                    try Iflow_stream.Binlog.Writer.append w ev
+                    with Invalid_argument msg ->
+                      skip_or_die (Printf.sprintf "line %d" !lineno) msg)
+                  | Error msg -> skip_or_die "line" msg);
+                  go ()
+              in
+              go ());
+          w)
     in
-    Fun.protect
-      ~finally:(fun () ->
-        close ();
-        Iflow_stream.Binlog.Writer.close w)
-      (fun () ->
-        let lineno = ref 0 in
-        let rec go () =
-          match Iflow_stream.Runner.lines_of_channel ic () with
-          | None -> ()
-          | Some line ->
-            incr lineno;
-            (match Iflow_stream.Event.of_line ~lineno:!lineno line with
-            | Ok ev -> (
-              try Iflow_stream.Binlog.Writer.append w ev
-              with Invalid_argument msg ->
-                skip_or_die (Printf.sprintf "line %d" !lineno) msg)
-            | Error msg -> skip_or_die "line" msg);
-            go ()
-        in
-        go ());
     Obs_log.info ~component:"convert" "encoded %d events in %d segments \
                                        (%d lines skipped)"
       (Iflow_stream.Binlog.Writer.events w)
@@ -811,9 +647,7 @@ let convert_cmd =
 
 (* ----- serve ----- *)
 
-let serve seed host port workers queue_capacity max_connections quota_rate
-    quota_burst flight_capacity slow_query_ms default_deadline_ms
-    max_deadline_ms read_timeout_ms domains learner engine_config obs =
+let serve seed config domains learner engine_config obs =
   C.obs_setup obs;
   let engine_config = { engine_config with Engine.domains } in
   (* Graceful shutdown via sigwait: with every thread parked in a
@@ -822,70 +656,34 @@ let serve seed host port workers queue_capacity max_connections quota_rate
      before any thread spawns (they inherit the mask), then park one
      dedicated thread in Thread.wait_signal. *)
   ignore (Thread.sigmask Unix.SIG_BLOCK [ Sys.sigint; Sys.sigterm ]);
-  let model, skip, version = C.load_initial ~component:"serve" learner in
-  ignore skip;
+  let model, _, version = C.load_initial ~component:"serve" learner in
   let engine =
     or_die (fun () ->
         Engine.create ~config:engine_config ~seed
           (Beta_icm.expected_icm model))
   in
-  let quota =
-    Option.map (fun rate -> { Quota.rate; burst = quota_burst }) quota_rate
-  in
-  (* --read-timeout-ms 0 switches the guard off *)
-  let read_timeout_ms =
-    match read_timeout_ms with Some 0 -> None | v -> v
-  in
-  let config =
-    {
-      Server.host;
-      port;
-      workers;
-      queue_capacity;
-      max_connections;
-      quota;
-      flight_capacity;
-      slow_query_ms;
-      default_deadline_ms;
-      max_deadline_ms;
-      read_timeout_ms;
-    }
-  in
-  let online =
-    or_die (fun () ->
-        Iflow_stream.Online.create ~forget:learner.C.forget
-          ~drift:(C.drift_config learner) model)
-  in
   (* the network stream has no replayable prefix: evidence offsets (and
      checkpoints) restart at 0 even when --resume carried one over *)
-  let snapshot =
-    or_die (fun () ->
-        Iflow_stream.Snapshot.create ?checkpoint_path:learner.C.checkpoint
-          ~keep:learner.C.keep_checkpoints ~id:version ~offset:0 model)
+  let runner_config, online, snapshot =
+    C.start_learner learner ~version ~offset:0 model
   in
   (* starting the runner tags the engine with the (possibly resumed)
      version before the first answer can leave *)
   let runner =
     or_die (fun () ->
         Iflow_stream.Runner.start ~engine
-          ~on_degraded:(fun ~stage e ->
-            Obs_log.warn ~component:"serve" "degraded (%s): %s" stage
-              (Printexc.to_string e))
+          ~on_degraded:(C.log_degraded ~component:"serve")
           ~on_quarantine:(fun ~line ~reason ->
             Obs_log.warn ~component:"serve"
               "evidence line %d quarantined: %s" line reason)
-          {
-            Iflow_stream.Runner.batch = learner.C.batch;
-            checkpoint_every = learner.C.checkpoint_every;
-          }
-          online snapshot)
+          runner_config online snapshot)
   in
   let server =
     or_die (fun () -> Server.create ~config ~learner:runner ~engine ())
   in
   or_die (fun () -> Server.start server);
   Printf.printf "infoflow serve: listening on %s:%d (model version %d)\n%!"
-    host (Server.port server) version;
+    config.Server.host (Server.port server) version;
   let (_ : Thread.t) =
     Thread.create
       (fun () ->
@@ -910,94 +708,6 @@ let serve seed host port workers queue_capacity max_connections quota_rate
     report.Iflow_stream.Runner.stats
 
 let serve_cmd =
-  let host =
-    Arg.(
-      value & opt string Server.default_config.Server.host
-      & info [ "host" ] ~doc:"Bind address.")
-  in
-  let port =
-    Arg.(
-      value & opt int 7411
-      & info [ "port" ]
-          ~doc:"TCP port; 0 picks an ephemeral one (printed on startup).")
-  in
-  let workers =
-    Arg.(
-      value & opt int Server.default_config.Server.workers
-      & info [ "workers" ]
-          ~doc:
-            "Requests executing at once: each connection thread runs its \
-             own query once it holds one of these execution slots.")
-  in
-  let queue_capacity =
-    Arg.(
-      value & opt int Server.default_config.Server.queue_capacity
-      & info [ "queue-capacity" ]
-          ~doc:
-            "Requests that may wait for an execution slot, first come \
-             first served; requests beyond it are shed immediately with \
-             an over_capacity response.")
-  in
-  let max_connections =
-    Arg.(
-      value & opt int Server.default_config.Server.max_connections
-      & info [ "max-connections" ]
-          ~doc:"Concurrent connections before shedding at accept time.")
-  in
-  let quota_rate =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "quota-rate" ]
-          ~doc:
-            "Per-tenant sustained queries/second (token-bucket refill \
-             rate); unset disables quotas.")
-  in
-  let quota_burst =
-    Arg.(
-      value & opt float Quota.default_config.Quota.burst
-      & info [ "quota-burst" ]
-          ~doc:"Per-tenant burst size (token-bucket capacity).")
-  in
-  let flight_capacity =
-    Arg.(
-      value & opt int Server.default_config.Server.flight_capacity
-      & info [ "flight-capacity" ]
-          ~doc:
-            "Flight-recorder ring size: the last N requests stay \
-             reconstructible via GET /debug/requests (id, answer path, \
-             version, phase-decomposed latency). 0 disables the ring \
-             (slow-query logging still works).")
-  in
-  let slow_query_ms =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "slow-query-ms" ]
-          ~doc:
-            "Log a structured slow-query line (with the full flight \
-             record) for any request whose admission-to-serialized wall \
-             time reaches this many milliseconds; unset disables.")
-  in
-  let default_deadline_ms =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "default-deadline-ms" ]
-          ~doc:
-            "Deadline applied to requests that do not carry their own \
-             (deadline_ms field or X-Deadline-Ms header); unset means no \
-             implicit deadline.")
-  in
-  let max_deadline_ms =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-deadline-ms" ]
-          ~doc:
-            "Clamp client-supplied deadlines down to this cap; unset \
-             leaves them unclamped.")
-  in
   let domains =
     Arg.(
       value
@@ -1008,19 +718,6 @@ let serve_cmd =
              accepted connection's thread runs on the domain with the \
              fewest open connections, so sessions answer in parallel; a \
              query's chains run in order on its connection's domain.")
-  in
-  let read_timeout_ms =
-    Arg.(
-      value
-      & opt (some int)
-          Server.default_config.Server.read_timeout_ms
-      & info [ "read-timeout-ms" ]
-          ~doc:
-            "Read window of the slow-loris guard: a peer sending \
-             nothing inside one window, or one whose request (a JSONL \
-             line, or an HTTP request through its body) is still \
-             incomplete 4 windows after its first read, gets a typed \
-             bad_request and is disconnected. 0 disables.")
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1037,10 +734,8 @@ let serve_cmd =
           GET /metrics and /healthz expose the iflow_serve_* registry \
           live.")
     Term.(
-      const serve $ C.seed_term $ host $ port $ workers $ queue_capacity
-      $ max_connections $ quota_rate $ quota_burst $ flight_capacity
-      $ slow_query_ms $ default_deadline_ms $ max_deadline_ms
-      $ read_timeout_ms $ domains $ C.learner_term $ C.engine_term $ C.obs_term)
+      const serve $ C.seed_term $ C.server_term $ domains $ C.learner_term
+      $ C.engine_term $ C.obs_term)
 
 (* ----- impact ----- *)
 
@@ -1060,13 +755,13 @@ let impact seed model_path src config =
     (D.histogram ~lo:0.0 ~hi ~bins:(min 15 (int_of_float hi + 1)) floats)
 
 let impact_cmd =
-  let src =
-    Arg.(required & opt (some int) None & info [ "src" ] ~doc:"Source node.")
-  in
   Cmd.v
     (Cmd.info "impact"
        ~doc:"Sample the impact (number of reached nodes) distribution.")
-    Term.(const impact $ C.seed_term $ C.model_required $ src $ C.mcmc_term)
+    Term.(
+      const impact $ C.seed_term $ C.model_required
+      $ C.(required_node src_info)
+      $ C.mcmc_term)
 
 (* ----- train-unattributed ----- *)
 
@@ -1137,33 +832,22 @@ let train_unattributed tweets_path kind output names_path =
     names_path omni
 
 let train_unattributed_cmd =
-  let tweets =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "tweets" ] ~doc:"Tweet corpus (TSV).")
-  in
   let kind =
     Arg.(
       value & opt string "url"
       & info [ "kind" ] ~doc:"Item kind to track: url or hashtag.")
   in
   let output =
-    Arg.(
-      value & opt string "unattributed.bicm"
-      & info [ "o"; "output" ] ~doc:"Output betaICM (omnipotent-augmented).")
-  in
-  let names =
-    Arg.(
-      value & opt string "unattributed.names"
-      & info [ "names" ] ~doc:"Output user-name table.")
+    C.output "unattributed.bicm" ~doc:"Output betaICM (omnipotent-augmented)."
   in
   Cmd.v
     (Cmd.info "train-unattributed"
        ~doc:
          "Learn edge probabilities from hashtag or URL adoption times \
           (unattributed evidence, joint Bayes method).")
-    Term.(const train_unattributed $ tweets $ kind $ output $ names)
+    Term.(
+      const train_unattributed $ C.tweets_term $ kind $ output
+      $ C.names "unattributed.names")
 
 (* ----- seeds (influence maximisation) ----- *)
 
@@ -1230,13 +914,7 @@ let calibrate_cmd =
 (* ----- metrics ----- *)
 
 let metrics seed model_path src dst engine_config json =
-  let model, icm = C.load_model model_path in
-  let n = Beta_icm.n_nodes model in
-  if src >= n || dst >= n then begin
-    Obs_log.err ~component:"metrics" "probe %d:%d out of range (model has %d nodes)"
-      src dst n;
-    exit 1
-  end;
+  let _, icm = C.load_model model_path in
   let engine = or_die (fun () -> Engine.create ~config:engine_config ~seed icm) in
   (* one sampled query + one cache hit, so every mcmc/engine metric has
      something to show *)
@@ -1248,12 +926,6 @@ let metrics seed model_path src dst engine_config json =
      else Obs_prometheus.to_string Obs_metrics.default)
 
 let metrics_cmd =
-  let src =
-    Arg.(value & opt int 0 & info [ "src" ] ~doc:"Probe query source node.")
-  in
-  let dst =
-    Arg.(value & opt int 1 & info [ "dst" ] ~doc:"Probe query sink node.")
-  in
   let json =
     Arg.(
       value & flag
@@ -1267,7 +939,9 @@ let metrics_cmd =
           snapshot (Prometheus text exposition by \
           default) to stdout — a smoke test of the observability layer.")
     Term.(
-      const metrics $ C.seed_term $ C.model_required $ src $ dst
+      const metrics $ C.seed_term $ C.model_required
+      $ Arg.(value & opt int 0 & C.src_info)
+      $ Arg.(value & opt int 1 & C.dst_info)
       $ C.engine_term $ json)
 
 (* ----- requests ----- *)
@@ -1388,14 +1062,6 @@ let requests host port n json =
       (if List.length records = 1 then "" else "s")
 
 let requests_cmd =
-  let host =
-    Arg.(
-      value & opt string "127.0.0.1"
-      & info [ "host" ] ~doc:"Server address.")
-  in
-  let port =
-    Arg.(value & opt int 7411 & info [ "port" ] ~doc:"Server port.")
-  in
   let n =
     Arg.(
       value & opt int 32
@@ -1416,17 +1082,14 @@ let requests_cmd =
           tenant, answer path (cache/exact/mh/error), model version, and \
           the phase-decomposed latency (queue wait, plan, sample, \
           serialize), plus sampler diagnostics for MH answers.")
-    Term.(const requests $ host $ port $ n $ json)
+    Term.(const requests $ C.host_term $ C.port_term $ n $ json)
 
 (* ----- prom-check ----- *)
 
 let prom_check path =
   let text =
-    or_die (fun () ->
-        let ic = open_in path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic)))
+    C.with_file path (fun ic ->
+        or_die (fun () -> really_input_string ic (in_channel_length ic)))
   in
   match Obs_prometheus.check text with
   | Ok () ->

@@ -185,7 +185,6 @@ exception
   Deadline_exceeded of {
     query : string;
     reason : string; (* "deadline expired" or the explicit fire reason *)
-    rounds : int; (* full rounds completed before the token tripped *)
   }
 
 let () =
@@ -196,12 +195,12 @@ let () =
            "Engine.Chains_failed: query %s lost %d of %d chains (first \
             failure: %s)"
            query failed chains reason)
-    | Deadline_exceeded { query; reason; rounds } ->
+    | Deadline_exceeded { query; reason } ->
       Some
         (Printf.sprintf
-           "Engine.Deadline_exceeded: query %s cancelled (%s) after %d \
-            complete rounds"
-           query reason rounds)
+           "Engine.Deadline_exceeded: query %s cancelled (%s) before any \
+            round completed"
+           query reason)
     | _ -> None)
 
 type t = {
@@ -269,8 +268,7 @@ let buffer_push b x =
 
 let buffer_contents b = Array.sub b.data 0 b.len
 
-let run_query ?rid ~ph ?(cancel = Cancel.none) ?(on_deadline = `Fail) ~sampler
-    t ~icm ~digest q =
+let run_query ?rid ~ph ?(cancel = Cancel.none) ~sampler t ~icm ~digest q =
   let span_args =
     ("key", Trace.Str (Query.key q))
     ::
@@ -445,19 +443,16 @@ let run_query ?rid ~ph ?(cancel = Cancel.none) ?(on_deadline = `Fail) ~sampler
   if not !cancelled then finish ~partial:false
   else begin
     Metrics.inc m_deadline_queries;
-    match on_deadline with
-    | `Partial when !rounds >= 1 && !last_summary <> None ->
-      (* anytime answer: the estimate over every complete round, with
-         its real (possibly unconverged) diagnostics, flagged partial *)
-      finish ~partial:true
-    | _ ->
+    (* anytime answer: the estimate over every complete round, with its
+       real (possibly unconverged) diagnostics, flagged partial *)
+    if !rounds >= 1 then finish ~partial:true
+    else
       raise
         (Deadline_exceeded
            {
              query = Query.key q;
              reason =
                Option.value (Cancel.reason cancel) ~default:"cancelled";
-             rounds = !rounds;
            })
   end
 
@@ -474,7 +469,7 @@ let cacheable t r =
 (* Plan, then answer (see [route]). Planning is RNG-free, so
    conditioned answers on the MH path stay bit-for-bit what they were
    without a planner. *)
-let compute ?rid ~ph ?cancel ?on_deadline t ~icm ~digest q =
+let compute ?rid ~ph ?cancel t ~icm ~digest q =
   match route ~phases:ph t.config icm q with
   | Bad_query reason ->
     (* no state meets the conditions: a bad query, refused before any
@@ -485,7 +480,7 @@ let compute ?rid ~ph ?cancel ?on_deadline t ~icm ~digest q =
   | Sample { sampler; reason } ->
     Planner.record_fallback reason;
     {
-      (run_query ?rid ~ph ?cancel ?on_deadline ~sampler t ~icm ~digest q) with
+      (run_query ?rid ~ph ?cancel ~sampler t ~icm ~digest q) with
       plan = Plan_mh { fallback = Some (Planner.reason_label reason); sampler };
     }
   | Exact e ->
@@ -518,7 +513,7 @@ let swap t ~version icm =
       set_cache_entries t;
       evicted)
 
-let query ?rid ?phases:caller ?cancel ?on_deadline t q =
+let query ?rid ?phases:caller ?cancel t q =
   Metrics.inc m_queries;
   let key = Query.key q in
   (* a query pins the (model, digest, version) triple it sees at entry,
@@ -538,7 +533,7 @@ let query ?rid ?phases:caller ?cancel ?on_deadline t q =
   | None ->
     Metrics.inc m_cache_misses;
     let ph = match caller with Some p -> p | None -> phases () in
-    let r = compute ?rid ~ph ?cancel ?on_deadline t ~icm ~digest q in
+    let r = compute ?rid ~ph ?cancel t ~icm ~digest q in
     if cacheable t r then
       locked t (fun () ->
           (* an answer on a superseded model would only sit there *)

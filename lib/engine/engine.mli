@@ -153,14 +153,10 @@ exception
     query : string;   (** {!Query.key} of the cancelled query *)
     reason : string;  (** ["deadline expired"], or the explicit
                           {!Iflow_mcmc.Cancel.fire} reason *)
-    rounds : int;     (** complete rounds at the stop (always 0 when
-                          [?on_deadline:`Partial] was requested — with
-                          a round in hand a partial answer is returned
-                          instead) *)
   }
-(** Raised by {!query} when its cancel token trips and no answer can
-    be returned under the caller's [?on_deadline] policy. The engine
-    stays usable; nothing is cached. *)
+(** Raised by {!query} when its cancel token trips before one sampling
+    round has completed, so there is no partial answer to return. The
+    engine stays usable; nothing is cached. *)
 
 type t
 
@@ -191,8 +187,7 @@ val swap : t -> version:int -> Iflow_core.Icm.t -> int
 
 val query :
   ?rid:string -> ?phases:phases ->
-  ?cancel:Iflow_mcmc.Cancel.t -> ?on_deadline:[ `Fail | `Partial ] ->
-  t -> Query.t -> result
+  ?cancel:Iflow_mcmc.Cancel.t -> t -> Query.t -> result
 (** Answer one query, consulting the cache first. Raises
     [Invalid_argument] when the query mentions a node outside the
     model, or when its conditions cannot be satisfied. With the
@@ -215,14 +210,12 @@ val query :
     boundaries. A
     token already tripped at entry stops the query before any burn-in
     (cache hits and exact-planned answers are still returned — they
-    cost nothing). When the token trips mid-query, [?on_deadline]
-    decides the outcome: [`Fail] (default) raises
-    {!Deadline_exceeded}; [`Partial] returns the anytime answer over
-    the rounds that completed — flagged [partial], carrying its real
-    R̂/MCSE, and never cached — falling back to {!Deadline_exceeded}
-    when not even one round finished. A round interrupted mid-draw is
-    discarded whole, so partial answers stand on the same whole-round
-    footing as converged ones. An armed token that never trips changes
+    cost nothing). When the token trips mid-query, the query returns
+    the anytime answer over the rounds that completed — flagged
+    [partial], carrying its real R̂/MCSE, and never cached — or raises
+    {!Deadline_exceeded} when not even one round finished. A round
+    interrupted mid-draw is discarded whole, so partial answers stand
+    on the same whole-round footing as converged ones. An armed token that never trips changes
     nothing: answers are bit-for-bit identical to an uncancelled run
     (the checks read the clock, never the RNG).
 

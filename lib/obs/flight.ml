@@ -83,48 +83,7 @@ let clear () =
       ring.cursor <- 0;
       ring.next_seq <- 0)
 
-(* ----- load hint -----
-
-   An EWMA (alpha 1/8) of queue-wait and serialize times over the
-   requests that actually ran (queue_wait_ns > 0 — refusals at
-   admission never waited and would drag the estimate to zero). This
-   is the conservative floor deadline-aware admission compares a
-   request's budget against: every admitted request pays at least the
-   queue wait plus serialization, whatever path answers it. Plain
-   atomics with racy read-modify-write — a lost update nudges the
-   EWMA by one sample, which is noise at admission-decision scale. *)
-
-type hint = { h_queue_wait_ns : int; h_serialize_ns : int; h_count : int }
-
-let hint_queue_wait = Atomic.make 0
-let hint_serialize = Atomic.make 0
-let hint_count = Atomic.make 0
-
-let ewma cell x =
-  let old = Atomic.get cell in
-  Atomic.set cell (if old = 0 then x else old + ((x - old) asr 3))
-
-let observe_load ~queue_wait_ns ~serialize_ns =
-  if queue_wait_ns > 0 then begin
-    ewma hint_queue_wait queue_wait_ns;
-    ewma hint_serialize (max 0 serialize_ns);
-    Atomic.incr hint_count
-  end
-
-let load_hint () =
-  {
-    h_queue_wait_ns = Atomic.get hint_queue_wait;
-    h_serialize_ns = Atomic.get hint_serialize;
-    h_count = Atomic.get hint_count;
-  }
-
-let reset_load_hint () =
-  Atomic.set hint_queue_wait 0;
-  Atomic.set hint_serialize 0;
-  Atomic.set hint_count 0
-
 let submit r =
-  observe_load ~queue_wait_ns:r.queue_wait_ns ~serialize_ns:r.serialize_ns;
   let ts_ns = Clock.now_ns () in
   if not (Atomic.get on) then { r with ts_ns }
   else begin

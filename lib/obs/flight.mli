@@ -78,23 +78,3 @@ val to_json : record -> string
 (** One JSON object (no trailing newline) with every field; [rhat] and
     [mcse] serialise as [null] when not finite ([deadline_ns] /
     [cancelled] appear only when set). *)
-
-(** {1 Load hint} — what recent requests actually paid.
-
-    Deadline-aware admission asks: can this request's budget cover
-    even the floor every admitted request pays (queue wait +
-    serialization)? The floor comes from an EWMA (alpha 1/8) over
-    {!submit}ted records that ran ([queue_wait_ns > 0]), updated
-    whether or not the ring is enabled. Reads are racy-by-design
-    atomics — cheap enough for the admission path. *)
-
-type hint = {
-  h_queue_wait_ns : int;  (** EWMA queue wait of executed requests *)
-  h_serialize_ns : int;   (** EWMA serialize time of the same *)
-  h_count : int;          (** executed requests folded in since reset *)
-}
-
-val load_hint : unit -> hint
-
-val reset_load_hint : unit -> unit
-(** Back to all-zero (tests; also sensible after a long idle gap). *)

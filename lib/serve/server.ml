@@ -166,11 +166,9 @@ type config = {
   read_timeout_ms : int option;
 }
 
-(* fixed limits: the listen(2) backlog, the per-line cap of both
-   dialects and the HTTP body cap *)
+(* the fixed listen(2) backlog; the line cap of both dialects and the
+   HTTP body cap are [Sockio.reader]'s and [Http.read_request]'s *)
 let backlog = 128
-let max_line_bytes = 1 lsl 20
-let max_body_bytes = 8 lsl 20
 
 let default_config =
   {
@@ -226,6 +224,13 @@ type t = {
   t_start : int;
   s_active : int Atomic.t; (* open connections, read by admission control *)
   next_rid : int Atomic.t;
+  (* the overhead floor deadline-aware admission reads: an EWMA
+     (alpha 1/8) of queue wait and serialize time over the requests
+     that took a slot, and how many it has folded in. Racy
+     read-modify-write: a lost update nudges the EWMA by one sample. *)
+  floor_queue_wait_ns : int Atomic.t;
+  floor_serialize_ns : int Atomic.t;
+  floor_count : int Atomic.t;
 }
 
 let validate_config c =
@@ -282,6 +287,9 @@ let create ?(config = default_config) ?gate ?learner ~engine () =
     t_start = Clock.now_ns ();
     s_active = Atomic.make 0;
     next_rid = Atomic.make 1;
+    floor_queue_wait_ns = Atomic.make 0;
+    floor_serialize_ns = Atomic.make 0;
+    floor_count = Atomic.make 0;
   }
 
 (* ----- learner integration ----- *)
@@ -317,8 +325,19 @@ let mint_rid t =
   Printf.sprintf "r%d-%d" (Unix.getpid ()) (Atomic.fetch_and_add t.next_rid 1)
 
 (* The unmeetable predictor needs this many executed requests folded
-   into the load hint before it trusts the floor estimate *)
+   into the floor before it trusts the estimate *)
 let unmeetable_min_samples = 32
+
+let ewma cell x =
+  let old = Atomic.get cell in
+  Atomic.set cell (if old = 0 then x else old + ((x - old) asr 3))
+
+(* every admitted request pays at least its queue wait plus
+   serialization, whatever path answers it *)
+let observe_floor t ~queue_wait_ns ~serialize_ns =
+  ewma t.floor_queue_wait_ns queue_wait_ns;
+  ewma t.floor_serialize_ns serialize_ns;
+  Atomic.incr t.floor_count
 
 let refuse ?retry_after_ms code msg = Refused { code; msg; retry_after_ms }
 
@@ -335,8 +354,9 @@ let execute t ~tenant ~rid ~deadline_budget_ns q =
     | None -> Quota.Granted
     | Some quota -> Quota.admit quota ~now_ns:t0 ~tenant
   in
-  let hint = Flight.load_hint () in
-  let floor_ns = hint.Flight.h_queue_wait_ns + hint.Flight.h_serialize_ns in
+  let floor_ns =
+    Atomic.get t.floor_queue_wait_ns + Atomic.get t.floor_serialize_ns
+  in
   match quota_verdict with
   | Quota.Denied { retry_after_ns } ->
     Metrics.inc m_shed_quota;
@@ -350,7 +370,7 @@ let execute t ~tenant ~rid ~deadline_budget_ns q =
      is cheaper for everyone than waiting for a slot only to expire *)
   | Quota.Granted
     when has_deadline
-         && hint.Flight.h_count >= unmeetable_min_samples
+         && Atomic.get t.floor_count >= unmeetable_min_samples
          && floor_ns > deadline_budget_ns ->
     Metrics.inc m_shed_deadline;
     ( refuse Wire.Deadline_unmeetable
@@ -396,10 +416,7 @@ let execute t ~tenant ~rid ~deadline_budget_ns q =
                    (ns_to_ms_ceil deadline_budget_ns)
                    (ns_to_ms_ceil queue_wait_ns))
             else
-              match
-                Engine.query ~rid ~phases:ph ~cancel ~on_deadline:`Partial
-                  t.engine q
-              with
+              match Engine.query ~rid ~phases:ph ~cancel t.engine q with
               | r ->
                 Metrics.inc m_answers;
                 (* exact-planned answers have no chains to lose *)
@@ -411,11 +428,10 @@ let execute t ~tenant ~rid ~deadline_budget_ns q =
                 in
                 if degraded then Metrics.inc m_degraded_answers;
                 Answer { result = r; version = ph.Engine.version; degraded }
-              | exception Engine.Deadline_exceeded { reason; rounds; _ } ->
+              | exception Engine.Deadline_exceeded { reason; _ } ->
                 refuse Wire.Deadline_exceeded
-                  (Printf.sprintf "query %s: %s after %d round%s" (Query.key q)
-                     reason rounds
-                     (if rounds = 1 then "" else "s"))
+                  (Printf.sprintf "query %s: %s before any round completed"
+                     (Query.key q) reason)
               | exception Engine.Chains_failed _ ->
                 Metrics.inc m_engine_errors;
                 refuse Wire.Chains_failed
@@ -459,6 +475,7 @@ let finish_request t ~rid ~tenant ~kind ~reply ~ran ~deadline_budget_ns
   (* admission refusals never queued, planned or sampled *)
   (match ran with
   | Some (queue_wait_ns, ph) ->
+    observe_floor t ~queue_wait_ns ~serialize_ns;
     Metrics.observe h.ph_queue_wait queue_wait_ns;
     Metrics.observe h.ph_plan ph.Engine.plan_ns;
     Metrics.observe h.ph_sample ph.Engine.sample_ns
@@ -710,7 +727,8 @@ let handle_jsonl t fd r first_line =
     | Sockio.Too_long ->
       Sockio.write_all fd
         (Wire.error_line Wire.Bad_request
-           (Printf.sprintf "line %d exceeds %d bytes" lineno max_line_bytes)
+           (Printf.sprintf "line %d exceeds %d bytes" lineno
+              Sockio.max_line_bytes)
         ^ "\n")
     | Sockio.Line line ->
       respond line lineno;
@@ -724,9 +742,7 @@ let handle_http t fd r first_line =
   let send ?headers ?content_type ~status body =
     Sockio.write_all fd (Http.response ?headers ?content_type ~status body)
   in
-  match
-    Http.read_request ~max_body_bytes r ~first_line
-  with
+  match Http.read_request r ~first_line with
   | Http.Malformed msg ->
     send ~status:400 (Wire.error_line Wire.Bad_request msg ^ "\n")
   | Http.Overflow msg ->
@@ -834,7 +850,7 @@ let handle_http t fd r first_line =
         ^ "\n"))
 
 let handle_conn t ~domain conn_id fd =
-  let r = Sockio.reader ~max_line_bytes fd in
+  let r = Sockio.reader fd in
   Option.iter (fun ms -> Sockio.guard r ~window_ms:ms) t.config.read_timeout_ms;
   Fun.protect
     ~finally:(fun () ->

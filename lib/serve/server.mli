@@ -88,13 +88,15 @@
     becomes an {!Iflow_mcmc.Cancel} token; a budget over
     {!Iflow_mcmc.Cancel.max_budget_ms} is a [bad_request].
     Admission refuses [deadline_unmeetable] when the recent overhead
-    floor (queue-wait + serialize EWMA from the flight recorder)
-    already exceeds the budget; a request whose deadline passed while
-    it waited for a slot answers [deadline_exceeded] {e before} any
-    sampling; the
+    floor already exceeds the budget: the server's own EWMA of queue
+    wait + serialize time over the last requests that took a slot,
+    kept whether or not the flight recorder is on (after 32 such
+    requests). A request whose deadline passed while it waited for a
+    slot answers [deadline_exceeded] {e before} any sampling; the
     engine polls the token at round boundaries and mid-burn-in, and
-    answers with whatever converged rounds it has (flagged
-    ["partial":true], never cached) or a typed [deadline_exceeded].
+    answers with the rounds that completed (flagged
+    ["partial":true], never cached) or, with none, a typed
+    [deadline_exceeded].
     Every deadline-carrying request settles into exactly one outcome
     counted by [iflow_serve_deadline_total{outcome=
     ok|partial|deadline_exceeded|deadline_unmeetable}]. Requests
@@ -143,7 +145,8 @@ val default_config : config
 (** 127.0.0.1:0, queue 64, 2 workers, 1024 connections, no quota,
     flight ring 1024, slow-query logging off, no deadlines, 30 s read
     timeout. The listen(2) backlog (128), the line cap of both dialects
-    (1 MiB) and the HTTP body cap (8 MiB) are fixed. *)
+    ({!Sockio.max_line_bytes}) and the HTTP body cap
+    ({!Http.read_request}'s 8 MiB) are fixed. *)
 
 type t
 

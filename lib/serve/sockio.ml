@@ -20,7 +20,9 @@ type reader = {
   mutable expired : bool;
 }
 
-let reader ?(max_line_bytes = 1 lsl 20) fd =
+let max_line_bytes = 1 lsl 20
+
+let reader ?(max_line_bytes = max_line_bytes) fd =
   {
     fd;
     buf = Bytes.create window_bytes;

@@ -10,8 +10,11 @@
 
 type reader
 
+val max_line_bytes : int
+(** 1 MiB: the default cap on one line. *)
+
 val reader : ?max_line_bytes:int -> Unix.file_descr -> reader
-(** Default cap 1 MiB per line. Reading a line costs one copy of it,
+(** Caps each line at [max_line_bytes]. Reading a line costs one copy of it,
     however many reads it took to arrive. *)
 
 (** {1 The slow-loris guard} *)

@@ -2077,7 +2077,6 @@ let test_sockio_timeout () =
       | Sockio.Too_long -> Alcotest.fail "reported Too_long for a timeout")
 
 let test_serve_deadline_expired_in_queue () =
-  Flight.reset_load_hint ();
   let gate_m = Mutex.create () in
   let gate_cv = Condition.create () in
   let gate_open = ref false in
@@ -2140,50 +2139,34 @@ let test_serve_deadline_expired_in_queue () =
               rc.Flight.error
           | None -> Alcotest.fail "no flight record for dl-q"))
 
+(* The floor is the server's own, fed by every request that took a
+   slot, so admission refuses alike with the flight ring on or off *)
 let test_serve_deadline_unmeetable () =
-  Fun.protect
-    ~finally:(fun () -> Flight.reset_load_hint ())
-    (fun () ->
-      with_server (fun server _engine ->
-          (* prime the admission floor: recent requests paid ~51 ms of
-             queue wait + serialize, so a 10 ms budget cannot fit *)
-          Flight.reset_load_hint ();
-          let rc =
-            {
-              Flight.seq = -1;
-              id = "prime";
-              tenant = "";
-              kind = "flow 0 1";
-              path = Flight.Mh;
-              fallback = "";
-              error = "";
-              version = 0;
-              digest = "";
-              queue_wait_ns = 50_000_000;
-              plan_ns = 0;
-              sample_ns = 1_000_000;
-              serialize_ns = 1_000_000;
-              rounds = 1;
-              samples = 1;
-              rhat = 1.0;
-              mcse = 0.0;
-              deadline_ns = 0;
-              cancelled = false;
-              ts_ns = 0;
-            }
-          in
-          for _ = 1 to 40 do
-            ignore (Flight.submit rc)
-          done;
-          let shed0 = (Server.stats server).Server.shed_deadline in
+  List.iter
+    (fun flight_capacity ->
+      (* prime the admission floor: while [slow] is set, every request
+         waits 15 ms in the gate after taking its slot, so recent
+         requests paid >= 15 ms of queue wait and a 10 ms budget
+         cannot fit *)
+      let slow = Atomic.make true in
+      let gate () = if Atomic.get slow then Unix.sleepf 0.015 in
+      let config = { Server.default_config with Server.flight_capacity } in
+      with_server ~config ~gate (fun server _engine ->
           let fd = connect (Server.port server) in
           Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
               let r = Sockio.reader fd in
+              for _ = 1 to 40 do
+                ignore (parse_ok (ask r fd (query_json ~src:0 ~dst:1 ())))
+              done;
+              Atomic.set slow false;
+              let shed0 = (Server.stats server).Server.shed_deadline in
               let line =
                 ask r fd {|{"deadline_ms":10,"type":"flow","src":0,"dst":1}|}
               in
-              check_string "typed refusal" "deadline_unmeetable"
-                (error_code line);
+              check_string
+                (Printf.sprintf "typed refusal (flight ring %d)"
+                   flight_capacity)
+                "deadline_unmeetable" (error_code line);
               check_int "counted in shed_deadline" 1
                 ((Server.stats server).Server.shed_deadline - shed0);
               (* an ample budget clears the same floor *)
@@ -2193,6 +2176,7 @@ let test_serve_deadline_unmeetable () =
                       {|{"deadline_ms":60000,"type":"flow","src":0,"dst":2}|}));
               (* and a request with no deadline is never floor-checked *)
               ignore (parse_ok (ask r fd (query_json ~src:0 ~dst:3 ()))))))
+    [ 0; 1024 ]
 
 let test_serve_deadline_validation_and_header () =
   with_server (fun server _engine ->
@@ -2309,7 +2293,6 @@ let test_serve_deadline_overflow_refused () =
         ])
 
 let test_serve_partial_answer_over_the_wire () =
-  Flight.reset_load_hint ();
   with_server ~engine_config:never_converge (fun server _engine ->
       let fd = connect (Server.port server) in
       Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
