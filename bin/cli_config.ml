@@ -308,32 +308,38 @@ let plan_string (r : Engine.result) =
     Printf.sprintf "%s (fallback: %s)" (Engine.sampler_label sampler) reason
   | Engine.Plan_mh { fallback = None; sampler } -> Engine.sampler_label sampler
 
+(* checked here, so a budget out of range exits 1 before any work *)
 let deadline_ms_term =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "deadline-ms" ]
-        ~doc:
-          "Wall-clock budget for answering each query. Sampling is \
-           cancelled at the deadline: a query with at least one completed \
-           round answers its partial estimate, flagged (batch's cached \
-           column reads 'partial'); one with none reports \
-           deadline_exceeded (estimate exits 2). Without this flag, answers \
-           are bit-for-bit those of a deadline-free run. (Distinct from \
-           estimate's --deadline, which asks about flow arrival time.)")
+  let check =
+    Option.map (fun ms ->
+        match Cancel.check_ms "--deadline-ms" (Some ms) with
+        | Ok ms -> ms
+        | Error msg ->
+          Obs_log.err "%s" msg;
+          exit 1)
+  in
+  Term.(
+    const check
+    $ Arg.(
+        value
+        & opt (some int) None
+        & info [ "deadline-ms" ]
+            ~doc:
+              "Wall-clock budget for answering each query, from 1 to \
+               2147483647 ms. Sampling is cancelled at the deadline: a query \
+               with at least one completed round answers its partial \
+               estimate, flagged (batch's cached column reads 'partial'); one \
+               with none reports deadline_exceeded (estimate exits 2). \
+               Without this flag, answers are bit-for-bit those of a \
+               deadline-free run. (Distinct from estimate's --deadline, which \
+               asks about flow arrival time.)"))
 
 (* One query under its own fresh --deadline-ms budget; [None] when the
    deadline passed before one sampling round completed. Without a
-   deadline the token is never armed. Raises [Invalid_argument] where
-   the deadline would wrap. *)
+   deadline none is armed. *)
 let query_within ?rid ?phases deadline_ms engine q =
   let cancel =
-    match deadline_ms with
-    | Some ms when ms > Cancel.max_budget_ms ->
-      invalid_arg
-        (Printf.sprintf "--deadline-ms exceeds %d" Cancel.max_budget_ms)
-    | Some ms -> Cancel.with_budget ~budget_ns:(ms * 1_000_000) ()
-    | None -> Cancel.none
+    match deadline_ms with Some ms -> Cancel.create ms | None -> Cancel.none
   in
   match Engine.query ?rid ?phases ~cancel engine q with
   | r -> Some r

@@ -162,9 +162,6 @@ let expected_icm t =
   done;
   Icm.own t.graph probs
 
-let mode_icm t =
-  Icm.own t.graph (Array.init (n_edges t) (fun e -> Beta.mode (edge_beta t e)))
-
 let sample_icm rng t =
   Icm.own t.graph
     (Array.init (n_edges t) (fun e -> Beta.sample rng (edge_beta t e)))

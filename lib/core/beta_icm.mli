@@ -109,8 +109,6 @@ val expected_icm : t -> Icm.t
     One float array is filled and handed to {!Icm.own}, which checks
     it and keeps it without a copy. *)
 
-val mode_icm : t -> Icm.t
-
 val sample_icm : Iflow_stats.Rng.t -> t -> Icm.t
 (** Draw a point ICM: each edge probability sampled from its beta. *)
 

@@ -1,16 +1,8 @@
 (** Synthetic model generators matching the paper's experimental setups. *)
 
-val beta_icm :
-  Iflow_stats.Rng.t ->
-  nodes:int -> edges:int ->
-  a_range:float * float -> b_range:float * float ->
-  Beta_icm.t
-(** The paper's synthetic betaICM generator (Section IV-A): a uniform
-    G(n, m) structure, each edge given Beta(a, b) with
-    [a ~ U a_range], [b ~ U b_range]. The paper uses a, b ~ U(1, 20). *)
-
 val default_beta_icm : Iflow_stats.Rng.t -> nodes:int -> edges:int -> Beta_icm.t
-(** [beta_icm] with the paper's a, b ~ U(1, 20). *)
+(** The paper's synthetic betaICM generator (Section IV-A): a uniform
+    G(n, m) structure, each edge given Beta(a, b) with a, b ~ U(1, 20). *)
 
 val skewed_ground_truth : Iflow_stats.Rng.t -> Iflow_graph.Digraph.t -> Icm.t
 (** Ground-truth activation probabilities for Section V-C: 90% of edges

@@ -182,10 +182,7 @@ exception
   }
 
 exception
-  Deadline_exceeded of {
-    query : string;
-    reason : string; (* "deadline expired" or the explicit fire reason *)
-  }
+  Deadline_exceeded of { query : string }
 
 let () =
   Printexc.register_printer (function
@@ -195,12 +192,12 @@ let () =
            "Engine.Chains_failed: query %s lost %d of %d chains (first \
             failure: %s)"
            query failed chains reason)
-    | Deadline_exceeded { query; reason } ->
+    | Deadline_exceeded { query } ->
       Some
         (Printf.sprintf
-           "Engine.Deadline_exceeded: query %s cancelled (%s) before any \
+           "Engine.Deadline_exceeded: query %s: deadline expired before any \
             round completed"
-           query reason)
+           query)
     | _ -> None)
 
 type t = {
@@ -236,7 +233,6 @@ let create ?(config = default_config) ~seed icm =
 
 let locked t f = Mutex.protect t.lock f
 
-let icm t = locked t (fun () -> t.icm)
 let digest t = locked t (fun () -> t.digest)
 let version t = locked t (fun () -> (t.version, t.digest))
 let config t = t.config
@@ -446,14 +442,7 @@ let run_query ?rid ~ph ?(cancel = Cancel.none) ~sampler t ~icm ~digest q =
     (* anytime answer: the estimate over every complete round, with its
        real (possibly unconverged) diagnostics, flagged partial *)
     if !rounds >= 1 then finish ~partial:true
-    else
-      raise
-        (Deadline_exceeded
-           {
-             query = Query.key q;
-             reason =
-               Option.value (Cancel.reason cancel) ~default:"cancelled";
-           })
+    else raise (Deadline_exceeded { query = Query.key q })
   end
 
 (* Degraded sampled answers reflect a transient fault, not the model,

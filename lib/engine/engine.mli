@@ -151,10 +151,8 @@ exception
 exception
   Deadline_exceeded of {
     query : string;   (** {!Query.key} of the cancelled query *)
-    reason : string;  (** ["deadline expired"], or the explicit
-                          {!Iflow_mcmc.Cancel.fire} reason *)
   }
-(** Raised by {!query} when its cancel token trips before one sampling
+(** Raised by {!query} when its deadline passes before one sampling
     round has completed, so there is no partial answer to return. The
     engine stays usable; nothing is cached. *)
 
@@ -164,7 +162,6 @@ val create : ?config:config -> seed:int -> Iflow_core.Icm.t -> t
 (** Raises [Invalid_argument] on a nonsensical config (no chains,
     [thin < 1], [rhat_target < 1], ...). *)
 
-val icm : t -> Iflow_core.Icm.t
 val config : t -> config
 val digest : t -> string
 (** The model fingerprint used in per-query seeds:
@@ -204,19 +201,19 @@ val query :
     bit-for-bit identical with or without them.
 
     {b Deadlines.} [?cancel] (default {!Iflow_mcmc.Cancel.none})
-    threads a cooperative cancellation token into the sampler: every
-    stream polls it per retained draw, chains also inside the burn-in
-    (128-step chunks), and the adaptive loop polls it at round
-    boundaries. A
-    token already tripped at entry stops the query before any burn-in
+    threads a cooperative deadline into the sampler: every stream polls
+    it per retained draw, chains also inside the burn-in (128-step
+    chunks), and the adaptive loop polls it at round boundaries. A
+    deadline already passed at entry stops the query before any burn-in
     (cache hits and exact-planned answers are still returned — they
-    cost nothing). When the token trips mid-query, the query returns
-    the anytime answer over the rounds that completed — flagged
+    cost nothing). When the deadline passes mid-query, the query
+    returns the anytime answer over the rounds that completed — flagged
     [partial], carrying its real R̂/MCSE, and never cached — or raises
     {!Deadline_exceeded} when not even one round finished. A round
     interrupted mid-draw is discarded whole, so partial answers stand
-    on the same whole-round footing as converged ones. An armed token that never trips changes
-    nothing: answers are bit-for-bit identical to an uncancelled run
+    on the same whole-round footing as converged ones. A deadline that
+    never passes changes nothing: answers are bit-for-bit identical to
+    an undeadlined run
     (the checks read the clock, never the RNG).
 
     {b Planning.} With [config.planner] on (the default) the query is

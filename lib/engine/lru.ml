@@ -31,7 +31,6 @@ let create ?(on_evict = ignore) capacity =
     on_evict;
   }
 
-let capacity t = t.capacity
 let length t = Hashtbl.length t.table
 
 let unlink t node =

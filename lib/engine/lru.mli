@@ -19,7 +19,6 @@ val create : ?on_evict:(unit -> unit) -> int -> ('k, 'v) t
     eviction counter moves — the engine counts its registry metric
     there. *)
 
-val capacity : ('k, 'v) t -> int
 val length : ('k, 'v) t -> int
 
 val find : ('k, 'v) t -> 'k -> 'v option

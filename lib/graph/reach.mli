@@ -26,8 +26,6 @@ val workspace : int -> workspace
 (** [workspace n] is scratch space for BFS over graphs with [n] nodes.
     Raises [Invalid_argument] when [n < 0]. *)
 
-val capacity : workspace -> int
-
 val bfs : workspace -> active:(int -> bool) -> Digraph.t -> src:int -> unit
 (** [bfs ws ~active g ~src] marks every node reachable from [src]
     through active edges (the source included). Zero allocation. *)

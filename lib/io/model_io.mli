@@ -52,7 +52,6 @@ val save_icm :
   ?meta:(string * string) list -> string -> Iflow_core.Icm.t -> unit
 
 val load_icm : string -> Iflow_core.Icm.t
-val load_icm_meta : string -> Iflow_core.Icm.t * (string * string) list
 
 val save_tweets : string -> Iflow_twitter.Tweet.t list -> unit
 val load_tweets : string -> Iflow_twitter.Tweet.t list

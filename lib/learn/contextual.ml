@@ -13,8 +13,6 @@ type t = {
   relay_counts : counts array;
 }
 
-let graph t = t.graph
-
 let train g objects =
   let m = Digraph.n_edges g in
   let fresh () = Array.init m (fun _ -> { fired = 0; held = 0 }) in

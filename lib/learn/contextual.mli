@@ -13,8 +13,6 @@ type context = From_source | From_relay
 
 type t
 
-val graph : t -> Iflow_graph.Digraph.t
-
 val train : Iflow_graph.Digraph.t -> Iflow_core.Evidence.attributed -> t
 (** For each object and each edge whose parent was active: the trial is
     assigned to [From_source] when the parent is one of the object's

@@ -113,8 +113,6 @@ let create ?(conditions = Conditions.empty) ?init rng icm =
     fl_reach = Array.make 4 0;
   }
 
-let icm t = t.icm
-let conditions t = t.conditions
 let state t = t.state
 let workspace t = t.ws
 

@@ -25,9 +25,6 @@ val create :
     bounded repair of {!Conditions.initial_state}), and when [init]
     itself violates them or has zero probability. *)
 
-val icm : t -> Iflow_core.Icm.t
-val conditions : t -> Conditions.t
-
 val state : t -> Iflow_core.Pseudo_state.t
 (** The live current state — not a copy; do not mutate (the chain's
     incremental reachability caches assume every edit goes through

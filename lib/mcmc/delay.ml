@@ -23,15 +23,8 @@ let sample_dist rng = function
 
 type t = { icm : Icm.t; delays : dist array }
 
-let create icm delays =
-  if Array.length delays <> Icm.n_edges icm then
-    invalid_arg "Delay.create: size mismatch";
-  { icm; delays }
-
 let uniform_delay icm dist =
   { icm; delays = Array.make (Icm.n_edges icm) dist }
-
-let icm t = t.icm
 
 (* Dijkstra on the active subgraph. Node count is small relative to the
    sampling loop, so a sorted-set frontier is plenty. *)

@@ -22,13 +22,8 @@ val sample_dist : Iflow_stats.Rng.t -> dist -> float
 
 type t
 
-val create : Iflow_core.Icm.t -> dist array -> t
-(** One delay distribution per edge. *)
-
 val uniform_delay : Iflow_core.Icm.t -> dist -> t
 (** The same distribution on every edge. *)
-
-val icm : t -> Iflow_core.Icm.t
 
 type arrival_sample = {
   reached : int; (** retained samples in which the flow existed *)

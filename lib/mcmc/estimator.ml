@@ -57,6 +57,9 @@ let stream_next st ~f =
 
 let stream_workspace st = Chain.workspace st.chain
 
+(* [fold_samples] that also hands [f] the chain's own BFS workspace,
+   valid only inside that call, so per-sample reachability sweeps
+   allocate nothing; every built-in estimator goes through it *)
 let fold_samples_ws ?conditions rng icm config ~init ~f =
   validate config;
   let st = stream ?conditions rng icm ~burn_in:config.burn_in ~thin:config.thin in

@@ -18,18 +18,6 @@ val fold_samples :
 (** The shared sampling loop; [f] must not retain or mutate the state it
     is handed. *)
 
-val fold_samples_ws :
-  ?conditions:Conditions.t ->
-  Iflow_stats.Rng.t -> Iflow_core.Icm.t -> config ->
-  init:'a ->
-  f:('a -> Iflow_graph.Reach.workspace -> Iflow_core.Pseudo_state.t -> 'a) ->
-  'a
-(** Like {!fold_samples}, but also hands [f] the chain's own BFS
-    workspace so per-sample reachability sweeps
-    ({!Iflow_core.Pseudo_state.flow_ws}, [reachable_ws]) allocate
-    nothing. The workspace marks are only valid inside that call of
-    [f]; every built-in estimator goes through this. *)
-
 exception Cancelled
 (** Raised by {!stream} / {!stream_next} when the stream's
     {!Cancel.t} token has tripped — between whole MH steps only, so a

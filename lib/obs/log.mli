@@ -20,8 +20,6 @@ val level : unit -> level
 val level_of_string : string -> (level, string) result
 (** Accepts ["error"], ["warn"], ["info"], ["debug"] (any case). *)
 
-val string_of_level : level -> string
-
 val err :
   ?component:string ->
   ?rid:string ->

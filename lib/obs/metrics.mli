@@ -69,8 +69,6 @@ val set_ratio : gauge -> int -> int -> unit
     Its arguments are ints, so the call allocates nothing: the MH
     chain sets its acceptance rate this way once per advance. *)
 
-val gauge_value : gauge -> float
-
 (** {1 Histograms} *)
 
 type histogram

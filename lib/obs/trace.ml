@@ -55,7 +55,7 @@ let add_arg buf (k, v) =
    viewers expect *)
 let us ns = Printf.sprintf "%.3f" (float_of_int ns /. 1e3)
 
-let emit ~name ~ph ?flow ?(args = []) ~ts_ns ?dur_ns () =
+let emit ~name ~ph ?(args = []) ~ts_ns ?dur_ns () =
   let tid = (Domain.self () :> int) in
   let buf = Buffer.create 160 in
   Buffer.add_string buf "{\"name\": \"";
@@ -68,13 +68,6 @@ let emit ~name ~ph ?flow ?(args = []) ~ts_ns ?dur_ns () =
   Buffer.add_string buf
     (Printf.sprintf ", \"pid\": %d, \"tid\": %d" (Unix.getpid ()) tid);
   if ph = "i" then Buffer.add_string buf ", \"s\": \"t\"";
-  (match flow with
-  | Some id ->
-    (* flow events need a category and a numeric id; a finish binds to
-       its enclosing slice so viewers draw the arrow into the span *)
-    Buffer.add_string buf (Printf.sprintf ", \"cat\": \"request\", \"id\": %d" id);
-    if ph = "f" then Buffer.add_string buf ", \"bp\": \"e\""
-  | None -> ());
   if args <> [] then begin
     Buffer.add_string buf ", \"args\": {";
     List.iteri
@@ -101,13 +94,3 @@ let phase ?hist ?args name ~t0 =
   (match hist with Some h -> Metrics.observe h dur_ns | None -> ());
   if enabled () then emit ~name ~ph:"X" ?args ~ts_ns:t0 ~dur_ns ();
   dur_ns
-
-(* flow ids hash the request id into the numeric id field trace viewers
-   key arrows on; collisions only cross two arrows in the UI *)
-let flow_id rid = Hashtbl.hash rid land 0x3fffffff
-
-let flow_start ?args name ~id =
-  if enabled () then emit ~name ~ph:"s" ~flow:id ?args ~ts_ns:(Clock.now_ns ()) ()
-
-let flow_finish ?args name ~id =
-  if enabled () then emit ~name ~ph:"f" ~flow:id ?args ~ts_ns:(Clock.now_ns ()) ()

@@ -41,15 +41,3 @@ val phase :
 
 val instant : string -> ?args:(string * arg) list -> unit -> unit
 (** Emit an instant ("ph":"i") event, e.g. a drift alert. *)
-
-val flow_id : string -> int
-(** Hash a request id into the numeric flow id viewers key arrows on. *)
-
-val flow_start : ?args:(string * arg) list -> string -> id:int -> unit
-(** Emit a flow-start ("ph":"s") event. Emit it from inside the span
-    where the request is admitted; the matching {!flow_finish} draws
-    the arrow to where its answer was completed. *)
-
-val flow_finish : ?args:(string * arg) list -> string -> id:int -> unit
-(** Emit a flow-finish ("ph":"f", binding to the enclosing slice) event
-    from the thread that completed the request's work. *)

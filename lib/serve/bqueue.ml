@@ -16,10 +16,6 @@ let create capacity =
     closed = false;
   }
 
-let capacity t = t.capacity
-
-let length t = Mutex.protect t.lock (fun () -> Queue.length t.q)
-
 let try_push t x =
   Mutex.protect t.lock (fun () ->
       if t.closed || Queue.length t.q >= t.capacity then false
@@ -43,11 +39,7 @@ let pop t =
       in
       wait ())
 
-let pop_opt t = Mutex.protect t.lock (fun () -> Queue.take_opt t.q)
-
 let close t =
   Mutex.protect t.lock (fun () ->
       t.closed <- true;
       Condition.broadcast t.nonempty)
-
-let is_closed t = Mutex.protect t.lock (fun () -> t.closed)

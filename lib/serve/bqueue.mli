@@ -13,11 +13,6 @@ type 'a t
 val create : int -> 'a t
 (** [create capacity]. Raises [Invalid_argument] when [capacity < 1]. *)
 
-val capacity : 'a t -> int
-
-val length : 'a t -> int
-(** Current depth (racy by nature; exact at the instant of the lock). *)
-
 val try_push : 'a t -> 'a -> bool
 (** Enqueue unless the queue is full or closed; never blocks. [false]
     is the admission-control signal: the item was {e not} accepted. *)
@@ -26,10 +21,5 @@ val pop : 'a t -> 'a option
 (** Block until an item is available ([Some]) or the queue is closed
     and empty ([None]). *)
 
-val pop_opt : 'a t -> 'a option
-(** Non-blocking variant: [None] when currently empty (closed or not). *)
-
 val close : 'a t -> unit
 (** Refuse new pushes; wake every blocked consumer. Idempotent. *)
-
-val is_closed : 'a t -> bool

@@ -117,16 +117,17 @@ let read_request ?(max_headers = 100) ?(max_body_bytes = 8 lsl 20) r
           Request { meth = String.uppercase_ascii meth; path; headers; body })))
   | _ -> Malformed (Printf.sprintf "malformed request line %S" first_line)
 
-let response ?(headers = []) ?(content_type = "application/json") ~status body =
+let response ?(headers = []) ~status body =
   let b = Buffer.create (String.length body + 256) in
   Buffer.add_string b
     (Printf.sprintf "HTTP/1.1 %d %s\r\n" status (reason status));
-  Buffer.add_string b (Printf.sprintf "Content-Type: %s\r\n" content_type);
-  Buffer.add_string b
-    (Printf.sprintf "Content-Length: %d\r\n" (String.length body));
+  if not (List.mem_assoc "Content-Type" headers) then
+    Buffer.add_string b "Content-Type: application/json\r\n";
   List.iter
     (fun (k, v) -> Buffer.add_string b (Printf.sprintf "%s: %s\r\n" k v))
     headers;
+  Buffer.add_string b
+    (Printf.sprintf "Content-Length: %d\r\n" (String.length body));
   Buffer.add_string b "Connection: close\r\n\r\n";
   Buffer.add_string b body;
   Buffer.contents b

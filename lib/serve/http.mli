@@ -46,11 +46,11 @@ val is_http_verb : string -> bool
 (** Does this first line look like an HTTP request-line? (The protocol
     sniff: anything else is treated as a JSONL query line.) *)
 
-val response :
-  ?headers:(string * string) list -> ?content_type:string ->
-  status:int -> string -> string
-(** Serialise a full response (status line, headers, [Content-Length],
-    [Connection: close], body). *)
+val response : ?headers:(string * string) list -> status:int -> string -> string
+(** Serialise a full response: the status line, [headers] in order
+    (led by [Content-Type: application/json] unless they name a
+    [Content-Type]), [Content-Length], [Connection: close], then the
+    body. *)
 
 val reason : int -> string
 (** Canonical reason phrase ([200 -> "OK"], [429 -> "Too Many

@@ -69,11 +69,6 @@ let m_request_seconds =
            histogram)"
     "iflow_serve_request_seconds"
 
-let m_queue_wait_seconds =
-  Metrics.histogram ~scale:1e-9
-    ~help:"Time admitted requests waited for an execution slot"
-    "iflow_serve_queue_wait_seconds"
-
 let m_queue_depth =
   Metrics.gauge ~help:"Requests waiting for an execution slot, when one was last taken"
     "iflow_serve_queue_depth"
@@ -186,12 +181,23 @@ let default_config =
   }
 
 type reply =
-  | Answer of { result : Engine.result; version : int; degraded : bool }
+  | Answer of { result : Engine.result; degraded : bool }
   | Refused of {
       code : Wire.error_code;
       msg : string;
       retry_after_ms : int option;
     }
+
+(* One decoded query line from admission to its flight record *)
+type request = {
+  rid : string;
+  tenant : string;
+  kind : string; (* Query.key; "" when the line did not decode *)
+  budget_ms : int; (* 0: no deadline *)
+  t_admit : int; (* before the line was parsed *)
+  mutable queue_wait_ns : int; (* -1 until the request holds a slot *)
+  ph : Engine.phases;
+}
 
 (* [Stopping] from the start of [stop] until every connection closed *)
 type state = Idle | Running | Stopping | Stopped
@@ -222,7 +228,6 @@ type t = {
   conns_empty : Condition.t;
   mutable next_conn : int;
   t_start : int;
-  s_active : int Atomic.t; (* open connections, read by admission control *)
   next_rid : int Atomic.t;
   (* the overhead floor deadline-aware admission reads: an EWMA
      (alpha 1/8) of queue wait and serialize time over the requests
@@ -244,10 +249,8 @@ let validate_config c =
     bad "flight_capacity must be >= 0 (got %d)" c.flight_capacity;
   (* every ms value becomes nanoseconds added to a clock reading *)
   let millis name v =
-    match v with
-    | Some ms when ms < 1 || ms > Cancel.max_budget_ms ->
-      bad "%s must be in [1, %d] (got %d)" name Cancel.max_budget_ms ms
-    | _ -> ()
+    if v <> None then
+      Result.iter_error (bad "%s") (Cancel.check_ms name v)
   in
   millis "slow_query_ms" c.slow_query_ms;
   millis "default_deadline_ms" c.default_deadline_ms;
@@ -285,7 +288,6 @@ let create ?(config = default_config) ?gate ?learner ~engine () =
     conns_empty = Condition.create ();
     next_conn = 0;
     t_start = Clock.now_ns ();
-    s_active = Atomic.make 0;
     next_rid = Atomic.make 1;
     floor_queue_wait_ns = Atomic.make 0;
     floor_serialize_ns = Atomic.make 0;
@@ -341,18 +343,16 @@ let observe_floor t ~queue_wait_ns ~serialize_ns =
 
 let refuse ?retry_after_ms code msg = Refused { code; msg; retry_after_ms }
 
-(* Run one decoded query on the calling connection thread. Returns the
-   reply plus, when the request took a slot, its queue wait and the
-   engine's phase record; [None] for refusals at admission, which never
-   waited anywhere. *)
-let execute t ~tenant ~rid ~deadline_budget_ns q =
+(* Run one decoded query on the calling connection thread. A request
+   that takes a slot records its queue wait in [req], and the engine's
+   phases in [req.ph]; refusals at admission never waited anywhere. *)
+let execute t req q =
   Metrics.inc m_requests;
   let t0 = Clock.now_ns () in
-  let has_deadline = deadline_budget_ns > 0 in
   let quota_verdict =
     match t.quota with
     | None -> Quota.Granted
-    | Some quota -> Quota.admit quota ~now_ns:t0 ~tenant
+    | Some quota -> Quota.admit quota ~now_ns:t0 ~tenant:req.tenant
   in
   let floor_ns =
     Atomic.get t.floor_queue_wait_ns + Atomic.get t.floor_serialize_ns
@@ -360,52 +360,42 @@ let execute t ~tenant ~rid ~deadline_budget_ns q =
   match quota_verdict with
   | Quota.Denied { retry_after_ns } ->
     Metrics.inc m_shed_quota;
-    ( refuse
-        ~retry_after_ms:(max 1 (ns_to_ms_ceil retry_after_ns))
-        Wire.Quota_exceeded
-        (Printf.sprintf "tenant %S over quota" tenant),
-      None )
+    refuse
+      ~retry_after_ms:(max 1 (ns_to_ms_ceil retry_after_ns))
+      Wire.Quota_exceeded
+      (Printf.sprintf "tenant %S over quota" req.tenant)
   (* deadline-aware admission: when even the floor recent requests paid
      (queue wait + serialization EWMA) exceeds the budget, refusing now
      is cheaper for everyone than waiting for a slot only to expire *)
   | Quota.Granted
-    when has_deadline
+    when req.budget_ms > 0
          && Atomic.get t.floor_count >= unmeetable_min_samples
-         && floor_ns > deadline_budget_ns ->
+         && floor_ns > req.budget_ms * 1_000_000 ->
     Metrics.inc m_shed_deadline;
-    ( refuse Wire.Deadline_unmeetable
-        (Printf.sprintf
-           "deadline of %d ms is below the current overhead floor of ~%d ms \
-            (recent queue wait + serialization)"
-           (ns_to_ms_ceil deadline_budget_ns) (ns_to_ms_ceil floor_ns)),
-      None )
+    refuse Wire.Deadline_unmeetable
+      (Printf.sprintf
+         "deadline of %d ms is below the current overhead floor of ~%d ms \
+          (recent queue wait + serialization)"
+         req.budget_ms (ns_to_ms_ceil floor_ns))
   | Quota.Granted -> (
     let cancel =
-      if has_deadline then Cancel.create ~deadline_ns:(t0 + deadline_budget_ns) ()
+      if req.budget_ms > 0 then Cancel.create ~start_ns:t0 req.budget_ms
       else Cancel.none
     in
-    if Trace.enabled () then
-      Trace.flow_start "request" ~id:(Trace.flow_id rid)
-        ~args:[ ("rid", Trace.Str rid) ];
     match Slots.enter t.slots with
-    | Slots.Closed -> (refuse Wire.Shutting_down "server is shutting down", None)
+    | Slots.Closed -> refuse Wire.Shutting_down "server is shutting down"
     | Slots.Full ->
       Metrics.inc m_shed_capacity;
-      ( refuse Wire.Over_capacity
-          (Printf.sprintf "every slot busy, %d waiting"
-             t.config.queue_capacity),
-        None )
+      refuse Wire.Over_capacity
+        (Printf.sprintf "every slot busy, %d waiting" t.config.queue_capacity)
     | Slots.Run ->
       (* a request holding its slot when [stop] lands finishes normally *)
       Fun.protect
         ~finally:(fun () -> Slots.leave t.slots)
         (fun () ->
           Option.iter (fun g -> g ()) t.gate;
-          let queue_wait_ns =
-            Trace.phase ~hist:m_queue_wait_seconds "serve.queue_wait" ~t0
-          in
+          req.queue_wait_ns <- Trace.phase "serve.queue_wait" ~t0;
           Metrics.set m_queue_depth (float_of_int (Slots.waiting t.slots));
-          let ph = Engine.phases () in
           let reply =
             if Cancel.cancelled cancel then
               (* the deadline passed while the request waited: shed it
@@ -413,10 +403,12 @@ let execute t ~tenant ~rid ~deadline_budget_ns q =
                  sampler CPU *)
               refuse Wire.Deadline_exceeded
                 (Printf.sprintf "deadline of %d ms expired after %d ms in queue"
-                   (ns_to_ms_ceil deadline_budget_ns)
-                   (ns_to_ms_ceil queue_wait_ns))
+                   req.budget_ms
+                   (ns_to_ms_ceil req.queue_wait_ns))
             else
-              match Engine.query ~rid ~phases:ph ~cancel t.engine q with
+              match
+                Engine.query ~rid:req.rid ~phases:req.ph ~cancel t.engine q
+              with
               | r ->
                 Metrics.inc m_answers;
                 (* exact-planned answers have no chains to lose *)
@@ -427,81 +419,79 @@ let execute t ~tenant ~rid ~deadline_budget_ns q =
                     r.Engine.chains_used < (Engine.config t.engine).Engine.chains
                 in
                 if degraded then Metrics.inc m_degraded_answers;
-                Answer { result = r; version = ph.Engine.version; degraded }
-              | exception Engine.Deadline_exceeded { reason; _ } ->
+                Answer { result = r; degraded }
+              | exception Engine.Deadline_exceeded _ ->
                 refuse Wire.Deadline_exceeded
-                  (Printf.sprintf "query %s: %s before any round completed"
-                     (Query.key q) reason)
+                  (Printf.sprintf
+                     "query %s: deadline expired before any round completed"
+                     req.kind)
               | exception Engine.Chains_failed _ ->
                 Metrics.inc m_engine_errors;
                 refuse Wire.Chains_failed
-                  (Printf.sprintf "query %s: too many chains failed"
-                     (Query.key q))
+                  (Printf.sprintf "query %s: too many chains failed" req.kind)
               | exception (Invalid_argument msg | Failure msg) ->
                 Metrics.inc m_bad;
                 refuse Wire.Bad_query msg
           in
           Metrics.observe m_request_seconds (Clock.now_ns () - t0);
-          (reply, Some (queue_wait_ns, ph))))
+          reply))
 
-let reply_line ?id ~rid = function
-  | Answer { result; version; degraded } ->
-    Wire.result_line ?id ~request_id:rid ~version ~degraded result
-  | Refused { code; msg; retry_after_ms } ->
-    Wire.error_line ?id ~request_id:rid ?retry_after_ms code msg
-
-(* How a reply settles a deadline-carrying request: the outcome it
-   counts under, and whether the deadline cut it short (a partial
-   answer or a typed deadline_exceeded) *)
-let deadline_settlement = function
-  | Answer { result; _ } when result.Engine.partial ->
-    (Some m_deadline_partial, true)
-  | Answer _ -> (Some m_deadline_ok, false)
-  | Refused { code = Wire.Deadline_exceeded; _ } ->
-    (Some m_deadline_exceeded, true)
-  | Refused { code = Wire.Deadline_unmeetable; _ } ->
-    (Some m_deadline_unmeetable, false)
-  | Refused _ -> (None, false)
-
-(* One flight record per answered-or-refused line. The record is built
-   on the connection thread after serialisation (the last phase it
-   measures), submitted to the ring, and reused verbatim for the
-   slow-query log line, so the log and /debug/requests can never
-   disagree about a request. The per-tenant phase histograms are
-   observed here too, from the same numbers. *)
-let finish_request t ~rid ~tenant ~kind ~reply ~ran ~deadline_budget_ns
-    ~serialize_ns ~total_ns =
-  let h = phase_handles tenant in
+(* Serialise a request's reply and close its books, on the connection
+   thread: the per-tenant phase histograms, the overhead floor, the
+   deadline outcome, and one flight record, built after serialisation
+   (the last phase it measures) and reused verbatim for the slow-query
+   log line, so the log and /debug/requests can never disagree about a
+   request. *)
+let respond t req ?id reply =
+  let t_ser = Clock.now_ns () in
+  let line =
+    match reply with
+    | Answer { result; degraded } ->
+      Wire.result_line ?id ~request_id:req.rid ~version:req.ph.Engine.version
+        ~degraded result
+    | Refused { code; msg; retry_after_ms } ->
+      Wire.error_line ?id ~request_id:req.rid ?retry_after_ms code msg
+  in
+  let serialize_ns = Trace.phase "serve.serialize" ~t0:t_ser in
+  let h = phase_handles req.tenant in
+  let ph = req.ph in
   (* admission refusals never queued, planned or sampled *)
-  (match ran with
-  | Some (queue_wait_ns, ph) ->
-    observe_floor t ~queue_wait_ns ~serialize_ns;
-    Metrics.observe h.ph_queue_wait queue_wait_ns;
+  let slotted = req.queue_wait_ns >= 0 in
+  if slotted then begin
+    observe_floor t ~queue_wait_ns:req.queue_wait_ns ~serialize_ns;
+    Metrics.observe h.ph_queue_wait req.queue_wait_ns;
     Metrics.observe h.ph_plan ph.Engine.plan_ns;
     Metrics.observe h.ph_sample ph.Engine.sample_ns
-  | None -> ());
+  end;
   Metrics.observe h.ph_serialize serialize_ns;
-  if Trace.enabled () then
-    Trace.flow_finish "request" ~id:(Trace.flow_id rid);
-  let outcome, cut_short = deadline_settlement reply in
-  (* every deadline-carrying request settles into exactly one outcome *)
-  if deadline_budget_ns > 0 then Option.iter Metrics.inc outcome;
+  (* every deadline-carrying request settles into exactly one outcome;
+     [cut_short]: the deadline cut it short (a partial answer or a
+     typed deadline_exceeded) *)
+  let cut_short =
+    match reply with
+    | Answer { result; _ } -> result.Engine.partial
+    | Refused { code; _ } -> code = Wire.Deadline_exceeded
+  in
+  if req.budget_ms > 0 then begin
+    match reply with
+    | Answer _ ->
+      Metrics.inc (if cut_short then m_deadline_partial else m_deadline_ok)
+    | Refused { code = Wire.Deadline_exceeded; _ } ->
+      Metrics.inc m_deadline_exceeded
+    | Refused { code = Wire.Deadline_unmeetable; _ } ->
+      Metrics.inc m_deadline_unmeetable
+    | Refused _ -> ()
+  end;
+  let total_ns = t_ser + serialize_ns - req.t_admit in
   let slow =
     match t.config.slow_query_ms with
     | Some ms -> total_ns >= ms * 1_000_000
     | None -> false
   in
   if Flight.enabled () || slow then begin
-    let queue_wait_ns, plan_ns, sample_ns, rounds =
-      match ran with
-      | Some (queue_wait_ns, ph) ->
-        (queue_wait_ns, ph.Engine.plan_ns, ph.Engine.sample_ns,
-         ph.Engine.rounds)
-      | None -> (0, 0, 0, 0)
-    in
     let path, fallback, error, version, digest, samples, rhat, mcse =
       match reply with
-      | Answer { result = res; version; degraded = _ } ->
+      | Answer { result = res; degraded = _ } ->
         ( (if res.Engine.cached then Flight.Cache
            else
              match res.Engine.plan with
@@ -510,7 +500,8 @@ let finish_request t ~rid ~tenant ~kind ~reply ~ran ~deadline_budget_ns
           (match res.Engine.plan with
           | Engine.Plan_mh { fallback = Some f; _ } -> f
           | _ -> ""),
-          "", version, res.Engine.model_digest, res.Engine.total_samples,
+          "", ph.Engine.version, res.Engine.model_digest,
+          res.Engine.total_samples,
           res.Engine.rhat, res.Engine.mcse )
       | Refused { code; _ } ->
         (Flight.Err, "", Wire.code_string code, -1, "", 0, Float.nan, Float.nan)
@@ -519,45 +510,46 @@ let finish_request t ~rid ~tenant ~kind ~reply ~ran ~deadline_budget_ns
       Flight.submit
         {
           Flight.seq = -1;
-          id = rid;
-          tenant;
-          kind;
+          id = req.rid;
+          tenant = req.tenant;
+          kind = req.kind;
           path;
           fallback;
           error;
           version;
           digest;
-          queue_wait_ns;
-          plan_ns;
-          sample_ns;
+          queue_wait_ns = max 0 req.queue_wait_ns;
+          plan_ns = ph.Engine.plan_ns;
+          sample_ns = ph.Engine.sample_ns;
           serialize_ns;
-          rounds;
+          rounds = ph.Engine.rounds;
           samples;
           rhat;
           mcse;
-          deadline_ns = deadline_budget_ns;
+          deadline_ns = req.budget_ms * 1_000_000;
           cancelled = cut_short;
           ts_ns = 0;
         }
     in
     if slow then begin
       Metrics.inc m_slow;
-      Log.warn ~component:"serve" ~rid "slow query (%d ms >= %d ms): %s"
+      Log.warn ~component:"serve" ~rid:req.rid "slow query (%d ms >= %d ms): %s"
         (ns_to_ms_ceil total_ns)
         (Option.value t.config.slow_query_ms ~default:0)
         (Flight.to_json r)
     end
-  end
+  end;
+  line
 
 let ( let* ) = Result.bind
 
-(* Decode one request line: the query object itself, plus the serving
-   extensions ("id" echoed back, "tenant" for quota accounting,
-   "request_id" client-supplied or minted here — [?rid] carries the
-   HTTP dialect's X-Request-Id assignment, [?deadline_default] its
-   X-Deadline-Ms header, which a per-line "deadline_ms" member
-   overrides). *)
-let handle_query_line t ~tenant_default ?rid ?deadline_default ~lineno line =
+(* an optional millisecond budget: absent is [Ok None]; present, it must
+   pass the one budget rule ([Some None]: not an integer) *)
+let optional_budget name = function
+  | None -> Ok None
+  | Some v -> Result.map Option.some (Cancel.check_ms name v)
+
+let answer_line t ?(tenant = "anonymous") ?rid ?deadline_ms ~lineno line =
   if String.trim line = "" then None
   else begin
     let t_admit = Clock.now_ns () in
@@ -578,58 +570,45 @@ let handle_query_line t ~tenant_default ?rid ?deadline_default ~lineno line =
       | None -> None
     in
     let tenant =
-      match member "tenant" with Some (Jsonl.Str s) -> s | _ -> tenant_default
+      match member "tenant" with Some (Jsonl.Str s) -> s | _ -> tenant
     in
-    let request =
+    let request ~kind ~budget_ms =
+      { rid; tenant; kind; budget_ms; t_admit; queue_wait_ns = -1;
+        ph = Engine.phases () }
+    in
+    let decoded =
       let* json = parsed in
-      let* dl_member =
-        match Jsonl.member "deadline_ms" json with
-        | Some (Jsonl.Num f)
-          when Float.is_integer f && f >= 1.0
-               && f <= float_of_int Cancel.max_budget_ms ->
-          Ok (Some (int_of_float f))
-        | Some _ ->
-          Error
-            (Printf.sprintf
-               "deadline_ms must be an integer from 1 to %d milliseconds"
-               Cancel.max_budget_ms)
-        | None -> Ok None
+      let* member_ms =
+        optional_budget "deadline_ms"
+          (Option.map Jsonl.to_int (Jsonl.member "deadline_ms" json))
       in
       let* q = Query.of_json json in
-      Ok (q, dl_member)
+      Ok (q, member_ms)
     in
-    let kind, reply, ran, deadline_budget_ns =
-      match request with
-      | Error msg ->
-        Metrics.inc m_bad;
-        ("", refuse Wire.Bad_request (Printf.sprintf "line %d: %s" lineno msg),
-         None, 0)
-      | Ok (q, dl_member) ->
-        (* line member > connection header > server default; the
-           server-wide cap clamps whatever won *)
-        let budget_ms =
-          match (dl_member, deadline_default) with
-          | Some v, _ -> Some v
-          | None, Some v -> Some v
-          | None, None -> t.config.default_deadline_ms
-        in
-        let budget_ms =
-          match (budget_ms, t.config.max_deadline_ms) with
-          | Some v, Some mx -> Some (min v mx)
-          | v, _ -> v
-        in
-        let deadline_budget_ns =
-          match budget_ms with Some ms -> ms * 1_000_000 | None -> 0
-        in
-        let reply, ran = execute t ~tenant ~rid ~deadline_budget_ns q in
-        (Query.key q, reply, ran, deadline_budget_ns)
-    in
-    let t_ser = Clock.now_ns () in
-    let resp = reply_line ?id ~rid reply in
-    let serialize_ns = Trace.phase "serve.serialize" ~t0:t_ser in
-    finish_request t ~rid ~tenant ~kind ~reply ~ran ~deadline_budget_ns
-      ~serialize_ns ~total_ns:(t_ser + serialize_ns - t_admit);
-    Some resp
+    match decoded with
+    | Error msg ->
+      Metrics.inc m_bad;
+      Some
+        (respond t
+           (request ~kind:"" ~budget_ms:0)
+           ?id
+           (refuse Wire.Bad_request (Printf.sprintf "line %d: %s" lineno msg)))
+    | Ok (q, member_ms) ->
+      (* line member > connection header > server default; the
+         server-wide cap clamps whatever won *)
+      let budget =
+        match (member_ms, deadline_ms) with
+        | Some v, _ | None, Some v -> Some v
+        | None, None -> t.config.default_deadline_ms
+      in
+      let budget =
+        match (budget, t.config.max_deadline_ms) with
+        | Some v, Some mx -> min v mx
+        | Some v, None -> v
+        | None, _ -> 0
+      in
+      let req = request ~kind:(Query.key q) ~budget_ms:budget in
+      Some (respond t req ?id (execute t req q))
   end
 
 (* ----- health ----- *)
@@ -651,7 +630,7 @@ let stats t =
   let v = Metrics.counter_value in
   {
     connections = v m_connections;
-    active = Atomic.get t.s_active;
+    active = Mutex.protect t.lock (fun () -> Hashtbl.length t.conns);
     requests = v m_requests;
     answered = v m_answers;
     shed_capacity = v m_shed_capacity;
@@ -688,166 +667,149 @@ let health_json t = snd (health t)
 
 (* ----- connection handling ----- *)
 
-(* the typed reply to a read the guard cut short: [silent] for a window
-   of silence, or the dribbler's missed request deadline *)
-let timeout_reply t r ~silent =
-  let msg =
-    if Sockio.expired r then
-      Printf.sprintf "request not completed within %d ms"
-        (Sockio.request_windows
-        * Option.value t.config.read_timeout_ms ~default:0)
-    else silent
-  in
-  Wire.error_line Wire.Bad_request msg ^ "\n"
+(* The one writer of a refusal that answers no query line: a typed
+   error line and the HTTP status it travels under (400 unless given).
+   The JSONL dialect, and a connection refused before its dialect is
+   known, send the line alone. *)
+let refusal ?(status = 400) ?(code = Wire.Bad_request) msg =
+  (status, [], Wire.error_line code msg ^ "\n")
+
+let send_refusal fd (_, _, line) = Sockio.write_all fd line
+
+(* the refusal of a read the guard cut short: [silent] for a window of
+   silence, or the dribbler's missed request deadline *)
+let timeout_refusal t r ~silent =
+  refusal
+    (if Sockio.expired r then
+       Printf.sprintf "request not completed within %d ms"
+         (Sockio.request_windows
+         * Option.value t.config.read_timeout_ms ~default:0)
+     else silent)
 
 (* each line is one request: [end_request] before answering it, so the
    guard's request deadline never runs while an answer is computed *)
 let handle_jsonl t fd r first_line =
-  let buf = Buffer.create 256 in
   let respond line lineno =
     Sockio.end_request r;
-    match handle_query_line t ~tenant_default:"anonymous" ~lineno line with
-    | None -> ()
-    | Some resp ->
-      Buffer.clear buf;
-      Buffer.add_string buf resp;
-      Buffer.add_char buf '\n';
-      Sockio.write_all fd (Buffer.contents buf)
+    Option.iter
+      (fun resp -> Sockio.write_all fd (resp ^ "\n"))
+      (answer_line t ~lineno line)
   in
   respond first_line 1;
   let rec go lineno =
     match Sockio.read_line r with
     | Sockio.Eof -> ()
     | Sockio.Timeout ->
-      Sockio.write_all fd
-        (timeout_reply t r
+      send_refusal fd
+        (timeout_refusal t r
            ~silent:
              (Printf.sprintf "read timed out after %d ms with no complete line"
                 (Option.value t.config.read_timeout_ms ~default:0)))
     | Sockio.Too_long ->
-      Sockio.write_all fd
-        (Wire.error_line Wire.Bad_request
+      send_refusal fd
+        (refusal
            (Printf.sprintf "line %d exceeds %d bytes" lineno
-              Sockio.max_line_bytes)
-        ^ "\n")
+              Sockio.max_line_bytes))
     | Sockio.Line line ->
       respond line lineno;
       go (lineno + 1)
   in
   go 2
 
+let route t (req : Http.request) =
+  let path, query = Http.split_target req.Http.path in
+  match (req.Http.meth, path) with
+  | "GET", "/healthz" ->
+    let degraded, body = health t in
+    ((if degraded then 503 else 200), [], body ^ "\n")
+  | "GET", "/metrics" ->
+    ( 200,
+      [ ("Content-Type", "text/plain; version=0.0.4") ],
+      Prometheus.to_string Metrics.default )
+  | "GET", "/debug/requests" ->
+    let n =
+      match Option.bind (Http.query_param query "n") Http.decimal with
+      | Some n when n > 0 -> n
+      | _ -> 64
+    in
+    ( 200,
+      [],
+      match Flight.recent n with
+      | [] -> "[]\n"
+      | recs ->
+        "[" ^ String.concat ",\n " (List.map Flight.to_json recs) ^ "]\n"
+    )
+  | "POST", "/query" -> (
+    let tenant =
+      match Http.header req "x-tenant" with
+      | Some tn when tn <> "" -> tn
+      | _ -> "anonymous"
+    in
+    (* X-Deadline-Ms sets the whole body's deadline; a per-line
+       "deadline_ms" member overrides it line by line *)
+    match
+      optional_budget "X-Deadline-Ms"
+        (Option.map
+           (fun s -> Http.decimal (String.trim s))
+           (Http.header req "x-deadline-ms"))
+    with
+    | Error msg ->
+      Metrics.inc m_bad;
+      refusal msg
+    | Ok deadline_ms ->
+      let lines = String.split_on_char '\n' req.Http.body in
+      (* a client-supplied X-Request-Id names a single-line body
+         verbatim; batched lines get a -<lineno> suffix so every answer
+         (and flight record) still has its own id *)
+      let client_rid =
+        match Http.header req "x-request-id" with
+        | Some r when r <> "" -> Some r
+        | _ -> None
+      in
+      let single =
+        List.length (List.filter (fun l -> String.trim l <> "") lines) = 1
+      in
+      let replies =
+        List.filter_map Fun.id
+          (List.mapi
+             (fun i line ->
+               let rid =
+                 Option.map
+                   (fun base ->
+                     if single then base
+                     else Printf.sprintf "%s-%d" base (i + 1))
+                   client_rid
+               in
+               answer_line t ~tenant ?rid ?deadline_ms ~lineno:(i + 1) line)
+             lines)
+      in
+      ( 200,
+        (match client_rid with Some r -> [ ("X-Request-Id", r) ] | None -> []),
+        String.concat "\n" replies ^ "\n" ))
+  | "POST", "/evidence" -> (
+    let lines =
+      List.filter
+        (fun l -> String.trim l <> "")
+        (String.split_on_char '\n' req.Http.body)
+    in
+    match ingest t lines with
+    | Some n -> (202, [], Printf.sprintf "{\"accepted\":%d}\n" n)
+    | None ->
+      refusal ~status:404
+        "this server runs no learner: POST /evidence is not served")
+  | meth, path ->
+    refusal ~status:404 (Printf.sprintf "no route %s %s" meth path)
+
 (* one request per connection ([Connection: close]): the guard's
    deadline spans the request line, the headers and the body *)
 let handle_http t fd r first_line =
-  let send ?headers ?content_type ~status body =
-    Sockio.write_all fd (Http.response ?headers ?content_type ~status body)
+  let status, headers, body =
+    match Http.read_request r ~first_line with
+    | Http.Malformed msg -> refusal msg
+    | Http.Overflow msg -> refusal ~status:413 msg
+    | Http.Request req -> route t req
   in
-  match Http.read_request r ~first_line with
-  | Http.Malformed msg ->
-    send ~status:400 (Wire.error_line Wire.Bad_request msg ^ "\n")
-  | Http.Overflow msg ->
-    send ~status:413 (Wire.error_line Wire.Bad_request msg ^ "\n")
-  | Http.Request req -> (
-    let path, query = Http.split_target req.Http.path in
-    match (req.Http.meth, path) with
-    | "GET", "/healthz" ->
-      let degraded, body = health t in
-      send ~status:(if degraded then 503 else 200) (body ^ "\n")
-    | "GET", "/metrics" ->
-      send ~status:200
-        ~content_type:"text/plain; version=0.0.4"
-        (Prometheus.to_string Metrics.default)
-    | "GET", "/debug/requests" ->
-      let n =
-        match Http.query_param query "n" with
-        | Some s -> (
-          match Http.decimal s with
-          | Some n when n > 0 -> n
-          | _ -> 64)
-        | None -> 64
-      in
-      let body =
-        match Flight.recent n with
-        | [] -> "[]\n"
-        | recs ->
-          "[" ^ String.concat ",\n " (List.map Flight.to_json recs) ^ "]\n"
-      in
-      send ~status:200 body
-    | "POST", "/query" -> (
-      let tenant_default =
-        match Http.header req "x-tenant" with
-        | Some tn when tn <> "" -> tn
-        | _ -> "anonymous"
-      in
-      (* X-Deadline-Ms sets the whole body's deadline; a per-line
-         "deadline_ms" member overrides it line by line *)
-      let deadline_hdr =
-        match Http.header req "x-deadline-ms" with
-        | Some s -> (
-          match Http.decimal (String.trim s) with
-          | Some v when v >= 1 && v <= Cancel.max_budget_ms -> Ok (Some v)
-          | _ -> Error s)
-        | None -> Ok None
-      in
-      match deadline_hdr with
-      | Error s ->
-        Metrics.inc m_bad;
-        send ~status:400
-          (Wire.error_line Wire.Bad_request
-             (Printf.sprintf
-                "X-Deadline-Ms must be an integer from 1 to %d, got %S"
-                Cancel.max_budget_ms s)
-          ^ "\n")
-      | Ok deadline_default ->
-        let lines = String.split_on_char '\n' req.Http.body in
-        (* a client-supplied X-Request-Id names a single-line body
-           verbatim; batched lines get a -<lineno> suffix so every
-           answer (and flight record) still has its own id *)
-        let client_rid =
-          match Http.header req "x-request-id" with
-          | Some r when r <> "" -> Some r
-          | _ -> None
-        in
-        let single =
-          List.length (List.filter (fun l -> String.trim l <> "") lines) = 1
-        in
-        let rid_for i =
-          Option.map
-            (fun base ->
-              if single then base else Printf.sprintf "%s-%d" base (i + 1))
-            client_rid
-        in
-        let replies =
-          List.filter_map
-            (fun (i, line) ->
-              handle_query_line t ~tenant_default ?rid:(rid_for i)
-                ?deadline_default ~lineno:(i + 1) line)
-            (List.mapi (fun i line -> (i, line)) lines)
-        in
-        let headers =
-          match client_rid with
-          | Some r -> [ ("X-Request-Id", r) ]
-          | None -> []
-        in
-        send ~headers ~status:200 (String.concat "\n" replies ^ "\n"))
-    | "POST", "/evidence" -> (
-      let lines =
-        List.filter
-          (fun l -> String.trim l <> "")
-          (String.split_on_char '\n' req.Http.body)
-      in
-      match ingest t lines with
-      | Some n -> send ~status:202 (Printf.sprintf "{\"accepted\":%d}\n" n)
-      | None ->
-        send ~status:404
-          (Wire.error_line Wire.Bad_request
-             "this server runs no learner: POST /evidence is not served"
-          ^ "\n"))
-    | meth, path ->
-      send ~status:404
-        (Wire.error_line Wire.Bad_request
-           (Printf.sprintf "no route %s %s" meth path)
-        ^ "\n"))
+  Sockio.write_all fd (Http.response ~headers ~status body)
 
 let handle_conn t ~domain conn_id fd =
   let r = Sockio.reader fd in
@@ -855,13 +817,12 @@ let handle_conn t ~domain conn_id fd =
   Fun.protect
     ~finally:(fun () ->
       if Sockio.expired r then Metrics.inc m_reaped;
-      Atomic.decr t.s_active;
-      Metrics.set m_active (float_of_int (Atomic.get t.s_active));
       (* out of the table before the close, under the lock, so [stop]
          never shuts down an fd number already reused *)
       Mutex.protect t.lock (fun () ->
           Hashtbl.remove t.conns conn_id;
           t.load.(domain) <- t.load.(domain) - 1;
+          Metrics.set m_active (float_of_int (Hashtbl.length t.conns));
           (try Unix.close fd with Unix.Unix_error _ -> ());
           if Hashtbl.length t.conns = 0 then Condition.broadcast t.conns_empty))
     (fun () ->
@@ -869,12 +830,10 @@ let handle_conn t ~domain conn_id fd =
         match Sockio.read_line r with
         | Sockio.Eof -> ()
         | Sockio.Timeout ->
-          Sockio.write_all fd
-            (timeout_reply t r
+          send_refusal fd
+            (timeout_refusal t r
                ~silent:"read timed out before a complete first line")
-        | Sockio.Too_long ->
-          Sockio.write_all fd
-            (Wire.error_line Wire.Bad_request "first line too long" ^ "\n")
+        | Sockio.Too_long -> send_refusal fd (refusal "first line too long")
         | Sockio.Line first ->
           if Http.is_http_verb first then handle_http t fd r first
           else handle_jsonl t fd r first
@@ -909,35 +868,35 @@ let accept_loop t listen_fd =
       (* an answer must not wait for the ACK of the previous one *)
       (try Unix.setsockopt fd Unix.TCP_NODELAY true
        with Unix.Unix_error _ -> ());
-      if Atomic.get t.s_active >= t.config.max_connections then begin
-        Metrics.inc m_shed_connections;
-        (try
-           Sockio.write_all fd
-             (Wire.error_line Wire.Over_capacity "connection limit reached"
-             ^ "\n")
-         with Unix.Unix_error _ -> ());
-        (try Unix.close fd with Unix.Unix_error _ -> ())
-      end
-      else begin
-        Atomic.incr t.s_active;
-        Metrics.set m_active (float_of_int (Atomic.get t.s_active));
-        let conn_id, domain =
-          Mutex.protect t.lock (fun () ->
+      (* counted and placed under the lock: the table is the one count
+         of open connections *)
+      let placed =
+        Mutex.protect t.lock (fun () ->
+            if Hashtbl.length t.conns >= t.config.max_connections then None
+            else begin
               let id = t.next_conn in
               t.next_conn <- id + 1;
               Hashtbl.replace t.conns id fd;
+              Metrics.set m_active (float_of_int (Hashtbl.length t.conns));
               let k = least_loaded t.load in
               t.load.(k) <- t.load.(k) + 1;
-              (id, k))
-        in
-        if domain = 0 then
-          ignore
-            (Thread.create (fun () -> handle_conn t ~domain conn_id fd) ())
-        else
-          (* never refused: a mailbox holds at most [max_connections]
-             and closes only after the acceptor has stopped *)
-          ignore (Bqueue.try_push (fst t.serving.(domain - 1)) (conn_id, fd))
-      end;
+              Some (id, k)
+            end)
+      in
+      (match placed with
+      | None ->
+        Metrics.inc m_shed_connections;
+        (try
+           send_refusal fd
+             (refusal ~code:Wire.Over_capacity "connection limit reached")
+         with Unix.Unix_error _ -> ());
+        (try Unix.close fd with Unix.Unix_error _ -> ())
+      | Some (conn_id, 0) ->
+        ignore (Thread.create (fun () -> handle_conn t ~domain:0 conn_id fd) ())
+      | Some (conn_id, domain) ->
+        (* never refused: a mailbox holds at most [max_connections] and
+           closes only after the acceptor has stopped *)
+        ignore (Bqueue.try_push (fst t.serving.(domain - 1)) (conn_id, fd)));
       go ()
     | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
       go ()

@@ -58,7 +58,7 @@
     answers a typed [bad_request] (404).
 
     {b Observability.} Every stage records into {!Iflow_obs.Metrics}
-    ([iflow_serve_*]: request/queue-wait SLO histograms, shed and
+    ([iflow_serve_*]: the request SLO histogram, shed and
     degraded counters, queue depth, active connections, and the
     per-tenant [iflow_serve_phase_seconds] decomposition with phases
     [queue_wait] / [plan] / [sample] / [serialize]), scrapeable live at
@@ -71,8 +71,7 @@
     answer and error line as ["request_id"] (and back in the
     [X-Request-Id] response header when the client supplied one). The
     id is passed to {!Iflow_engine.Engine.query}, which tags the
-    [engine.sample] trace span; a Chrome-trace flow event pair marks
-    the request's admission and its serialised answer. One {!Iflow_obs.Flight}
+    [engine.sample] trace span. One {!Iflow_obs.Flight}
     record per line — answer path, version/digest, the full phase
     decomposition in nanoseconds, convergence diagnostics or typed
     error — lands in the ring served by [GET /debug/requests?n=], and
@@ -84,9 +83,11 @@
     {b Deadlines and cancellation.} A request may carry a deadline —
     a ["deadline_ms"] JSON member (JSONL or HTTP body line), an
     [X-Deadline-Ms] header covering an HTTP body, or the server-wide
-    [default_deadline_ms] — clamped to [max_deadline_ms]. The budget
-    becomes an {!Iflow_mcmc.Cancel} token; a budget over
-    {!Iflow_mcmc.Cancel.max_budget_ms} is a [bad_request].
+    [default_deadline_ms] — clamped to [max_deadline_ms]. The member
+    and the header follow {!Iflow_mcmc.Cancel.check_ms}: an integer
+    from 1 to {!Iflow_mcmc.Cancel.max_budget_ms}, anything else a
+    [bad_request]. The budget becomes an {!Iflow_mcmc.Cancel} deadline
+    from admission.
     Admission refuses [deadline_unmeetable] when the recent overhead
     floor already exceeds the budget: the server's own EWMA of queue
     wait + serialize time over the last requests that took a slot,
@@ -100,9 +101,14 @@
     Every deadline-carrying request settles into exactly one outcome
     counted by [iflow_serve_deadline_total{outcome=
     ok|partial|deadline_exceeded|deadline_unmeetable}]. Requests
-    without deadlines run exactly as before — the token is never
-    consulted mid-draw on their behalf, and answers stay bit-for-bit
-    identical with the machinery compiled in. *)
+    without deadlines run exactly as before — no clock is read
+    mid-draw on their behalf, and answers stay bit-for-bit identical
+    with the machinery compiled in.
+
+    {b Testing without a socket.} Both dialects answer a query line
+    through {!answer_line}, and the HTTP dialect a parsed request
+    through {!route}; a server that is {!create}d but never
+    {!start}ed answers both. *)
 
 type config = {
   host : string;            (** bind address, default 127.0.0.1 *)
@@ -163,8 +169,8 @@ val create :
     wait is read and its deadline checked — a test hook for
     deterministically holding the slots (and thus filling the line of
     waiters). Raises [Invalid_argument] on a nonsensical config,
-    including a millisecond field above
-    {!Iflow_mcmc.Cancel.max_budget_ms}. *)
+    including a millisecond field that fails
+    {!Iflow_mcmc.Cancel.check_ms}. *)
 
 val start : t -> unit
 (** Bind, listen, spawn the serving domains past the caller's own, and
@@ -193,6 +199,24 @@ val stop : t -> unit
     the domain. A peer that stops reading holds the wait for at most
     one [read_timeout_ms] window (the send timeout); with the guard
     off, until it reads or goes away. Idempotent. *)
+
+(** {1 The request path} *)
+
+val answer_line :
+  t -> ?tenant:string -> ?rid:string -> ?deadline_ms:int -> lineno:int ->
+  string -> string option
+(** Answer one query line, as both dialects do: decode it, admit it
+    (quota, deadline floor, slot), run it, and return its one reply
+    line (no trailing newline) — an answer or a typed error, never an
+    exception. A blank line gets [None]. [tenant] (default
+    ["anonymous"]) and [rid] apply unless the line names its own
+    ["tenant"] / ["request_id"]; [deadline_ms] (already checked) is the
+    budget unless the line carries a ["deadline_ms"] member; [lineno]
+    numbers a [bad_request]'s message. *)
+
+val route : t -> Http.request -> int * (string * string) list * string
+(** The HTTP dialect's answer to one parsed request: its status, extra
+    response headers (for {!Http.response}) and body. *)
 
 (** {1 Learner state} *)
 

@@ -21,8 +21,6 @@ let create n =
     pow2 = (if n = 0 then 0 else top_power_of_two n);
   }
 
-let length t = t.n
-
 let[@inline] add_internal t i delta =
   let i = ref (i + 1) in
   while !i <= t.n do

@@ -13,8 +13,6 @@ val create : int -> t
 val of_array : float array -> t
 (** Build in O(n). Weights must be non-negative. *)
 
-val length : t -> int
-
 val get : t -> int -> float
 (** Current weight at an index, O(1). *)
 

@@ -141,7 +141,6 @@ let observe t ~edge ~fired =
     result
   end
 
-let trials t = t.n_trials
 let flagged t = t.n_flagged
 
 let is_flagged t e =

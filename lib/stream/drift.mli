@@ -63,9 +63,6 @@ val reset : t -> Iflow_core.Beta_icm.t -> unit
     history and trial count kept. Used after graph-change events, where
     edge ids shift. *)
 
-val trials : t -> int
-(** Total trials fed since creation. *)
-
 val flagged : t -> int
 (** Edges currently flagged as drifted — the global drift signal. *)
 

@@ -110,7 +110,6 @@ let create ?(forget = 0.0) ?drift model =
   }
 
 let model t = Accum.freeze t.acc
-let graph t = Accum.graph t.acc
 let drift t = t.drift
 
 let stats t =

@@ -78,7 +78,6 @@ val model : t -> Iflow_core.Beta_icm.t
 (** Freeze the accumulator into an immutable model (the accumulator
     keeps absorbing). *)
 
-val graph : t -> Iflow_graph.Digraph.t
 val drift : t -> Drift.t option
 val stats : t -> stats
 

@@ -87,7 +87,6 @@ let spin ?(timeout_s = 10.0) msg cond =
 let test_bqueue_order () =
   let q = Bqueue.create 8 in
   List.iter (fun i -> check_bool "push" true (Bqueue.try_push q i)) [ 1; 2; 3 ];
-  check_int "length" 3 (Bqueue.length q);
   check_int "fifo 1" 1 (Option.get (Bqueue.pop q));
   check_int "fifo 2" 2 (Option.get (Bqueue.pop q));
   check_int "fifo 3" 3 (Option.get (Bqueue.pop q))
@@ -98,15 +97,13 @@ let test_bqueue_bounded () =
   check_bool "2 fits" true (Bqueue.try_push q 2);
   check_bool "3 refused" false (Bqueue.try_push q 3);
   ignore (Bqueue.pop q);
-  check_bool "space again" true (Bqueue.try_push q 3);
-  check_int "capacity" 2 (Bqueue.capacity q)
+  check_bool "space again" true (Bqueue.try_push q 3)
 
 let test_bqueue_close () =
   let q = Bqueue.create 4 in
   ignore (Bqueue.try_push q 1);
   Bqueue.close q;
   check_bool "closed refuses pushes" false (Bqueue.try_push q 2);
-  check_bool "is_closed" true (Bqueue.is_closed q);
   (* drains what was admitted, then reports end-of-stream *)
   check_int "drains" 1 (Option.get (Bqueue.pop q));
   check_bool "then None" true (Bqueue.pop q = None)
@@ -856,7 +853,9 @@ let test_serve_bit_identical () =
       in
       let threads = List.init 4 (fun i -> Thread.create client i) in
       List.iter Thread.join threads;
-      (match Bqueue.pop_opt failures with
+      (* every client joined: close, and [pop] answers at once *)
+      Bqueue.close failures;
+      (match Bqueue.pop failures with
       | Some (id, line) ->
         Alcotest.failf "query %s diverged from direct Engine.query: %s" id line
       | None -> ());
@@ -1693,8 +1692,9 @@ let test_serve_minted_ids_unique () =
       List.iter Thread.join threads;
       let tbl = Hashtbl.create 64 in
       let n = ref 0 in
+      Bqueue.close ids;
       let rec drain () =
-        match Bqueue.pop_opt ids with
+        match Bqueue.pop ids with
         | Some id ->
           incr n;
           Hashtbl.replace tbl id ();
@@ -1851,15 +1851,15 @@ let test_serve_observability_bit_identity () =
                     got)
                 queries));
       Trace.close ();
-      check_bool "trace recorded request flow events" true
+      check_bool "trace recorded the request phases" true
         (let ic = open_in tmp in
          Fun.protect
            ~finally:(fun () -> close_in_noerr ic)
            (fun () ->
              let len = in_channel_length ic in
              let s = really_input_string ic len in
-             (* the request's flow starts and finishes on its
-                connection thread: no intermediate hop *)
+             (* each request's phases are spans on its connection
+                thread; there are no flow arrows to draw *)
              let has needle =
                let nl = String.length needle and sl = String.length s in
                let rec go i =
@@ -1867,8 +1867,8 @@ let test_serve_observability_bit_identity () =
                in
                go 0
              in
-             has {|"ph": "s"|} && has {|"ph": "f"|}
-             && not (has {|"ph": "t"|}))))
+             has {|"serve.queue_wait"|} && has {|"serve.serialize"|}
+             && not (has {|"ph": "s"|}))))
 
 (* ---------- concurrent Engine.query callers ---------- *)
 
@@ -1926,7 +1926,8 @@ let test_engine_concurrent_queries_and_swaps () =
   done;
   stop := true;
   List.iter Thread.join threads;
-  (match Bqueue.pop_opt mismatches with
+  Bqueue.close mismatches;
+  (match Bqueue.pop mismatches with
   | Some (key, kind) ->
     Alcotest.failf
       "concurrent query %s returned a %s not matching either installed model"
@@ -2507,6 +2508,230 @@ let test_serve_shutdown_refuses_queued () =
           | _ -> Alcotest.fail "queued request lost at shutdown");
           Thread.join stopper))
 
+(* ---------- the socket-free request path ---------- *)
+
+(* created, never started: [Server.answer_line] and [Server.route]
+   answer without a socket *)
+let idle_server =
+  lazy
+    (Server.create
+       ~engine:(Engine.create ~config:fast_config ~seed:7 (five_node_icm 3))
+       ())
+
+let wire_codes =
+  List.map Wire.code_string
+    [
+      Wire.Bad_request; Bad_query; Over_capacity; Quota_exceeded;
+      Chains_failed; Shutting_down; Deadline_exceeded; Deadline_unmeetable;
+    ]
+
+(* any JSON value, as text: the serving members must survive every type *)
+let any_json =
+  let open QCheck.Gen in
+  let scalar =
+    oneof
+      [
+        return "null"; return "true"; return "false";
+        map string_of_int (int_range (-5) 5);
+        map string_of_int int;
+        return (string_of_int Iflow_mcmc.Cancel.max_budget_ms);
+        return (string_of_int (Iflow_mcmc.Cancel.max_budget_ms + 1));
+        map (Printf.sprintf "%.17g") float;
+        return "1e300"; return "1.5";
+        map
+          (fun s -> Wire.escape s)
+          (string_size ~gen:printable (int_bound 8));
+      ]
+  in
+  oneof
+    [
+      scalar;
+      map
+        (fun l -> "[" ^ String.concat "," l ^ "]")
+        (list_size (int_bound 3) scalar);
+      map (fun v -> {|{"k":|} ^ v ^ "}") scalar;
+    ]
+
+(* a flow query whose serving members take arbitrary JSON values *)
+let query_with_members =
+  let open QCheck.Gen in
+  (* present one time in three, so most lines still reach the engine *)
+  let member name =
+    frequency
+      [
+        (2, return None);
+        (1, map (fun v -> Some (Printf.sprintf {|"%s":%s,|} name v)) any_json);
+      ]
+  in
+  map
+    (fun (((id, tenant), (rid, dl)), (src, dst)) ->
+      let get = Option.value ~default:"" in
+      Printf.sprintf {|{%s%s%s%s"type":"flow","src":%d,"dst":%d}|} (get id)
+        (get tenant) (get rid) (get dl) src dst)
+    (pair
+       (pair
+          (pair (member "id") (member "tenant"))
+          (pair (member "request_id") (member "deadline_ms")))
+       (pair (int_range (-1) 5) (int_range (-1) 5)))
+
+(* exactly one reply line per non-blank input, read back as an answer
+   or a typed error; never an exception *)
+let answers_once line =
+  match Server.answer_line (Lazy.force idle_server) ~lineno:1 line with
+  | exception e ->
+    QCheck.Test.fail_reportf "raised %s on %S" (Printexc.to_string e) line
+  | None -> String.trim line = ""
+  | Some reply -> (
+    if String.trim line = "" then
+      QCheck.Test.fail_reportf "blank line %S answered %S" line reply;
+    if String.contains reply '\n' then
+      QCheck.Test.fail_reportf "reply to %S spans lines: %S" line reply;
+    match Jsonl.parse reply with
+    | Error msg -> QCheck.Test.fail_reportf "reply %S unparseable: %s" reply msg
+    | Ok json -> (
+      match (Wire.parsed_result json, Jsonl.member "error" json) with
+      | Ok _, None -> true
+      | Error _, Some (Jsonl.Str code) when List.mem code wire_codes -> true
+      | _ ->
+        QCheck.Test.fail_reportf "reply %S is neither answer nor typed error"
+          reply))
+
+let prop_answer_line_total =
+  QCheck.Test.make ~count:600 ~name:"answer_line: one typed line for any input"
+    QCheck.(
+      make ~print:Print.string
+        Gen.(
+          frequency
+            [
+              (1, string_size (int_bound 64));
+              (1, mutated_line);
+              (3, query_with_members);
+            ]))
+    answers_once
+
+(* ---------- the one budget rule, on every surface ---------- *)
+
+let max_ms = Iflow_mcmc.Cancel.max_budget_ms
+
+(* each surface sees the same budgets: (value, accepted) *)
+let budgets =
+  [
+    ("0", false); ("1", true); (string_of_int max_ms, true);
+    (string_of_int (max_ms + 1), false); ("-5", false); ("1.5", false);
+  ]
+
+let rule_msg name got =
+  Printf.sprintf "%s must be an integer from 1 to %d milliseconds%s" name max_ms
+    got
+
+let test_budget_rule_member () =
+  let server = Lazy.force idle_server in
+  List.iter
+    (fun (v, ok) ->
+      let reply =
+        Option.get
+          (Server.answer_line server ~lineno:3
+             (Printf.sprintf
+                {|{"deadline_ms":%s,"type":"flow","src":0,"dst":1}|} v))
+      in
+      let code = error_code reply in
+      if ok then
+        check_bool ("deadline_ms " ^ v ^ " accepted") true
+          (code <> "bad_request")
+      else begin
+        check_string ("deadline_ms " ^ v ^ " refused") "bad_request" code;
+        let got =
+          match int_of_string_opt v with
+          | Some n -> Printf.sprintf " (got %d)" n
+          | None -> ""
+        in
+        check_bool ("deadline_ms " ^ v ^ " message") true
+          (match Jsonl.parse reply with
+          | Ok json ->
+            Jsonl.member "message" json
+            = Some (Jsonl.Str ("line 3: " ^ rule_msg "deadline_ms" got))
+          | Error _ -> false)
+      end)
+    (budgets @ [ ({|"10"|}, false); ("null", false) ])
+
+let test_budget_rule_header () =
+  let server = Lazy.force idle_server in
+  List.iter
+    (fun (v, ok) ->
+      let status, _, body =
+        Server.route server
+          {
+            Http.meth = "POST";
+            path = "/query";
+            headers = [ ("x-deadline-ms", v) ];
+            body = query_json ~src:0 ~dst:1 ();
+          }
+      in
+      check_int ("X-Deadline-Ms " ^ v) (if ok then 200 else 400) status;
+      if not ok then
+        check_string ("X-Deadline-Ms " ^ v ^ " code") "bad_request"
+          (error_code (String.trim body)))
+    (budgets @ [ ("never", false); ("", false) ])
+
+let test_budget_rule_config () =
+  let engine = Engine.create ~config:fast_config ~seed:7 (five_node_icm 3) in
+  List.iter
+    (fun (v, ok) ->
+      match int_of_string_opt v with
+      | None -> () (* the fields are ints: a fraction cannot be written *)
+      | Some ms ->
+        List.iter
+          (fun (name, config) ->
+            match Server.create ~config ~engine () with
+            | _ ->
+              check_bool (Printf.sprintf "%s = %d accepted" name ms) true ok
+            | exception Invalid_argument msg ->
+              check_bool (Printf.sprintf "%s = %d refused" name ms) false ok;
+              check_string (name ^ " message")
+                ("Server: bad config: "
+                ^ rule_msg name (Printf.sprintf " (got %d)" ms))
+                msg)
+          (let d = Server.default_config and v = Some ms in
+           [
+             ("slow_query_ms", { d with Server.slow_query_ms = v });
+             ("default_deadline_ms", { d with Server.default_deadline_ms = v });
+             ("max_deadline_ms", { d with Server.max_deadline_ms = v });
+             ("read_timeout_ms", { d with Server.read_timeout_ms = v });
+           ]))
+    budgets
+
+(* the CLI applies the rule before any work: out of range exits 1,
+   a fraction is cmdliner's parse error (124) *)
+let test_budget_rule_cli () =
+  let model = Filename.temp_file "iflow_budget" ".bicm" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove model)
+    (fun () ->
+      Iflow_io.Model_io.save_beta_icm model
+        (Iflow_core.Generator.default_beta_icm (Rng.create 1) ~nodes:5
+           ~edges:12);
+      List.iter
+        (fun (v, ok) ->
+          let code =
+            Sys.command
+              (Filename.quote_command ~stdout:Filename.null
+                 ~stderr:Filename.null "../bin/infoflow.exe"
+                 [
+                   "estimate"; "--model"; model; "--src"; "0"; "--dst"; "1";
+                   "--chains"; "2"; "--deadline-ms=" ^ v;
+                 ])
+          in
+          let want =
+            match (ok, int_of_string_opt v) with
+            | true, _ -> [ 0; 2 ] (* 2: a 1 ms budget may end before a round *)
+            | false, Some _ -> [ 1 ]
+            | false, None -> [ 124 ]
+          in
+          check_bool
+            (Printf.sprintf "--deadline-ms %s exits %d" v code)
+            true (List.mem code want))
+        budgets)
+
 let () =
   Alcotest.run "serve"
     [
@@ -2653,7 +2878,19 @@ let () =
             test_serve_long_answer_not_cut;
           Alcotest.test_case "shutdown refuses queued work" `Slow
             test_serve_shutdown_refuses_queued;
+          Alcotest.test_case "budget rule: deadline_ms member" `Quick
+            test_budget_rule_member;
+          Alcotest.test_case "budget rule: X-Deadline-Ms header" `Quick
+            test_budget_rule_header;
+          Alcotest.test_case "budget rule: config fields" `Quick
+            test_budget_rule_config;
+          Alcotest.test_case "budget rule: --deadline-ms" `Quick
+            test_budget_rule_cli;
         ] );
+      ( "request-path",
+        List.map
+          (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0 |]))
+          [ prop_answer_line_total ] );
       ( "engine-concurrency",
         [
           Alcotest.test_case "queries race swaps" `Slow
