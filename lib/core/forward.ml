@@ -2,8 +2,8 @@ module Digraph = Iflow_graph.Digraph
 module Rng = Iflow_stats.Rng
 
 type t = {
-  icm : Icm.t;
-  g : Digraph.t;
+  mutable icm : Icm.t;
+  mutable g : Digraph.t;
   mutable state : int; (* coin e is tossed in this state iff tossed.(e) = state *)
   tossed : int array;
   fired : Bytes.t;
@@ -28,6 +28,24 @@ let create icm =
   }
 
 let fresh t = t.state <- t.state + 1
+
+(* One scratch per domain. Rebinding it to another model with the same
+   counts clears nothing: every stamp is an epoch, and the next state
+   and sweep are newer than any stamp the old model left. *)
+let slot = Domain_slot.create ()
+
+let take icm =
+  match Domain_slot.take slot with
+  | Some t
+    when Array.length t.seen = Icm.n_nodes icm
+         && Array.length t.tossed = Icm.n_edges icm ->
+    t.icm <- icm;
+    t.g <- Icm.graph icm;
+    fresh t;
+    t
+  | _ -> create icm
+
+let put t = Domain_slot.put slot t
 
 (* edge e's coin in the current state, tossed on first look *)
 let coin t rng e =

@@ -32,7 +32,7 @@ let sample rng icm =
   let m = Icm.n_edges icm in
   let t = create m in
   for e = 0 to m - 1 do
-    if Rng.bernoulli rng (Icm.prob icm e) then set t e true
+    if Icm.fires icm e (Rng.bits53 rng) then set t e true
   done;
   t
 

@@ -1,4 +1,5 @@
 module Icm = Iflow_core.Icm
+module Forward = Iflow_core.Forward
 module Rng = Iflow_stats.Rng
 module Fingerprint = Iflow_stats.Fingerprint
 module Estimator = Iflow_mcmc.Estimator
@@ -278,12 +279,12 @@ let run_query ?rid ~ph ?(cancel = Cancel.none) ~sampler t ~icm ~digest q =
      perturbs the draws of the survivors *)
   let chain_rngs = Array.init c.chains (fun _ -> Rng.split qrng) in
   (* [draw_round i n]: n retained draws from stream i, which is built
-     on first use *)
-  let draw_round =
+     on first use; [release ()] once drawing is over *)
+  let draw_round, release =
     match sampler with
     | Mh ->
       let streams = Array.make c.chains None in
-      fun i n ->
+      let draw i n =
         let st =
           match streams.(i) with
           | Some st -> st
@@ -299,16 +300,19 @@ let run_query ?rid ~ph ?(cancel = Cancel.none) ~sampler t ~icm ~digest q =
         Array.init n (fun _ ->
             Estimator.stream_next st ~f:(fun state ->
                 if Query.indicator_ws ws icm q state then 1.0 else 0.0))
+      in
+      (draw, ignore)
     | Direct ->
       (* the streams run one after another, and every draw starts from a
-         fresh state, so they share one scratch *)
-      let fw = lazy (Iflow_core.Forward.create icm) in
-      fun i n ->
-        let fw = Lazy.force fw in
+         fresh state, so they share the domain's scratch *)
+      let fw = Forward.take icm in
+      let draw i n =
         let rng = chain_rngs.(i) in
         Array.init n (fun _ ->
             if Cancel.cancelled cancel then raise Estimator.Cancelled;
             if Query.draw fw rng q then 1.0 else 0.0)
+      in
+      (draw, fun () -> Forward.put fw)
   in
   let buffers = Array.init c.chains (fun _ -> buffer_create ()) in
   let failed = Array.make c.chains false in
@@ -411,6 +415,7 @@ let run_query ?rid ~ph ?(cancel = Cancel.none) ~sampler t ~icm ~digest q =
         cancelled := true
     end
   done;
+  release ();
   ph.sample_ns <-
     ph.sample_ns
     + Trace.phase ~hist:m_query_seconds ~args:span_args "engine.sample" ~t0;

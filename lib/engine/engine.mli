@@ -56,7 +56,9 @@ type sampler =
   | Direct
       (** K streams of independent lazy forward cascades
           ({!Iflow_core.Forward}, {!Query.draw}): exact draws, no
-          burn-in *)
+          burn-in. They draw on the calling domain's cascade scratch
+          ({!Iflow_core.Forward.take}), so a warm domain answers without
+          allocating on the major heap. *)
 
 val sampler_label : sampler -> string
 (** ["mh"] or ["direct"], as on the wire and in [explain]. *)

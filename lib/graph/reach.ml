@@ -166,7 +166,10 @@ let cheapest_path ws ~usable ~zero_cost g ~src ~dst =
     (* stamp marks "dist tentatively set"; stamp2 marks "settled". The
        deque pops in nondecreasing distance order, so a node's first pop
        carries its final distance; later (stale) pops are skipped. Each
-       edge is then relaxed at most once, bounding pushes by edges + 1. *)
+       edge is then relaxed at most once, bounding pushes by edges + 1.
+       A settled node's parent never changes again (relaxation skips
+       settled nodes and is strict), so the search stops at dst's first
+       pop with the path a full run would give. *)
     ws.stamp.(src) <- ws.epoch;
     ws.dist.(src) <- 0;
     push_back src;
@@ -179,9 +182,11 @@ let cheapest_path ws ~usable ~zero_cost g ~src ~dst =
         if n_cost = 0 then push_front w else push_back w
       end
     in
-    while !count > 0 do
+    let reached = ref false in
+    while !count > 0 && not !reached do
       let v = pop_front () in
-      if ws.stamp2.(v) <> ws.epoch then begin
+      if v = dst then reached := true
+      else if ws.stamp2.(v) <> ws.epoch then begin
         ws.stamp2.(v) <- ws.epoch;
         Digraph.iter_out g v (fun e ->
             if usable e then begin

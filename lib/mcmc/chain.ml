@@ -58,6 +58,7 @@ let proposal_weight icm state e =
 let rebuild_every = 1 lsl 16
 
 let create ?(conditions = Conditions.empty) ?init rng icm =
+  let ws = Reach.workspace (Icm.n_nodes icm) in
   let state =
     match init with
     | Some s ->
@@ -69,7 +70,7 @@ let create ?(conditions = Conditions.empty) ?init rng icm =
         invalid_arg "Chain.create: init violates conditions";
       Pseudo_state.copy s
     | None ->
-      (match Conditions.initial_state rng icm conditions with
+      (match Conditions.initial_state ~ws rng icm conditions with
       | Some s -> s
       | None ->
         invalid_arg "Chain.create: could not satisfy flow conditions")
@@ -78,7 +79,6 @@ let create ?(conditions = Conditions.empty) ?init rng icm =
     Fenwick.of_array
       (Array.init (Icm.n_edges icm) (proposal_weight icm state))
   in
-  let ws = Reach.workspace (Icm.n_nodes icm) in
   let active = Pseudo_state.get state in
   let g = Icm.graph icm in
   let srcs = Array.of_list (Conditions.sources conditions) in

@@ -109,7 +109,7 @@ let repair_negative ws rng icm state { cond_src; cond_dst; _ } =
   in
   loop (Icm.n_edges icm + 1)
 
-let initial_state rng icm t =
+let initial_state ?ws rng icm t =
   let s = Pseudo_state.sample rng icm in
   if is_empty t then Some s
   else begin
@@ -119,7 +119,9 @@ let initial_state rng icm t =
        re-check; cutting can break a positive condition, so iterate a
        few times. The repair only activates edges with p > 0 and only
        cuts edges with p < 1, so the state keeps positive probability. *)
-    let ws = Reach.workspace (Icm.n_nodes icm) in
+    let ws =
+      match ws with Some ws -> ws | None -> Reach.workspace (Icm.n_nodes icm)
+    in
     let rec attempt s tries =
       let rec rounds k =
         satisfied_ws ws icm s t

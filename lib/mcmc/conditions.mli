@@ -37,6 +37,7 @@ val satisfied_ws :
     condition source (conditions are kept grouped by source). *)
 
 val initial_state :
+  ?ws:Iflow_graph.Reach.workspace ->
   Iflow_stats.Rng.t -> Iflow_core.Icm.t -> t ->
   Iflow_core.Pseudo_state.t option
 (** A pseudo-state with positive probability under the model that
@@ -48,6 +49,8 @@ val initial_state :
     negative one, over a few bounded rounds. It never activates a p = 0
     edge or cuts a p = 1 edge. Only a failed repair draws again.
     [None] when no satisfying state was found, e.g. a positive
-    condition between disconnected nodes. *)
+    condition between disconnected nodes. The checks and repairs run on
+    [ws] (a workspace over the model's nodes, such as a chain's), or
+    on a new one. *)
 
 val pp : Format.formatter -> t -> unit

@@ -2,6 +2,9 @@ module Digraph = Iflow_graph.Digraph
 module Reach = Iflow_graph.Reach
 module Icm = Iflow_core.Icm
 module Metrics = Iflow_obs.Metrics
+module Trace = Iflow_obs.Trace
+module Clock = Iflow_obs.Clock
+module Domain_slot = Iflow_core.Domain_slot
 
 (* The planner proper: given a query's targets and conditions, decide
    whether the whole query is answerable in closed form, and answer it.
@@ -25,13 +28,14 @@ module Metrics = Iflow_obs.Metrics
 type reason =
   | Disabled
   | Unsound_join of { node : int } (* model node id of the fork *)
+  | Cyclic_cone of { node : int } (* a node of a cycle inside the cone *)
   | Target_overlap
   | Condition_overlap
   | Condition_infeasible of { c_src : int; c_dst : int; want : bool }
 
 let reason_label = function
   | Disabled -> "disabled"
-  | Unsound_join _ -> "unsound_join"
+  | Unsound_join _ | Cyclic_cone _ -> "unsound_join"
   | Target_overlap -> "target_overlap"
   | Condition_overlap -> "condition_overlap"
   | Condition_infeasible _ -> "condition_infeasible"
@@ -42,6 +46,11 @@ let describe = function
     Printf.sprintf
       "routes to the sink fork at node %d and meet again: parent flows \
        share ancestry"
+      node
+  | Cyclic_cone { node } ->
+    Printf.sprintf
+      "the cone holds a cycle through node %d, so routes to the sink meet \
+       again: parent flows share ancestry"
       node
   | Target_overlap -> "target cones share edges"
   | Condition_overlap -> "condition cone overlaps the query or another condition"
@@ -69,6 +78,11 @@ let fallback_counters =
       "disabled"; "unsound_join"; "target_overlap"; "condition_overlap";
       "condition_infeasible";
     ]
+
+let m_index_refusals =
+  Metrics.counter
+    ~help:"Targets refused by the cycle index without tracing their cone"
+    "iflow_plan_index_refusals_total"
 
 let record_exact () = Metrics.inc m_exact_hits
 
@@ -122,14 +136,12 @@ let claim sc kind cone =
       sc.ledger.(e) <- (if target then mine + 1 else mine))
 
 (* One scratch per domain, kept across plans and rebuilt only when the
-   model's node or edge count changes. A plan takes it out of its
-   domain's slot and puts it back when done, so two threads of one
-   domain never share it: the second builds its own. *)
-let slot = Domain.DLS.new_key (fun () -> Atomic.make None)
+   model's node or edge count changes. *)
+let slot = Domain_slot.create ()
 
 let take_scratch icm =
   let n = Icm.n_nodes icm and m = Icm.n_edges icm in
-  match Atomic.exchange (Domain.DLS.get slot) None with
+  match Domain_slot.take slot with
   | Some sc when Array.length sc.ledger = m && Cone.n_nodes sc.cone = n ->
     Cone.rebind sc.cone icm;
     sc.stamp <- sc.stamp + 1;
@@ -137,6 +149,38 @@ let take_scratch icm =
   | _ ->
     let ws = lazy (Reach.workspace n) in
     { cone = Cone.create icm; ledger = Array.make m 0; stamp = 1; ws }
+
+(* The refusal index of the model that last had a target refused,
+   shared read-only by every domain. A model's first trace refusal only
+   records the model: it may be its last, and the first request a server
+   answers should not pay for a build. The second builds the index with
+   one cycle, and each later trace refusal it missed adds the next one.
+   Of two domains building at once, one build is dropped. *)
+type index = No_index | Refused_once of Icm.t | Index of Cycle_index.t
+
+let index = Atomic.make No_index
+
+let built icm =
+  match Atomic.get index with
+  | Index ix when Cycle_index.icm ix == icm -> Some ix
+  | _ -> None
+
+let grow_index icm =
+  let current = Atomic.get index in
+  let build f =
+    let t0 = Clock.now_ns () in
+    let ix = f () in
+    ignore
+      (Trace.phase
+         ~args:[ ("cycles", Trace.Int (Cycle_index.cycles ix)) ]
+         "plan.index_build" ~t0);
+    ignore (Atomic.compare_and_set index current (Index ix))
+  in
+  match current with
+  | Index ix when Cycle_index.icm ix == icm ->
+    if not (Cycle_index.complete ix) then build (fun () -> Cycle_index.extend ix)
+  | Refused_once m when m == icm -> build (fun () -> Cycle_index.create icm)
+  | _ -> ignore (Atomic.compare_and_set index current (Refused_once icm))
 
 (* [plan] on the scratch [sc], which [take_scratch] bound to [icm] *)
 let plan_on sc icm ~targets ~conditions =
@@ -186,17 +230,29 @@ let plan_on sc icm ~targets ~conditions =
       total_nodes := !total_nodes + cone_nodes;
       total_edges := !total_edges + cone_edges
     in
+    let ix = built icm in
     List.iter
       (fun (s, d) ->
         if not !zero then
           if s = d then report s d 1 0 1.0 (Some [ s ])
           else
+            let node =
+              match ix with
+              | Some ix -> Cycle_index.refusal ix ~src:s ~dst:d
+              | None -> -1
+            in
+            if node >= 0 then begin
+              Metrics.inc m_index_refusals;
+              raise (Stop (Cyclic_cone { node }))
+            end;
             match Cone.trace cone ~certify:true ~src:s ~dst:d with
             | Cone.Unreachable ->
               zero := true;
               value := 0.0;
               report s d 0 0 0.0 None
-            | Cone.Fork { node } -> raise (Stop (Unsound_join { node }))
+            | Cone.Fork { node } ->
+              grow_index icm;
+              raise (Stop (Unsound_join { node }))
             | Cone.Traced { nodes; edges } ->
               let p, path = Cone.flow cone in
               claim sc Claim_target cone;
@@ -233,5 +289,5 @@ let plan icm ~targets ~conditions =
   if targets = [] then invalid_arg "Planner.plan: no targets";
   let sc = take_scratch icm in
   let result = plan_on sc icm ~targets ~conditions in
-  Atomic.set (Domain.DLS.get slot) (Some sc);
+  Domain_slot.put slot sc;
   result

@@ -28,15 +28,29 @@ let[@inline] add_internal t i delta =
     i := !i + (!i land - !i)
   done
 
+(* Cell j holds the in-order fold, from 0.0, of the weights in
+   (j - lowbit j, j], 1-based: the floats [add_internal] leaves there
+   after one add per weight in index order. For lowbit j >= 2 the
+   cell j - lowbit j / 2 already holds the fold of that range's first
+   half, so j continues from it over the second half only. *)
+let build t =
+  let tree = t.tree and weights = t.weights in
+  for j = 1 to t.n do
+    let low = j land -j in
+    let acc = ref (if low = 1 then 0.0 else tree.(j - (low / 2))) in
+    for i = j - ((low + 1) / 2) to j - 1 do
+      acc := !acc +. weights.(i)
+    done;
+    tree.(j) <- !acc
+  done
+
 let of_array weights =
-  let n = Array.length weights in
-  let t = create n in
-  Array.iteri
-    (fun i w ->
-      if w < 0.0 then invalid_arg "Fenwick.of_array: negative weight";
-      t.weights.(i) <- w;
-      add_internal t i w)
+  Array.iter
+    (fun w -> if w < 0.0 then invalid_arg "Fenwick.of_array: negative weight")
     weights;
+  let t = create (Array.length weights) in
+  Array.blit weights 0 t.weights 0 t.n;
+  build t;
   t
 
 let get t i = t.weights.(i)
@@ -100,6 +114,4 @@ let propose_complement rng t =
     if uniform rng <= a then i else -1
   end
 
-let rebuild t =
-  Array.fill t.tree 0 (t.n + 1) 0.0;
-  Array.iteri (fun i w -> add_internal t i w) t.weights
+let rebuild = build

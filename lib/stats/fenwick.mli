@@ -11,7 +11,9 @@ val create : int -> t
 (** [create n] is a tree over indices [0 .. n-1], all weights 0. *)
 
 val of_array : float array -> t
-(** Build in O(n). Weights must be non-negative. *)
+(** Build with about [n log2 n / 4] additions, half of what a {!set}
+    per index costs, and bit for bit the same sums: [create n] then
+    [set t i w.(i)] for [i] in order. Weights must be non-negative. *)
 
 val get : t -> int -> float
 (** Current weight at an index, O(1). *)

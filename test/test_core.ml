@@ -106,6 +106,32 @@ let test_pseudo_state_sample_frequency () =
         (float_of_int c /. float_of_int n))
     counts
 
+(* The sampler [sample] replaced: one [Rng.bernoulli] per edge. It must
+   read the same draws and keep the same edges, so chains start where
+   they did. *)
+let test_pseudo_state_sample_matches_bernoulli () =
+  let rng = Rng.create 41 in
+  let probs =
+    Array.init 900 (fun e ->
+        match e mod 7 with 0 -> 0.0 | 1 -> 1.0 | _ -> Rng.uniform rng)
+  in
+  let icm = Icm.create (Gen.gnm rng ~nodes:200 ~edges:900) probs in
+  for seed = 1 to 20 do
+    let a = Rng.create seed and b = Rng.create seed in
+    let s = Pseudo_state.sample a icm in
+    let m = Icm.n_edges icm in
+    let oracle = Pseudo_state.create m in
+    for e = 0 to m - 1 do
+      if Rng.bernoulli b (Icm.prob icm e) then Pseudo_state.set oracle e true
+    done;
+    Alcotest.(check bool)
+      (Printf.sprintf "seed %d: same state" seed)
+      true (Pseudo_state.equal s oracle);
+    Alcotest.(check int)
+      (Printf.sprintf "seed %d: same draws consumed" seed)
+      (Rng.bits53 b) (Rng.bits53 a)
+  done
+
 (* ---------- Exact ---------- *)
 
 let test_exact_triangle_closed_form () =
@@ -673,6 +699,8 @@ let () =
           Alcotest.test_case "flow" `Quick test_pseudo_state_flow;
           Alcotest.test_case "derive active edges" `Quick test_derive_active_edges;
           Alcotest.test_case "sample frequency" `Quick test_pseudo_state_sample_frequency;
+          Alcotest.test_case "sample equals bernoulli oracle" `Quick
+            test_pseudo_state_sample_matches_bernoulli;
         ]
         @ qcheck [ prop_pseudo_state_gives_consistent_active_state ] );
       ( "exact",

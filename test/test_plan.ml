@@ -11,6 +11,7 @@ module Digraph = Iflow_graph.Digraph
 module Gen = Iflow_graph.Gen
 module Rng = Iflow_stats.Rng
 module Cone = Iflow_plan.Cone
+module Cycle_index = Iflow_plan.Cycle_index
 module Planner = Iflow_plan.Planner
 module Engine = Iflow_engine.Engine
 module Query = Iflow_engine.Query
@@ -38,7 +39,9 @@ let reason_exn = function
 (* Words one [plan] call allocates, minor plus major, on a model whose
    first five nodes hold the bottleneck 0 -> 1 -> {2, 3} -> 4 and whose
    other [n - 5] nodes form an idle chain. The refused (0, 4) and the
-   exact path (2, 4) trace the same cones at every [n]. *)
+   exact path (2, 4) trace the same cones at every [n]. Two warm-up
+   rounds: the model's second refusal builds its refusal index, which
+   costs O(n + m) words once and holds no cycle here. *)
 let plan_words ~n =
   let edges =
     [ (0, 1); (1, 2); (1, 3); (2, 4); (3, 4) ]
@@ -50,6 +53,7 @@ let plan_words ~n =
     check_close "path" 0.5
       (value_exn (plan icm ~targets:[ (2, 4) ] ~conditions:[])).Planner.value
   in
+  calls ();
   calls ();
   let words () =
     let minor, promoted, major = Gc.counters () in
@@ -654,6 +658,152 @@ let test_engine_large_tree () =
     true
     (Float.abs (exact.Engine.estimate -. mh.Engine.estimate) <= tol)
 
+(* Major-heap words one direct answer allocates once its domain is
+   warm, on a model whose cone 0 -> 1 <-> 2 -> 3 holds a cycle and whose
+   other n - 4 nodes form an idle chain. The planner and the cascade
+   sampler each reuse their domain's scratch and the cycle index refuses
+   without a trace, so nothing here grows with n; a fresh cascade
+   scratch would cost 3n + m words. One round of 100 draws per chain
+   keeps every sample buffer on the minor heap. *)
+let direct_major_words ~n =
+  let edges =
+    [ (0, 1); (1, 2); (2, 1); (2, 3) ] @ List.init (n - 5) (fun i -> (4 + i, 5 + i))
+  in
+  let icm = icm_of ~nodes:n edges (List.map (fun _ -> 0.5) edges) in
+  let config =
+    { fast_config with Engine.cache_capacity = 0; max_samples = 200 }
+  in
+  let engine = Engine.create ~config ~seed:7 icm in
+  let q = Query.flow ~src:0 ~dst:3 () in
+  let answer () =
+    match (Engine.query engine q).Engine.plan with
+    | Engine.Plan_mh { sampler = Engine.Direct; _ } -> ()
+    | _ -> Alcotest.fail "cyclic cone not answered by direct cascades"
+  in
+  answer ();
+  answer ();
+  let direct () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let w0 = direct () in
+  for _ = 1 to 50 do
+    answer ()
+  done;
+  direct () -. w0
+
+let test_direct_major_words () =
+  check_close "major words over 50 answers at n = 64" 0.0 (direct_major_words ~n:64);
+  check_close "major words over 50 answers at n = 65,536" 0.0
+    (direct_major_words ~n:65_536)
+
+(* The first two refusals on a model are traced, and the second builds
+   the index; the same target then refuses without a trace, naming a
+   cycle node, under the same label. Another model gets its own index. *)
+let test_index_refusal () =
+  let counter = Metrics.counter "iflow_plan_index_refusals_total" in
+  let c0 = Metrics.counter_value counter in
+  let inner =
+    icm_of ~nodes:4 [ (0, 1); (1, 2); (2, 3); (2, 1) ] [ 0.5; 0.5; 0.5; 0.5 ]
+  in
+  let traced () =
+    match reason_exn (plan inner ~targets:[ (0, 3) ] ~conditions:[]) with
+    | Planner.Unsound_join { node } -> Alcotest.(check int) "traced fork" 2 node
+    | r -> Alcotest.failf "wrong reason %s" (Planner.reason_label r)
+  in
+  traced ();
+  traced ();
+  (match reason_exn (plan inner ~targets:[ (0, 3) ] ~conditions:[]) with
+  | Planner.Cyclic_cone { node } as r ->
+    Alcotest.(check bool) "a node of the cycle" true (node = 1 || node = 2);
+    Alcotest.(check string) "same label" "unsound_join" (Planner.reason_label r)
+  | r -> Alcotest.failf "wrong reason %s" (Planner.reason_label r));
+  Alcotest.(check int) "counted" (c0 + 1) (Metrics.counter_value counter);
+  (* the cycle holds dst 2, so it proves nothing: the trimmed cone
+     drops the edge out of dst and certifies a path *)
+  check_close "path through the cycle" 0.25
+    (value_exn (plan inner ~targets:[ (0, 2) ] ~conditions:[])).Planner.value;
+  let other =
+    icm_of ~nodes:4 [ (0, 1); (1, 2); (2, 3); (2, 1) ] [ 0.5; 0.5; 0.5; 0.25 ]
+  in
+  match reason_exn (plan other ~targets:[ (0, 3) ] ~conditions:[]) with
+  | Planner.Unsound_join { node } -> Alcotest.(check int) "new model traced" 2 node
+  | r -> Alcotest.failf "wrong reason %s" (Planner.reason_label r)
+
+(* [blocks] strongly connected blocks of [size] nodes (a ring plus
+   chords) joined by edges from lower to higher blocks, 1 edge in 6
+   dead *)
+let block_icm rng ~blocks ~size =
+  let nodes = blocks * size in
+  let seen = Hashtbl.create 64 and edges = ref [] in
+  let add u v =
+    if u <> v && not (Hashtbl.mem seen (u, v)) then begin
+      Hashtbl.add seen (u, v) ();
+      edges := (u, v) :: !edges
+    end
+  in
+  for b = 0 to blocks - 1 do
+    let node i = (b * size) + (i mod size) in
+    for i = 0 to size - 1 do
+      add (node i) (node (i + 1))
+    done;
+    for _ = 1 to size / 2 do
+      add (node (Rng.int rng size)) (node (Rng.int rng size))
+    done
+  done;
+  for _ = 1 to 2 * blocks do
+    let b1 = Rng.int rng blocks and b2 = Rng.int rng blocks in
+    let lo = min b1 b2 and hi = max b1 b2 in
+    if lo < hi then add ((lo * size) + Rng.int rng size) ((hi * size) + Rng.int rng size)
+  done;
+  let edges = List.rev !edges in
+  icm_of ~nodes edges
+    (List.map
+       (fun _ -> if Rng.int rng 6 = 0 then 0.0 else 0.05 +. (0.9 *. Rng.uniform rng))
+       edges)
+
+let prop_index_refuses_only_forks =
+  QCheck.Test.make ~count:200
+    ~name:"index refusals are trace forks; exact plans unchanged"
+    QCheck.(triple (int_range 1 5) (int_range 1 6) (int_range 0 100_000))
+    (fun (blocks, size, seed) ->
+      let blocks = max 1 blocks and size = max 1 size in
+      let rng = Rng.create seed in
+      let icm = block_icm rng ~blocks ~size in
+      let n = Icm.n_nodes icm in
+      let cone = Cone.create icm in
+      let one = Cycle_index.create icm in
+      let two = Cycle_index.extend one in
+      let indexes = [ one; two; Cycle_index.extend two ] in
+      let bits x = Int64.bits_of_float x in
+      for s = 0 to n - 1 do
+        for d = 0 to n - 1 do
+          if s <> d then begin
+            let verdict = Cone.trace cone ~certify:true ~src:s ~dst:d in
+            List.iter
+              (fun ix ->
+                match verdict with
+                | Cone.Fork _ -> ()
+                | _ ->
+                  if Cycle_index.refusal ix ~src:s ~dst:d >= 0 then
+                    QCheck.Test.fail_reportf "%d cycles refuse (%d, %d), the trace does not"
+                      (Cycle_index.cycles ix) s d)
+              indexes;
+            let planned = plan icm ~targets:[ (s, d) ] ~conditions:[] in
+            match (verdict, planned) with
+            | Cone.Traced _, Ok e ->
+              let p, _ = Cone.flow cone in
+              if bits p <> bits e.Planner.value then
+                QCheck.Test.fail_reportf "(%d, %d): %h planned, %h traced" s d
+                  e.Planner.value p
+            | Cone.Unreachable, Ok e when bits e.Planner.value = bits 0.0 -> ()
+            | Cone.Fork _, Error (Planner.Unsound_join _ | Planner.Cyclic_cone _) -> ()
+            | _ -> QCheck.Test.fail_reportf "(%d, %d): plan and trace disagree" s d
+          end
+        done
+      done;
+      true)
+
 let props tests =
   List.map (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0 |])) tests
 
@@ -668,6 +818,9 @@ let () =
             test_plan_words_independent_of_n;
           Alcotest.test_case "scratch follows the model" `Quick
             test_plan_scratch_follows_model;
+          Alcotest.test_case "direct answer major words 0" `Quick
+            test_direct_major_words;
+          Alcotest.test_case "index refusal" `Quick test_index_refusal;
         ] );
       ( "soundness",
         [
@@ -693,6 +846,7 @@ let () =
             prop_certified_matches_brute_force;
             prop_dag_verdicts_match_reference;
             prop_shared_bottleneck_refused;
+            prop_index_refuses_only_forks;
           ] );
       ( "engine",
         [

@@ -268,6 +268,37 @@ let prop_fenwick_matches_naive =
         arr;
       !ok && Float.abs (Fenwick.total t -. !acc) < 1e-9)
 
+(* The build [of_array] replaced: one [set] per index, in order. The
+   new build must leave bit for bit the same sums, since the MH chain's
+   proposals read them. *)
+let prop_fenwick_build_matches_sets =
+  QCheck.Test.make ~count:300 ~name:"of_array sums equal per-index sets bit for bit"
+    QCheck.(list_of_size Gen.(0 -- 300) (float_bound_inclusive 10.0))
+    (fun weights ->
+      let arr = Array.of_list (List.map Float.abs weights) in
+      let n = Array.length arr in
+      let built = Fenwick.of_array arr and oracle = Fenwick.create n in
+      Array.iteri (Fenwick.set oracle) arr;
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      let ok = ref (same (Fenwick.total built) (Fenwick.total oracle)) in
+      for i = 0 to n do
+        if not (same (Fenwick.prefix_sum built i) (Fenwick.prefix_sum oracle i))
+        then ok := false
+      done;
+      if n > 0 then begin
+        let r1 = Rng.create n and r2 = Rng.create n in
+        for _ = 1 to 50 do
+          if not (same (Fenwick.total built) 0.0) then
+            if Fenwick.sample r1 built <> Fenwick.sample r2 oracle then ok := false
+        done;
+        Fenwick.rebuild built;
+        for i = 0 to n do
+          if not (same (Fenwick.prefix_sum built i) (Fenwick.prefix_sum oracle i))
+          then ok := false
+        done
+      end;
+      !ok)
+
 let prop_fenwick_find_prefix_correct =
   QCheck.Test.make ~count:200 ~name:"find_prefix returns covering index"
     QCheck.(
@@ -558,7 +589,12 @@ let () =
           Alcotest.test_case "sampling distribution" `Quick test_fenwick_sampling_distribution;
           Alcotest.test_case "rebuild" `Quick test_fenwick_rebuild;
         ]
-        @ qcheck [ prop_fenwick_matches_naive; prop_fenwick_find_prefix_correct ] );
+        @ qcheck
+            [
+              prop_fenwick_matches_naive;
+              prop_fenwick_build_matches_sets;
+              prop_fenwick_find_prefix_correct;
+            ] );
       ( "fingerprint",
         Alcotest.test_case "known values" `Quick test_fingerprint_known_values
         :: qcheck [ prop_fingerprint_matches_reference ] );
